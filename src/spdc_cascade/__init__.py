@@ -30,22 +30,21 @@ from .geometry import (
     Cone,
     ConePair,
     EmissionTimeMap,
+    PropagationTimes,
     class_emission_times,
     collinear_cut_angle,
     cone_direction,
-    cone_intersections,
     emission_time_map,
-    internal_path_length,
     map_flattening_delays,
     mismatch_at_azimuth,
     pairing_mismatch,
     phase_match_cones,
+    propagation_times,
 )
 from .interference import (
     AnalyzerDelayConfig,
     InterferenceParams,
     coincidence_rate,
-    contrast_diagnostics,
     envelope,
     fringe_locked_delays,
     fringe_period,
@@ -59,7 +58,6 @@ from .materials import (
     QUARTZ,
     CrystalSpec,
     DispersionModel,
-    PropagationTimes,
     PumpSpec,
     SellmeierForm,
     get_model,
@@ -68,7 +66,6 @@ from .materials import (
     index_ordinary,
     index_principal_e,
     load_dispersion_model,
-    propagation_times,
 )
 
 __version__ = "0.1.0"

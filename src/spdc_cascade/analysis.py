@@ -20,16 +20,16 @@ from .errors import UndefinedVisibilityError
 from .interference import (
     AnalyzerDelayConfig,
     InterferenceParams,
+    aligned_contrast,
     coincidence_rate,
     envelope,
     fringe_period,
     optimal_delays,
-    rect_window,
 )
 from .materials import DispersionModel, group_index
 from .numeric import golden_section_max, parabola_vertex
 
-ABSCISSA_KINDS = ("delay_fs", "quartz_mm", "analyzer_rad")
+ABSCISSA_KINDS = ("delay_fs", "analyzer_rad")
 
 # local fringe scans for visibility extraction: +-2 periods, 32 samples/period
 FRINGE_WINDOW_PERIODS = 2.0
@@ -65,6 +65,17 @@ class ScanSeries:
         return "\n".join(lines) + "\n"
 
 
+def _scan_meta(params: InterferenceParams, **fields) -> dict:
+    """Scan metadata: the given settings plus the model parameters behind them."""
+    return {
+        **fields,
+        "fringe_period_fs": fringe_period(params),
+        "sigma_rad_per_fs": params.sigma,
+        "phi0_rad": params.phi0,
+        "times_fs": params.times.as_tuple(),
+    }
+
+
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     if step <= 0:
         raise ValueError("step must be positive")
@@ -97,15 +108,7 @@ def delay_scan(
         params,
         AnalyzerDelayConfig(cfg.theta_a, cfg.theta_b, cfg.tau_a, xs),
     )
-    meta = {
-        "theta_a_rad": cfg.theta_a,
-        "theta_b_rad": cfg.theta_b,
-        "tau_a_fs": cfg.tau_a,
-        "fringe_period_fs": period,
-        "sigma_rad_per_fs": params.sigma,
-        "phi0_rad": params.phi0,
-        "times_fs": params.times.as_tuple(),
-    }
+    meta = _scan_meta(params, theta_a_rad=cfg.theta_a, theta_b_rad=cfg.theta_b, tau_a_fs=cfg.tau_a)
     return ScanSeries("delay_fs", xs, np.asarray(rates, dtype=float), meta)
 
 
@@ -126,35 +129,31 @@ def polarization_scan(
         )
     xs = _grid(theta_b_start, theta_b_stop, step)
     rates = coincidence_rate(params, AnalyzerDelayConfig(theta_a, xs, tau_a, tau_b))
-    meta = {
-        "theta_a_rad": theta_a,
-        "tau_a_fs": tau_a,
-        "tau_b_fs": tau_b,
-        "fringe_period_fs": fringe_period(params),
-        "sigma_rad_per_fs": params.sigma,
-        "phi0_rad": params.phi0,
-        "times_fs": params.times.as_tuple(),
-    }
+    meta = _scan_meta(params, theta_a_rad=theta_a, tau_a_fs=tau_a, tau_b_fs=tau_b)
     return ScanSeries("analyzer_rad", xs, np.asarray(rates, dtype=float), meta)
 
 
 def _refined_extrema(xs, rates):
-    """Parabola-refined local maxima and minima of a sampled series.
+    """Parabola-refined interior local maxima and minima of a sampled series.
 
-    Returns (maxima, minima) as lists of (x, value); endpoint samples are
-    included unrefined so flat or monotone series still yield extrema.
+    Returns (maxima, minima) as lists of (x, value).  A run of equal samples
+    counts as one point, at its first sample, compared with the runs on
+    either side: a crest sampled twice is one maximum, a trough clamped to
+    zero one minimum, and a flat stretch at either end or a step is none.
     """
-    maxima, minima = [], []
-    for i in range(1, len(xs) - 1):
-        left, mid, right = rates[i - 1], rates[i], rates[i + 1]
-        if mid >= left and mid >= right and (mid > left or mid > right):
-            maxima.append(parabola_vertex(xs[i - 1], left, xs[i], mid, xs[i + 1], right))
-        elif mid <= left and mid <= right and (mid < left or mid < right):
-            minima.append(parabola_vertex(xs[i - 1], left, xs[i], mid, xs[i + 1], right))
-    for j in (0, len(xs) - 1):
-        maxima.append((xs[j], rates[j]))
-        minima.append((xs[j], rates[j]))
-    return maxima, minima
+    rates = np.asarray(rates)
+    starts = np.flatnonzero(np.r_[True, rates[1:] != rates[:-1]])
+    runs = rates[starts]
+    inner, here = starts[1:-1], runs[1:-1]
+
+    def refine(idx):
+        return [parabola_vertex(xs[i - 1], rates[i - 1], xs[i], rates[i], xs[i + 1], rates[i + 1])
+                for i in idx]
+
+    return (
+        refine(inner[(here > runs[:-2]) & (here > runs[2:])]),
+        refine(inner[(here < runs[:-2]) & (here < runs[2:])]),
+    )
 
 
 def _check_span(series: ScanSeries):
@@ -166,22 +165,21 @@ def _check_span(series: ScanSeries):
     period = series.meta.get("fringe_period_fs")
     if period is None:
         raise ValueError("delay series lacks fringe_period_fs metadata for the span check")
-    span_fs = span
-    if series.abscissa_kind == "quartz_mm":
-        fs_per_mm = series.meta.get("fs_per_mm")
-        if fs_per_mm is None:
-            raise ValueError("quartz series lacks fs_per_mm metadata for the span check")
-        span_fs = span * fs_per_mm
-    if span_fs < 2.0 * period - 1e-9:
+    if span < 2.0 * period - 1e-9:
         raise ValueError("delay series must span at least two fringe periods")
 
 
 def extract_visibility(series: ScanSeries) -> float:
-    """Fringe contrast (max - min)/(max + min) from fitted extrema."""
+    """Fringe contrast (max - min)/(max + min) from fitted extrema.
+
+    The endpoint samples count as extrema too, unrefined, so flat or
+    monotone series still yield a contrast.
+    """
     _check_span(series)
     maxima, minima = _refined_extrema(series.xs, series.rates)
-    r_max = max(v for _, v in maxima)
-    r_min = max(0.0, min(v for _, v in minima))
+    ends = [series.rates[0], series.rates[-1]]
+    r_max = max([v for _, v in maxima] + ends)
+    r_min = max(0.0, min([v for _, v in minima] + ends))
     if r_max + r_min == 0.0:
         raise UndefinedVisibilityError("all rates vanish; visibility undefined")
     return (r_max - r_min) / (r_max + r_min)
@@ -189,18 +187,10 @@ def extract_visibility(series: ScanSeries) -> float:
 
 def measure_fringe_spacing(series: ScanSeries) -> float:
     """Mean spacing between successive refined fringe maxima."""
-    interior_maxima = [
-        parabola_vertex(
-            series.xs[i - 1], series.rates[i - 1],
-            series.xs[i], series.rates[i],
-            series.xs[i + 1], series.rates[i + 1],
-        )
-        for i in range(1, len(series.xs) - 1)
-        if series.rates[i] > series.rates[i - 1] and series.rates[i] > series.rates[i + 1]
-    ]
-    if len(interior_maxima) < 2:
+    maxima, _ = _refined_extrema(series.xs, series.rates)
+    if len(maxima) < 2:
         raise ValueError("need at least two fringe maxima to measure a spacing")
-    positions = np.array([x for x, _ in interior_maxima])
+    positions = np.array([x for x, _ in maxima])
     return float(np.mean(np.diff(positions)))
 
 
@@ -238,27 +228,12 @@ def visibility_curve(
     """
     tau_b_grid = np.asarray(tau_b_grid, dtype=float)
     if method == "aligned":
-        t = params.times
-        d = 2.0 * t.t_p - t.t_o - t.t_e
-        contrast = (
-            math.sqrt(8.0 * math.pi)
-            * np.abs(envelope(params, tau_a, tau_b_grid))
-            * rect_window(params, tau_a, tau_b_grid)
-            / (2.0 * params.sigma * abs(d))
-        )
-        vis = np.minimum(contrast, 1.0)
+        vis = aligned_contrast(params, tau_a, tau_b_grid)
     elif method == "scan":
         vis = np.array([local_fringe_visibility(params, tau_a, tb) for tb in tau_b_grid])
     else:
         raise ValueError("method must be 'aligned' or 'scan'")
-    meta = {
-        "ordinate": "visibility",
-        "method": method,
-        "tau_a_fs": tau_a,
-        "fringe_period_fs": fringe_period(params),
-        "sigma_rad_per_fs": params.sigma,
-        "times_fs": params.times.as_tuple(),
-    }
+    meta = _scan_meta(params, ordinate="visibility", method=method, tau_a_fs=tau_a)
     return ScanSeries("delay_fs", tau_b_grid, vis, meta)
 
 
@@ -332,29 +307,28 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
 # birefringent delay-line calibration
 
 
-def quartz_calibration(model: DispersionModel, lam_nm: float, thickness_mm: float) -> float:
-    """Birefringent group delay (fs) of a plate of the given thickness.
+def _plate_delay_per_mm(model: DispersionModel, lam_nm: float) -> float:
+    """Birefringent group delay per mm of a standard delay plate (fs/mm).
 
     Uses the group-index difference between the ordinary wave and the
-    extraordinary wave propagating perpendicular to the optic axis, the
-    geometry of a standard delay plate.
+    extraordinary wave propagating perpendicular to the optic axis.
     """
+    dng = abs(group_index(model, lam_nm) - group_index(model, lam_nm, math.pi / 2.0))
+    return 1e6 * dng / C_NM_PER_FS
+
+
+def quartz_calibration(model: DispersionModel, lam_nm: float, thickness_mm: float) -> float:
+    """Birefringent group delay (fs) of a plate of the given thickness."""
     if thickness_mm < 0:
         raise ValueError("plate thickness must be nonnegative")
-    dng = abs(
-        group_index(model, lam_nm) - group_index(model, lam_nm, math.pi / 2.0)
-    )
-    return thickness_mm * 1e6 * dng / C_NM_PER_FS
+    return thickness_mm * _plate_delay_per_mm(model, lam_nm)
 
 
 def delay_to_quartz_thickness(model: DispersionModel, lam_nm: float, delay_fs: float) -> float:
     """Plate thickness (mm) realizing a requested birefringent group delay."""
     if delay_fs < 0:
         raise ValueError("delay must be nonnegative")
-    dng = abs(
-        group_index(model, lam_nm) - group_index(model, lam_nm, math.pi / 2.0)
-    )
-    return delay_fs * C_NM_PER_FS / dng / 1e6
+    return delay_fs / _plate_delay_per_mm(model, lam_nm)
 
 
 @dataclass(frozen=True)

@@ -41,11 +41,6 @@ def _summary(record: dict) -> str:
     return json.dumps(record, sort_keys=True)
 
 
-def _auto_delays(cfg: RunConfig):
-    params = cfg.interference_params()
-    return optimal_delays(params.times), params
-
-
 def cmd_indices(cfg: RunConfig, args) -> int:
     lines = ["lambda_nm,n_o,n_e,n_g_o,n_g_e"]
     for lam in args.wavelengths:
@@ -69,18 +64,9 @@ def cmd_emission_map(cfg: RunConfig, args) -> int:
         raise ConfigError("[emission_map] phi_points must be at least 64")
     phi_grid = geometry.default_phi_grid(opts["phi_points"])
     base = geometry.emission_time_map(cfg.crystal1, cfg.crystal2, cfg.pump, {}, phi_grid)
-    delays = {
-        "1e": opts["delay_1e_fs"],
-        "2e": opts["delay_2e_fs"],
-        "1o": opts["delay_1o_fs"],
-        "2o": opts["delay_2o_fs"],
-    }
-    if delays["1e"] is None or delays["2e"] is None:
-        auto = geometry.map_flattening_delays(base)
-        if delays["1e"] is None:
-            delays["1e"] = auto["1e"]
-        if delays["2e"] is None:
-            delays["2e"] = auto["2e"]
+    auto = geometry.map_flattening_delays(base)
+    delays = {c: opts[f"delay_{c}_fs"] for c in geometry.CLASS_NAMES}
+    delays = {c: auto[c] if value is None else value for c, value in delays.items()}
     emission_map = base.with_delays(delays)
     _write_atomic(args.out, emission_map.to_csv())
     mismatch = geometry.pairing_mismatch(emission_map)
@@ -155,12 +141,11 @@ def cmd_visibility_curve(cfg: RunConfig, args) -> int:
 def cmd_polarization(cfg: RunConfig, args) -> int:
     opts = cfg.polarization
     params = cfg.interference_params()
-    if opts["tau_a_fs"] is None or opts["tau_b_fs"] is None:
+    tau_a, tau_b = opts["tau_a_fs"], opts["tau_b_fs"]
+    if tau_a is None or tau_b is None:
         locked_a, locked_b = interference.fringe_locked_delays(params)
-        tau_a = opts["tau_a_fs"] if opts["tau_a_fs"] is not None else locked_a
-        tau_b = opts["tau_b_fs"] if opts["tau_b_fs"] is not None else locked_b
-    else:
-        tau_a, tau_b = opts["tau_a_fs"], opts["tau_b_fs"]
+        tau_a = locked_a if tau_a is None else tau_a
+        tau_b = locked_b if tau_b is None else tau_b
     series = analysis.polarization_scan(
         params,
         tau_a,
@@ -183,7 +168,8 @@ def cmd_polarization(cfg: RunConfig, args) -> int:
 
 def cmd_optimize(cfg: RunConfig, args) -> int:
     params = cfg.interference_params()
-    tau_a, tau_b = optimal_delays(params.times)
+    plan = analysis.prescribe_delays(params.times, materials.QUARTZ, cfg.pump.degenerate_nm)
+    tau_a, tau_b = plan.tau_a_fs, plan.tau_b_fs
     try:
         numeric = analysis.optimize_delays_numeric(
             params, ((tau_a - 50.0, tau_a + 50.0), (tau_b - 50.0, tau_b + 50.0))
@@ -199,18 +185,14 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
     except DegenerateParametersError:
         # closed form is still defined (no compensation needed when all
         # propagation times coincide) but the envelope model is singular
-        numeric_record = {
-            "numeric_tau_a_fs": None,
-            "numeric_tau_b_fs": None,
-            "numeric_agrees_closed_form": None,
-            "envelope_value": None,
-        }
-    lam_dc = cfg.pump.degenerate_nm
+        numeric_record = dict.fromkeys(
+            ("numeric_tau_a_fs", "numeric_tau_b_fs", "numeric_agrees_closed_form", "envelope_value")
+        )
     record = {
         "tau_a_fs": tau_a,
         "tau_b_fs": tau_b,
-        "quartz_a_mm": analysis.delay_to_quartz_thickness(materials.QUARTZ, lam_dc, tau_a),
-        "quartz_b_mm": analysis.delay_to_quartz_thickness(materials.QUARTZ, lam_dc, tau_b),
+        "quartz_a_mm": plan.quartz_a_mm,
+        "quartz_b_mm": plan.quartz_b_mm,
         **numeric_record,
     }
     text = _summary(record)
@@ -240,7 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, needs_out):
         p.add_argument("--config", help=f"configuration file (default: ${CONFIG_ENV_VAR})")
         p.add_argument("--out", required=needs_out, help="output data file")
-        p.add_argument("--format", choices=["csv"], default="csv", help="output format")
 
     p = sub.add_parser("indices", help="tabulate refractive and group indices")
     add_common(p, needs_out=False)

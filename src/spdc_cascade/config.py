@@ -79,13 +79,6 @@ def _parse_str(text):
     return text.strip()
 
 
-def _parse_rect(text):
-    value = text.strip()
-    if value not in RECT_CONVENTIONS:
-        raise ConfigError(f"rect_convention must be one of {RECT_CONVENTIONS}")
-    return value
-
-
 def _parse_choice(choices):
     def parse(text):
         value = text.strip()
@@ -114,7 +107,7 @@ _SCHEMA = {
         "e_angle_dc_prime_deg": (_parse_auto(_parse_positive), None),
         "beam_phi_a_deg": (_parse_float, 90.0),
         "beam_phi_b_deg": (_parse_float, 270.0),
-        "rect_convention": (_parse_rect, "zero_aligned"),
+        "rect_convention": (_parse_choice(RECT_CONVENTIONS), "zero_aligned"),
     },
     "scan": {
         "theta_a_deg": (_parse_float, 45.0),
@@ -229,10 +222,6 @@ def load_config(path) -> RunConfig:
     def maybe_rad(value):
         return None if value is None else math.radians(value)
 
-    section_dicts = {}
-    for section in ("scan", "emission_map", "visibility_curve", "polarization"):
-        section_dicts[section] = {key: get(section, key) for key in _SCHEMA[section]}
-
     return RunConfig(
         crystal1=crystal1,
         crystal2=crystal2,
@@ -245,8 +234,8 @@ def load_config(path) -> RunConfig:
         beam_phi_a=math.radians(get("interference", "beam_phi_a_deg")),
         beam_phi_b=math.radians(get("interference", "beam_phi_b_deg")),
         rect_convention=get("interference", "rect_convention"),
-        scan=section_dicts["scan"],
-        emission_map=section_dicts["emission_map"],
-        visibility_curve=section_dicts["visibility_curve"],
-        polarization=section_dicts["polarization"],
+        **{
+            section: {key: get(section, key) for key in _SCHEMA[section]}
+            for section in ("scan", "emission_map", "visibility_curve", "polarization")
+        },
     )

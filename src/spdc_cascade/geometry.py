@@ -15,19 +15,23 @@ root finding:
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
 
-Emission times for the four photon classes (born in crystal 1 or 2, o- or
-e-polarized) are averages over the birth position, i.e. pair creation at the
-generating crystal's centre: half the pump transit to get there, then the
-photon's own group delay over the remaining material, with per-direction
-path lengths (L/cos of the internal polar angle) and per-direction e-wave
-indices.  Times are referenced to the pump pulse entering the first crystal
-and reported at the exit face of the second.
+Propagation times come from one group-delay model: a wave crossing a slab
+of thickness L at internal polar angle u takes t = L sec(u) n_g(lambda,
+theta) / c, and the pump travels along z at the cut angle to the optic axis.
+It gives the on-axis times of one crystal (`propagation_times`, behind the
+interference model) and the per-direction times of the four photon classes
+(`class_emission_times`, behind the emission-time map).  Those classes (born
+in crystal 1 or 2, o- or e-polarized) are averaged over the birth position,
+i.e. pair creation at the generating crystal's centre: half the pump transit
+to get there, then the photon's own group delay over the remaining
+material.  Times are referenced to the pump pulse entering the first
+crystal and reported at the exit face of the second.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,6 +47,7 @@ from .materials import (
 )
 
 _U_MAX = 0.35  # rad; generous internal polar-angle bound for the root search
+_XTOL, _RTOL = 1e-13, 8.9e-16  # brentq tolerances of the cone solves
 
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
 
@@ -64,6 +69,13 @@ def _pump_index(crystal: CrystalSpec, pump: PumpSpec) -> float:
     return index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
 
 
+def _wave_index(crystal, lam, pol, kx, ky, kz, ax):
+    """Phase index of the pol-wave along (kx, ky, kz); ax is the optic axis."""
+    if pol == "o":
+        return index_ordinary(crystal.model, lam)
+    return index_extraordinary(crystal.model, lam, _angle_to_axis(kx, ky, kz, ax))
+
+
 def _cone_residual(crystal, pump, pol, u, phi):
     """Momentum-conservation residual for emission at polar angle u, azimuth phi.
 
@@ -74,21 +86,32 @@ def _cone_residual(crystal, pump, pol, u, phi):
     (photon at (u, phi), conjugate at the recoil direction) conserves both
     energy and momentum.
     """
-    model = crystal.model
     lam = pump.degenerate_nm
     ax = optic_axis(crystal)
     su, cu = math.sin(u), math.cos(u)
     dx, dy, dz = su * math.cos(phi), su * math.sin(phi), cu
-    if pol == "o":
-        n = index_ordinary(model, lam)
-    else:
-        n = index_extraordinary(model, lam, _angle_to_axis(dx, dy, dz, ax))
+    n = _wave_index(crystal, lam, pol, dx, dy, dz, ax)
     rx, ry, rz = -n * dx, -n * dy, 2.0 * _pump_index(crystal, pump) - n * dz
     m = math.sqrt(rx * rx + ry * ry + rz * rz)
-    if pol == "o":
-        theta_r = _angle_to_axis(rx, ry, rz, ax)
-        return m - index_extraordinary(model, lam, theta_r)
-    return m - index_ordinary(model, lam)
+    return m - _wave_index(crystal, lam, "e" if pol == "o" else "o", rx, ry, rz, ax)
+
+
+def _grid_roots(f, grid, failure: str, xtol: float, rtol: float, first_only: bool = False) -> list:
+    """Roots of f at the sign changes of its samples on grid, refined by brentq.
+
+    Raises NotPhaseMatchableError, carrying the smallest sampled |f|, when
+    no pair of neighbouring samples brackets a root.
+    """
+    vals = np.array([f(x) for x in grid])
+    brackets = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+    if brackets.size == 0:
+        residual = float(np.abs(vals).min())
+        raise NotPhaseMatchableError(
+            f"{failure} (smallest residual {residual:.3e})", residual=residual
+        )
+    if first_only:
+        brackets = brackets[:1]
+    return [brentq(f, grid[i], grid[i + 1], xtol=xtol, rtol=rtol) for i in brackets]
 
 
 def cone_direction(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi: float) -> np.ndarray:
@@ -101,44 +124,32 @@ def cone_direction(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi: float) -
         raise ValueError("polarization must be 'o' or 'e'")
     f = lambda u: _cone_residual(crystal, pump, pol, u, phi)
     lo, hi = 1e-12, _U_MAX
-    flo = f(lo)
-    if flo < 0.0:
-        u = brentq(f, lo, hi, xtol=1e-13, rtol=8.9e-16)
+    if f(lo) < 0.0:
+        u = brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
     else:
         # cone does not enclose the pump axis; look for a bracket further out
-        grid = np.linspace(lo, hi, 256)
-        vals = np.array([f(u) for u in grid])
-        sign_change = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-        if sign_change.size == 0:
-            raise NotPhaseMatchableError(
-                f"no phase-matched {pol}-emission at azimuth {phi:.4f} rad "
-                f"(smallest residual {vals.min():.3e})",
-                residual=float(vals.min()),
-            )
-        i = sign_change[0]
-        u = brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16)
+        (u,) = _grid_roots(
+            f, np.linspace(lo, hi, 256),
+            f"no phase-matched {pol}-emission at azimuth {phi:.4f} rad",
+            _XTOL, _RTOL, first_only=True,
+        )
     su = math.sin(u)
     return np.array([su * math.cos(phi), su * math.sin(phi), math.cos(u)])
 
 
 def _inplane_extremes(crystal, pump, pol):
-    """Signed polar angles (toward +y) where the cone crosses the y-z plane."""
+    """Signed polar angles (toward +y) where the cone crosses the y-z plane.
+
+    A single crossing (tangency) degenerates the cone to one ray there.
+    """
     def f(a):
         return _cone_residual(crystal, pump, pol, abs(a), math.pi / 2 if a >= 0 else 3 * math.pi / 2)
 
-    grid = np.linspace(-_U_MAX, _U_MAX, 701)
-    vals = np.array([f(a) for a in grid])
-    brackets = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    roots = [brentq(f, grid[i], grid[i + 1], xtol=1e-13, rtol=8.9e-16) for i in brackets]
-    if not roots:
-        raise NotPhaseMatchableError(
-            f"{pol}-cone not phase matchable at cut angle "
-            f"{math.degrees(crystal.cut_angle):.3f} deg "
-            f"(smallest residual {vals.min():.3e})",
-            residual=float(vals.min()),
-        )
-    if len(roots) == 1:  # tangency: the cone degenerates to a single ray here
-        roots = [roots[0], roots[0]]
+    roots = _grid_roots(
+        f, np.linspace(-_U_MAX, _U_MAX, 701),
+        f"{pol}-cone not phase matchable at cut angle {math.degrees(crystal.cut_angle):.3f} deg",
+        _XTOL, _RTOL,
+    )
     return min(roots), max(roots)
 
 
@@ -157,20 +168,6 @@ class Cone:
     @property
     def encloses_pump_axis(self) -> bool:
         return self.half_angle > abs(self.tilt)
-
-    def polar_angle_at(self, phi: float) -> float:
-        """Polar angle of the cone point at azimuth phi (circular model)."""
-        a = math.cos(self.tilt)
-        b = math.sin(self.tilt) * math.sin(phi)
-        r = math.hypot(a, b)
-        x = math.cos(self.half_angle) / r
-        if abs(x) > 1.0:
-            raise NotPhaseMatchableError(f"cone does not reach azimuth {phi:.4f} rad")
-        return math.atan2(b, a) + math.acos(x)
-
-    def direction_at(self, phi: float) -> np.ndarray:
-        u = self.polar_angle_at(phi)
-        return np.array([math.sin(u) * math.cos(phi), math.sin(u) * math.sin(phi), math.cos(u)])
 
 
 @dataclass(frozen=True)
@@ -224,38 +221,10 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
         cones[pol] = _cone_from_extremes(a_minus, a_plus)
         refracted = []
         for a in (a_minus, a_plus):
-            if pol == "o":
-                n = index_ordinary(crystal.model, lam)
-            else:
-                n = index_extraordinary(
-                    crystal.model, lam, _angle_to_axis(0.0, math.sin(a), math.cos(a), ax)
-                )
+            n = _wave_index(crystal, lam, pol, 0.0, math.sin(a), math.cos(a), ax)
             refracted.append(math.copysign(math.asin(min(1.0, n * math.sin(abs(a)))), a))
         ext[pol] = _cone_from_extremes(min(refracted), max(refracted))
     return ConePair(o_cone=cones["o"], e_cone=cones["e"], external_o=ext["o"], external_e=ext["e"])
-
-
-def cone_intersections(c1: Cone, c2: Cone) -> list:
-    """Directions common to two circular cones (0, 1 or 2 unit vectors)."""
-    a1, a2 = c1.axis, c2.axis
-    c12 = float(np.dot(a1, a2))
-    det = 1.0 - c12 * c12
-    if det < 1e-15:
-        return []
-    p1, p2 = math.cos(c1.half_angle), math.cos(c2.half_angle)
-    x = (p1 - p2 * c12) / det
-    y = (p2 - p1 * c12) / det
-    rad = 1.0 - (x * x + y * y + 2.0 * x * y * c12)
-    if rad < -1e-14:
-        return []
-    rad = max(rad, 0.0)
-    u = np.cross(a1, a2)
-    u /= np.linalg.norm(u)
-    z = math.sqrt(rad)
-    base = x * a1 + y * a2
-    if z < 1e-12:
-        return [base / np.linalg.norm(base)]
-    return [base + z * u, base - z * u]
 
 
 def collinear_cut_angle(model, pump: PumpSpec, lo=math.radians(5.0), hi=math.radians(85.0)) -> float:
@@ -273,61 +242,80 @@ def collinear_cut_angle(model, pump: PumpSpec, lo=math.radians(5.0), hi=math.rad
             - index_extraordinary(model, lam_dc, psi)
         )
 
-    grid = np.linspace(lo, hi, 1601)
-    vals = np.array([f(p) for p in grid])
-    brackets = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if brackets.size == 0:
-        raise NotPhaseMatchableError(
-            "no collinear degenerate phase matching for any cut angle in range",
-            residual=float(np.abs(vals).min()),
-        )
-    i = brackets[0]
-    return brentq(f, grid[i], grid[i + 1], xtol=1e-12)
-
-
-def internal_path_length(
-    crystal: CrystalSpec, direction, lam_nm: float, polarization: str = "o"
-) -> float:
-    """Path length (mm) through the slab for an externally given direction.
-
-    The internal polar angle follows from Snell refraction at the entrance
-    face (normal along z) with the ordinary index, or self-consistently with
-    the angle-dependent index for e-polarized rays.  The ray must travel
-    forward; grazing directions are rejected.
-    """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    if d[2] < 1e-6:
-        raise DegenerateGeometryError("direction must have a positive pump-axis component")
-    sin_ext = math.hypot(d[0], d[1])
-    if sin_ext == 0.0:
-        return crystal.thickness_mm
-    phi = math.atan2(d[1], d[0])
-    ax = optic_axis(crystal)
-    if polarization == "o":
-        n = index_ordinary(crystal.model, lam_nm)
-        sin_int = sin_ext / n
-    elif polarization == "e":
-        # n depends on the internal direction; iterate to self-consistency
-        sin_int = sin_ext / index_ordinary(crystal.model, lam_nm)
-        for _ in range(200):
-            ki = (sin_int * math.cos(phi), sin_int * math.sin(phi), math.sqrt(1 - sin_int**2))
-            n = index_extraordinary(crystal.model, lam_nm, _angle_to_axis(*ki, ax))
-            new = sin_ext / n
-            if abs(new - sin_int) < 1e-14:
-                sin_int = new
-                break
-            sin_int = new
-    else:
-        raise ValueError("polarization must be 'o' or 'e'")
-    cos_int = math.sqrt(max(0.0, 1.0 - sin_int * sin_int))
-    if cos_int < 1e-6:
-        raise DegenerateGeometryError("refracted ray is grazing; path length undefined")
-    return crystal.thickness_mm / cos_int
+    (psi,) = _grid_roots(
+        f, np.linspace(lo, hi, 1601),
+        "no collinear degenerate phase matching for any cut angle in range",
+        xtol=1e-12, rtol=4 * np.finfo(float).eps, first_only=True,  # brentq's default rtol
+    )
+    return psi
 
 
 # ---------------------------------------------------------------------------
-# emission times
+# propagation and emission times
+
+
+def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0) -> float:
+    """Group delay L*sec(u)*n_g(lam, theta)/c (fs) of a wave crossing one slab.
+
+    theta=None is the o-wave, otherwise the e-wave at angle theta to the
+    optic axis; sec_u = 1/cos(u) lengthens the path of a ray at internal
+    polar angle u.  An absent (zero-thickness) crystal takes no time.
+    """
+    if crystal.thickness_mm == 0.0:
+        return 0.0
+    ng = group_index(crystal.model, lam_nm, theta)
+    return crystal.thickness_mm * 1e6 / C_NM_PER_FS * sec_u * ng
+
+
+def _pump_time(crystal: CrystalSpec, pump: PumpSpec) -> float:
+    # the e-polarized pump travels along z, at the cut angle to the optic axis
+    return _transit_time(crystal, pump.center_nm, crystal.cut_angle)
+
+
+@dataclass(frozen=True)
+class PropagationTimes:
+    """Propagation times through one crystal of the cascade, all in fs.
+
+    t_p  : pump pulse (e-polarized, at the cut angle to the optic axis)
+    t_o  : o-polarized down-converted photon
+    t_e  : e-polarized down-converted photon in its generating crystal
+    t_e2 : the same e photon crossing the other crystal of the cascade,
+           whose optic axis it sees under a different angle
+    """
+
+    t_p: float
+    t_o: float
+    t_e: float
+    t_e2: float
+
+    def as_tuple(self):
+        return (self.t_p, self.t_o, self.t_e, self.t_e2)
+
+
+def propagation_times(
+    crystal: CrystalSpec,
+    pump: PumpSpec,
+    e_angle_dc: float | None = None,
+    e_angle_dc_prime: float | None = None,
+) -> PropagationTimes:
+    """Group-delay propagation times t = L*n_g/c through one crystal, on axis.
+
+    e_angle_dc is the angle between the e photon's internal wavevector and
+    the generating crystal's optic axis; e_angle_dc_prime the angle to the
+    other crystal's axis.  Both default to the cut angle, i.e. evaluation
+    on the pump axis, where the two coincide by mirror symmetry.
+    """
+    if e_angle_dc is None:
+        e_angle_dc = crystal.cut_angle
+    if e_angle_dc_prime is None:
+        e_angle_dc_prime = crystal.cut_angle
+    lam_dc = pump.degenerate_nm
+    return PropagationTimes(
+        t_p=_pump_time(crystal, pump),
+        t_o=_transit_time(crystal, lam_dc),
+        t_e=_transit_time(crystal, lam_dc, e_angle_dc),
+        t_e2=_transit_time(crystal, lam_dc, e_angle_dc_prime),
+    )
 
 
 def class_emission_times(
@@ -350,21 +338,11 @@ def class_emission_times(
     th1 = _angle_to_axis(d[0], d[1], d[2], optic_axis(crystal1))
     th2 = _angle_to_axis(d[0], d[1], d[2], optic_axis(crystal2))
 
-    def photon_time(crystal, theta):
-        if crystal.thickness_mm == 0.0:
-            return 0.0
-        ng = group_index(crystal.model, lam_dc, theta)
-        return crystal.thickness_mm * 1e6 * sec_u * ng / C_NM_PER_FS
-
-    def pump_time(crystal):
-        if crystal.thickness_mm == 0.0:
-            return 0.0
-        ng = group_index(crystal.model, pump.center_nm, crystal.cut_angle)
-        return crystal.thickness_mm * 1e6 * ng / C_NM_PER_FS
-
-    tp1, tp2 = pump_time(crystal1), pump_time(crystal2)
-    to1, to2 = photon_time(crystal1, None), photon_time(crystal2, None)
-    te1, te2 = photon_time(crystal1, th1), photon_time(crystal2, th2)
+    tp1, tp2 = _pump_time(crystal1, pump), _pump_time(crystal2, pump)
+    to1 = _transit_time(crystal1, lam_dc, None, sec_u)
+    to2 = _transit_time(crystal2, lam_dc, None, sec_u)
+    te1 = _transit_time(crystal1, lam_dc, th1, sec_u)
+    te2 = _transit_time(crystal2, lam_dc, th2, sec_u)
     return {
         "1e": 0.5 * tp1 + 0.5 * te1 + te2,
         "1o": 0.5 * tp1 + 0.5 * to1 + to2,
@@ -383,7 +361,6 @@ class EmissionTimeMap:
 
     phi_grid: np.ndarray
     times: dict
-    applied_delays: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.phi_grid) <= 0):
@@ -395,10 +372,7 @@ class EmissionTimeMap:
     def with_delays(self, delays: dict) -> "EmissionTimeMap":
         """Return a copy with additional fixed per-class delays added."""
         new_times = {c: self.times[c] + delays.get(c, 0.0) for c in CLASS_NAMES}
-        merged = {
-            c: self.applied_delays.get(c, 0.0) + delays.get(c, 0.0) for c in CLASS_NAMES
-        }
-        return EmissionTimeMap(self.phi_grid, new_times, merged)
+        return EmissionTimeMap(self.phi_grid, new_times)
 
     def to_csv(self) -> str:
         lines = ["phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs"]
@@ -445,9 +419,7 @@ def emission_time_map(
         for cname, (crystal, pol) in sources.items():
             d = cone_direction(crystal, pump, pol, phi)
             times[cname][i] = class_emission_times(crystal1, crystal2, pump, d)[cname]
-    for cname in CLASS_NAMES:
-        times[cname] += delays.get(cname, 0.0)
-    return EmissionTimeMap(phi_grid, times, dict(delays))
+    return EmissionTimeMap(phi_grid, times).with_delays(delays)
 
 
 def pairing_mismatch(emission_map: EmissionTimeMap) -> float:

@@ -52,8 +52,9 @@ from scipy.special import erf
 
 from .constants import TWO_PI
 from .errors import DegenerateParametersError
-from .materials import CrystalSpec, PropagationTimes, PumpSpec, propagation_times
-from .numeric import golden_section_max, golden_section_min
+from .geometry import PropagationTimes, propagation_times
+from .materials import CrystalSpec, PumpSpec
+from .numeric import golden_section_max
 
 RECT_CONVENTIONS = ("zero_aligned", "as_printed")
 
@@ -213,31 +214,24 @@ def optimal_delays(times: PropagationTimes) -> tuple:
     return tau_a, tau_b
 
 
-def fringe_extrema(
-    params: InterferenceParams,
-    tau_a: float,
-    tau_b_center: float,
-    theta: float = math.pi / 4,
-    xtol: float = 1e-3,
-) -> dict:
-    """Locate the fringe maximum and minimum within one oscillation period.
+def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
+    """Fringe contrast of the rate model with the oscillation phase on crest.
 
-    Golden-section refinement of the rate over tau_B in a one-period window
-    centred on tau_b_center, both analyzers at `theta`.
+    At pi/4-pi/4 analyzers the projection term is 1/2 and the interference
+    term reaches sqrt(8 pi) |V| Rect / (4 sigma |D|), so the contrast is
+    sqrt(8 pi) |V| Rect / (2 sigma |D|).  It is capped at 1: values above
+    occur only in the unphysical far lobe of the as-printed window, where
+    the clamped rate yields full apparent contrast.
     """
-    period = fringe_period(params)
-
-    def rate(tb):
-        return coincidence_rate(
-            params, AnalyzerDelayConfig(theta_a=theta, theta_b=theta, tau_a=tau_a, tau_b=tb)
-        )
-
-    grid = np.linspace(tau_b_center - 0.5 * period, tau_b_center + 0.5 * period, 33)
-    vals = np.array([rate(tb) for tb in grid])
-    half = 0.75 * period / 32.0
-    tb_max, r_max = golden_section_max(rate, grid[np.argmax(vals)] - half, grid[np.argmax(vals)] + half, xtol)
-    tb_min, r_min = golden_section_min(rate, grid[np.argmin(vals)] - half, grid[np.argmin(vals)] + half, xtol)
-    return {"tau_b_max": tb_max, "rate_max": r_max, "tau_b_min": tb_min, "rate_min": r_min}
+    d, _ = _walkoff_scales(params.times)
+    contrast = (
+        math.sqrt(8.0 * math.pi)
+        * np.abs(envelope(params, tau_a, tau_b))
+        * rect_window(params, tau_a, tau_b)
+        / (2.0 * params.sigma * abs(d))
+    )
+    out = np.minimum(contrast, 1.0)
+    return float(out) if out.ndim == 0 else out
 
 
 def max_visibility(
@@ -245,14 +239,13 @@ def max_visibility(
 ) -> float:
     """Highest fringe visibility of the space-time interference.
 
-    Contrast (R_max - R_min)/(R_max + R_min) of the analytic fringe extrema
-    at pi/4-pi/4 analyzers: tau_A at its compensating value, the envelope
-    peak located within one fringe period of the working point by
-    golden-section refinement to 1e-3 fs, and the oscillation phase aligned
-    on the peak (with two delay lines the fringe crest can always be placed
-    there: shifting tau_A and tau_B by +-delta/2 moves the phase without
-    moving the envelope).  A plain tau_B scan samples crest and trough half
-    a period apart in the delay sum and reads a few 1e-3 lower, see
+    The aligned contrast at pi/4-pi/4 analyzers, tau_A at its compensating
+    value, maximized by golden-section refinement to 1e-3 fs over tau_B
+    within one fringe period of the working point.  With two delay lines
+    the fringe crest can always be placed on the envelope peak: shifting
+    tau_A and tau_B by +-delta/2 moves the phase without moving the
+    envelope.  A plain tau_B scan samples crest and trough half a period
+    apart in the delay sum and reads a few 1e-3 lower, see
     `analysis.extract_visibility`.
     """
     opt_a, opt_b = optimal_delays(params.times)
@@ -260,19 +253,12 @@ def max_visibility(
         tau_a = opt_a
     if tau_b is None:
         tau_b = opt_b
-    d, _ = _walkoff_scales(params.times)
     period = fringe_period(params)
-
-    def windowed_envelope(tb):
-        return abs(envelope(params, tau_a, tb)) * rect_window(params, tau_a, tb)
-
-    _, v_peak = golden_section_max(
-        windowed_envelope, tau_b - 0.5 * period, tau_b + 0.5 * period, 1e-3
+    _, contrast = golden_section_max(
+        lambda tb: aligned_contrast(params, tau_a, tb),
+        tau_b - 0.5 * period, tau_b + 0.5 * period, 1e-3,
     )
-    contrast = math.sqrt(8.0 * math.pi) * v_peak / (2.0 * params.sigma * abs(d))
-    # contrast > 1 only in the unphysical far lobe of the as-printed window,
-    # where the clamped rate yields full apparent contrast
-    return min(contrast, 1.0)
+    return contrast
 
 
 def fringe_locked_delays(params: InterferenceParams) -> tuple:
@@ -280,29 +266,21 @@ def fringe_locked_delays(params: InterferenceParams) -> tuple:
 
     The envelope peak fixes delays only up to the fast fringe phase; for
     polarization-interference measurements the delays must also sit on a
-    fringe maximum, which is how delay lines are tuned in practice.
+    fringe maximum, which is how delay lines are tuned in practice.  The
+    crest is the highest of 33 samples of the pi/4-pi/4 rate over one
+    period centred on the compensating tau_B, refined by golden section
+    to 1e-4 fs.
     """
     tau_a, tau_b = optimal_delays(params.times)
-    ext = fringe_extrema(params, tau_a, tau_b, xtol=1e-4)
-    return tau_a, ext["tau_b_max"]
+    period = fringe_period(params)
 
+    def rate(tb):
+        return coincidence_rate(
+            params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, tb)
+        )
 
-def contrast_diagnostics(params: InterferenceParams) -> dict:
-    """Compare peak interference-term magnitude against the projection term.
-
-    At pi/4-pi/4 analyzers the projection (classical mixture) term is 1/2
-    and the interference term peaks at sqrt(8 pi) * V_max / (4 sigma D);
-    their ratio is the maximum achievable visibility.  ratio > 1 would mean
-    a negative rate somewhere, flagging an inconsistent parameter reading.
-    """
-    d, _ = _walkoff_scales(params.times)
-    tau_a, tau_b = optimal_delays(params.times)
-    v_peak = envelope(params, tau_a, tau_b)
-    interference_peak = math.sqrt(8.0 * math.pi) * abs(v_peak) / (4.0 * params.sigma * abs(d))
-    projection = 0.5
-    return {
-        "projection_term": projection,
-        "peak_interference_term": interference_peak,
-        "ratio": interference_peak / projection,
-        "rate_can_go_negative": interference_peak > projection,
-    }
+    grid = np.linspace(tau_b - 0.5 * period, tau_b + 0.5 * period, 33)
+    crest = grid[np.argmax([rate(tb) for tb in grid])]
+    half = 0.75 * period / 32.0
+    tau_b_crest, _ = golden_section_max(rate, crest - half, crest + half, 1e-4)
+    return tau_a, tau_b_crest

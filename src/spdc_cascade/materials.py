@@ -1,9 +1,10 @@
 """Dispersion engine for uniaxial crystals (beta-BBO, crystalline quartz).
 
 Phase and group refractive indices versus wavelength and propagation angle,
-and wave-packet propagation times through a crystal slab.  All dispersion
-relations are closed-form Sellmeier-type expressions evaluated with the
-wavelength in micrometres; group indices use the analytic derivative
+plus the crystal and pump specifications (propagation times through a slab
+live in `geometry`).  All dispersion relations are closed-form
+Sellmeier-type expressions evaluated with the wavelength in micrometres;
+group indices use the analytic derivative
 
     n_g = n - lambda * dn/dlambda,
 
@@ -206,53 +207,6 @@ class PumpSpec:
     def degenerate_nm(self) -> float:
         """Wavelength of degenerate down-converted photons."""
         return 2.0 * self.center_nm
-
-
-@dataclass(frozen=True)
-class PropagationTimes:
-    """Propagation times through one crystal of the cascade, all in fs.
-
-    t_p  : pump pulse (e-polarized, at the cut angle to the optic axis)
-    t_o  : o-polarized down-converted photon
-    t_e  : e-polarized down-converted photon in its generating crystal
-    t_e2 : the same e photon crossing the other crystal of the cascade,
-           whose optic axis it sees under a different angle
-    """
-
-    t_p: float
-    t_o: float
-    t_e: float
-    t_e2: float
-
-    def as_tuple(self):
-        return (self.t_p, self.t_o, self.t_e, self.t_e2)
-
-
-def propagation_times(
-    crystal: CrystalSpec,
-    pump: PumpSpec,
-    e_angle_dc: float | None = None,
-    e_angle_dc_prime: float | None = None,
-) -> PropagationTimes:
-    """Group-delay propagation times t = L*n_g/c through one crystal.
-
-    e_angle_dc is the angle between the e photon's internal wavevector and
-    the generating crystal's optic axis; e_angle_dc_prime the angle to the
-    other crystal's axis.  Both default to the cut angle, i.e. evaluation
-    on the pump axis, where the two coincide by mirror symmetry.
-    """
-    if e_angle_dc is None:
-        e_angle_dc = crystal.cut_angle
-    if e_angle_dc_prime is None:
-        e_angle_dc_prime = crystal.cut_angle
-    lam_dc = pump.degenerate_nm
-    length_fs = crystal.thickness_mm * 1e6 / C_NM_PER_FS
-    return PropagationTimes(
-        t_p=length_fs * group_index(crystal.model, pump.center_nm, crystal.cut_angle),
-        t_o=length_fs * group_index(crystal.model, lam_dc),
-        t_e=length_fs * group_index(crystal.model, lam_dc, e_angle_dc),
-        t_e2=length_fs * group_index(crystal.model, lam_dc, e_angle_dc_prime),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.analysis import ScanSeries, local_fringe_visibility
+from spdc_cascade.analysis import ScanSeries, _refined_extrema, local_fringe_visibility
 
 QUARTER = math.pi / 4
 
@@ -183,6 +183,23 @@ def test_measure_fringe_spacing(params):
     assert sc.measure_fringe_spacing(series) == pytest.approx(
         sc.fringe_period(params), rel=1e-3
     )
+
+
+def test_fringe_extrema_ignore_flat_stretches(params):
+    # a +-400 fs scan runs past the overlap window into flat 0.25 tails, whose
+    # step edges must count neither as fringe maxima nor as minima
+    tau_a, tau_b = sc.optimal_delays(params.times)
+    series = sc.delay_scan(params, cfg_quarter(tau_a), tau_b - 400.0, tau_b + 400.0, 0.25)
+    assert series.rates[0] == series.rates[1] == 0.25
+    assert sc.measure_fringe_spacing(series) == pytest.approx(
+        sc.fringe_period(params), rel=1e-3
+    )
+    # a crest sampled twice is one maximum, a zero-clamped trough one minimum
+    xs = np.arange(12.0)
+    rates = np.array([0.5, 0.2, 1.0, 1.0, 0.2, 0.0, 0.0, 0.0, 0.3, 0.9, 0.3, 0.5])
+    maxima, minima = _refined_extrema(xs, rates)
+    assert [x for x, _ in maxima] == [2.5, 9.0]
+    assert len(minima) == 3 and minima[1][0] == 5.5
 
 
 # --- polarization scans ----------------------------------------------------------

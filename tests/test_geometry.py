@@ -6,7 +6,6 @@ from scipy.optimize import brentq
 
 import spdc_cascade as sc
 from spdc_cascade.geometry import _cone_residual
-from spdc_cascade.materials import SellmeierForm, DispersionModel
 
 PSI = math.radians(43.65)
 
@@ -19,13 +18,10 @@ def test_cones_enclose_axis_and_external_circles_intersect(crystal1, pump):
     assert pair.e_cone.encloses_pump_axis
     # type-II signature: cone axes on opposite sides of the pump beam
     assert pair.o_cone.tilt * pair.e_cone.tilt < 0
-    hits = sc.cone_intersections(pair.external_o, pair.external_e)
-    assert len(hits) == 2
-    for h in hits:
-        h = h / np.linalg.norm(h)
-        # crossing points sit in the x-z plane between the two cones
-        assert abs(h[1]) < 1e-9
-        assert h[2] > 0.99
+    # two circles on the sphere cross iff |r1 - r2| < separation < r1 + r2
+    o, e = pair.external_o, pair.external_e
+    separation = abs(o.tilt - e.tilt)
+    assert abs(o.half_angle - e.half_angle) < separation < o.half_angle + e.half_angle
 
 
 def test_external_cones_are_refraction_widened(crystal1, pump):
@@ -48,10 +44,12 @@ def test_cone_direction_solves_phase_matching(crystal1, pump):
 
 
 def test_cone_direction_matches_circular_fit_in_plane(crystal1, pump):
-    pair = sc.phase_match_cones(crystal1, pump)
-    for phi in (math.pi / 2, 3 * math.pi / 2):
-        d = sc.cone_direction(crystal1, pump, "o", phi)
-        assert math.acos(d[2]) == pytest.approx(pair.o_cone.polar_angle_at(phi), abs=1e-10)
+    cone = sc.phase_match_cones(crystal1, pump).o_cone
+    # in the y-z plane the cone's polar angles are tilt +- half-opening
+    top = sc.cone_direction(crystal1, pump, "o", math.pi / 2)
+    bottom = sc.cone_direction(crystal1, pump, "o", 3 * math.pi / 2)
+    assert math.acos(top[2]) == pytest.approx(cone.tilt + cone.half_angle, abs=1e-10)
+    assert math.acos(bottom[2]) == pytest.approx(cone.half_angle - cone.tilt, abs=1e-10)
 
 
 def test_collinear_cut_angle_by_residual_scan_oracle(pump):
@@ -101,67 +99,6 @@ def test_detached_cone_misses_far_azimuth(pump):
         sc.cone_direction(crystal, pump, "o", math.pi / 2)
 
 
-# --- path lengths ------------------------------------------------------------
-
-def near_vacuum_crystal(thickness=2.0):
-    form = SellmeierForm("power_series", (1.0000002,))
-    model = DispersionModel("vacuumish", form, form, (100.0, 10000.0))
-    return sc.CrystalSpec(model, thickness, PSI)
-
-
-def test_path_length_axial_is_thickness(crystal1):
-    assert sc.internal_path_length(crystal1, (0, 0, 1), 790.0) == crystal1.thickness_mm
-
-
-def test_path_length_sixty_degrees_doubles(crystal1):
-    # refraction-free check: in an index-1 medium a 60 deg ray sees 2L
-    crystal = near_vacuum_crystal(thickness=2.0)
-    d = (0.0, math.sin(math.radians(60)), math.cos(math.radians(60)))
-    assert sc.internal_path_length(crystal, d, 790.0) == pytest.approx(4.0, rel=1e-4)
-    # with a real index the internal angle shrinks and the path is shorter
-    assert sc.internal_path_length(crystal1, d, 790.0) < 2 * crystal1.thickness_mm / math.cos(
-        math.radians(60)
-    )
-
-
-def test_path_length_composes_with_phase_matching(crystal1, pump):
-    pair = sc.phase_match_cones(crystal1, pump)
-    phi = math.pi / 2
-    d_ext = pair.external_o.direction_at(phi)
-    u_int = pair.o_cone.polar_angle_at(phi)
-    expected = crystal1.thickness_mm / math.cos(u_int)
-    got = sc.internal_path_length(crystal1, d_ext, pump.degenerate_nm, polarization="o")
-    assert got == pytest.approx(expected, rel=5e-6)
-
-
-def test_path_length_e_polarization_self_consistent(crystal1, pump):
-    pair = sc.phase_match_cones(crystal1, pump)
-    phi = 3 * math.pi / 2
-    d_ext = pair.external_e.direction_at(phi)
-    u_int = pair.e_cone.polar_angle_at(phi)
-    got = sc.internal_path_length(crystal1, d_ext, pump.degenerate_nm, polarization="e")
-    assert got == pytest.approx(crystal1.thickness_mm / math.cos(u_int), rel=5e-6)
-
-
-def test_path_length_never_below_thickness(crystal1):
-    rng = np.random.default_rng(11)
-    for _ in range(25):
-        v = rng.normal(size=3)
-        v[2] = abs(v[2]) + 0.2
-        v /= np.linalg.norm(v)
-        path = sc.internal_path_length(crystal1, v, 790.0)
-        assert path >= crystal1.thickness_mm
-    assert sc.internal_path_length(crystal1, (0, 0, 1), 790.0) == crystal1.thickness_mm
-
-
-def test_path_length_rejects_grazing_and_backward():
-    crystal = near_vacuum_crystal()
-    with pytest.raises(sc.DegenerateGeometryError):
-        sc.internal_path_length(crystal, (0.0, 1.0, 1e-9), 790.0)
-    with pytest.raises(sc.DegenerateGeometryError):
-        sc.internal_path_length(crystal, (0.0, 0.5, -0.8), 790.0)
-
-
 # --- emission times ----------------------------------------------------------
 
 def test_single_crystal_mode_reproduces_two_photon_state_times(crystal1, pump):
@@ -174,6 +111,22 @@ def test_single_crystal_mode_reproduces_two_photon_state_times(crystal1, pump):
     # mean lead of the faster photon
     lead = on_axis["1o"] - on_axis["1e"]
     assert lead == pytest.approx(0.5 * abs(times.t_o - times.t_e), rel=1e-12)
+
+
+def test_unequal_crystals_on_axis_combine_propagation_times(pump):
+    c1 = sc.CrystalSpec(sc.BBO, 0.8, PSI, axis_sign=+1)
+    c2 = sc.CrystalSpec(sc.BBO, 1.9, PSI, axis_sign=-1)
+    t1, t2 = sc.propagation_times(c1, pump), sc.propagation_times(c2, pump)
+    on_axis = sc.class_emission_times(c1, c2, pump, (0, 0, 1))
+    # born mid-crystal: half the generating crystal, then all of the next one
+    expected = {
+        "1e": 0.5 * (t1.t_p + t1.t_e) + t2.t_e2,
+        "1o": 0.5 * (t1.t_p + t1.t_o) + t2.t_o,
+        "2e": t1.t_p + 0.5 * (t2.t_p + t2.t_e),
+        "2o": t1.t_p + 0.5 * (t2.t_p + t2.t_o),
+    }
+    for name, value in expected.items():
+        assert on_axis[name] == pytest.approx(value, rel=1e-12), name
 
 
 def test_zero_thickness_cascade_gives_zero_times(pump):
