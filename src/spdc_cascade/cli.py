@@ -38,7 +38,8 @@ def _write_atomic(path: str, text: str):
 
 
 def _summary(record: dict) -> str:
-    return json.dumps(record, sort_keys=True)
+    # strict JSON: a non-finite value raises ValueError (exit 3), never prints NaN
+    return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
 def cmd_indices(cfg: RunConfig, args) -> int:
@@ -60,8 +61,6 @@ def cmd_emission_map(cfg: RunConfig, args) -> int:
     if not cfg.cascade:
         raise ConfigError("emission map requires cascade: set [crystal] cascade = true")
     opts = cfg.emission_map
-    if opts["phi_points"] < 64:
-        raise ConfigError("[emission_map] phi_points must be at least 64")
     phi_grid = geometry.default_phi_grid(opts["phi_points"])
     base = geometry.emission_time_map(cfg.crystal1, cfg.crystal2, cfg.pump, {}, phi_grid)
     auto = geometry.map_flattening_delays(base)

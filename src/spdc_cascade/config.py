@@ -16,6 +16,9 @@ Minimal example::
     [pump]
     center_nm = 395
     bandwidth_nm = 1.0
+
+Numbers must be finite (``nan`` and ``inf`` are rejected), and
+``[emission_map] phi_points`` must lie in [64, MAX_PHI_POINTS].
 """
 
 from __future__ import annotations
@@ -28,12 +31,17 @@ from .errors import ConfigError
 from .interference import RECT_CONVENTIONS, InterferenceParams, params_from_crystal
 from .materials import CrystalSpec, DispersionModel, PumpSpec, get_model
 
+MAX_PHI_POINTS = 65536  # emission-map azimuths; the map's arrays scale with it
+
 
 def _parse_float(text):
     try:
-        return float(text)
+        value = float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _parse_positive(text):
@@ -55,6 +63,16 @@ def _parse_int(text):
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"expected an integer, got {text!r}") from exc
+
+
+def _parse_int_in(lo, hi):
+    def parse(text):
+        value = _parse_int(text)
+        if not lo <= value <= hi:
+            raise ConfigError(f"expected an integer in [{lo}, {hi}], got {text!r}")
+        return value
+
+    return parse
 
 
 def _parse_bool(text):
@@ -118,7 +136,7 @@ _SCHEMA = {
         "step_fs": (_parse_positive, 0.25),
     },
     "emission_map": {
-        "phi_points": (_parse_int, 256),
+        "phi_points": (_parse_int_in(64, MAX_PHI_POINTS), 256),
         "delay_1e_fs": (_parse_auto(_parse_nonnegative), None),
         "delay_2e_fs": (_parse_auto(_parse_nonnegative), None),
         "delay_1o_fs": (_parse_nonnegative, 0.0),

@@ -3,14 +3,20 @@
 The pump propagates along +z; the optic axes of the two crystals lie in the
 y-z plane at angles +psi and -psi to the pump.  Degenerate phase matching
 (energy conservation plus vector momentum conservation, with the e-wave
-index taken at its actual angle to the optic axis) is solved exactly by 1-D
-root finding:
+index taken at its actual angle to the optic axis) is solved exactly by
+one batched bracket-and-refine root solver that works on whole arrays of
+problems at once:
 
-  * per azimuth phi, for the internal emission direction of the o- or
-    e-polarized photon of a given crystal (`cone_direction`), and
+  * along every azimuth phi of a grid together, for the internal emission
+    direction of the o- or e-polarized photon of a given crystal (the
+    emission-time map; `cone_direction` is the one-azimuth call), and
   * in the plane of the optic axes, for the extreme opening angles that
     summarize each cone as axis direction + half-opening angle
-    (`phase_match_cones`).
+    (`phase_match_cones`), and for the collinear cut angle.
+
+Brackets come from the residual's sign at the pump axis and at the search
+bound, or else from its first sign change on a fixed grid; all brackets are
+then refined together by vectorized bisection.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -34,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .constants import C_NM_PER_FS
 from .errors import DegenerateGeometryError, NotPhaseMatchableError
@@ -46,8 +51,11 @@ from .materials import (
     index_ordinary,
 )
 
-_U_MAX = 0.35  # rad; generous internal polar-angle bound for the root search
-_XTOL, _RTOL = 1e-13, 8.9e-16  # brentq tolerances of the cone solves
+_U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
+_XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
+_CONE_GRID = np.linspace(_U_MIN, _U_MAX, 256)  # for cones that miss the pump axis
+_INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
+_SAMPLES_PER_CALL = 1 << 16  # bounds the memory of one grid evaluation
 
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
 
@@ -60,8 +68,8 @@ def optic_axis(crystal: CrystalSpec) -> np.ndarray:
 
 
 def _angle_to_axis(kx, ky, kz, ax):
-    dot = (ky * ax[1] + kz * ax[2]) / math.sqrt(kx * kx + ky * ky + kz * kz)
-    return math.acos(max(-1.0, min(1.0, dot)))
+    dot = (ky * ax[1] + kz * ax[2]) / np.sqrt(kx * kx + ky * ky + kz * kz)
+    return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
 def _pump_index(crystal: CrystalSpec, pump: PumpSpec) -> float:
@@ -76,6 +84,12 @@ def _wave_index(crystal, lam, pol, kx, ky, kz, ax):
     return index_extraordinary(crystal.model, lam, _angle_to_axis(kx, ky, kz, ax))
 
 
+def _unit_direction(u, phi):
+    """Unit vector(s) (..., 3) at internal polar angle u and azimuth phi."""
+    su = np.sin(u)
+    return np.stack([su * np.cos(phi), su * np.sin(phi), np.cos(u)], axis=-1)
+
+
 def _cone_residual(crystal, pump, pol, u, phi):
     """Momentum-conservation residual for emission at polar angle u, azimuth phi.
 
@@ -84,34 +98,97 @@ def _cone_residual(crystal, pump, pol, u, phi):
     is |k_pump - k_photon| minus the index required for the conjugate
     photon to be phase matched in that direction; a root means the pair
     (photon at (u, phi), conjugate at the recoil direction) conserves both
-    energy and momentum.
+    energy and momentum.  u and phi may be arrays; they broadcast together.
     """
     lam = pump.degenerate_nm
     ax = optic_axis(crystal)
-    su, cu = math.sin(u), math.cos(u)
-    dx, dy, dz = su * math.cos(phi), su * math.sin(phi), cu
+    su = np.sin(u)
+    dx, dy, dz = su * np.cos(phi), su * np.sin(phi), np.cos(u)
     n = _wave_index(crystal, lam, pol, dx, dy, dz, ax)
     rx, ry, rz = -n * dx, -n * dy, 2.0 * _pump_index(crystal, pump) - n * dz
-    m = math.sqrt(rx * rx + ry * ry + rz * rz)
+    m = np.sqrt(rx * rx + ry * ry + rz * rz)
     return m - _wave_index(crystal, lam, "e" if pol == "o" else "o", rx, ry, rz, ax)
 
 
-def _grid_roots(f, grid, failure: str, xtol: float, rtol: float, first_only: bool = False) -> list:
-    """Roots of f at the sign changes of its samples on grid, refined by brentq.
+# ---------------------------------------------------------------------------
+# the batched root solver
+#
+# A residual f(x, rows) evaluates the problems with indices `rows` at the
+# abscissae x (broadcast together); single-problem residuals ignore rows.
 
-    Raises NotPhaseMatchableError, carrying the smallest sampled |f|, when
-    no pair of neighbouring samples brackets a root.
+
+def _grid_brackets(f, grid, rows, failure, first_only=True):
+    """Brackets at the sign changes of f(x, row) sampled on grid, for each row.
+
+    Rows are sampled a block at a time, so memory stays bounded by
+    _SAMPLES_PER_CALL.  Returns (rows, lo, hi, f_lo, f_hi) arrays with one
+    entry per bracket, ordered by row, then by x; first_only keeps the
+    first bracket of each row.  Raises NotPhaseMatchableError for the first
+    row without a sign change, carrying that row's smallest sampled |f|;
+    failure(row) names the problem in the message.
     """
-    vals = np.array([f(x) for x in grid])
-    brackets = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    if brackets.size == 0:
-        residual = float(np.abs(vals).min())
-        raise NotPhaseMatchableError(
-            f"{failure} (smallest residual {residual:.3e})", residual=residual
+    block = max(1, _SAMPLES_PER_CALL // grid.size)
+    found = []
+    for start in range(0, rows.size, block):
+        r = rows[start:start + block, None]
+        vals = np.broadcast_to(f(grid, r), (r.shape[0], grid.size))
+        change = np.sign(vals[:, :-1]) != np.sign(vals[:, 1:])
+        missing = ~change.any(axis=1)
+        if missing.any():
+            i = int(np.argmax(missing))
+            residual = float(np.abs(vals[i]).min())
+            raise NotPhaseMatchableError(
+                f"{failure(r[i, 0])} (smallest residual {residual:.3e})", residual=residual
+            )
+        if first_only:
+            change &= np.cumsum(change, axis=1) == 1
+        i, j = np.nonzero(change)
+        found.append((r[i, 0], grid[j], grid[j + 1], vals[i, j], vals[i, j + 1]))
+    return tuple(np.concatenate(column) for column in zip(*found))
+
+
+def _bisect(f, rows, lo, hi, f_lo, f_hi, xtol, rtol):
+    """Roots of f(x, rows) in the sign-change brackets [lo, hi], all refined
+    together by bisection until each bracket is narrower than xtol + rtol*|x|.
+    """
+    # an exact zero at a bracket end is the root, the lower end first
+    hi = np.where(f_lo == 0.0, lo, hi)
+    lo = np.where(f_hi == 0.0, hi, lo)
+    sign_lo = np.sign(f_lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any(hi - lo >= xtol + rtol * np.abs(mid)):
+            return mid
+        f_mid = f(mid, rows)
+        root_above = np.sign(f_mid) == sign_lo
+        lo = np.where(root_above | (f_mid == 0.0), mid, lo)
+        hi = np.where(root_above, hi, mid)
+
+
+def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi) -> np.ndarray:
+    """Internal polar angles of the pol-cone along each azimuth of phi (1-D).
+
+    Raises NotPhaseMatchableError for the first azimuth the cone does not
+    reach.
+    """
+    if pol not in ("o", "e"):
+        raise ValueError("polarization must be 'o' or 'e'")
+
+    def f(u, rows):
+        return _cone_residual(crystal, pump, pol, u, phi[rows])
+
+    rows = np.arange(phi.size)
+    lo, hi = np.full(phi.size, _U_MIN), np.full(phi.size, _U_MAX)
+    f_lo, f_hi = f(lo, rows), f(hi, rows)
+    # where the cone encloses the pump axis one root lies in (lo, hi]; the
+    # other azimuths look for the first sign change further out
+    outside = np.nonzero(~((f_lo < 0.0) & (f_hi >= 0.0)))[0]
+    if outside.size:
+        _, lo[outside], hi[outside], f_lo[outside], f_hi[outside] = _grid_brackets(
+            f, _CONE_GRID, outside,
+            lambda i: f"no phase-matched {pol}-emission at azimuth {phi[i]:.4f} rad",
         )
-    if first_only:
-        brackets = brackets[:1]
-    return [brentq(f, grid[i], grid[i + 1], xtol=xtol, rtol=rtol) for i in brackets]
+    return _bisect(f, rows, lo, hi, f_lo, f_hi, _XTOL, _RTOL)
 
 
 def cone_direction(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi: float) -> np.ndarray:
@@ -120,21 +197,8 @@ def cone_direction(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi: float) -
     Solves the exact phase-matching condition along the ray of azimuth phi.
     Raises NotPhaseMatchableError when the cone does not reach this azimuth.
     """
-    if pol not in ("o", "e"):
-        raise ValueError("polarization must be 'o' or 'e'")
-    f = lambda u: _cone_residual(crystal, pump, pol, u, phi)
-    lo, hi = 1e-12, _U_MAX
-    if f(lo) < 0.0:
-        u = brentq(f, lo, hi, xtol=_XTOL, rtol=_RTOL)
-    else:
-        # cone does not enclose the pump axis; look for a bracket further out
-        (u,) = _grid_roots(
-            f, np.linspace(lo, hi, 256),
-            f"no phase-matched {pol}-emission at azimuth {phi:.4f} rad",
-            _XTOL, _RTOL, first_only=True,
-        )
-    su = math.sin(u)
-    return np.array([su * math.cos(phi), su * math.sin(phi), math.cos(u)])
+    (u,) = _cone_polar_angles(crystal, pump, pol, np.array([phi], dtype=float))
+    return _unit_direction(u, phi)
 
 
 def _inplane_extremes(crystal, pump, pol):
@@ -142,15 +206,18 @@ def _inplane_extremes(crystal, pump, pol):
 
     A single crossing (tangency) degenerates the cone to one ray there.
     """
-    def f(a):
-        return _cone_residual(crystal, pump, pol, abs(a), math.pi / 2 if a >= 0 else 3 * math.pi / 2)
+    def f(a, _rows):
+        phi = np.where(a >= 0, math.pi / 2, 3 * math.pi / 2)
+        return _cone_residual(crystal, pump, pol, np.abs(a), phi)
 
-    roots = _grid_roots(
-        f, np.linspace(-_U_MAX, _U_MAX, 701),
-        f"{pol}-cone not phase matchable at cut angle {math.degrees(crystal.cut_angle):.3f} deg",
-        _XTOL, _RTOL,
+    cut_deg = math.degrees(crystal.cut_angle)
+    brackets = _grid_brackets(
+        f, _INPLANE_GRID, np.zeros(1, dtype=int),
+        lambda _: f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg",
+        first_only=False,
     )
-    return min(roots), max(roots)
+    roots = _bisect(f, *brackets, _XTOL, _RTOL)
+    return float(roots.min()), float(roots.max())
 
 
 @dataclass(frozen=True)
@@ -235,34 +302,35 @@ def collinear_cut_angle(model, pump: PumpSpec, lo=math.radians(5.0), hi=math.rad
     """
     lam_p, lam_dc = pump.center_nm, pump.degenerate_nm
 
-    def f(psi):
+    def f(psi, _rows):
         return (
             2.0 * index_extraordinary(model, lam_p, psi)
             - index_ordinary(model, lam_dc)
             - index_extraordinary(model, lam_dc, psi)
         )
 
-    (psi,) = _grid_roots(
-        f, np.linspace(lo, hi, 1601),
-        "no collinear degenerate phase matching for any cut angle in range",
-        xtol=1e-12, rtol=4 * np.finfo(float).eps, first_only=True,  # brentq's default rtol
+    brackets = _grid_brackets(
+        f, np.linspace(lo, hi, 1601), np.zeros(1, dtype=int),
+        lambda _: "no collinear degenerate phase matching for any cut angle in range",
     )
-    return psi
+    (psi,) = _bisect(f, *brackets, xtol=1e-12, rtol=4 * np.finfo(float).eps)
+    return float(psi)
 
 
 # ---------------------------------------------------------------------------
 # propagation and emission times
 
 
-def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0) -> float:
+def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0):
     """Group delay L*sec(u)*n_g(lam, theta)/c (fs) of a wave crossing one slab.
 
     theta=None is the o-wave, otherwise the e-wave at angle theta to the
     optic axis; sec_u = 1/cos(u) lengthens the path of a ray at internal
-    polar angle u.  An absent (zero-thickness) crystal takes no time.
+    polar angle u.  theta and sec_u may be arrays of one shape.  An absent
+    (zero-thickness) crystal takes no time.
     """
     if crystal.thickness_mm == 0.0:
-        return 0.0
+        return 0.0 * sec_u  # zero, shaped like sec_u
     ng = group_index(crystal.model, lam_nm, theta)
     return crystal.thickness_mm * 1e6 / C_NM_PER_FS * sec_u * ng
 
@@ -318,37 +386,42 @@ def propagation_times(
     )
 
 
+def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, d):
+    """Average emission time (fs) of photon class `name` along the forward
+    unit internal direction(s) d (..., 3); see class_emission_times."""
+    lam_dc = pump.degenerate_nm
+    sec_u = 1.0 / d[..., 2]
+
+    def photon(crystal):
+        theta = None
+        if name[1] == "e":
+            theta = _angle_to_axis(d[..., 0], d[..., 1], d[..., 2], optic_axis(crystal))
+        return _transit_time(crystal, lam_dc, theta, sec_u)
+
+    tp1 = _pump_time(crystal1, pump)
+    if name[0] == "1":
+        return 0.5 * tp1 + 0.5 * photon(crystal1) + photon(crystal2)
+    return tp1 + 0.5 * _pump_time(crystal2, pump) + 0.5 * photon(crystal2)
+
+
 def class_emission_times(
     crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, direction
 ) -> dict:
-    """Average emission times (fs) of the four photon classes along one
-    internal direction, referenced to the pump entering crystal 1.
+    """Average emission times (fs) of the four photon classes along
+    internal directions, referenced to the pump entering crystal 1.
 
-    Classes: '1e'/'1o' born at the centre of crystal 1, '2e'/'2o' at the
-    centre of crystal 2.  Photons from crystal 1 also traverse the full
-    second crystal; e-polarized ones see the second axis under a different
-    angle and therefore a different group index.
+    direction is one vector (3,) or an array of them (..., 3); each class
+    time has the shape direction.shape[:-1].  Classes: '1e'/'1o' born at
+    the centre of crystal 1, '2e'/'2o' at the centre of crystal 2.  Photons
+    from crystal 1 also traverse the full second crystal; e-polarized ones
+    see the second axis under a different angle and therefore a different
+    group index.
     """
     d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d)
-    if d[2] <= 0:
+    d = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    if np.any(d[..., 2] <= 0):
         raise DegenerateGeometryError("emission direction must point forward")
-    sec_u = 1.0 / d[2]
-    lam_dc = pump.degenerate_nm
-    th1 = _angle_to_axis(d[0], d[1], d[2], optic_axis(crystal1))
-    th2 = _angle_to_axis(d[0], d[1], d[2], optic_axis(crystal2))
-
-    tp1, tp2 = _pump_time(crystal1, pump), _pump_time(crystal2, pump)
-    to1 = _transit_time(crystal1, lam_dc, None, sec_u)
-    to2 = _transit_time(crystal2, lam_dc, None, sec_u)
-    te1 = _transit_time(crystal1, lam_dc, th1, sec_u)
-    te2 = _transit_time(crystal2, lam_dc, th2, sec_u)
-    return {
-        "1e": 0.5 * tp1 + 0.5 * te1 + te2,
-        "1o": 0.5 * tp1 + 0.5 * to1 + to2,
-        "2e": tp1 + 0.5 * tp2 + 0.5 * te2,
-        "2o": tp1 + 0.5 * tp2 + 0.5 * to2,
-    }
+    return {name: _class_time(name, crystal1, crystal2, pump, d) for name in CLASS_NAMES}
 
 
 @dataclass(frozen=True)
@@ -395,9 +468,9 @@ def emission_time_map(
 ) -> EmissionTimeMap:
     """Angle-resolved emission-time map of the cascade.
 
-    For every azimuth the four classes are evaluated at the exact
-    phase-matched direction of their own cone (e-cone or o-cone of the
-    generating crystal), with per-direction path lengths and e-indices.
+    Each class is evaluated once, at the exact phase-matched directions of
+    its own cone (e-cone or o-cone of the generating crystal) along all
+    azimuths together, with per-direction path lengths and e-indices.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")
@@ -414,11 +487,10 @@ def emission_time_map(
     phi_grid = np.asarray(phi_grid, dtype=float)
 
     sources = {"1e": (crystal1, "e"), "1o": (crystal1, "o"), "2e": (crystal2, "e"), "2o": (crystal2, "o")}
-    times = {c: np.empty(phi_grid.size) for c in CLASS_NAMES}
-    for i, phi in enumerate(phi_grid):
-        for cname, (crystal, pol) in sources.items():
-            d = cone_direction(crystal, pump, pol, phi)
-            times[cname][i] = class_emission_times(crystal1, crystal2, pump, d)[cname]
+    times = {}
+    for name, (crystal, pol) in sources.items():
+        u = _cone_polar_angles(crystal, pump, pol, phi_grid)
+        times[name] = _class_time(name, crystal1, crystal2, pump, _unit_direction(u, phi_grid))
     return EmissionTimeMap(phi_grid, times).with_delays(delays)
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import C_NM_PER_FS, TWO_PI
 from .errors import WavelengthRangeError
 
@@ -110,26 +112,29 @@ def index_principal_e(model: DispersionModel, lam_nm: float) -> float:
     return math.sqrt(model.sellmeier_e.n_squared(lam_nm / 1000.0))
 
 
-def index_extraordinary(model: DispersionModel, lam_nm: float, theta: float) -> float:
+def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
     """Extraordinary index at angle theta between wavevector and optic axis.
 
     Standard uniaxial index ellipse:
         1/n(theta)^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2
+
+    theta may be a number or an array of angles (elementwise result).
     """
     model.check_range(lam_nm)
     lam_um = lam_nm / 1000.0
     no2 = model.sellmeier_o.n_squared(lam_um)
     ne2 = model.sellmeier_e.n_squared(lam_um)
-    c, s = math.cos(theta), math.sin(theta)
-    return 1.0 / math.sqrt(c * c / no2 + s * s / ne2)
+    c, s = np.cos(theta), np.sin(theta)
+    return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
 
 
-def group_index(model: DispersionModel, lam_nm: float, theta: float | None = None) -> float:
+def group_index(model: DispersionModel, lam_nm: float, theta=None):
     """Group index n_g = n - lambda*dn/dlambda, from the analytic derivative.
 
     theta=None gives the ordinary wave; otherwise the extraordinary wave at
-    angle theta to the optic axis.  The wavelength must lie strictly inside
-    the model's validity interval so the derivative is trustworthy.
+    angle theta (a number or an array of angles) to the optic axis.  The
+    wavelength must lie strictly inside the model's validity interval so
+    the derivative is trustworthy.
     """
     model.check_range(lam_nm, interior=True)
     lam_um = lam_nm / 1000.0
@@ -143,9 +148,9 @@ def group_index(model: DispersionModel, lam_nm: float, theta: float | None = Non
     ne2 = model.sellmeier_e.n_squared(lam_um)
     dno2 = model.sellmeier_o.dn2_dlam(lam_um)
     dne2 = model.sellmeier_e.dn2_dlam(lam_um)
-    c2, s2 = math.cos(theta) ** 2, math.sin(theta) ** 2
+    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
     inv_n2 = c2 / no2 + s2 / ne2
-    n = 1.0 / math.sqrt(inv_n2)
+    n = 1.0 / np.sqrt(inv_n2)
     # d(1/n^2)/dlam = -c2*dno2/no2^2 - s2*dne2/ne2^2  ->  dn/dlam = -n^3/2 * d(1/n^2)/dlam
     dinv = -c2 * dno2 / no2**2 - s2 * dne2 / ne2**2
     dn = -0.5 * n**3 * dinv
@@ -168,8 +173,8 @@ class CrystalSpec:
     axis_sign: int = +1
 
     def __post_init__(self):
-        if self.thickness_mm < 0:
-            raise ValueError("crystal thickness must be >= 0 mm")
+        if not (math.isfinite(self.thickness_mm) and self.thickness_mm >= 0):
+            raise ValueError("crystal thickness must be a finite number >= 0 mm")
         if not 0.0 < self.cut_angle < math.pi / 2:
             raise ValueError("cut angle must lie in (0, pi/2) rad")
         if self.axis_sign not in (+1, -1):
@@ -189,8 +194,9 @@ class PumpSpec:
     bandwidth_fwhm_nm: float
 
     def __post_init__(self):
-        if self.center_nm <= 0 or self.bandwidth_fwhm_nm <= 0:
-            raise ValueError("pump wavelength and bandwidth must be positive")
+        for value in (self.center_nm, self.bandwidth_fwhm_nm):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError("pump wavelength and bandwidth must be finite and positive")
 
     @property
     def omega_bar(self) -> float:

@@ -4,8 +4,8 @@ import math
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.cli import main
-from spdc_cascade.config import load_config
+from spdc_cascade.cli import _summary, main
+from spdc_cascade.config import MAX_PHI_POINTS, load_config
 from spdc_cascade.errors import ConfigError
 
 REFERENCE_INI = """\
@@ -69,6 +69,48 @@ def test_config_rejects_bad_values(tmp_path):
     path.write_text(REFERENCE_INI.replace("center_nm = 395", "center_nm = not_a_number"))
     with pytest.raises(ConfigError, match="center_nm"):
         load_config(str(path))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("crystal", "thickness_mm", "nan"),
+    ("crystal", "cut_angle_deg", "inf"),
+    ("pump", "center_nm", "-inf"),
+    ("pump", "bandwidth_nm", "inf"),
+    ("emission_map", "delay_1e_fs", "nan"),
+    ("scan", "halfwidth_fs", "inf"),
+    ("emission_map", "phi_points", str(MAX_PHI_POINTS + 1)),
+    ("emission_map", "phi_points", "63"),
+])
+def test_emission_map_rejects_out_of_domain_config(tmp_path, capsys, section, key, value):
+    # non-finite numbers and out-of-range azimuth counts exit 2 before any
+    # computation or output
+    lines = REFERENCE_INI.splitlines()
+    if any(line.startswith(f"{key} = ") for line in lines):
+        text = "\n".join(
+            f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines
+        )
+    else:
+        text = REFERENCE_INI + f"\n[{section}]\n{key} = {value}\n"
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    out_path = tmp_path / "map.csv"
+    code, out, err = run(["emission-map", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert key in err
+    assert out == ""
+    assert not out_path.exists()
+
+
+def test_phi_points_maximum_is_accepted(tmp_path):
+    path = tmp_path / "max.ini"
+    path.write_text(REFERENCE_INI + f"\n[emission_map]\nphi_points = {MAX_PHI_POINTS}\n")
+    assert load_config(str(path)).emission_map["phi_points"] == MAX_PHI_POINTS
+
+
+def test_summary_is_strict_json():
+    assert _summary({"b": 1.5, "a": None}) == '{"a": null, "b": 1.5}'
+    with pytest.raises(ValueError):
+        _summary({"x": float("nan")})
 
 
 def test_config_material_from_file(tmp_path):

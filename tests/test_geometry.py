@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 import spdc_cascade as sc
-from spdc_cascade.geometry import _cone_residual
+from spdc_cascade.geometry import _cone_polar_angles, _cone_residual, _inplane_extremes
 
 PSI = math.radians(43.65)
 
@@ -99,6 +102,97 @@ def test_detached_cone_misses_far_azimuth(pump):
         sc.cone_direction(crystal, pump, "o", math.pi / 2)
 
 
+# --- batched root solver vs a scalar brentq oracle ----------------------------
+
+XTOL, RTOL = 1e-13, 8.9e-16  # the cone solves' tolerances
+
+
+def _scan_roots(f, grid):
+    """Oracle: brentq at every sign change of scalar f sampled on grid.
+    Returns (roots, smallest sampled |f|)."""
+    vals = np.array([f(x) for x in grid])
+    changes = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
+    roots = [brentq(f, grid[i], grid[i + 1], xtol=XTOL, rtol=RTOL) for i in changes]
+    return roots, float(np.abs(vals).min())
+
+
+def _oracle_polar_angle(crystal, pump, pol, phi):
+    """Per-azimuth scalar solve: brentq on [1e-12, 0.35] when the residual is
+    negative on the pump axis, else the first sign change of a 256-point scan.
+    Returns (u, None) or (None, smallest sampled |residual|)."""
+    f = lambda u: float(_cone_residual(crystal, pump, pol, u, phi))
+    if f(1e-12) < 0.0:
+        return brentq(f, 1e-12, 0.35, xtol=XTOL, rtol=RTOL), None
+    roots, residual = _scan_roots(f, np.linspace(1e-12, 0.35, 256))
+    return (roots[0], None) if roots else (None, residual)
+
+
+# benchmark-box designs: (thickness mm, cut deg, pump nm)
+BOX_DESIGNS = [(0.5, 43.6, 390.0), (1.07, 43.65, 395.0), (2.2, 44.1, 397.5), (3.0, 44.5, 400.0)]
+
+
+@pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
+def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
+    pump = sc.PumpSpec(pump_nm, 1.0)
+    phi = sc.geometry.default_phi_grid(64)
+    for sign in (+1, -1):
+        crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
+        for pol in ("o", "e"):
+            batched = _cone_polar_angles(crystal, pump, pol, phi)
+            oracle = [_oracle_polar_angle(crystal, pump, pol, p)[0] for p in phi]
+            assert np.abs(batched - np.array(oracle)).max() <= 1e-12, (sign, pol)
+            # in-plane extremes: every sign change of a 701-point signed-angle scan
+            roots, _ = _scan_roots(
+                lambda a: float(_cone_residual(
+                    crystal, pump, pol, abs(a), math.pi / 2 if a >= 0 else 3 * math.pi / 2)),
+                np.linspace(-0.35, 0.35, 701),
+            )
+            lo, hi = _inplane_extremes(crystal, pump, pol)
+            assert abs(lo - min(roots)) <= 1e-12 and abs(hi - max(roots)) <= 1e-12
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 5])
+def test_batched_solver_grid_fallback_and_failure_match_oracle(pump, monkeypatch, rows_per_block):
+    # at 42.5 deg the o-cone misses the pump axis: the azimuths near its tilt
+    # solve on the 256-point grid, the far side has no solution
+    if rows_per_block:  # sample the grid in several blocks of azimuths
+        monkeypatch.setattr(sc.geometry, "_SAMPLES_PER_CALL", 256 * rows_per_block)
+    crystal = sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5))
+    phi = sc.geometry.default_phi_grid(64)
+    oracle = [_oracle_polar_angle(crystal, pump, "o", p) for p in phi]
+    solved = np.array([u is not None for u, _ in oracle])
+    assert 0 < solved.sum() < phi.size
+    batched = _cone_polar_angles(crystal, pump, "o", phi[solved])
+    assert np.abs(batched - np.array([u for u, _ in oracle if u is not None])).max() <= 1e-12
+
+    # the error names the first failing azimuth, here one after solved ones
+    start = int(np.argmax(solved))
+    first_failure = start + int(np.argmin(solved[start:]))
+    with pytest.raises(sc.NotPhaseMatchableError, match=f"{phi[first_failure]:.4f} rad") as err:
+        _cone_polar_angles(crystal, pump, "o", phi[start:])
+    assert err.value.residual == pytest.approx(oracle[first_failure][1], rel=1e-9)
+    with pytest.raises(sc.NotPhaseMatchableError):
+        sc.emission_time_map(
+            crystal, sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5), -1), pump, phi_grid=phi
+        )
+
+
+def test_propagation_times_bit_identical_to_scalar_recording(crystal1, pump):
+    # recorded from the math-module (scalar-only) dispersion functions; the
+    # numerical delay optimizer is sensitive to the last bit of these times
+    recorded = (6096.85998672402, 6014.596797057221, 5796.830166706795, 5796.830166706795)
+    assert sc.propagation_times(crystal1, pump).as_tuple() == recorded
+
+
+def test_import_leaves_root_finding_scipy_unloaded():
+    # the package solves its roots itself; scipy.optimize stays a test oracle
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+    code = "import sys, spdc_cascade; assert 'scipy.optimize' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 # --- emission times ----------------------------------------------------------
 
 def test_single_crystal_mode_reproduces_two_photon_state_times(crystal1, pump):
@@ -127,6 +221,24 @@ def test_unequal_crystals_on_axis_combine_propagation_times(pump):
     }
     for name, value in expected.items():
         assert on_axis[name] == pytest.approx(value, rel=1e-12), name
+
+
+def test_map_matches_per_azimuth_class_times(crystal1, crystal2, pump):
+    # reference: the per-azimuth loop, one scalar cone solve and one
+    # four-class evaluation per (azimuth, class)
+    phi = sc.geometry.default_phi_grid(64)
+    emission_map = sc.emission_time_map(crystal1, crystal2, pump, phi_grid=phi)
+    sources = {"1e": (crystal1, "e"), "1o": (crystal1, "o"),
+               "2e": (crystal2, "e"), "2o": (crystal2, "o")}
+    for name, (crystal, pol) in sources.items():
+        directions = np.array([sc.cone_direction(crystal, pump, pol, p) for p in phi])
+        loop = [sc.class_emission_times(crystal1, crystal2, pump, d)[name] for d in directions]
+        batched = sc.class_emission_times(crystal1, crystal2, pump, directions)[name]
+        assert batched.shape == phi.shape
+        np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(emission_map.times[name], loop, rtol=1e-14, atol=0)
+    with pytest.raises(sc.DegenerateGeometryError):
+        sc.class_emission_times(crystal1, crystal2, pump, [[0.0, 0.1, 1.0], [0.0, 0.1, -1.0]])
 
 
 def test_zero_thickness_cascade_gives_zero_times(pump):

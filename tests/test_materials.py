@@ -153,6 +153,18 @@ def test_angle_dependent_index_monotone_in_theta():
     assert all(a < b for a, b in zip(values_q, values_q[1:]))
 
 
+def test_index_functions_accept_angle_arrays():
+    thetas = np.linspace(0.0, math.pi / 2, 37).reshape(37, 1) + np.array([0.0, 0.01])
+    for model in (sc.BBO, sc.QUARTZ):
+        n = sc.index_extraordinary(model, 790.0, thetas)
+        ng = sc.group_index(model, 790.0, thetas)
+        assert n.shape == ng.shape == thetas.shape
+        for t, n_t, ng_t in zip(thetas.ravel(), n.ravel(), ng.ravel()):
+            assert n_t == sc.index_extraordinary(model, 790.0, float(t))
+            # array powers may round differently from scalar pow in the last bit
+            assert ng_t == pytest.approx(sc.group_index(model, 790.0, float(t)), rel=4e-16)
+
+
 def constant_index_model(n0):
     form = SellmeierForm("power_series", (n0 * n0,))
     return DispersionModel("constant", form, form, (100.0, 10000.0))
@@ -210,6 +222,11 @@ def test_pump_validation():
         sc.PumpSpec(-395.0, 1.0)
     with pytest.raises(ValueError):
         sc.PumpSpec(395.0, 0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sc.PumpSpec(bad, 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            sc.PumpSpec(395.0, bad)
 
 
 # --- propagation times -------------------------------------------------------
@@ -257,6 +274,11 @@ def test_crystal_spec_validation():
         sc.CrystalSpec(sc.BBO, 1.0, 2.0)
     with pytest.raises(ValueError):
         sc.CrystalSpec(sc.BBO, 1.0, 0.5, axis_sign=0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            sc.CrystalSpec(sc.BBO, bad, 0.5)
+        with pytest.raises(ValueError):
+            sc.CrystalSpec(sc.BBO, 1.0, bad)
     # zero thickness is the documented single-crystal degenerate case
     sc.CrystalSpec(sc.BBO, 0.0, 0.5)
 
