@@ -19,21 +19,17 @@ from .analysis import (
 )
 from .errors import (
     ConfigError,
-    DegenerateGeometryError,
     DegenerateParametersError,
     NotPhaseMatchableError,
     UndefinedVisibilityError,
     WavelengthRangeError,
 )
 from .geometry import (
-    BeamSelection,
     Cone,
     ConePair,
     EmissionTimeMap,
     PropagationTimes,
-    class_emission_times,
     collinear_cut_angle,
-    cone_direction,
     emission_time_map,
     map_flattening_delays,
     mismatch_at_azimuth,

@@ -76,13 +76,22 @@ def _scan_meta(params: InterferenceParams, **fields) -> dict:
     }
 
 
+MAX_GRID_POINTS = 10**6  # per scan grid; checked before anything is allocated
+
+
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
+    """start, start + step, ... up to stop (within 1e-9 of a step)."""
     if step <= 0:
         raise ValueError("step must be positive")
     if stop <= start:
         raise ValueError("scan range must have stop > start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(n)
+    intervals = (stop - start) / step + 1e-9
+    if not intervals < MAX_GRID_POINTS:
+        raise ValueError(
+            f"scan grid of {intervals + 1:.4g} points exceeds the budget of "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return start + step * np.arange(int(math.floor(intervals)) + 1)
 
 
 def delay_scan(

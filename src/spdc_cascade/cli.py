@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands dispatch to the computation modules and emit CSV data files
-plus one-line JSON summaries on stdout.  Output files are written via a
-temporary file and atomic rename, so a failed run never leaves partial
-data behind.  Exit codes: 0 success, 2 configuration error, 3 numeric or
-domain error, 4 I/O error.
+plus one-line JSON summaries on stdout.  Each subcommand computes its file
+and stdout text first; only then is the file written, via a temporary file
+and atomic rename, and the summary printed, so a failed run writes no file.
+Exit codes: 0 success, 2 configuration error, 3 numeric or domain error,
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -42,7 +43,10 @@ def _summary(record: dict) -> str:
     return json.dumps(record, sort_keys=True, allow_nan=False)
 
 
-def cmd_indices(cfg: RunConfig, args) -> int:
+# Each cmd_* returns (file text, stdout text); main writes both.
+
+
+def cmd_indices(cfg: RunConfig, args) -> tuple:
     lines = ["lambda_nm,n_o,n_e,n_g_o,n_g_e"]
     for lam in args.wavelengths:
         n_o = materials.index_ordinary(cfg.model, lam)
@@ -51,13 +55,10 @@ def cmd_indices(cfg: RunConfig, args) -> int:
         ng_e = materials.group_index(cfg.model, lam, math.pi / 2.0)
         lines.append(f"{lam:.6g},{n_o:.6f},{n_e:.6f},{ng_o:.6f},{ng_e:.6f}")
     table = "\n".join(lines) + "\n"
-    sys.stdout.write(table)
-    if args.out:
-        _write_atomic(args.out, table)
-    return 0
+    return table, table
 
 
-def cmd_emission_map(cfg: RunConfig, args) -> int:
+def cmd_emission_map(cfg: RunConfig, args) -> tuple:
     if not cfg.cascade:
         raise ConfigError("emission map requires cascade: set [crystal] cascade = true")
     opts = cfg.emission_map
@@ -67,23 +68,19 @@ def cmd_emission_map(cfg: RunConfig, args) -> int:
     delays = {c: opts[f"delay_{c}_fs"] for c in geometry.CLASS_NAMES}
     delays = {c: auto[c] if value is None else value for c, value in delays.items()}
     emission_map = base.with_delays(delays)
-    _write_atomic(args.out, emission_map.to_csv())
-    mismatch = geometry.pairing_mismatch(emission_map)
-    beams = geometry.BeamSelection(cfg.beam_phi_a, cfg.beam_phi_b)
-    at_a = geometry.mismatch_at_azimuth(emission_map, beams.phi_a)
-    at_b = geometry.mismatch_at_azimuth(emission_map, beams.phi_b)
-    print(_summary({
-        "pairing_mismatch_fs": mismatch,
+    at_a = geometry.mismatch_at_azimuth(emission_map, cfg.beam_phi_a)
+    at_b = geometry.mismatch_at_azimuth(emission_map, cfg.beam_phi_b)
+    return emission_map.to_csv(), _summary({
+        "pairing_mismatch_fs": geometry.pairing_mismatch(emission_map),
         "beam_a_mismatch_fs": max(at_a["1e_2o"], at_a["1o_2e"]),
         "beam_b_mismatch_fs": max(at_b["1e_2o"], at_b["1o_2e"]),
         "delay_1e_fs": delays["1e"],
         "delay_2e_fs": delays["2e"],
         "phi_points": opts["phi_points"],
-    }))
-    return 0
+    }) + "\n"
 
 
-def cmd_scan(cfg: RunConfig, args) -> int:
+def cmd_scan(cfg: RunConfig, args) -> tuple:
     opts = cfg.scan
     params = cfg.interference_params()
     tau_a_opt, tau_b_opt = optimal_delays(params.times)
@@ -101,22 +98,20 @@ def cmd_scan(cfg: RunConfig, args) -> int:
         center + opts["halfwidth_fs"],
         opts["step_fs"],
     )
-    _write_atomic(args.out, series.to_csv())
     try:
         spacing = analysis.measure_fringe_spacing(series)
     except ValueError:
         spacing = None
-    print(_summary({
+    return series.to_csv(), _summary({
         "visibility": analysis.extract_visibility(series),
         "fringe_spacing_fs": spacing,
         "fringe_period_fs": interference.fringe_period(params),
         "tau_a_fs": tau_a,
         "tau_b_fs": center,
-    }))
-    return 0
+    }) + "\n"
 
 
-def cmd_visibility_curve(cfg: RunConfig, args) -> int:
+def cmd_visibility_curve(cfg: RunConfig, args) -> tuple:
     opts = cfg.visibility_curve
     params = cfg.interference_params()
     tau_a_opt, tau_b_opt = optimal_delays(params.times)
@@ -125,19 +120,17 @@ def cmd_visibility_curve(cfg: RunConfig, args) -> int:
     hi = opts["tau_b_max_fs"] if opts["tau_b_max_fs"] is not None else tau_b_opt + 300.0
     if hi <= lo:
         raise ConfigError("[visibility_curve] needs tau_b_max_fs > tau_b_min_fs")
-    grid = np.arange(lo, hi + 0.5 * opts["step_fs"], opts["step_fs"])
+    grid = analysis._grid(lo, hi, opts["step_fs"])
     series = analysis.visibility_curve(params, tau_a, grid, method=opts["method"])
-    _write_atomic(args.out, series.to_csv())
     peak = int(np.argmax(series.rates))
-    print(_summary({
+    return series.to_csv(), _summary({
         "peak_tau_b_fs": float(series.xs[peak]),
         "peak_visibility": float(series.rates[peak]),
         "tau_a_fs": tau_a,
-    }))
-    return 0
+    }) + "\n"
 
 
-def cmd_polarization(cfg: RunConfig, args) -> int:
+def cmd_polarization(cfg: RunConfig, args) -> tuple:
     opts = cfg.polarization
     params = cfg.interference_params()
     tau_a, tau_b = opts["tau_a_fs"], opts["tau_b_fs"]
@@ -154,18 +147,16 @@ def cmd_polarization(cfg: RunConfig, args) -> int:
         math.radians(opts["theta_b_stop_deg"]),
         math.radians(opts["step_deg"]),
     )
-    _write_atomic(args.out, series.to_csv())
-    print(_summary({
+    return series.to_csv(), _summary({
         "visibility": analysis.extract_visibility(series),
         "fringe_period_fs": interference.fringe_period(params),
         "theta_a_rad": math.radians(opts["theta_a_deg"]),
         "tau_a_fs": tau_a,
         "tau_b_fs": tau_b,
-    }))
-    return 0
+    }) + "\n"
 
 
-def cmd_optimize(cfg: RunConfig, args) -> int:
+def cmd_optimize(cfg: RunConfig, args) -> tuple:
     params = cfg.interference_params()
     plan = analysis.prescribe_delays(params.times, materials.QUARTZ, cfg.pump.degenerate_nm)
     tau_a, tau_b = plan.tau_a_fs, plan.tau_b_fs
@@ -194,11 +185,8 @@ def cmd_optimize(cfg: RunConfig, args) -> int:
         "quartz_b_mm": plan.quartz_b_mm,
         **numeric_record,
     }
-    text = _summary(record)
-    print(text)
-    if args.out:
-        _write_atomic(args.out, text + "\n")
-    return 0
+    text = _summary(record) + "\n"
+    return text, text
 
 
 _COMMANDS = {
@@ -248,7 +236,9 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = load_config(config_path)
-        return _COMMANDS[args.command](cfg, args)
+        file_text, stdout_text = _COMMANDS[args.command](cfg, args)
+        if args.out:
+            _write_atomic(args.out, file_text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -258,6 +248,8 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    sys.stdout.write(stdout_text)
+    return 0
 
 
 if __name__ == "__main__":

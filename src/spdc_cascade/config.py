@@ -17,8 +17,9 @@ Minimal example::
     center_nm = 395
     bandwidth_nm = 1.0
 
-Numbers must be finite (``nan`` and ``inf`` are rejected), and
-``[emission_map] phi_points`` must lie in [64, MAX_PHI_POINTS].
+Numbers must be finite (``nan`` and ``inf`` are rejected),
+``[emission_map] phi_points`` must lie in [64, MAX_PHI_POINTS], and the
+two beam azimuths of ``[interference]`` must differ (mod 360 deg).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import configparser
 import math
 from dataclasses import dataclass
 
+from .constants import TWO_PI
 from .errors import ConfigError
 from .interference import RECT_CONVENTIONS, InterferenceParams, params_from_crystal
 from .materials import CrystalSpec, DispersionModel, PumpSpec, get_model
@@ -123,6 +125,9 @@ _SCHEMA = {
         "phi0_rad": (_parse_float, 0.0),
         "e_angle_dc_deg": (_parse_auto(_parse_positive), None),
         "e_angle_dc_prime_deg": (_parse_auto(_parse_positive), None),
+        # beams A and B: the experiment selects the non-overlap regions, the
+        # tops of the two cones at phi = 90 and 270 deg, where each direction
+        # belongs to a single cone of each crystal; they must be distinct
         "beam_phi_a_deg": (_parse_float, 90.0),
         "beam_phi_b_deg": (_parse_float, 270.0),
         "rect_convention": (_parse_choice(RECT_CONVENTIONS), "zero_aligned"),
@@ -237,6 +242,11 @@ def load_config(path) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
+    beam_phi_a = math.radians(get("interference", "beam_phi_a_deg"))
+    beam_phi_b = math.radians(get("interference", "beam_phi_b_deg"))
+    if abs((beam_phi_a - beam_phi_b + math.pi) % TWO_PI - math.pi) <= 1e-9:
+        raise ConfigError(f"{path}: [interference] beam_phi_a_deg equals beam_phi_b_deg (mod 360)")
+
     def maybe_rad(value):
         return None if value is None else math.radians(value)
 
@@ -249,8 +259,8 @@ def load_config(path) -> RunConfig:
         phi0=get("interference", "phi0_rad"),
         e_angle_dc=maybe_rad(get("interference", "e_angle_dc_deg")),
         e_angle_dc_prime=maybe_rad(get("interference", "e_angle_dc_prime_deg")),
-        beam_phi_a=math.radians(get("interference", "beam_phi_a_deg")),
-        beam_phi_b=math.radians(get("interference", "beam_phi_b_deg")),
+        beam_phi_a=beam_phi_a,
+        beam_phi_b=beam_phi_b,
         rect_convention=get("interference", "rect_convention"),
         **{
             section: {key: get(section, key) for key in _SCHEMA[section]}

@@ -18,10 +18,6 @@ class NotPhaseMatchableError(ValueError):
         self.residual = residual
 
 
-class DegenerateGeometryError(ValueError):
-    """Ray geometry is degenerate (grazing incidence, backward ray, ...)."""
-
-
 class DegenerateParametersError(ValueError):
     """Interference parameters make the model singular (zero denominators)."""
 

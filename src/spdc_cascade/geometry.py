@@ -9,7 +9,7 @@ problems at once:
 
   * along every azimuth phi of a grid together, for the internal emission
     direction of the o- or e-polarized photon of a given crystal (the
-    emission-time map; `cone_direction` is the one-azimuth call), and
+    emission-time map), and
   * in the plane of the optic axes, for the extreme opening angles that
     summarize each cone as axis direction + half-opening angle
     (`phase_match_cones`), and for the collinear cut angle.
@@ -26,12 +26,12 @@ of thickness L at internal polar angle u takes t = L sec(u) n_g(lambda,
 theta) / c, and the pump travels along z at the cut angle to the optic axis.
 It gives the on-axis times of one crystal (`propagation_times`, behind the
 interference model) and the per-direction times of the four photon classes
-(`class_emission_times`, behind the emission-time map).  Those classes (born
-in crystal 1 or 2, o- or e-polarized) are averaged over the birth position,
-i.e. pair creation at the generating crystal's centre: half the pump transit
-to get there, then the photon's own group delay over the remaining
-material.  Times are referenced to the pump pulse entering the first
-crystal and reported at the exit face of the second.
+(`emission_time_map`).  Those classes (born in crystal 1 or 2, o- or
+e-polarized) are averaged over the birth position, i.e. pair creation at
+the generating crystal's centre: half the pump transit to get there, then
+the photon's own group delay over the remaining material.  Times are
+referenced to the pump pulse entering the first crystal and reported at the
+exit face of the second.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import C_NM_PER_FS
-from .errors import DegenerateGeometryError, NotPhaseMatchableError
+from .errors import NotPhaseMatchableError
 from .materials import (
     CrystalSpec,
     PumpSpec,
@@ -191,16 +191,6 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi) -> n
     return _bisect(f, rows, lo, hi, f_lo, f_hi, _XTOL, _RTOL)
 
 
-def cone_direction(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi: float) -> np.ndarray:
-    """Internal unit emission direction of the pol-cone at azimuth phi.
-
-    Solves the exact phase-matching condition along the ray of azimuth phi.
-    Raises NotPhaseMatchableError when the cone does not reach this azimuth.
-    """
-    (u,) = _cone_polar_angles(crystal, pump, pol, np.array([phi], dtype=float))
-    return _unit_direction(u, phi)
-
-
 def _inplane_extremes(crystal, pump, pol):
     """Signed polar angles (toward +y) where the cone crosses the y-z plane.
 
@@ -232,10 +222,6 @@ class Cone:
         """Signed tilt of the cone axis toward +y, rad."""
         return math.atan2(self.axis[1], self.axis[2])
 
-    @property
-    def encloses_pump_axis(self) -> bool:
-        return self.half_angle > abs(self.tilt)
-
 
 @dataclass(frozen=True)
 class ConePair:
@@ -245,24 +231,6 @@ class ConePair:
     e_cone: Cone
     external_o: Cone
     external_e: Cone
-
-
-@dataclass(frozen=True)
-class BeamSelection:
-    """The two distinct output azimuths used as beams A and B.
-
-    The experiment selects the non-overlap regions: the tops of the two
-    cones at phi = 90 and 270 deg, where each direction belongs to a single
-    cone of each crystal.
-    """
-
-    phi_a: float
-    phi_b: float
-
-    def __post_init__(self):
-        two_pi = 2.0 * math.pi
-        if math.isclose(self.phi_a % two_pi, self.phi_b % two_pi, abs_tol=1e-9):
-            raise ValueError("beams A and B must be distinct directions")
 
 
 def _cone_from_extremes(a_minus, a_plus):
@@ -388,7 +356,14 @@ def propagation_times(
 
 def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, d):
     """Average emission time (fs) of photon class `name` along the forward
-    unit internal direction(s) d (..., 3); see class_emission_times."""
+    unit internal direction(s) d (..., 3), referenced to the pump entering
+    crystal 1; the result has the shape d.shape[:-1].
+
+    Classes: '1e'/'1o' born at the centre of crystal 1, '2e'/'2o' at the
+    centre of crystal 2.  Photons from crystal 1 also traverse the full
+    second crystal; e-polarized ones see the second axis under a different
+    angle and therefore a different group index.
+    """
     lam_dc = pump.degenerate_nm
     sec_u = 1.0 / d[..., 2]
 
@@ -402,26 +377,6 @@ def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: P
     if name[0] == "1":
         return 0.5 * tp1 + 0.5 * photon(crystal1) + photon(crystal2)
     return tp1 + 0.5 * _pump_time(crystal2, pump) + 0.5 * photon(crystal2)
-
-
-def class_emission_times(
-    crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, direction
-) -> dict:
-    """Average emission times (fs) of the four photon classes along
-    internal directions, referenced to the pump entering crystal 1.
-
-    direction is one vector (3,) or an array of them (..., 3); each class
-    time has the shape direction.shape[:-1].  Classes: '1e'/'1o' born at
-    the centre of crystal 1, '2e'/'2o' at the centre of crystal 2.  Photons
-    from crystal 1 also traverse the full second crystal; e-polarized ones
-    see the second axis under a different angle and therefore a different
-    group index.
-    """
-    d = np.asarray(direction, dtype=float)
-    d = d / np.linalg.norm(d, axis=-1, keepdims=True)
-    if np.any(d[..., 2] <= 0):
-        raise DegenerateGeometryError("emission direction must point forward")
-    return {name: _class_time(name, crystal1, crystal2, pump, d) for name in CLASS_NAMES}
 
 
 @dataclass(frozen=True)

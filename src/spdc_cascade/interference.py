@@ -280,7 +280,7 @@ def fringe_locked_delays(params: InterferenceParams) -> tuple:
         )
 
     grid = np.linspace(tau_b - 0.5 * period, tau_b + 0.5 * period, 33)
-    crest = grid[np.argmax([rate(tb) for tb in grid])]
+    crest = grid[np.argmax(rate(grid))]
     half = 0.75 * period / 32.0
     tau_b_crest, _ = golden_section_max(rate, crest - half, crest + half, 1e-4)
     return tau_a, tau_b_crest

@@ -101,6 +101,17 @@ def test_emission_map_rejects_out_of_domain_config(tmp_path, capsys, section, ke
     assert not out_path.exists()
 
 
+def test_config_rejects_equal_beam_azimuths(tmp_path):
+    path = tmp_path / "beams.ini"
+    path.write_text(REFERENCE_INI + "\n[interference]\nbeam_phi_a_deg = 10\nbeam_phi_b_deg = 190\n")
+    assert load_config(str(path)).beam_phi_b == pytest.approx(math.pi + math.radians(10))
+    # equal modulo 360 deg, also across the 0/360 seam
+    for a, b in [(17.2, -342.8), (0.0, -1e-12)]:
+        path.write_text(REFERENCE_INI + f"\n[interference]\nbeam_phi_a_deg = {a}\nbeam_phi_b_deg = {b}\n")
+        with pytest.raises(ConfigError, match="beam_phi_a_deg equals beam_phi_b_deg"):
+            load_config(str(path))
+
+
 def test_phi_points_maximum_is_accepted(tmp_path):
     path = tmp_path / "max.ini"
     path.write_text(REFERENCE_INI + f"\n[emission_map]\nphi_points = {MAX_PHI_POINTS}\n")
@@ -337,3 +348,51 @@ def test_byte_identical_reruns(config_path, tmp_path, capsys):
         assert code == 0
         maps.append((out_path.read_bytes(), out))
     assert maps[0] == maps[1]
+
+
+@pytest.mark.parametrize("command, section, exit_code", [
+    pytest.param("scan", "[scan]\nhalfwidth_fs = 1\n", 3, id="scan-too-short"),
+    pytest.param("scan", "[scan]\ntheta_a_deg = 0\ntheta_b_deg = 0\n", 3, id="scan-zero-rate"),
+    pytest.param("polarization", "[polarization]\ntheta_b_stop_deg = 90\n", 3,
+                 id="polarization-too-short"),
+    pytest.param("emission-map", "[interference]\nbeam_phi_a_deg = 90\nbeam_phi_b_deg = 450\n",
+                 2, id="emission-map-equal-beams"),
+])
+def test_failed_run_writes_no_file(tmp_path, capsys, command, section, exit_code):
+    path = tmp_path / "fails.ini"
+    path.write_text(REFERENCE_INI + "\n" + section)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == exit_code
+    assert out == "" and err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, section", [
+    pytest.param("scan", "[scan]\nstep_fs = 1e-9\n", id="scan"),
+    pytest.param("polarization", "[polarization]\nstep_deg = 1e-9\n", id="polarization"),
+    pytest.param("visibility-curve", "[visibility_curve]\nstep_fs = 1e-9\n", id="visibility-curve"),
+])
+def test_grid_over_point_budget_exits_3(tmp_path, capsys, command, section):
+    # checked before allocating: the grids asked for here need 0.7 to 4.4 TiB
+    path = tmp_path / "fine.ini"
+    path.write_text(REFERENCE_INI + "\n" + section)
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "points" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
+def test_visibility_curve_grid_stops_at_tau_b_max(tmp_path, capsys):
+    # (max - min) / step = 10.6: the last point is 410, not 411
+    path = tmp_path / "range.ini"
+    path.write_text(REFERENCE_INI + "\n[visibility_curve]\n"
+                    "tau_b_min_fs = 400\ntau_b_max_fs = 410.6\nstep_fs = 1\n")
+    out_path = tmp_path / "vis.csv"
+    code, _, _ = run(["visibility-curve", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 0
+    xs = [float(line.split(",")[0]) for line in out_path.read_text().strip().split("\n")[1:]]
+    assert xs[0] == 400.0 and len(xs) == 11
+    assert xs[-1] <= 410.6

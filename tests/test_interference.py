@@ -245,3 +245,10 @@ def test_fringe_locked_delays_sit_on_a_crest(params):
     # locked phase: the oscillatory factor is at +1 to high accuracy
     phase = params.omega * (tau_a - tau_b) + params.phi0
     assert math.cos(phase) == pytest.approx(1.0, abs=1e-6)
+    # the crest is picked from one array call; it equals the per-sample calls
+    _, tau_b0 = sc.optimal_delays(params.times)
+    grid = tau_b0 + sc.fringe_period(params) * np.linspace(-0.5, 0.5, 33)
+    loop = [sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, tb))
+            for tb in grid]
+    array = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, grid))
+    np.testing.assert_array_equal(array, loop)
