@@ -77,21 +77,31 @@ def _scan_meta(params: InterferenceParams, **fields) -> dict:
 
 
 MAX_GRID_POINTS = 10**6  # per scan grid; checked before anything is allocated
+# rate samples per coincidence_rate call of a batched fringe-scan curve
+_SCAN_BLOCK_POINTS = 2**16
+
+
+def _grid_points(start, stop, step: float):
+    """Number of points of `_grid(start, stop, step)`, elementwise.
+
+    Checks the point budget, so nothing is allocated for a grid over it.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    if np.any(stop <= start):
+        raise ValueError("scan range must have stop > start")
+    intervals = (stop - start) / step + 1e-9
+    if not np.all(intervals < MAX_GRID_POINTS):
+        raise ValueError(
+            f"scan grid of {np.max(intervals) + 1:.4g} points exceeds the budget of "
+            f"{MAX_GRID_POINTS} points"
+        )
+    return np.floor(intervals).astype(int) + 1
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
     """start, start + step, ... up to stop (within 1e-9 of a step)."""
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if stop <= start:
-        raise ValueError("scan range must have stop > start")
-    intervals = (stop - start) / step + 1e-9
-    if not intervals < MAX_GRID_POINTS:
-        raise ValueError(
-            f"scan grid of {intervals + 1:.4g} points exceeds the budget of "
-            f"{MAX_GRID_POINTS} points"
-        )
-    return start + step * np.arange(int(math.floor(intervals)) + 1)
+    return start + step * np.arange(_grid_points(start, stop, step))
 
 
 def delay_scan(
@@ -143,26 +153,55 @@ def polarization_scan(
 
 
 def _refined_extrema(xs, rates):
-    """Parabola-refined interior local maxima and minima of a sampled series.
+    """Parabola-refined interior local maxima and minima of each row.
 
-    Returns (maxima, minima) as lists of (x, value).  A run of equal samples
-    counts as one point, at its first sample, compared with the runs on
-    either side: a crest sampled twice is one maximum, a trough clamped to
-    zero one minimum, and a flat stretch at either end or a step is none.
+    xs and rates are (rows, samples) arrays, one sampled series per row.
+    Returns (maxima, minima), each a triple (row, x, value) of flat arrays
+    ordered by row, then x.  A run of equal samples counts as one point, at
+    its first sample, compared with the runs on either side: a crest sampled
+    twice is one maximum, a trough clamped to zero one minimum, and a flat
+    stretch at either end or a step is none.
     """
-    rates = np.asarray(rates)
-    starts = np.flatnonzero(np.r_[True, rates[1:] != rates[:-1]])
-    runs = rates[starts]
-    inner, here = starts[1:-1], runs[1:-1]
-
-    def refine(idx):
-        return [parabola_vertex(xs[i - 1], rates[i - 1], xs[i], rates[i], xs[i + 1], rates[i + 1])
-                for i in idx]
-
-    return (
-        refine(inner[(here > runs[:-2]) & (here > runs[2:])]),
-        refine(inner[(here < runs[:-2]) & (here < runs[2:])]),
+    n = rates.shape[1]
+    is_start = np.ones(rates.shape, dtype=bool)
+    is_start[:, 1:] = rates[:, 1:] != rates[:, :-1]
+    # first sample of the run after each sample's run (n past the last run)
+    next_start = np.full(rates.shape, n)
+    next_start[:, :-1] = np.minimum.accumulate(
+        np.where(is_start, np.arange(n), n)[:, :0:-1], axis=1
+    )[:, ::-1]
+    row, i = np.nonzero(is_start[:, 1:-1])
+    i += 1
+    j = next_start[row, i]
+    inner = j < n
+    row, i, j = row[inner], i[inner], j[inner]
+    here, before, after = rates[row, i], rates[row, i - 1], rates[row, j]
+    is_max = (here > before) & (here > after)
+    keep = is_max | ((here < before) & (here < after))
+    row, i, is_max = row[keep], i[keep], is_max[keep]
+    x, value = parabola_vertex(
+        xs[row, i - 1], rates[row, i - 1], xs[row, i], rates[row, i], xs[row, i + 1], rates[row, i + 1]
     )
+    is_min = ~is_max
+    return (row[is_max], x[is_max], value[is_max]), (row[is_min], x[is_min], value[is_min])
+
+
+def _fringe_contrast(xs, rates) -> np.ndarray:
+    """Contrast (max - min)/(max + min) of each row from its fitted extrema.
+
+    The endpoint samples count as extrema too, unrefined, so flat or
+    monotone rows still yield a contrast; the minimum is clamped at zero.
+    """
+    (hi_row, _, hi), (lo_row, _, lo) = _refined_extrema(xs, rates)
+    r_max = np.maximum(rates[:, 0], rates[:, -1])
+    np.maximum.at(r_max, hi_row, hi)
+    r_min = np.minimum(rates[:, 0], rates[:, -1])
+    np.minimum.at(r_min, lo_row, lo)
+    r_min = np.maximum(r_min, 0.0)
+    total = r_max + r_min
+    if np.any(total == 0.0):
+        raise UndefinedVisibilityError("all rates vanish; visibility undefined")
+    return (r_max - r_min) / total
 
 
 def _check_span(series: ScanSeries):
@@ -185,21 +224,14 @@ def extract_visibility(series: ScanSeries) -> float:
     monotone series still yield a contrast.
     """
     _check_span(series)
-    maxima, minima = _refined_extrema(series.xs, series.rates)
-    ends = [series.rates[0], series.rates[-1]]
-    r_max = max([v for _, v in maxima] + ends)
-    r_min = max(0.0, min([v for _, v in minima] + ends))
-    if r_max + r_min == 0.0:
-        raise UndefinedVisibilityError("all rates vanish; visibility undefined")
-    return (r_max - r_min) / (r_max + r_min)
+    return float(_fringe_contrast(series.xs[None], series.rates[None])[0])
 
 
 def measure_fringe_spacing(series: ScanSeries) -> float:
     """Mean spacing between successive refined fringe maxima."""
-    maxima, _ = _refined_extrema(series.xs, series.rates)
-    if len(maxima) < 2:
+    (_, positions, _), _ = _refined_extrema(series.xs[None], series.rates[None])
+    if positions.size < 2:
         raise ValueError("need at least two fringe maxima to measure a spacing")
-    positions = np.array([x for x, _ in maxima])
     return float(np.mean(np.diff(positions)))
 
 
@@ -211,15 +243,30 @@ def local_fringe_visibility(params: InterferenceParams, tau_a: float, tau_b: flo
     half a period apart in the delay sum, this measurement-style estimate
     reads a few 1e-3 below the aligned contrast of `visibility_curve`.
     """
+    return float(_fringe_scan_visibility(params, tau_a, np.array([float(tau_b)]))[0])
+
+
+def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> np.ndarray:
+    """`local_fringe_visibility` at each tau_B of a 1-D array, in batches.
+
+    Each row holds exactly the samples of that tau_B's own `delay_scan`;
+    the rows share one coincidence_rate call per block of
+    _SCAN_BLOCK_POINTS samples and one contrast extraction.
+    """
     period = fringe_period(params)
-    series = delay_scan(
-        params,
-        AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, 0.0),
-        tau_b - FRINGE_WINDOW_PERIODS * period,
-        tau_b + FRINGE_WINDOW_PERIODS * period,
-        period / FRINGE_SAMPLES_PER_PERIOD,
-    )
-    return extract_visibility(series)
+    step = period / FRINGE_SAMPLES_PER_PERIOD
+    starts = tau_b - FRINGE_WINDOW_PERIODS * period
+    points = _grid_points(starts, tau_b + FRINGE_WINDOW_PERIODS * period, step)
+    vis = np.empty(tau_b.shape)
+    for n in np.unique(points):  # one row length unless rounding at huge |tau_B| drops a point
+        rows = np.flatnonzero(points == n)
+        for block in np.array_split(rows, -(-rows.size * n // _SCAN_BLOCK_POINTS)):
+            xs = starts[block, None] + step * np.arange(n)
+            rates = coincidence_rate(
+                params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, xs)
+            )
+            vis[block] = _fringe_contrast(xs, rates)
+    return vis
 
 
 def visibility_curve(
@@ -232,14 +279,15 @@ def visibility_curve(
     baseline with the oscillation phase on crest; this is the theoretical
     curve, reaches 1 in the monochromatic limit and equals max_visibility
     at the compensating tau_B.  method "scan" instead simulates a local
-    fringe scan per point (`local_fringe_visibility`).  Both peak at the
-    compensating tau_B and vanish outside the amplitude-overlap window.
+    fringe scan per point (`local_fringe_visibility`, batched over the
+    grid).  Both peak at the compensating tau_B and vanish outside the
+    amplitude-overlap window.
     """
     tau_b_grid = np.asarray(tau_b_grid, dtype=float)
     if method == "aligned":
         vis = aligned_contrast(params, tau_a, tau_b_grid)
     elif method == "scan":
-        vis = np.array([local_fringe_visibility(params, tau_a, tb) for tb in tau_b_grid])
+        vis = _fringe_scan_visibility(params, tau_a, tau_b_grid)
     else:
         raise ValueError("method must be 'aligned' or 'scan'")
     meta = _scan_meta(params, ordinate="visibility", method=method, tau_a_fs=tau_a)

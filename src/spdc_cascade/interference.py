@@ -39,6 +39,9 @@ can overlap at all.  Two conventions are provided:
     compensation point.
 
 Both conventions treat the boundary itself as outside (open interval).
+
+erf is computed in this module from the rational approximations of the
+Cephes library (ndtr.c), so numpy is the only run-time dependency.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import erf
 
 from .constants import TWO_PI
 from .errors import DegenerateParametersError
@@ -120,6 +122,60 @@ def params_from_crystal(
     )
 
 
+# Cephes ndtr.c coefficients, highest power first: erf(x) = x T(x^2)/U(x^2)
+# for |x| <= 1, erfc(x) = exp(-x^2) P(x)/Q(x) for 1 < x < 8
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERF_SATURATION = 6.0  # erf rounds to +-1 beyond this |x|
+
+
+def _horner(x, coefs):
+    """Polynomial with the given coefficients (highest power first) at x."""
+    acc = x * coefs[0] + coefs[1]
+    for c in coefs[2:]:  # in place on arrays, rebinding on floats
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf(x):
+    """Error function from the Cephes ndtr.c rational approximations.
+
+    |x| is clamped at 6 first, so +-inf gives +-1 without overflow; nan
+    gives nan.  Scalars are evaluated in Python floats (numpy's per-call
+    overhead would dominate the golden-section searches) and arrays with
+    the same operations in the same order, so a scalar and an array element
+    agree to the last bit.
+    """
+    if np.ndim(x) == 0:
+        x = float(x)
+        ax = min(abs(x), _ERF_SATURATION)  # keeps nan: min(nan, 6) is nan
+        if ax <= 1.0:
+            z = ax * ax
+            y = ax * _horner(z, _ERF_T) / _horner(z, _ERF_U)
+        else:
+            y = 1.0 - float(np.exp(-(ax * ax))) * _horner(ax, _ERF_P) / _horner(ax, _ERF_Q)
+        return math.copysign(y, x)
+    x = np.asarray(x, dtype=float)
+    ax = np.minimum(np.abs(x), _ERF_SATURATION)
+    z = ax * ax
+    small = ax * _horner(z, _ERF_T)
+    small /= _horner(z, _ERF_U)
+    tail = np.exp(-z)
+    tail *= _horner(ax, _ERF_P)
+    tail /= _horner(ax, _ERF_Q)
+    y = np.where(ax <= 1.0, small, np.subtract(1.0, tail, out=tail))
+    return np.copysign(y, x, out=y)
+
+
 def _walkoff_scales(times: PropagationTimes):
     d = 2.0 * times.t_p - times.t_o - times.t_e
     if d == 0.0:
@@ -158,7 +214,7 @@ def envelope(params: InterferenceParams, tau_a, tau_b):
     diff = tau_a - tau_b
     a1 = diff + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - r * np.abs(w)
     a2 = diff + t.t_e - t.t_e2 + r * np.abs(w)
-    out = erf(s * a1) - erf(s * a2)
+    out = _erf(s * a1) - _erf(s * a2)
     return float(out) if np.ndim(out) == 0 else out
 
 

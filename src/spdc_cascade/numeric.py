@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
@@ -37,17 +39,17 @@ def golden_section_max(f, a: float, b: float, xtol: float) -> tuple:
 
 
 def parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:
-    """Vertex (x, y) of the parabola through three points.
+    """Vertex (x, y) of the parabola through three points, elementwise.
 
-    Used to refine a sampled extremum bracketed by its neighbours; falls
-    back to the middle point when the three are collinear.
+    Used to refine sampled extrema bracketed by their neighbours; falls
+    back to the middle point where the three are collinear.
     """
     d1 = (y1 - y0) / (x1 - x0)
     d2 = (y2 - y1) / (x2 - x1)
     curv = (d2 - d1) / (x2 - x0)
-    if curv == 0.0:
-        return x1, y1
+    collinear = curv == 0.0
+    curv = np.where(collinear, 1.0, curv)  # any nonzero value; its vertex is discarded
     xv = 0.5 * (x0 + x1 - d1 / curv)
     # evaluate the interpolating parabola at its vertex
     yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
-    return xv, yv
+    return np.where(collinear, x1, xv), np.where(collinear, y1, yv)

@@ -197,7 +197,7 @@ def test_fringe_extrema_ignore_flat_stretches(params):
     # a crest sampled twice is one maximum, a zero-clamped trough one minimum
     xs = np.arange(12.0)
     rates = np.array([0.5, 0.2, 1.0, 1.0, 0.2, 0.0, 0.0, 0.0, 0.3, 0.9, 0.3, 0.5])
-    maxima, minima = _refined_extrema(xs, rates)
+    maxima, minima = (list(zip(x, v)) for _, x, v in _refined_extrema(xs[None], rates[None]))
     assert [x for x, _ in maxima] == [2.5, 9.0]
     assert len(minima) == 3 and minima[1][0] == 5.5
 
@@ -269,6 +269,30 @@ def test_visibility_curve_monochromatic_peak(params):
 def test_local_fringe_visibility_far_outside_window(params):
     tau_a, tau_b = sc.optimal_delays(params.times)
     assert local_fringe_visibility(params, tau_a, tau_b + 5000.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "thickness_mm, cut_deg, center_nm, bandwidth_nm",
+    [(1.07, 43.65, 395.0, 1.0), (0.62, 44.45, 391.0, 2.6), (2.75, 43.7, 398.5, 0.45)],
+    ids=["reference", "thin-broadband", "thick-narrowband"],
+)
+def test_scan_visibility_curve_equals_per_point_scans(thickness_mm, cut_deg, center_nm,
+                                                     bandwidth_nm):
+    # the batched curve gives each point exactly what its own fringe scan
+    # gives, out into the flat 0.25 tails beyond the overlap window
+    crystal = sc.CrystalSpec(sc.BBO, thickness_mm, math.radians(cut_deg))
+    params = sc.params_from_crystal(crystal, sc.PumpSpec(center_nm, bandwidth_nm))
+    tau_a, tau_b = sc.optimal_delays(params.times)
+    grid = np.arange(tau_b - 600.0, tau_b + 600.5, 10.0)
+    curve = sc.visibility_curve(params, tau_a, grid, method="scan")
+    loop = [local_fringe_visibility(params, tau_a, tb) for tb in grid]
+    np.testing.assert_array_equal(curve.rates, loop)
+    period = sc.fringe_period(params)
+    for tb, vis in zip(grid[::7], curve.rates[::7]):
+        scan = sc.delay_scan(params, cfg_quarter(tau_a), tb - 2 * period, tb + 2 * period,
+                             period / 32)
+        assert vis == sc.extract_visibility(scan)
+    assert np.any(curve.rates == 0.0) and curve.rates.max() > 0.2
 
 
 # --- quartz delay lines ----------------------------------------------------------

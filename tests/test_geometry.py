@@ -194,13 +194,28 @@ def test_propagation_times_bit_identical_to_scalar_recording(crystal1, pump):
     assert sc.propagation_times(crystal1, pump).as_tuple() == recorded
 
 
-def test_import_leaves_root_finding_scipy_unloaded():
-    # the package solves its roots itself; scipy.optimize stays a test oracle
+def test_import_leaves_root_finding_scipy_unloaded(tmp_path):
+    # the package solves its roots and computes erf itself: no subcommand
+    # loads any scipy module, which stays a test oracle
+    from test_golden import COMMANDS, REFERENCE_INI
+
+    config = tmp_path / "reference.ini"
+    config.write_text(REFERENCE_INI)
+    runs = [[name, "--config", str(config), "--out", str(tmp_path / name), *args]
+            for name, args in COMMANDS.items()]
+    code = (
+        "import sys\n"
+        "from spdc_cascade.cli import main\n"
+        f"for argv in {runs!r}:\n"
+        "    assert main(argv) == 0, argv\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
-    code = "import sys, spdc_cascade; assert 'scipy.optimize' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert len(COMMANDS) == 6 and all((tmp_path / name).exists() for name in COMMANDS)
 
 
 # --- emission times ----------------------------------------------------------

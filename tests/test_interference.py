@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 import spdc_cascade as sc
+from spdc_cascade.interference import _erf
 
 C = 299.792458
 QUARTER = math.pi / 4
@@ -82,6 +84,31 @@ def test_envelope_peak_value_is_two_erf(params):
     d = 2 * t.t_p - t.t_o - t.t_e
     s = params.sigma / (4 * math.sqrt(2))
     assert sc.envelope(params, tau_a, tau_b) == pytest.approx(2 * erf(s * d), rel=1e-12)
+
+
+def test_erf_matches_scipy_oracle():
+    from scipy.special import erf
+    one_ulp = math.ulp(1.0)
+    special = np.array([0.0, -0.0, 1.0, -1.0, 1.0 + one_ulp, 1.0 - one_ulp / 2, 6.0, -6.0,
+                        30.0, -30.0, np.inf, -np.inf, 5e-324])
+    x = np.concatenate([special, np.random.default_rng(11).uniform(-8.0, 8.0, 10**6)])
+    n_scalar = special.size + 20000  # scalar calls cost microseconds each
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow or invalid-value warnings
+        got = _erf(x)
+        scalar = [_erf(v) for v in x[:n_scalar]]
+        nan_scalar, nan_array = _erf(math.nan), _erf(np.array([math.nan]))
+    want = erf(x)
+    err = np.abs(got - want)
+    assert err.max() <= 4.5e-16
+    nonzero = want != 0.0
+    assert np.max(err[nonzero] / np.abs(want[nonzero])) <= 4.5e-16
+    np.testing.assert_array_equal(np.signbit(got[:2]), [False, True])
+    np.testing.assert_array_equal(got[6:12], [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    # a scalar and the same point inside an array agree to the last bit
+    assert all(type(v) is float for v in scalar)
+    np.testing.assert_array_equal(scalar, got[:n_scalar])
+    assert math.isnan(nan_scalar) and np.isnan(nan_array).all()
 
 
 def test_envelope_windowed_tails_vanish(params):
