@@ -84,13 +84,16 @@ _SCAN_BLOCK_POINTS = 2**16
 def _grid_points(start, stop, step: float):
     """Number of points of `_grid(start, stop, step)`, elementwise.
 
-    Checks the point budget, so nothing is allocated for a grid over it.
+    The 1e-9-of-a-step slack is widened by the endpoints' rounding, so the
+    count depends on the width and step alone.  Checks the point budget, so
+    nothing is allocated for a grid over it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
     if np.any(stop <= start):
         raise ValueError("scan range must have stop > start")
-    intervals = (stop - start) / step + 1e-9
+    rounding = 4 * np.finfo(float).eps * np.maximum(np.abs(start), np.abs(stop))
+    intervals = (stop - start) / step + (1e-9 + rounding / step)
     if not np.all(intervals < MAX_GRID_POINTS):
         raise ValueError(
             f"scan grid of {np.max(intervals) + 1:.4g} points exceeds the budget of "
@@ -100,7 +103,7 @@ def _grid_points(start, stop, step: float):
 
 
 def _grid(start: float, stop: float, step: float) -> np.ndarray:
-    """start, start + step, ... up to stop (within 1e-9 of a step)."""
+    """start, start + step, ... up to stop (within the slack of `_grid_points`)."""
     return start + step * np.arange(_grid_points(start, stop, step))
 
 
@@ -235,37 +238,25 @@ def measure_fringe_spacing(series: ScanSeries) -> float:
     return float(np.mean(np.diff(positions)))
 
 
-def local_fringe_visibility(params: InterferenceParams, tau_a: float, tau_b: float) -> float:
-    """Visibility of a simulated short fringe scan centred on (tau_a, tau_b).
+def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> np.ndarray:
+    """Visibility of a simulated short fringe scan centred on each tau_B.
 
     Pi/4-pi/4 analyzers, +-2 fringe periods at 32 samples per period,
-    contrast from fitted extrema.  Because the scan's crest and trough sit
-    half a period apart in the delay sum, this measurement-style estimate
-    reads a few 1e-3 below the aligned contrast of `visibility_curve`.
-    """
-    return float(_fringe_scan_visibility(params, tau_a, np.array([float(tau_b)]))[0])
-
-
-def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> np.ndarray:
-    """`local_fringe_visibility` at each tau_B of a 1-D array, in batches.
-
-    Each row holds exactly the samples of that tau_B's own `delay_scan`;
-    the rows share one coincidence_rate call per block of
-    _SCAN_BLOCK_POINTS samples and one contrast extraction.
+    contrast from fitted extrema.  Each row holds exactly the samples of
+    that tau_B's own `delay_scan`; the rows share one coincidence_rate call
+    per block of _SCAN_BLOCK_POINTS samples and one contrast extraction.
     """
     period = fringe_period(params)
     step = period / FRINGE_SAMPLES_PER_PERIOD
     starts = tau_b - FRINGE_WINDOW_PERIODS * period
-    points = _grid_points(starts, tau_b + FRINGE_WINDOW_PERIODS * period, step)
+    # _grid_points of every row's scan: it depends on the width alone
+    n = int(2 * FRINGE_WINDOW_PERIODS * FRINGE_SAMPLES_PER_PERIOD) + 1
+    rows = _SCAN_BLOCK_POINTS // n
     vis = np.empty(tau_b.shape)
-    for n in np.unique(points):  # one row length unless rounding at huge |tau_B| drops a point
-        rows = np.flatnonzero(points == n)
-        for block in np.array_split(rows, -(-rows.size * n // _SCAN_BLOCK_POINTS)):
-            xs = starts[block, None] + step * np.arange(n)
-            rates = coincidence_rate(
-                params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, xs)
-            )
-            vis[block] = _fringe_contrast(xs, rates)
+    for lo in range(0, tau_b.size, rows):
+        xs = starts[lo:lo + rows, None] + step * np.arange(n)
+        rates = coincidence_rate(params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, xs))
+        vis[lo:lo + rows] = _fringe_contrast(xs, rates)
     return vis
 
 
@@ -278,9 +269,10 @@ def visibility_curve(
     model at each tau_B, i.e. the interference amplitude over the pi/4
     baseline with the oscillation phase on crest; this is the theoretical
     curve, reaches 1 in the monochromatic limit and equals max_visibility
-    at the compensating tau_B.  method "scan" instead simulates a local
-    fringe scan per point (`local_fringe_visibility`, batched over the
-    grid).  Both peak at the compensating tau_B and vanish outside the
+    at the compensating tau_B.  method "scan" instead simulates a short
+    fringe scan per point (`_fringe_scan_visibility`), which reads a few
+    1e-3 lower: its crest and trough sit half a period apart in the delay
+    sum.  Both peak at the compensating tau_B and vanish outside the
     amplitude-overlap window.
     """
     tau_b_grid = np.asarray(tau_b_grid, dtype=float)
@@ -316,10 +308,8 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
     if not (a_hi > a_lo and b_hi > b_lo):
         raise ValueError("search box must have positive extent on both axes")
 
-    ta = np.arange(a_lo, a_hi + 0.5, 1.0)
-    tb = np.arange(b_lo, b_hi + 0.5, 1.0)
-    ta = ta[ta <= a_hi]
-    tb = tb[tb <= b_hi]
+    ta = _grid(a_lo, a_hi, 1.0)
+    tb = _grid(b_lo, b_hi, 1.0)
     grid_a, grid_b = np.meshgrid(ta, tb, indexing="ij")
     vals = envelope(params, grid_a, grid_b)
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
@@ -337,14 +327,14 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
         b_cur = refine(b_cur, b_lo, b_hi, lambda x: envelope(params, a_cur, x))
         a_cur = refine(a_cur, a_lo, a_hi, lambda x: envelope(params, x, b_cur))
         # diagonal pass: u varies while the delay sum (and hence |W|) is fixed
-        t_lo = max(a_lo - a_cur, b_cur - b_hi, -1.5)
-        t_hi = min(a_hi - a_cur, b_cur - b_lo, 1.5)
-        if t_hi > t_lo:
-            t_best, _ = golden_section_max(
-                lambda t: envelope(params, a_cur + t, b_cur - t), t_lo, t_hi, 5e-3
-            )
-            a_cur += t_best
-            b_cur -= t_best
+        t = refine(
+            0.0,
+            max(a_lo - a_cur, b_cur - b_hi),
+            min(a_hi - a_cur, b_cur - b_lo),
+            lambda x: envelope(params, a_cur + x, b_cur - x),
+        )
+        a_cur += t
+        b_cur -= t
     # finish on the axes so a constrained maximizer ends up pinned to the edge
     b_cur = refine(b_cur, b_lo, b_hi, lambda x: envelope(params, a_cur, x))
     a_cur = refine(a_cur, a_lo, a_hi, lambda x: envelope(params, x, b_cur))

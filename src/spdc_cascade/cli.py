@@ -5,7 +5,8 @@ plus one-line JSON summaries on stdout.  Each subcommand computes its file
 and stdout text first; only then is the file written, via a temporary file
 and atomic rename, and the summary printed, so a failed run writes no file.
 Exit codes: 0 success, 2 configuration error, 3 numeric or domain error,
-4 I/O error.
+4 I/O error.  Warnings print as one `warning: <message>` line on stderr,
+each distinct message once.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -235,8 +237,9 @@ def main(argv=None) -> int:
         print(f"error: no configuration (use --config or ${CONFIG_ENV_VAR})", file=sys.stderr)
         return 2
     try:
-        cfg = load_config(config_path)
-        file_text, stdout_text = _COMMANDS[args.command](cfg, args)
+        with warnings.catch_warnings(record=True) as caught:
+            cfg = load_config(config_path)
+            file_text, stdout_text = _COMMANDS[args.command](cfg, args)
         if args.out:
             _write_atomic(args.out, file_text)
     except ConfigError as exc:
@@ -248,6 +251,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
     sys.stdout.write(stdout_text)
     return 0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.analysis import ScanSeries, _refined_extrema, local_fringe_visibility
+from spdc_cascade.analysis import ScanSeries, _refined_extrema
 
 QUARTER = math.pi / 4
 
@@ -266,9 +266,14 @@ def test_visibility_curve_monochromatic_peak(params):
     assert curve.rates.max() == pytest.approx(1.0, abs=2e-3)
 
 
+def scan_visibility_at(params, tau_a, tau_b):
+    """Scan-method visibility of the single point tau_b (a curve needs two)."""
+    return sc.visibility_curve(params, tau_a, [tau_b, tau_b + 1.0], method="scan").rates[0]
+
+
 def test_local_fringe_visibility_far_outside_window(params):
     tau_a, tau_b = sc.optimal_delays(params.times)
-    assert local_fringe_visibility(params, tau_a, tau_b + 5000.0) == 0.0
+    assert scan_visibility_at(params, tau_a, tau_b + 5000.0) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -279,18 +284,22 @@ def test_local_fringe_visibility_far_outside_window(params):
 def test_scan_visibility_curve_equals_per_point_scans(thickness_mm, cut_deg, center_nm,
                                                      bandwidth_nm):
     # the batched curve gives each point exactly what its own fringe scan
-    # gives, out into the flat 0.25 tails beyond the overlap window
+    # gives, out into the flat 0.25 tails beyond the overlap window and at
+    # centres so far out that rounding tau_B +- 2 periods moves the scan's
+    # width in its last bits: every scan still has 4 * 32 + 1 samples
     crystal = sc.CrystalSpec(sc.BBO, thickness_mm, math.radians(cut_deg))
     params = sc.params_from_crystal(crystal, sc.PumpSpec(center_nm, bandwidth_nm))
     tau_a, tau_b = sc.optimal_delays(params.times)
-    grid = np.arange(tau_b - 600.0, tau_b + 600.5, 10.0)
+    far = np.sort(10.0 ** np.random.default_rng(6).uniform(math.log10(2e7), 10.0, 12))
+    grid = np.concatenate([-far[::-1], np.arange(tau_b - 600.0, tau_b + 600.5, 10.0), far])
     curve = sc.visibility_curve(params, tau_a, grid, method="scan")
-    loop = [local_fringe_visibility(params, tau_a, tb) for tb in grid]
+    loop = [scan_visibility_at(params, tau_a, tb) for tb in grid]
     np.testing.assert_array_equal(curve.rates, loop)
     period = sc.fringe_period(params)
-    for tb, vis in zip(grid[::7], curve.rates[::7]):
+    for tb, vis in zip(grid, curve.rates):
         scan = sc.delay_scan(params, cfg_quarter(tau_a), tb - 2 * period, tb + 2 * period,
                              period / 32)
+        assert scan.xs.size == 129
         assert vis == sc.extract_visibility(scan)
     assert np.any(curve.rates == 0.0) and curve.rates.max() > 0.2
 

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -396,3 +399,25 @@ def test_visibility_curve_grid_stops_at_tau_b_max(tmp_path, capsys):
     xs = [float(line.split(",")[0]) for line in out_path.read_text().strip().split("\n")[1:]]
     assert xs[0] == 400.0 and len(xs) == 11
     assert xs[-1] <= 410.6
+
+
+def test_warning_prints_one_line_without_source(tmp_path, capsys):
+    # the as-printed Rect window clamps the rate in many blocks of this
+    # curve; stderr names the warning once, without a file path or code line
+    path = tmp_path / "as_printed.ini"
+    path.write_text(REFERENCE_INI + "\n[interference]\nrect_convention = as_printed\n"
+                    "\n[visibility_curve]\nmethod = scan\n"
+                    "tau_b_min_fs = -2000\ntau_b_max_fs = 3000\n")
+    argv = ["visibility-curve", "--config", str(path), "--out"]
+    code, out, err = run([*argv, str(tmp_path / "in_process.csv")], capsys)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-m", "spdc_cascade.cli", *argv, str(tmp_path / "child.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    expected = ("warning: coincidence rate clamped to zero (unphysical region of the "
+                "as-printed Rect window)\n")
+    assert child.stderr == err == expected
+    assert child.returncode == code == 0
+    assert child.stdout == out and json.loads(out)["peak_visibility"] == 1.0
+    assert (tmp_path / "child.csv").read_text() == (tmp_path / "in_process.csv").read_text()
