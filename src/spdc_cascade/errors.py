@@ -8,9 +8,11 @@ class WavelengthRangeError(ValueError):
 class NotPhaseMatchableError(ValueError):
     """No phase-matching solution exists for the requested geometry.
 
-    Carries the smallest residual momentum mismatch found during the scan
-    (dimensionless, in units of the down-converted photon's vacuum
-    wavenumber) so callers can see how far from matchable the setup is.
+    `.residual` (dimensionless, in units of the down-converted photon's
+    vacuum wavenumber for the cones) says how far from matchable the setup
+    is: for a cone along one azimuth, |residual| at the bracket end that
+    failed (pump axis or search bound); for a grid scan (in-plane cone
+    extremes, collinear cut angle), the smallest sampled |residual|.
     """
 
     def __init__(self, message, residual=None):

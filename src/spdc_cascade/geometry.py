@@ -14,9 +14,11 @@ problems at once:
     summarize each cone as axis direction + half-opening angle
     (`phase_match_cones`), and for the collinear cut angle.
 
-Brackets come from the residual's sign at the pump axis and at the search
-bound, or else from its first sign change on a fixed grid; all brackets are
-then refined together by vectorized bisection.
+Along every azimuth a cone's root is bracketed by the pump axis and the
+search bound, so the cone must enclose the pump axis (cut angle above the
+collinear one); the in-plane extremes and the collinear cut angle take the
+sign changes of their residual on a fixed grid.  All brackets are then
+refined together by vectorized bisection.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -53,9 +55,8 @@ from .materials import (
 
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
-_CONE_GRID = np.linspace(_U_MIN, _U_MAX, 256)  # for cones that miss the pump axis
 _INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
-_SAMPLES_PER_CALL = 1 << 16  # bounds the memory of one grid evaluation
+_CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
 
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
 
@@ -112,44 +113,26 @@ def _cone_residual(crystal, pump, pol, u, phi):
 
 # ---------------------------------------------------------------------------
 # the batched root solver
-#
-# A residual f(x, rows) evaluates the problems with indices `rows` at the
-# abscissae x (broadcast together); single-problem residuals ignore rows.
 
 
-def _grid_brackets(f, grid, rows, failure, first_only=True):
-    """Brackets at the sign changes of f(x, row) sampled on grid, for each row.
+def _grid_brackets(f, grid, failure):
+    """Brackets at every sign change of f sampled on grid, in order of x.
 
-    Rows are sampled a block at a time, so memory stays bounded by
-    _SAMPLES_PER_CALL.  Returns (rows, lo, hi, f_lo, f_hi) arrays with one
-    entry per bracket, ordered by row, then by x; first_only keeps the
-    first bracket of each row.  Raises NotPhaseMatchableError for the first
-    row without a sign change, carrying that row's smallest sampled |f|;
-    failure(row) names the problem in the message.
+    Returns (lo, hi, f_lo, f_hi) arrays with one entry per bracket.  Raises
+    NotPhaseMatchableError, carrying the smallest sampled |f|, when f does
+    not change sign on the grid; failure names the problem in the message.
     """
-    block = max(1, _SAMPLES_PER_CALL // grid.size)
-    found = []
-    for start in range(0, rows.size, block):
-        r = rows[start:start + block, None]
-        vals = np.broadcast_to(f(grid, r), (r.shape[0], grid.size))
-        change = np.sign(vals[:, :-1]) != np.sign(vals[:, 1:])
-        missing = ~change.any(axis=1)
-        if missing.any():
-            i = int(np.argmax(missing))
-            residual = float(np.abs(vals[i]).min())
-            raise NotPhaseMatchableError(
-                f"{failure(r[i, 0])} (smallest residual {residual:.3e})", residual=residual
-            )
-        if first_only:
-            change &= np.cumsum(change, axis=1) == 1
-        i, j = np.nonzero(change)
-        found.append((r[i, 0], grid[j], grid[j + 1], vals[i, j], vals[i, j + 1]))
-    return tuple(np.concatenate(column) for column in zip(*found))
+    vals = f(grid)
+    (j,) = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    if j.size == 0:
+        residual = float(np.abs(vals).min())
+        raise NotPhaseMatchableError(f"{failure} (smallest residual {residual:.3e})", residual=residual)
+    return grid[j], grid[j + 1], vals[j], vals[j + 1]
 
 
-def _bisect(f, rows, lo, hi, f_lo, f_hi, xtol, rtol):
-    """Roots of f(x, rows) in the sign-change brackets [lo, hi], all refined
-    together by bisection until each bracket is narrower than xtol + rtol*|x|.
+def _bisect(f, lo, hi, f_lo, f_hi, xtol, rtol):
+    """Roots of f(x) in the sign-change brackets [lo, hi], all refined together
+    by bisection until each bracket is narrower than xtol + rtol*|x|.
     """
     # an exact zero at a bracket end is the root, the lower end first
     hi = np.where(f_lo == 0.0, lo, hi)
@@ -159,7 +142,7 @@ def _bisect(f, rows, lo, hi, f_lo, f_hi, xtol, rtol):
         mid = 0.5 * (lo + hi)
         if not np.any(hi - lo >= xtol + rtol * np.abs(mid)):
             return mid
-        f_mid = f(mid, rows)
+        f_mid = f(mid)
         root_above = np.sign(f_mid) == sign_lo
         lo = np.where(root_above | (f_mid == 0.0), mid, lo)
         hi = np.where(root_above, hi, mid)
@@ -168,27 +151,30 @@ def _bisect(f, rows, lo, hi, f_lo, f_hi, xtol, rtol):
 def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi) -> np.ndarray:
     """Internal polar angles of the pol-cone along each azimuth of phi (1-D).
 
-    Raises NotPhaseMatchableError for the first azimuth the cone does not
-    reach.
+    Each root is bracketed by the pump axis (residual < 0 inside the cone)
+    and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for the
+    first azimuth where an end fails, naming that end.
     """
     if pol not in ("o", "e"):
         raise ValueError("polarization must be 'o' or 'e'")
 
-    def f(u, rows):
-        return _cone_residual(crystal, pump, pol, u, phi[rows])
+    def f(u):
+        return _cone_residual(crystal, pump, pol, u, phi)
 
-    rows = np.arange(phi.size)
     lo, hi = np.full(phi.size, _U_MIN), np.full(phi.size, _U_MAX)
-    f_lo, f_hi = f(lo, rows), f(hi, rows)
-    # where the cone encloses the pump axis one root lies in (lo, hi]; the
-    # other azimuths look for the first sign change further out
-    outside = np.nonzero(~((f_lo < 0.0) & (f_hi >= 0.0)))[0]
-    if outside.size:
-        _, lo[outside], hi[outside], f_lo[outside], f_hi[outside] = _grid_brackets(
-            f, _CONE_GRID, outside,
-            lambda i: f"no phase-matched {pol}-emission at azimuth {phi[i]:.4f} rad",
-        )
-    return _bisect(f, rows, lo, hi, f_lo, f_hi, _XTOL, _RTOL)
+    f_lo, f_hi = f(lo), f(hi)
+    failed = ~((f_lo < 0.0) & (f_hi >= 0.0))
+    if failed.any():
+        i = int(np.argmax(failed))
+        if f_lo[i] < 0.0:
+            end, reason = f_hi[i], f"the cone opens beyond the {_U_MAX:g} rad search bound"
+        else:
+            end, reason = f_lo[i], ("the cone does not enclose the pump axis "
+                                    "(cut angle at or below the collinear cut angle)")
+        raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
+                                     f"{phi[i]:.4f} rad: {reason} (residual {abs(end):.3e})",
+                                     residual=float(abs(end)))
+    return _bisect(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL)
 
 
 def _inplane_extremes(crystal, pump, pol):
@@ -196,15 +182,13 @@ def _inplane_extremes(crystal, pump, pol):
 
     A single crossing (tangency) degenerates the cone to one ray there.
     """
-    def f(a, _rows):
+    def f(a):
         phi = np.where(a >= 0, math.pi / 2, 3 * math.pi / 2)
         return _cone_residual(crystal, pump, pol, np.abs(a), phi)
 
     cut_deg = math.degrees(crystal.cut_angle)
     brackets = _grid_brackets(
-        f, _INPLANE_GRID, np.zeros(1, dtype=int),
-        lambda _: f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg",
-        first_only=False,
+        f, _INPLANE_GRID, f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg"
     )
     roots = _bisect(f, *brackets, _XTOL, _RTOL)
     return float(roots.min()), float(roots.max())
@@ -262,26 +246,24 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     return ConePair(o_cone=cones["o"], e_cone=cones["e"], external_o=ext["o"], external_e=ext["e"])
 
 
-def collinear_cut_angle(model, pump: PumpSpec, lo=math.radians(5.0), hi=math.radians(85.0)) -> float:
+def collinear_cut_angle(model, pump: PumpSpec) -> float:
     """Cut angle at which degenerate collinear phase matching is exact.
 
-    Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc); at this psi
-    the emission cones pass through the pump axis.
+    Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc) (the first
+    in 5-85 deg); at this psi the emission cones pass through the pump axis.
     """
     lam_p, lam_dc = pump.center_nm, pump.degenerate_nm
 
-    def f(psi, _rows):
+    def f(psi):
         return (
             2.0 * index_extraordinary(model, lam_p, psi)
             - index_ordinary(model, lam_dc)
             - index_extraordinary(model, lam_dc, psi)
         )
 
-    brackets = _grid_brackets(
-        f, np.linspace(lo, hi, 1601), np.zeros(1, dtype=int),
-        lambda _: "no collinear degenerate phase matching for any cut angle in range",
-    )
-    (psi,) = _bisect(f, *brackets, xtol=1e-12, rtol=4 * np.finfo(float).eps)
+    failure = "no collinear degenerate phase matching for any cut angle in range"
+    lo, hi, f_lo, f_hi = _grid_brackets(f, _CUT_GRID, failure)
+    (psi,) = _bisect(f, lo[:1], hi[:1], f_lo[:1], f_hi[:1], 1e-12, 4 * np.finfo(float).eps)
     return float(psi)
 
 
@@ -399,6 +381,9 @@ class EmissionTimeMap:
 
     def with_delays(self, delays: dict) -> "EmissionTimeMap":
         """Return a copy with additional fixed per-class delays added."""
+        unknown = set(delays) - set(CLASS_NAMES)
+        if unknown:
+            raise ValueError(f"unknown photon classes in delays: {sorted(unknown)}")
         new_times = {c: self.times[c] + delays.get(c, 0.0) for c in CLASS_NAMES}
         return EmissionTimeMap(self.phi_grid, new_times)
 
@@ -432,9 +417,6 @@ def emission_time_map(
     if not math.isclose(crystal1.cut_angle, crystal2.cut_angle, abs_tol=1e-12):
         raise ValueError("cascade crystals must have mirror-symmetric cut angles")
     delays = dict(delays or {})
-    unknown = set(delays) - set(CLASS_NAMES)
-    if unknown:
-        raise ValueError(f"unknown photon classes in delays: {sorted(unknown)}")
     if any(v < 0 for v in delays.values()):
         raise ValueError("per-class delays must be nonnegative")
     if phi_grid is None:
@@ -481,7 +463,10 @@ def map_flattening_delays(undelayed: EmissionTimeMap) -> dict:
 
     The midrange of (t_2o - t_1e) over the grid is the minimax-optimal
     constant delay for the 1e photons, likewise (t_1o - t_2e) for 2e.
-    Expects a map built with zero applied delays.
+    Expects a map built with zero applied delays.  A negative value means
+    the partner class (2o of 1e, 1o of 2e) is the one to delay, by its
+    magnitude; applied delays (`emission_time_map`, the config) must be
+    nonnegative.
     """
     t = undelayed.times
     d_b = t["2o"] - t["1e"]

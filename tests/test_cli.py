@@ -243,6 +243,42 @@ def test_emission_map_requires_cascade(tmp_path, capsys):
     assert "cascade" in err
 
 
+def test_emission_map_below_collinear_angle_exits_3(tmp_path, capsys):
+    # at 42.5 deg (collinear: 42.9 deg) the cones do not enclose the pump axis
+    path = tmp_path / "below.ini"
+    path.write_text(REFERENCE_INI.replace("cut_angle_deg = 43.65", "cut_angle_deg = 42.5"))
+    out_path = tmp_path / "map.csv"
+    code, out, err = run(["emission-map", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "does not enclose the pump axis" in err
+    assert not out_path.exists()
+
+
+def test_emission_map_negative_auto_delay(tmp_path, capsys):
+    # here the map-flattening delay of 2e is negative: the 1o photons are the
+    # ones to delay.  The summary reports it as it is; an explicit negative
+    # delay is a config error, and delaying 1o by its magnitude instead gives
+    # the same pair mismatch.
+    text = (REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 1")
+            .replace("cut_angle_deg = 43.65", "cut_angle_deg = 61.5")
+            .replace("center_nm = 395", "center_nm = 300"))
+    path = tmp_path / "uv.ini"
+    path.write_text(text)
+    argv = ["emission-map", "--config", str(path), "--out", str(tmp_path / "map.csv")]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    auto = json.loads(out)
+    assert auto["delay_2e_fs"] < 0
+    delays = f"\n[emission_map]\ndelay_1e_fs = {auto['delay_1e_fs']!r}\n"
+    path.write_text(text + delays + f"delay_2e_fs = {auto['delay_2e_fs']!r}\n")
+    assert run(argv, capsys)[0] == 2
+    path.write_text(text + delays + f"delay_2e_fs = 0\ndelay_1o_fs = {-auto['delay_2e_fs']!r}\n")
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert json.loads(out)["pairing_mismatch_fs"] == pytest.approx(auto["pairing_mismatch_fs"], abs=1e-9)
+
+
 def test_visibility_curve_command(config_path, tmp_path, capsys):
     out_path = str(tmp_path / "vis.csv")
     code, out, _ = run(["visibility-curve", "--config", config_path, "--out", out_path], capsys)

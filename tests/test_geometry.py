@@ -102,14 +102,32 @@ def test_below_threshold_not_phase_matchable(pump):
     assert err.value.residual > 0
 
 
-def test_detached_cone_misses_far_azimuth(pump):
+def test_cone_below_collinear_angle_does_not_enclose_pump_axis(pump):
     # between the solvability limit and the collinear angle the cones do not
-    # enclose the pump axis: the tilt side solves, the opposite side does not
+    # enclose the pump axis: no azimuth of the map is bracketed, the tilt
+    # side included
     crystal = sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5))
-    (u,) = _cone_polar_angles(crystal, pump, "o", np.array([3 * math.pi / 2]))
-    assert _unit_direction(u, 3 * math.pi / 2)[1] < 0
-    with pytest.raises(sc.NotPhaseMatchableError):
-        _cone_polar_angles(crystal, pump, "o", np.array([math.pi / 2]))
+    phi = np.array([math.pi / 2, 3 * math.pi / 2])
+    for first in (0, 1):
+        with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis") as err:
+            _cone_polar_angles(crystal, pump, "o", phi[first:])
+        assert f"azimuth {phi[first]:.4f} rad" in str(err.value)
+        at_axis = _cone_residual(crystal, pump, "o", 1e-12, phi[first])
+        assert err.value.residual == pytest.approx(abs(at_axis), rel=1e-9)
+    with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis"):
+        sc.emission_time_map(crystal, sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5), -1), pump)
+
+
+def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
+    # the reference cones lie 0.012-0.086 rad from the pump axis (internal);
+    # a 0.01 rad bound is below every azimuth's root
+    monkeypatch.setattr(sc.geometry, "_U_MAX", 0.01)
+    phi = sc.geometry.default_phi_grid(64)
+    with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.01 rad search bound") as err:
+        _cone_polar_angles(crystal1, pump, "e", phi)
+    assert f"azimuth {phi[0]:.4f} rad" in str(err.value)
+    at_bound = _cone_residual(crystal1, pump, "e", 0.01, phi[0])
+    assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
 # --- batched root solver vs a scalar brentq oracle ----------------------------
@@ -118,23 +136,16 @@ XTOL, RTOL = 1e-13, 8.9e-16  # the cone solves' tolerances
 
 
 def _scan_roots(f, grid):
-    """Oracle: brentq at every sign change of scalar f sampled on grid.
-    Returns (roots, smallest sampled |f|)."""
+    """Oracle: brentq at every sign change of scalar f sampled on grid."""
     vals = np.array([f(x) for x in grid])
     changes = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-    roots = [brentq(f, grid[i], grid[i + 1], xtol=XTOL, rtol=RTOL) for i in changes]
-    return roots, float(np.abs(vals).min())
+    return [brentq(f, grid[i], grid[i + 1], xtol=XTOL, rtol=RTOL) for i in changes]
 
 
 def _oracle_polar_angle(crystal, pump, pol, phi):
-    """Per-azimuth scalar solve: brentq on [1e-12, 0.35] when the residual is
-    negative on the pump axis, else the first sign change of a 256-point scan.
-    Returns (u, None) or (None, smallest sampled |residual|)."""
+    """Per-azimuth scalar solve: brentq between the pump axis and 0.35 rad."""
     f = lambda u: float(_cone_residual(crystal, pump, pol, u, phi))
-    if f(1e-12) < 0.0:
-        return brentq(f, 1e-12, 0.35, xtol=XTOL, rtol=RTOL), None
-    roots, residual = _scan_roots(f, np.linspace(1e-12, 0.35, 256))
-    return (roots[0], None) if roots else (None, residual)
+    return brentq(f, 1e-12, 0.35, xtol=XTOL, rtol=RTOL)
 
 
 # benchmark-box designs: (thickness mm, cut deg, pump nm)
@@ -149,42 +160,16 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
         for pol in ("o", "e"):
             batched = _cone_polar_angles(crystal, pump, pol, phi)
-            oracle = [_oracle_polar_angle(crystal, pump, pol, p)[0] for p in phi]
+            oracle = [_oracle_polar_angle(crystal, pump, pol, p) for p in phi]
             assert np.abs(batched - np.array(oracle)).max() <= 1e-12, (sign, pol)
             # in-plane extremes: every sign change of a 701-point signed-angle scan
-            roots, _ = _scan_roots(
+            roots = _scan_roots(
                 lambda a: float(_cone_residual(
                     crystal, pump, pol, abs(a), math.pi / 2 if a >= 0 else 3 * math.pi / 2)),
                 np.linspace(-0.35, 0.35, 701),
             )
             lo, hi = _inplane_extremes(crystal, pump, pol)
             assert abs(lo - min(roots)) <= 1e-12 and abs(hi - max(roots)) <= 1e-12
-
-
-@pytest.mark.parametrize("rows_per_block", [None, 5])
-def test_batched_solver_grid_fallback_and_failure_match_oracle(pump, monkeypatch, rows_per_block):
-    # at 42.5 deg the o-cone misses the pump axis: the azimuths near its tilt
-    # solve on the 256-point grid, the far side has no solution
-    if rows_per_block:  # sample the grid in several blocks of azimuths
-        monkeypatch.setattr(sc.geometry, "_SAMPLES_PER_CALL", 256 * rows_per_block)
-    crystal = sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5))
-    phi = sc.geometry.default_phi_grid(64)
-    oracle = [_oracle_polar_angle(crystal, pump, "o", p) for p in phi]
-    solved = np.array([u is not None for u, _ in oracle])
-    assert 0 < solved.sum() < phi.size
-    batched = _cone_polar_angles(crystal, pump, "o", phi[solved])
-    assert np.abs(batched - np.array([u for u, _ in oracle if u is not None])).max() <= 1e-12
-
-    # the error names the first failing azimuth, here one after solved ones
-    start = int(np.argmax(solved))
-    first_failure = start + int(np.argmin(solved[start:]))
-    with pytest.raises(sc.NotPhaseMatchableError, match=f"{phi[first_failure]:.4f} rad") as err:
-        _cone_polar_angles(crystal, pump, "o", phi[start:])
-    assert err.value.residual == pytest.approx(oracle[first_failure][1], rel=1e-9)
-    with pytest.raises(sc.NotPhaseMatchableError):
-        sc.emission_time_map(
-            crystal, sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5), -1), pump, phi_grid=phi
-        )
 
 
 def test_propagation_times_bit_identical_to_scalar_recording(crystal1, pump):
@@ -257,7 +242,7 @@ def test_map_matches_per_azimuth_class_times(crystal1, crystal2, pump):
                "2e": (crystal2, "e"), "2o": (crystal2, "o")}
     for name, (crystal, pol) in sources.items():
         directions = np.array(
-            [_unit_direction(_oracle_polar_angle(crystal, pump, pol, p)[0], p) for p in phi]
+            [_unit_direction(_oracle_polar_angle(crystal, pump, pol, p), p) for p in phi]
         )
         loop = [_class_time(name, crystal1, crystal2, pump, d) for d in directions]
         batched = _class_time(name, crystal1, crystal2, pump, directions)
@@ -284,6 +269,12 @@ def test_emission_map_validation(crystal1, crystal2, pump):
     mismatch_cut = sc.CrystalSpec(sc.BBO, 1.07, PSI + 0.01, -1)
     with pytest.raises(ValueError, match="mirror-symmetric"):
         sc.emission_time_map(crystal1, mismatch_cut, pump)
+
+
+def test_with_delays_rejects_unknown_class(base_map):
+    # class names are case-sensitive: "2E" is not the 2e class
+    with pytest.raises(ValueError, match="unknown photon classes"):
+        base_map.with_delays({"2E": 31.0})
 
 
 def test_reference_delays_flatten_pairings(base_map):
