@@ -1,9 +1,12 @@
 """Declarative run configuration for the command-line front end.
 
-Flat INI-style text: sections of key = value pairs, degrees and nm at this
-boundary only (converted to internal units once, at load time).  Unknown
-sections or keys are rejected, and every value is validated against the
-module-level preconditions before any computation starts.
+Flat INI-style text in UTF-8: sections of key = value pairs, degrees and nm
+at this boundary only.  The crystal, pump and beam settings are converted to
+internal units once, at load time; the per-command sections ([scan],
+[emission_map], [visibility_curve], [polarization]) are kept as parsed, so
+their angles stay in degrees in `RunConfig` and the CLI converts them.
+Unknown sections or keys are rejected, and every value is validated against
+the module-level preconditions before any computation starts.
 
 Minimal example::
 
@@ -123,8 +126,6 @@ _SCHEMA = {
     },
     "interference": {
         "phi0_rad": (_parse_float, 0.0),
-        "e_angle_dc_deg": (_parse_auto(_parse_positive), None),
-        "e_angle_dc_prime_deg": (_parse_auto(_parse_positive), None),
         # beams A and B: the experiment selects the non-overlap regions, the
         # tops of the two cones at phi = 90 and 270 deg, where each direction
         # belongs to a single cone of each crystal; they must be distinct
@@ -175,8 +176,6 @@ class RunConfig:
     model: DispersionModel
     cascade: bool
     phi0: float
-    e_angle_dc: float | None
-    e_angle_dc_prime: float | None
     beam_phi_a: float
     beam_phi_b: float
     rect_convention: str
@@ -190,8 +189,6 @@ class RunConfig:
             self.crystal1,
             self.pump,
             phi0=self.phi0,
-            e_angle_dc=self.e_angle_dc,
-            e_angle_dc_prime=self.e_angle_dc_prime,
             rect_convention=self.rect_convention,
         )
 
@@ -204,7 +201,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
     values = {}
@@ -247,9 +244,6 @@ def load_config(path) -> RunConfig:
     if abs((beam_phi_a - beam_phi_b + math.pi) % TWO_PI - math.pi) <= 1e-9:
         raise ConfigError(f"{path}: [interference] beam_phi_a_deg equals beam_phi_b_deg (mod 360)")
 
-    def maybe_rad(value):
-        return None if value is None else math.radians(value)
-
     return RunConfig(
         crystal1=crystal1,
         crystal2=crystal2,
@@ -257,8 +251,6 @@ def load_config(path) -> RunConfig:
         model=model,
         cascade=cascade,
         phi0=get("interference", "phi0_rad"),
-        e_angle_dc=maybe_rad(get("interference", "e_angle_dc_deg")),
-        e_angle_dc_prime=maybe_rad(get("interference", "e_angle_dc_prime_deg")),
         beam_phi_a=beam_phi_a,
         beam_phi_b=beam_phi_b,
         rect_convention=get("interference", "rect_convention"),

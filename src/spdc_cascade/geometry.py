@@ -298,7 +298,8 @@ class PropagationTimes:
     t_o  : o-polarized down-converted photon
     t_e  : e-polarized down-converted photon in its generating crystal
     t_e2 : the same e photon crossing the other crystal of the cascade,
-           whose optic axis it sees under a different angle
+           whose optic axis it sees under a different angle in general;
+           times built by `propagation_times` are on axis, so t_e2 = t_e
     """
 
     t_p: float
@@ -310,29 +311,20 @@ class PropagationTimes:
         return (self.t_p, self.t_o, self.t_e, self.t_e2)
 
 
-def propagation_times(
-    crystal: CrystalSpec,
-    pump: PumpSpec,
-    e_angle_dc: float | None = None,
-    e_angle_dc_prime: float | None = None,
-) -> PropagationTimes:
+def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
     """Group-delay propagation times t = L*n_g/c through one crystal, on axis.
 
-    e_angle_dc is the angle between the e photon's internal wavevector and
-    the generating crystal's optic axis; e_angle_dc_prime the angle to the
-    other crystal's axis.  Both default to the cut angle, i.e. evaluation
-    on the pump axis, where the two coincide by mirror symmetry.
+    On the pump axis the e photon meets both crystals' optic axes at the cut
+    angle (mirror symmetry), so t_e2 = t_e; off-axis directions are the job
+    of `emission_time_map`.
     """
-    if e_angle_dc is None:
-        e_angle_dc = crystal.cut_angle
-    if e_angle_dc_prime is None:
-        e_angle_dc_prime = crystal.cut_angle
     lam_dc = pump.degenerate_nm
+    t_e = _transit_time(crystal, lam_dc, crystal.cut_angle)
     return PropagationTimes(
         t_p=_pump_time(crystal, pump),
         t_o=_transit_time(crystal, lam_dc),
-        t_e=_transit_time(crystal, lam_dc, e_angle_dc),
-        t_e2=_transit_time(crystal, lam_dc, e_angle_dc_prime),
+        t_e=t_e,
+        t_e2=t_e,
     )
 
 

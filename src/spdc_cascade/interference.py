@@ -23,6 +23,9 @@ maximized (V = 2 erf(sD)) exactly at the compensating delays
     tau_A = (3 t_o - t_e - 2 t_p) / 2,
     tau_B = (t_o - t_e - 2 t_e' + 2 t_p) / 2.
 
+The maximum visibility is the fringe contrast of the rate at these
+closed-form delays (`max_visibility`); nothing searches for it.
+
 Rect is the window of delay sums within which the two biphoton amplitudes
 can overlap at all.  Two conventions are provided:
 
@@ -103,16 +106,14 @@ def params_from_crystal(
     crystal: CrystalSpec,
     pump: PumpSpec,
     phi0: float = 0.0,
-    e_angle_dc: float | None = None,
-    e_angle_dc_prime: float | None = None,
     rect_convention: str = "zero_aligned",
 ) -> InterferenceParams:
     """Build InterferenceParams from crystal and pump specifications.
 
     The degenerate photon frequency is half the pump centre frequency; the
-    e-photon angles default to the cut angle (evaluation on the pump axis).
+    propagation times are those on the pump axis.
     """
-    times = propagation_times(crystal, pump, e_angle_dc, e_angle_dc_prime)
+    times = propagation_times(crystal, pump)
     return InterferenceParams(
         times=times,
         sigma=pump.sigma,
@@ -290,31 +291,18 @@ def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
     return float(out) if out.ndim == 0 else out
 
 
-def max_visibility(
-    params: InterferenceParams, tau_a: float | None = None, tau_b: float | None = None
-) -> float:
+def max_visibility(params: InterferenceParams) -> float:
     """Highest fringe visibility of the space-time interference.
 
-    The aligned contrast at pi/4-pi/4 analyzers, tau_A at its compensating
-    value, maximized by golden-section refinement to 1e-3 fs over tau_B
-    within one fringe period of the working point.  With two delay lines
-    the fringe crest can always be placed on the envelope peak: shifting
-    tau_A and tau_B by +-delta/2 moves the phase without moving the
-    envelope.  A plain tau_B scan samples crest and trough half a period
-    apart in the delay sum and reads a few 1e-3 lower, see
-    `analysis.extract_visibility`.
+    The aligned contrast (pi/4-pi/4 analyzers, oscillation phase on crest)
+    at the envelope peak V = 2 erf(sD), which sits at the closed-form
+    compensating delays of `optimal_delays`.  With two delay lines the
+    fringe crest can always be placed on the envelope peak: shifting tau_A
+    and tau_B by +-delta/2 moves the phase without moving the envelope.  A
+    plain tau_B scan samples crest and trough half a period apart in the
+    delay sum and reads a few 1e-3 lower, see `analysis.extract_visibility`.
     """
-    opt_a, opt_b = optimal_delays(params.times)
-    if tau_a is None:
-        tau_a = opt_a
-    if tau_b is None:
-        tau_b = opt_b
-    period = fringe_period(params)
-    _, contrast = golden_section_max(
-        lambda tb: aligned_contrast(params, tau_a, tb),
-        tau_b - 0.5 * period, tau_b + 0.5 * period, 1e-3,
-    )
-    return contrast
+    return aligned_contrast(params, *optimal_delays(params.times))
 
 
 def fringe_locked_delays(params: InterferenceParams) -> tuple:

@@ -50,10 +50,16 @@ def test_load_config_defaults(config_path):
     assert cfg.scan["step_fs"] == 0.25
 
 
-def test_config_rejects_unknown_key(tmp_path):
+@pytest.mark.parametrize("section, key", [
+    ("scan", "mystery_knob"),
+    # no e-photon angle overrides: the rate model works on the pump axis
+    ("interference", "e_angle_dc_deg"),
+    ("interference", "e_angle_dc_prime_deg"),
+])
+def test_config_rejects_unknown_key(tmp_path, section, key):
     path = tmp_path / "bad.ini"
-    path.write_text(REFERENCE_INI + "\n[scan]\nmystery_knob = 3\n")
-    with pytest.raises(ConfigError, match="mystery_knob"):
+    path.write_text(REFERENCE_INI + f"\n[{section}]\n{key} = 40\n")
+    with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
         load_config(str(path))
 
 
@@ -138,6 +144,17 @@ def test_config_material_from_file(tmp_path):
     path.write_text(REFERENCE_INI.replace("material = bbo", f"material = {mat}"))
     cfg = load_config(str(path))
     assert cfg.model.name == "custom"
+
+
+def test_config_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.ini"
+    path.write_bytes(REFERENCE_INI.encode() + b"\n# caf\xe9 \xff\n")
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run(["scan", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(path) in err and "utf-8" in err
+    assert not out_path.exists()
 
 
 # --- commands -------------------------------------------------------------------

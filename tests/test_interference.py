@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.interference import _erf
+from spdc_cascade.interference import _erf, aligned_contrast
 
 C = 299.792458
 QUARTER = math.pi / 4
@@ -255,9 +255,17 @@ def test_max_visibility_monochromatic_limit(params):
     assert sc.max_visibility(tiny) == pytest.approx(1.0, abs=1e-3)
 
 
+def test_max_visibility_is_contrast_at_closed_form_delays(params):
+    # the golden visibility-curve peak of the reference design (its grid
+    # passes through the compensating tau_B)
+    visibility = sc.max_visibility(params)
+    assert visibility == 0.8605903239656302
+    assert visibility == aligned_contrast(params, *sc.optimal_delays(params.times))
+
+
 def test_max_visibility_in_rect_zero_region(params):
     tau_a, tau_b = sc.optimal_delays(params.times)
-    assert sc.max_visibility(params, tau_a=tau_a, tau_b=tau_b + 5000.0) == 0.0
+    assert aligned_contrast(params, tau_a, tau_b + 5000.0) == 0.0
 
 
 def test_max_visibility_nonincreasing_in_sigma(params):
