@@ -18,7 +18,10 @@ Along every azimuth a cone's root is bracketed by the pump axis and the
 search bound, so the cone must enclose the pump axis (cut angle above the
 collinear one); the in-plane extremes and the collinear cut angle take the
 sign changes of their residual on a fixed grid.  All brackets are then
-refined together by vectorized bisection.
+refined together by Chandrupatla's method (inverse-quadratic steps with a
+bisection fallback).  The map solves each polarization once: the crystals
+are mirror images, so crystal 2's cone at azimuth phi is crystal 1's at
+-phi.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -130,39 +133,81 @@ def _grid_brackets(f, grid, failure):
     return grid[j], grid[j + 1], vals[j], vals[j + 1]
 
 
-def _bisect(f, lo, hi, f_lo, f_hi, xtol, rtol):
-    """Roots of f(x) in the sign-change brackets [lo, hi], all refined together
-    by bisection until each bracket is narrower than xtol + rtol*|x|.
+def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
+    """Roots of f(x, *args) in the sign-change brackets [lo, hi], all refined
+    together until each bracket is narrower than xtol + rtol*|x|; a root is
+    the midpoint of its last bracket.
+
+    Chandrupatla's method (Adv. Eng. Software 28, 145 (1997)): a step takes
+    the inverse-quadratic interpolation through the last three points where
+    their values show the inverse function to be monotone, and bisects
+    otherwise.  Every step lands at least half the tolerance inside the
+    bracket, so a step close to the root closes the bracket across it.
+    args are per-bracket arrays handed to f with x; a bracket drops out of
+    the evaluations once it is narrow enough.
     """
+    roots = np.empty(lo.shape)
     # an exact zero at a bracket end is the root, the lower end first
-    hi = np.where(f_lo == 0.0, lo, hi)
-    lo = np.where(f_hi == 0.0, hi, lo)
-    sign_lo = np.sign(f_lo)
+    b = np.where(f_lo == 0.0, lo, hi)
+    a = np.where(f_hi == 0.0, b, lo)
+    fa, fb = f_lo, f_hi  # a is the newest point, b the end across the root
+    c, fc = b, fb  # the point dropped last; a step sets it before any use
+    t = np.full(roots.shape, 0.5)  # the next point is a + t*(b - a)
+    pending = np.arange(roots.size)
     while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any(hi - lo >= xtol + rtol * np.abs(mid)):
-            return mid
-        f_mid = f(mid)
-        root_above = np.sign(f_mid) == sign_lo
-        lo = np.where(root_above | (f_mid == 0.0), mid, lo)
-        hi = np.where(root_above, hi, mid)
+        mid = 0.5 * (a + b)
+        tol = xtol + rtol * np.abs(mid)
+        width = np.abs(b - a)
+        done = width < tol
+        if done.any():
+            roots[pending[done]] = mid[done]
+            keep = ~done
+            a, b, c, fa, fb, fc, t, tol, width, pending = (
+                v[keep] for v in (a, b, c, fa, fb, fc, t, tol, width, pending)
+            )
+            args = tuple(v[keep] for v in args)
+        if pending.size == 0:
+            return roots
+        t_min = 0.5 * tol / width
+        x = a + np.clip(t, t_min, 1.0 - t_min) * (b - a)
+        fx = f(x, *args)
+        same = np.sign(fx) == np.sign(fa)
+        c, fc = np.where(same, a, b), np.where(same, fa, fb)
+        b, fb = np.where(same, b, a), np.where(same, fb, fa)
+        a, fa = x, fx
+        b = np.where(fx == 0.0, x, b)  # an exact zero closes the bracket on it
+        # the interpolation divides by fc - fa, which is zero only where the
+        # test rejects it, and by b - a, which is zero only on a closed bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (a - b) / (c - b)
+            ph = (fa - fb) / (fc - fb)
+            t = np.where(
+                (ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi),
+                fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
+                0.5,
+            )
 
 
-def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi) -> np.ndarray:
+def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirror=False) -> np.ndarray:
     """Internal polar angles of the pol-cone along each azimuth of phi (1-D).
 
     Each root is bracketed by the pump axis (residual < 0 inside the cone)
     and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for the
-    first azimuth where an end fails, naming that end.
+    first azimuth where an end fails, naming that end.  mirror=True also
+    solves, in the same batch, the cone of the mirror-image crystal (optic
+    axis at -psi), which at phi is this crystal's cone at -phi, and returns
+    both rows, shape (2, phi.size); a failure in either row names its
+    azimuth of phi.
     """
     if pol not in ("o", "e"):
         raise ValueError("polarization must be 'o' or 'e'")
 
-    def f(u):
-        return _cone_residual(crystal, pump, pol, u, phi)
+    def f(u, az):
+        return _cone_residual(crystal, pump, pol, u, az)
 
-    lo, hi = np.full(phi.size, _U_MIN), np.full(phi.size, _U_MAX)
-    f_lo, f_hi = f(lo), f(hi)
+    az = np.concatenate([phi, -phi]) if mirror else phi
+    lo, hi = np.full(az.size, _U_MIN), np.full(az.size, _U_MAX)
+    f_lo, f_hi = f(lo, az), f(hi, az)
     failed = ~((f_lo < 0.0) & (f_hi >= 0.0))
     if failed.any():
         i = int(np.argmax(failed))
@@ -172,9 +217,10 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi) -> n
             end, reason = f_lo[i], ("the cone does not enclose the pump axis "
                                     "(cut angle at or below the collinear cut angle)")
         raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
-                                     f"{phi[i]:.4f} rad: {reason} (residual {abs(end):.3e})",
+                                     f"{phi[i % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    return _bisect(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL)
+    u = _refine_brackets(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(az,))
+    return u.reshape(2, phi.size) if mirror else u
 
 
 def _inplane_extremes(crystal, pump, pol):
@@ -190,7 +236,7 @@ def _inplane_extremes(crystal, pump, pol):
     brackets = _grid_brackets(
         f, _INPLANE_GRID, f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg"
     )
-    roots = _bisect(f, *brackets, _XTOL, _RTOL)
+    roots = _refine_brackets(f, *brackets, _XTOL, _RTOL)
     return float(roots.min()), float(roots.max())
 
 
@@ -263,7 +309,7 @@ def collinear_cut_angle(model, pump: PumpSpec) -> float:
 
     failure = "no collinear degenerate phase matching for any cut angle in range"
     lo, hi, f_lo, f_hi = _grid_brackets(f, _CUT_GRID, failure)
-    (psi,) = _bisect(f, lo[:1], hi[:1], f_lo[:1], f_hi[:1], 1e-12, 4 * np.finfo(float).eps)
+    (psi,) = _refine_brackets(f, lo[:1], hi[:1], f_lo[:1], f_hi[:1], 1e-12, 4 * np.finfo(float).eps)
     return float(psi)
 
 
@@ -402,12 +448,17 @@ def emission_time_map(
 
     Each class is evaluated once, at the exact phase-matched directions of
     its own cone (e-cone or o-cone of the generating crystal) along all
-    azimuths together, with per-direction path lengths and e-indices.
+    azimuths together, with per-direction path lengths and e-indices.  The
+    crystals are mirror images, so crystal 2's cone at azimuth phi is
+    crystal 1's at -phi: each polarization is solved once, on crystal 1
+    at phi and -phi.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")
     if not math.isclose(crystal1.cut_angle, crystal2.cut_angle, abs_tol=1e-12):
         raise ValueError("cascade crystals must have mirror-symmetric cut angles")
+    if crystal1.model != crystal2.model:
+        raise ValueError("cascade crystals must share one dispersion model")
     delays = dict(delays or {})
     if any(v < 0 for v in delays.values()):
         raise ValueError("per-class delays must be nonnegative")
@@ -415,11 +466,11 @@ def emission_time_map(
         phi_grid = default_phi_grid()
     phi_grid = np.asarray(phi_grid, dtype=float)
 
-    sources = {"1e": (crystal1, "e"), "1o": (crystal1, "o"), "2e": (crystal2, "e"), "2o": (crystal2, "o")}
     times = {}
-    for name, (crystal, pol) in sources.items():
-        u = _cone_polar_angles(crystal, pump, pol, phi_grid)
-        times[name] = _class_time(name, crystal1, crystal2, pump, _unit_direction(u, phi_grid))
+    for pol in ("e", "o"):
+        cones = _cone_polar_angles(crystal1, pump, pol, phi_grid, mirror=True)
+        for name, u in zip(("1" + pol, "2" + pol), cones):
+            times[name] = _class_time(name, crystal1, crystal2, pump, _unit_direction(u, phi_grid))
     return EmissionTimeMap(phi_grid, times).with_delays(delays)
 
 

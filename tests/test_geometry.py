@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from spdc_cascade.geometry import (
     _cone_polar_angles,
     _cone_residual,
     _inplane_extremes,
+    _refine_brackets,
     _unit_direction,
 )
 
@@ -130,6 +132,19 @@ def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
     assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
+def test_mirrored_cone_failure_names_the_callers_azimuth(crystal1, crystal2, pump, monkeypatch):
+    # the map solves crystal 2's cones as crystal 1's at -phi; at a 0.05 rad
+    # bound crystal 2's e-cone (0.0858 rad at 3pi/2) fails first, and the
+    # error names the azimuth of the caller's grid, not its mirror
+    monkeypatch.setattr(sc.geometry, "_U_MAX", 0.05)
+    phi = 3 * math.pi / 2
+    with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.05 rad search bound") as err:
+        sc.emission_time_map(crystal1, crystal2, pump, {}, np.array([phi]))
+    assert f"e-emission at azimuth {phi:.4f} rad" in str(err.value)
+    at_bound = _cone_residual(crystal2, pump, "e", 0.05, phi)
+    assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
+
+
 # --- batched root solver vs a scalar brentq oracle ----------------------------
 
 XTOL, RTOL = 1e-13, 8.9e-16  # the cone solves' tolerances
@@ -170,6 +185,64 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
             )
             lo, hi = _inplane_extremes(crystal, pump, pol)
             assert abs(lo - min(roots)) <= 1e-12 and abs(hi - max(roots)) <= 1e-12
+
+
+def test_refine_brackets_takes_an_exact_zero_as_the_root():
+    # at a bracket end (the lower one when both are zeros), and where a step
+    # lands on one (the first step bisects [0, 1])
+    ends = lambda x: x * (x - 1.0)
+    lo, hi = np.array([0.0, 0.5, 0.0]), np.array([0.5, 1.0, 1.0])
+    roots = _refine_brackets(ends, lo, hi, ends(lo), ends(hi), XTOL, RTOL)
+    assert roots.tolist() == [0.0, 1.0, 0.0]
+    step = lambda x: x - 0.5
+    lo, hi = np.array([0.0]), np.array([1.0])
+    assert _refine_brackets(step, lo, hi, step(lo), step(hi), XTOL, RTOL).tolist() == [0.5]
+
+
+def test_refine_brackets_meets_the_tolerance_on_a_flat_then_steep_function():
+    f = lambda x: x**9 - 1e-20
+    lo, hi = np.array([0.0]), np.array([1.0])
+    (root,) = _refine_brackets(f, lo, hi, f(lo), f(hi), XTOL, RTOL)
+    assert abs(root - 1e-20 ** (1 / 9)) <= XTOL + RTOL * root
+
+
+def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
+    # one solve per polarization (crystal 2's cones are crystal 1's at -phi),
+    # each 2 bracket ends plus ~11 steps: 26 calls
+    calls = []
+    residual = sc.geometry._cone_residual
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(sc.geometry, "_cone_residual", counted)
+    sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
+    assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
+def test_map_crystal_2_times_match_its_own_cone_solve(thickness, cut_deg, pump_nm):
+    pump = sc.PumpSpec(pump_nm, 1.0)
+    c1 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=+1)
+    c2 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=-1)
+    phi = sc.geometry.default_phi_grid(256)
+    emission_map = sc.emission_time_map(c1, c2, pump, {}, phi)
+    for name in ("2e", "2o"):
+        u = _cone_polar_angles(c2, pump, name[1], phi)
+        direct = _class_time(name, c1, c2, pump, _unit_direction(u, phi))
+        assert np.abs(emission_map.times[name] - direct).max() <= 1e-9, name
+
+
+def test_solves_raise_no_floating_point_warnings(crystal1, crystal2, pump):
+    # the CLI prints every recorded warning to stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (64, 1024, 65536):
+            sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(n))
+        for crystal in (crystal1, crystal2):
+            sc.phase_match_cones(crystal, pump)
+        sc.collinear_cut_angle(crystal1.model, pump)
 
 
 def test_propagation_times_bit_identical_to_scalar_recording(crystal1, pump):
@@ -251,6 +324,11 @@ def test_map_matches_per_azimuth_class_times(crystal1, crystal2, pump):
         np.testing.assert_allclose(emission_map.times[name], loop, rtol=1e-14, atol=0)
 
 
+def test_map_of_an_empty_grid_is_empty(crystal1, crystal2, pump):
+    emission_map = sc.emission_time_map(crystal1, crystal2, pump, {}, np.array([]))
+    assert all(emission_map.times[name].shape == (0,) for name in CLASS_NAMES)
+
+
 def test_zero_thickness_cascade_gives_zero_times(pump):
     c1 = sc.CrystalSpec(sc.BBO, 0.0, PSI, +1)
     c2 = sc.CrystalSpec(sc.BBO, 0.0, PSI, -1)
@@ -269,6 +347,10 @@ def test_emission_map_validation(crystal1, crystal2, pump):
     mismatch_cut = sc.CrystalSpec(sc.BBO, 1.07, PSI + 0.01, -1)
     with pytest.raises(ValueError, match="mirror-symmetric"):
         sc.emission_time_map(crystal1, mismatch_cut, pump)
+    # crystal 2's cones are crystal 1's mirrored, which needs one material
+    quartz = sc.CrystalSpec(sc.QUARTZ, 1.07, PSI, -1)
+    with pytest.raises(ValueError, match="share one dispersion model"):
+        sc.emission_time_map(crystal1, quartz, pump)
 
 
 def test_with_delays_rejects_unknown_class(base_map):
