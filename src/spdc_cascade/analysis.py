@@ -389,8 +389,16 @@ class DelayPrescription:
 
 
 def prescribe_delays(times, quartz_model: DispersionModel, lam_nm: float) -> DelayPrescription:
-    """Closed-form compensating delays plus quartz thickness equivalents."""
+    """Closed-form compensating delays plus quartz thickness equivalents.
+
+    Raises ValueError, naming the delay and its value, when a compensating
+    delay is negative: a quartz plate only adds delay.
+    """
     tau_a, tau_b = optimal_delays(times)
+    for name, tau in (("tau_A", tau_a), ("tau_B", tau_b)):
+        if tau < 0:
+            raise ValueError(f"compensating delay {name} = {tau:.2f} fs is negative; "
+                             f"no {quartz_model.name} plate realizes it")
     return DelayPrescription(
         tau_a_fs=tau_a,
         tau_b_fs=tau_b,

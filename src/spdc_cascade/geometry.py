@@ -21,7 +21,10 @@ sign changes of their residual on a fixed grid.  All brackets are then
 refined together by Chandrupatla's method (inverse-quadratic steps with a
 bisection fallback).  The map solves each polarization once: the crystals
 are mirror images, so crystal 2's cone at azimuth phi is crystal 1's at
--phi.
+-phi.  The residual of a solve is built once (`_cone_residual`) from scalar
+products of the emission direction with the pump and the optic axis; the
+optic axis lies in the y-z plane, so an azimuth enters only through
+sin(phi), and a solver step costs sin u, cos u and square roots.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -54,6 +57,7 @@ from .materials import (
     group_index,
     index_extraordinary,
     index_ordinary,
+    index_principal_e,
 )
 
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
@@ -76,42 +80,59 @@ def _angle_to_axis(kx, ky, kz, ax):
     return np.arccos(np.clip(dot, -1.0, 1.0))
 
 
-def _pump_index(crystal: CrystalSpec, pump: PumpSpec) -> float:
-    # pump is e-polarized and travels along z, at the cut angle to the axis
-    return index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
-
-
-def _wave_index(crystal, lam, pol, kx, ky, kz, ax):
-    """Phase index of the pol-wave along (kx, ky, kz); ax is the optic axis."""
-    if pol == "o":
-        return index_ordinary(crystal.model, lam)
-    return index_extraordinary(crystal.model, lam, _angle_to_axis(kx, ky, kz, ax))
-
-
 def _unit_direction(u, phi):
     """Unit vector(s) (..., 3) at internal polar angle u and azimuth phi."""
     su = np.sin(u)
     return np.stack([su * np.cos(phi), su * np.sin(phi), np.cos(u)], axis=-1)
 
 
-def _cone_residual(crystal, pump, pol, u, phi):
-    """Momentum-conservation residual for emission at polar angle u, azimuth phi.
+def _cone_residual(crystal: CrystalSpec, pump: PumpSpec, pol: str):
+    """Momentum-conservation residual of the pol-cone, as residual(u, sin_phi).
 
-    Wavevectors are expressed in units of the degenerate photon's vacuum
-    wavenumber; the pump then has magnitude 2*n_pump along z.  The residual
-    is |k_pump - k_photon| minus the index required for the conjugate
-    photon to be phase matched in that direction; a root means the pair
-    (photon at (u, phi), conjugate at the recoil direction) conserves both
-    energy and momentum.  u and phi may be arrays; they broadcast together.
+    Wavevectors are in units of the degenerate photon's vacuum wavenumber,
+    so the pump is k_p = 2*n_pump along z.  The photon leaves at polar angle
+    u, azimuth phi, along the unit vector d = (sin u cos phi, sin u sin phi,
+    cos u) with phase index n; the conjugate photon takes the recoil
+    r = k_p z - n d.  The residual is |r| minus the index the conjugate
+    (the other polarization) needs along r; a root means the pair conserves
+    both energy and momentum.
+
+    Only scalar products of d enter: the optic axis a = (0, a_y, a_z) lies
+    in the y-z plane, so d.a = a_y sin(phi) sin(u) + a_z cos(u) and phi
+    enters through sin(phi) alone; |r|^2 = k_p^2 - 2 k_p n cos(u) + n^2 and
+    r.a = k_p a_z - n d.a.  An e-index follows from its direction's squared
+    cosine to the axis, 1/n^2 = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2(theta),
+    so a step costs sin u, cos u and square roots.  Everything that does
+    not depend on (u, phi) is computed here, once per solve.  u and sin_phi
+    may be arrays; they broadcast together.
     """
     lam = pump.degenerate_nm
-    ax = optic_axis(crystal)
-    su = np.sin(u)
-    dx, dy, dz = su * np.cos(phi), su * np.sin(phi), np.cos(u)
-    n = _wave_index(crystal, lam, pol, dx, dy, dz, ax)
-    rx, ry, rz = -n * dx, -n * dy, 2.0 * _pump_index(crystal, pump) - n * dz
-    m = np.sqrt(rx * rx + ry * ry + rz * rz)
-    return m - _wave_index(crystal, lam, "e" if pol == "o" else "o", rx, ry, rz, ax)
+    n_o = index_ordinary(crystal.model, lam)
+    n_e = index_principal_e(crystal.model, lam)
+    inv_ne2 = 1.0 / (n_e * n_e)
+    excess = 1.0 / (n_o * n_o) - inv_ne2  # 1/n_o^2 - 1/n_e^2
+    a_y = crystal.axis_sign * math.sin(crystal.cut_angle)
+    a_z = math.cos(crystal.cut_angle)
+    # the e-polarized pump travels along z, at the cut angle to the optic axis
+    k_p = 2.0 * index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
+
+    if pol == "o":
+        # the photon's index is n_o in every direction; the conjugate is the e-wave
+        def residual(u, sin_phi):
+            cu = np.cos(u)
+            m = np.sqrt(k_p * k_p + n_o * n_o - 2.0 * k_p * n_o * cu)  # |r|
+            cos_r = (k_p * a_z - n_o * (a_y * sin_phi * np.sin(u) + a_z * cu)) / m
+            return m - 1.0 / np.sqrt(inv_ne2 + excess * (cos_r * cos_r))
+
+        return residual
+
+    def residual(u, sin_phi):
+        cu = np.cos(u)
+        cos_d = a_y * sin_phi * np.sin(u) + a_z * cu
+        n = 1.0 / np.sqrt(inv_ne2 + excess * (cos_d * cos_d))  # the e-photon's index
+        return np.sqrt(k_p * k_p - 2.0 * k_p * n * cu + n * n) - n_o
+
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -201,13 +222,12 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
     """
     if pol not in ("o", "e"):
         raise ValueError("polarization must be 'o' or 'e'")
-
-    def f(u, az):
-        return _cone_residual(crystal, pump, pol, u, az)
-
-    az = np.concatenate([phi, -phi]) if mirror else phi
-    lo, hi = np.full(az.size, _U_MIN), np.full(az.size, _U_MAX)
-    f_lo, f_hi = f(lo, az), f(hi, az)
+    f = _cone_residual(crystal, pump, pol)
+    sin_phi = np.sin(phi)
+    if mirror:  # the mirror image (a_y -> -a_y) at phi is this crystal at -phi
+        sin_phi = np.concatenate([sin_phi, -sin_phi])
+    lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
+    f_lo, f_hi = f(lo, sin_phi), f(hi, sin_phi)
     failed = ~((f_lo < 0.0) & (f_hi >= 0.0))
     if failed.any():
         i = int(np.argmax(failed))
@@ -219,7 +239,7 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
         raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
                                      f"{phi[i % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    u = _refine_brackets(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(az,))
+    u = _refine_brackets(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,))
     return u.reshape(2, phi.size) if mirror else u
 
 
@@ -228,9 +248,10 @@ def _inplane_extremes(crystal, pump, pol):
 
     A single crossing (tangency) degenerates the cone to one ray there.
     """
-    def f(a):
-        phi = np.where(a >= 0, math.pi / 2, 3 * math.pi / 2)
-        return _cone_residual(crystal, pump, pol, np.abs(a), phi)
+    residual = _cone_residual(crystal, pump, pol)
+
+    def f(a):  # azimuth pi/2 (sin phi = 1) for a >= 0, 3pi/2 (sin phi = -1) below
+        return residual(np.abs(a), np.where(a >= 0, 1.0, -1.0))
 
     cut_deg = math.degrees(crystal.cut_angle)
     brackets = _grid_brackets(
@@ -278,7 +299,7 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     the direction-dependent index for the e-cone.
     """
     lam = pump.degenerate_nm
-    ax = optic_axis(crystal)
+    axis_tilt = crystal.axis_sign * crystal.cut_angle  # signed, toward +y
     cones = {}
     ext = {}
     for pol in ("o", "e"):
@@ -286,7 +307,11 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
         cones[pol] = _cone_from_extremes(a_minus, a_plus)
         refracted = []
         for a in (a_minus, a_plus):
-            n = _wave_index(crystal, lam, pol, 0.0, math.sin(a), math.cos(a), ax)
+            # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
+            if pol == "o":
+                n = index_ordinary(crystal.model, lam)
+            else:
+                n = index_extraordinary(crystal.model, lam, a - axis_tilt)
             refracted.append(math.copysign(math.asin(min(1.0, n * math.sin(abs(a)))), a))
         ext[pol] = _cone_from_extremes(min(refracted), max(refracted))
     return ConePair(o_cone=cones["o"], e_cone=cones["e"], external_o=ext["o"], external_e=ext["e"])

@@ -381,6 +381,21 @@ def test_optimize_equal_times_config(tmp_path, capsys):
     assert record["tau_b_fs"] == pytest.approx(0.0, abs=1e-9)
 
 
+def test_optimize_negative_compensating_delay_exits_3(tmp_path, capsys):
+    # in a quartz cascade the closed-form tau_A is about -224.5 fs, which no
+    # quartz plate realizes; the one error line names the delay and its value
+    path = tmp_path / "quartz.ini"
+    path.write_text(REFERENCE_INI.replace("material = bbo", "material = quartz"))
+    out_path = tmp_path / "optimize.json"
+    code, out, err = run(["optimize", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: compensating delay tau_A = -224.54 fs is negative; no quartz plate realizes it"
+    ]
+    assert not out_path.exists()
+
+
 def test_io_error_exits_4_and_leaves_no_partial_file(config_path, tmp_path, capsys):
     missing_dir = tmp_path / "does_not_exist"
     out_path = str(missing_dir / "scan.csv")

@@ -23,6 +23,31 @@ PSI = math.radians(43.65)
 PUMP_AXIS = np.array([0.0, 0.0, 1.0])
 
 
+def _vector_residual(crystal, pump, pol, u, phi):
+    """Oracle: the cone residual from 3-vectors.
+
+    The photon leaves along d(u, phi) with its phase index, the conjugate
+    takes the recoil r = k_pump - n d, and each e-index comes from the
+    angle arccos(k.a/|k|) to the optic axis a; the residual is |r| minus
+    the conjugate's index along r.  u and phi broadcast together.
+    """
+    lam, model = pump.degenerate_nm, crystal.model
+    a_y, a_z = crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)
+
+    def index(p, kx, ky, kz):
+        if p == "o":
+            return sc.index_ordinary(model, lam)
+        cos_theta = (ky * a_y + kz * a_z) / np.sqrt(kx * kx + ky * ky + kz * kz)
+        return sc.index_extraordinary(model, lam, np.arccos(np.clip(cos_theta, -1.0, 1.0)))
+
+    su = np.sin(u)
+    dx, dy, dz = su * np.cos(phi), su * np.sin(phi), np.cos(u)
+    n = index(pol, dx, dy, dz)
+    k_pump = 2.0 * sc.index_extraordinary(model, pump.center_nm, crystal.cut_angle)
+    rx, ry, rz = -n * dx, -n * dy, k_pump - n * dz
+    return np.sqrt(rx * rx + ry * ry + rz * rz) - index("e" if pol == "o" else "o", rx, ry, rz)
+
+
 def _on_axis_times(crystal1, crystal2, pump):
     return {name: _class_time(name, crystal1, crystal2, pump, PUMP_AXIS) for name in CLASS_NAMES}
 
@@ -56,7 +81,7 @@ def test_cone_direction_solves_phase_matching(crystal1, pump):
             np.arctan2(d[:, 1], d[:, 0]) % (2 * math.pi), phi % (2 * math.pi), rtol=0, atol=1e-9
         )
         u = np.arccos(d[:, 2])
-        assert np.abs(_cone_residual(crystal1, pump, pol, u, phi)).max() < 1e-12
+        assert np.abs(_vector_residual(crystal1, pump, pol, u, phi)).max() < 1e-12
 
 
 def test_cone_direction_matches_circular_fit_in_plane(crystal1, pump):
@@ -114,7 +139,7 @@ def test_cone_below_collinear_angle_does_not_enclose_pump_axis(pump):
         with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis") as err:
             _cone_polar_angles(crystal, pump, "o", phi[first:])
         assert f"azimuth {phi[first]:.4f} rad" in str(err.value)
-        at_axis = _cone_residual(crystal, pump, "o", 1e-12, phi[first])
+        at_axis = _vector_residual(crystal, pump, "o", 1e-12, phi[first])
         assert err.value.residual == pytest.approx(abs(at_axis), rel=1e-9)
     with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis"):
         sc.emission_time_map(crystal, sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5), -1), pump)
@@ -128,7 +153,7 @@ def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
     with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.01 rad search bound") as err:
         _cone_polar_angles(crystal1, pump, "e", phi)
     assert f"azimuth {phi[0]:.4f} rad" in str(err.value)
-    at_bound = _cone_residual(crystal1, pump, "e", 0.01, phi[0])
+    at_bound = _vector_residual(crystal1, pump, "e", 0.01, phi[0])
     assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
@@ -141,7 +166,7 @@ def test_mirrored_cone_failure_names_the_callers_azimuth(crystal1, crystal2, pum
     with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.05 rad search bound") as err:
         sc.emission_time_map(crystal1, crystal2, pump, {}, np.array([phi]))
     assert f"e-emission at azimuth {phi:.4f} rad" in str(err.value)
-    at_bound = _cone_residual(crystal2, pump, "e", 0.05, phi)
+    at_bound = _vector_residual(crystal2, pump, "e", 0.05, phi)
     assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
@@ -159,7 +184,7 @@ def _scan_roots(f, grid):
 
 def _oracle_polar_angle(crystal, pump, pol, phi):
     """Per-azimuth scalar solve: brentq between the pump axis and 0.35 rad."""
-    f = lambda u: float(_cone_residual(crystal, pump, pol, u, phi))
+    f = lambda u: float(_vector_residual(crystal, pump, pol, u, phi))
     return brentq(f, 1e-12, 0.35, xtol=XTOL, rtol=RTOL)
 
 
@@ -179,12 +204,27 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
             assert np.abs(batched - np.array(oracle)).max() <= 1e-12, (sign, pol)
             # in-plane extremes: every sign change of a 701-point signed-angle scan
             roots = _scan_roots(
-                lambda a: float(_cone_residual(
+                lambda a: float(_vector_residual(
                     crystal, pump, pol, abs(a), math.pi / 2 if a >= 0 else 3 * math.pi / 2)),
                 np.linspace(-0.35, 0.35, 701),
             )
             lo, hi = _inplane_extremes(crystal, pump, pol)
             assert abs(lo - min(roots)) <= 1e-12 and abs(hi - max(roots)) <= 1e-12
+
+
+@pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
+def test_scalar_product_residual_matches_vector_form(thickness, cut_deg, pump_nm):
+    # random directions plus the tilt azimuths and both bracket ends
+    rng = np.random.default_rng(11)
+    u = np.concatenate([rng.uniform(1e-12, 0.35, 5000), [1e-12, 0.35, 1e-12, 0.35]])
+    phi = np.concatenate([rng.uniform(0.0, 2 * math.pi, 5000), [math.pi / 2] * 2, [3 * math.pi / 2] * 2])
+    pump = sc.PumpSpec(pump_nm, 1.0)
+    for sign in (+1, -1):
+        crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
+        for pol in ("o", "e"):
+            scalar = _cone_residual(crystal, pump, pol)(u, np.sin(phi))
+            vector = _vector_residual(crystal, pump, pol, u, phi)
+            assert np.abs(scalar - vector).max() <= 1e-14, (sign, pol)
 
 
 def test_refine_brackets_takes_an_exact_zero_as_the_root():
@@ -208,17 +248,25 @@ def test_refine_brackets_meets_the_tolerance_on_a_flat_then_steep_function():
 
 def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
     # one solve per polarization (crystal 2's cones are crystal 1's at -phi),
-    # each 2 bracket ends plus ~11 steps: 26 calls
-    calls = []
-    residual = sc.geometry._cone_residual
+    # each 2 bracket ends plus ~11 steps: 26 evaluations of the residuals
+    # that _cone_residual builds
+    solves, calls = [], []
+    build = sc.geometry._cone_residual
 
-    def counted(*args):
-        calls.append(args)
-        return residual(*args)
+    def counted_build(*args):
+        solves.append(args)
+        residual = build(*args)
 
-    monkeypatch.setattr(sc.geometry, "_cone_residual", counted)
+        def counted(*step):
+            calls.append(step)
+            return residual(*step)
+
+        return counted
+
+    monkeypatch.setattr(sc.geometry, "_cone_residual", counted_build)
     sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
-    assert len(calls) <= 40
+    assert len(solves) == 2
+    assert 4 <= len(calls) <= 40
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
