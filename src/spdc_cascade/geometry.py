@@ -4,8 +4,7 @@ The pump propagates along +z; the optic axes of the two crystals lie in the
 y-z plane at angles +psi and -psi to the pump.  Degenerate phase matching
 (energy conservation plus vector momentum conservation, with the e-wave
 index taken at its actual angle to the optic axis) is solved exactly by
-one batched bracket-and-refine root solver that works on whole arrays of
-problems at once:
+one batched root solver that works on whole arrays of problems at once:
 
   * along every azimuth phi of a grid together, for the internal emission
     direction of the o- or e-polarized photon of a given crystal (the
@@ -14,17 +13,24 @@ problems at once:
     summarize each cone as axis direction + half-opening angle
     (`phase_match_cones`), and for the collinear cut angle.
 
-Along every azimuth a cone's root is bracketed by the pump axis and the
-search bound, so the cone must enclose the pump axis (cut angle above the
-collinear one); the in-plane extremes and the collinear cut angle take the
-sign changes of their residual on a fixed grid.  All brackets are then
-refined together by Chandrupatla's method (inverse-quadratic steps with a
-bisection fallback).  The map solves each polarization once: the crystals
-are mirror images, so crystal 2's cone at azimuth phi is crystal 1's at
--phi.  The residual of a solve is built once (`_cone_residual`) from scalar
-products of the emission direction with the pump and the optic axis; the
-optic axis lies in the y-z plane, so an azimuth enters only through
-sin(phi), and a solver step costs sin u, cos u and square roots.
+Every solve runs seed -> secant -> verify -> fallback (`_secant_roots`).
+Each problem has a sign-change bracket and a start pair.  Along every
+azimuth a cone's root is bracketed by the pump axis and the search bound,
+so the cone must enclose the pump axis (cut angle above the collinear
+one), and it starts from the circle through the cone's in-plane extremes;
+the in-plane extremes and the collinear cut angle take the sign changes
+of their residual on a fixed grid and start from those brackets' ends.
+All problems take a few secant steps together, and a root is accepted
+only where the residual changes sign within half the tolerance of it,
+inside its bracket.  The rest are refined in their brackets by
+Chandrupatla's method (inverse-quadratic steps with a bisection fallback);
+the reference map sends none there.  The map solves each polarization
+once: the crystals are mirror images, so crystal 2's cone at azimuth phi
+is crystal 1's at -phi.  The residual of a solve is built once
+(`_cone_residual`) from scalar products of the emission direction with the
+pump and the optic axis; the optic axis lies in the y-z plane, so an
+azimuth enters only through sin(phi), and a solver step costs sin u, cos u
+and square roots.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -62,6 +68,7 @@ from .materials import (
 
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
+_SECANT_STEPS = 4  # from a start pair, before the verification of _secant_roots
 _INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
 _CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
 
@@ -159,13 +166,14 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
     together until each bracket is narrower than xtol + rtol*|x|; a root is
     the midpoint of its last bracket.
 
-    Chandrupatla's method (Adv. Eng. Software 28, 145 (1997)): a step takes
-    the inverse-quadratic interpolation through the last three points where
-    their values show the inverse function to be monotone, and bisects
-    otherwise.  Every step lands at least half the tolerance inside the
-    bracket, so a step close to the root closes the bracket across it.
-    args are per-bracket arrays handed to f with x; a bracket drops out of
-    the evaluations once it is narrow enough.
+    The fallback of `_secant_roots`, for the lanes whose secant steps it
+    cannot verify.  Chandrupatla's method (Adv. Eng. Software 28, 145
+    (1997)): a step takes the inverse-quadratic interpolation through the
+    last three points where their values show the inverse function to be
+    monotone, and bisects otherwise.  Every step lands at least half the
+    tolerance inside the bracket, so a step close to the root closes the
+    bracket across it.  args are per-bracket arrays handed to f with x; a
+    bracket drops out of the evaluations once it is narrow enough.
     """
     roots = np.empty(lo.shape)
     # an exact zero at a bracket end is the root, the lower end first
@@ -209,16 +217,59 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
             )
 
 
+def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
+    """Roots of f(x, *args) in the sign-change brackets [lo, hi], each within
+    (xtol + rtol*|x|)/2 of a root, the bound `_refine_brackets` meets.
+
+    Every lane takes _SECANT_STEPS secant steps from its start pair (x0, x1),
+    the bracket ends by default, each step clipped into the lane's bracket.
+    A lane is accepted when f changes sign (or is exactly zero) across
+    x -+ delta, delta = (xtol + rtol*|x|)/2, with both points inside the
+    bracket: a root then lies within delta of x.  Every other lane, and one
+    with an exact zero at a bracket end (the root), goes to
+    `_refine_brackets` on its bracket.  The steps converge superlinearly
+    from a close start: on the reference design the cones' in-plane circle
+    (up to 1.1 mrad off) leaves no lane to the fallback.
+    """
+    if start is None:
+        x0, x1, f0, f1 = lo, hi, f_lo, f_hi
+    else:
+        x0, x1 = start
+        f0, f1 = f(x0, *args), f(x1, *args)
+    for step in range(_SECANT_STEPS):
+        if step:
+            x0, f0, x1, f1 = x1, f1, x, f(x, *args)
+        # f1 == f0 (a stalled lane) leaves no step; it stays where it is
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        x = np.clip(np.where(np.isfinite(x), x, x1), lo, hi)
+    delta = 0.5 * (xtol + rtol * np.abs(x))
+    below, above = x - delta, x + delta
+    verified = (
+        (np.sign(f(below, *args)) * np.sign(f(above, *args)) <= 0.0)
+        & (below >= lo) & (above <= hi) & (f_lo != 0.0) & (f_hi != 0.0)
+    )
+    if not verified.all():
+        (j,) = np.nonzero(~verified)
+        x[j] = _refine_brackets(f, lo[j], hi[j], f_lo[j], f_hi[j], xtol, rtol,
+                                args=tuple(v[j] for v in args))
+    return x
+
+
 def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirror=False) -> np.ndarray:
     """Internal polar angles of the pol-cone along each azimuth of phi (1-D).
 
     Each root is bracketed by the pump axis (residual < 0 inside the cone)
     and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for the
-    first azimuth where an end fails, naming that end.  mirror=True also
-    solves, in the same batch, the cone of the mirror-image crystal (optic
-    axis at -psi), which at phi is this crystal's cone at -phi, and returns
-    both rows, shape (2, phi.size); a failure in either row names its
-    azimuth of phi.
+    first azimuth where an end fails, naming that end; at the pump axis it
+    also names the collinear cut angle, or says that no cut angle phase
+    matches.  `_secant_roots` then starts every azimuth from the circle
+    through the cone's in-plane extremes, with tilt t and half-angle h: the
+    direction at polar angle u on it has sin u sin(phi) sin t + cos u cos t
+    = cos h.  mirror=True also solves, in the same batch, the cone of the
+    mirror-image crystal (optic axis at -psi), which at phi is this
+    crystal's cone at -phi, and returns both rows, shape (2, phi.size); a
+    failure in either row names its azimuth of phi.
     """
     if pol not in ("o", "e"):
         raise ValueError("polarization must be 'o' or 'e'")
@@ -234,21 +285,37 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
         if f_lo[i] < 0.0:
             end, reason = f_hi[i], f"the cone opens beyond the {_U_MAX:g} rad search bound"
         else:
-            end, reason = f_lo[i], ("the cone does not enclose the pump axis "
-                                    "(cut angle at or below the collinear cut angle)")
+            end = f_lo[i]
+            try:
+                collinear = math.degrees(collinear_cut_angle(crystal.model, pump))
+            except NotPhaseMatchableError:
+                hint = "no cut angle in 5-85 deg phase matches"
+            else:
+                hint = f"cut angle at or below the collinear cut angle, {collinear:.3f} deg"
+            reason = f"the cone does not enclose the pump axis ({hint})"
         raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
                                      f"{phi[i % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    u = _refine_brackets(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,))
+    a_minus, a_plus = _inplane_extremes(crystal, pump, pol, f)
+    tilt, half = 0.5 * (a_plus + a_minus), 0.5 * (a_plus - a_minus)
+    # the circle's polar angle, u = atan2(y, cos t) + arccos(cos h / hypot(cos t, y));
+    # a cone with one in-plane crossing has h = 0 and no such circle: the
+    # minimum keeps its starts finite, and the verification judges them
+    y, cos_t = sin_phi * math.sin(tilt), math.cos(tilt)
+    u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(half) / np.hypot(cos_t, y), 1.0))
+    u = _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
     return u.reshape(2, phi.size) if mirror else u
 
 
-def _inplane_extremes(crystal, pump, pol):
+def _inplane_extremes(crystal, pump, pol, residual=None):
     """Signed polar angles (toward +y) where the cone crosses the y-z plane.
 
-    A single crossing (tangency) degenerates the cone to one ray there.
+    residual is the pol-cone's `_cone_residual`, built here when the caller
+    has none.  A single crossing (tangency) degenerates the cone to one ray
+    there.
     """
-    residual = _cone_residual(crystal, pump, pol)
+    if residual is None:
+        residual = _cone_residual(crystal, pump, pol)
 
     def f(a):  # azimuth pi/2 (sin phi = 1) for a >= 0, 3pi/2 (sin phi = -1) below
         return residual(np.abs(a), np.where(a >= 0, 1.0, -1.0))
@@ -257,7 +324,7 @@ def _inplane_extremes(crystal, pump, pol):
     brackets = _grid_brackets(
         f, _INPLANE_GRID, f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg"
     )
-    roots = _refine_brackets(f, *brackets, _XTOL, _RTOL)
+    roots = _secant_roots(f, *brackets, _XTOL, _RTOL)
     return float(roots.min()), float(roots.max())
 
 
@@ -334,7 +401,7 @@ def collinear_cut_angle(model, pump: PumpSpec) -> float:
 
     failure = "no collinear degenerate phase matching for any cut angle in range"
     lo, hi, f_lo, f_hi = _grid_brackets(f, _CUT_GRID, failure)
-    (psi,) = _refine_brackets(f, lo[:1], hi[:1], f_lo[:1], f_hi[:1], 1e-12, 4 * np.finfo(float).eps)
+    (psi,) = _secant_roots(f, lo[:1], hi[:1], f_lo[:1], f_hi[:1], 1e-12, 4 * np.finfo(float).eps)
     return float(psi)
 
 

@@ -269,6 +269,21 @@ def test_emission_map_below_collinear_angle_exits_3(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and "does not enclose the pump axis" in err
+    assert "(cut angle at or below the collinear cut angle, 42.92" in err
+    assert not out_path.exists()
+
+
+def test_emission_map_of_a_material_without_phase_matching_exits_3(tmp_path, capsys):
+    # quartz has no collinear cut angle in 5-85 deg for a 395 nm pump, so no
+    # cut angle makes its cones enclose the pump axis, and the error says so
+    path = tmp_path / "quartz.ini"
+    path.write_text(REFERENCE_INI.replace("material = bbo", "material = quartz"))
+    out_path = tmp_path / "map.csv"
+    code, out, err = run(["emission-map", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "does not enclose the pump axis (no cut angle in 5-85 deg phase matches)" in err
     assert not out_path.exists()
 
 

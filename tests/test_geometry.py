@@ -16,6 +16,7 @@ from spdc_cascade.geometry import (
     _cone_residual,
     _inplane_extremes,
     _refine_brackets,
+    _secant_roots,
     _unit_direction,
 )
 
@@ -246,10 +247,56 @@ def test_refine_brackets_meets_the_tolerance_on_a_flat_then_steep_function():
     assert abs(root - 1e-20 ** (1 / 9)) <= XTOL + RTOL * root
 
 
+def _count_fallback_lanes(monkeypatch):
+    """Record the number of lanes of every _refine_brackets call."""
+    lanes = []
+    refine = sc.geometry._refine_brackets
+
+    def counted(f, lo, *rest, **kwargs):
+        lanes.append(lo.size)
+        return refine(f, lo, *rest, **kwargs)
+
+    monkeypatch.setattr(sc.geometry, "_refine_brackets", counted)
+    return lanes
+
+
+def test_secant_roots_fall_back_where_the_steps_stall_or_leave_the_bracket(monkeypatch):
+    # x**9 is flat near its root, so the steps stall; the tanh steps leave
+    # the bracket: neither verifies, and the fallback refines the bracket
+    lanes = _count_fallback_lanes(monkeypatch)
+    lo, hi = np.array([0.0]), np.array([1.0])
+    for f, expected in ((lambda x: x**9 - 1e-20, 1e-20 ** (1 / 9)), (lambda x: np.tanh(20.0 * (x - 0.3)), 0.3)):
+        (root,) = _secant_roots(f, lo, hi, f(lo), f(hi), XTOL, RTOL)
+        assert abs(root - expected) <= XTOL + RTOL * root
+    assert lanes == [1, 1]
+    # an exact zero at a bracket end is the root, the lower end first
+    ends = lambda x: x * (x - 1.0)
+    lo, hi = np.array([0.0, 0.5, 0.0]), np.array([0.5, 1.0, 1.0])
+    assert _secant_roots(ends, lo, hi, ends(lo), ends(hi), XTOL, RTOL).tolist() == [0.0, 1.0, 0.0]
+
+
+def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump, monkeypatch):
+    # 0.001 deg above the collinear cut angle the cones pass 0.02 mrad from
+    # the pump axis; a few azimuths near sin(phi) = 0, with roots of 1-5
+    # mrad, are not verified after 4 secant steps from their seeds
+    lanes = _count_fallback_lanes(monkeypatch)
+    psi = sc.collinear_cut_angle(sc.BBO, pump) + math.radians(0.001)
+    crystal = sc.CrystalSpec(sc.BBO, 1.07, psi)
+    phi = sc.geometry.default_phi_grid(256)
+    for pol in ("o", "e"):
+        batched = _cone_polar_angles(crystal, pump, pol, phi)
+        oracle = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
+        assert np.abs(batched - oracle).max() <= 1e-12, pol
+    assert sum(lanes) > 0
+
+
 def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
     # one solve per polarization (crystal 2's cones are crystal 1's at -phi),
-    # each 2 bracket ends plus ~11 steps: 26 evaluations of the residuals
-    # that _cone_residual builds
+    # each 15 evaluations of the residual that _cone_residual builds: 2 at
+    # the bracket ends, 6 for the in-plane extremes (the grid, 3 for 4
+    # secant steps from the grid-bracket ends, 2 to verify) and 7 for the
+    # azimuths (the start pair, 3 for 4 secant steps, 2 to verify): 30
+    lanes = _count_fallback_lanes(monkeypatch)
     solves, calls = [], []
     build = sc.geometry._cone_residual
 
@@ -267,6 +314,7 @@ def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, 
     sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
     assert len(solves) == 2
     assert 4 <= len(calls) <= 40
+    assert lanes == []  # every azimuth verified from its seed
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
