@@ -18,6 +18,7 @@ import numpy as np
 from .constants import C_NM_PER_FS
 from .errors import UndefinedVisibilityError
 from .interference import (
+    _BLOCK_POINTS,
     AnalyzerDelayConfig,
     InterferenceParams,
     aligned_contrast,
@@ -77,8 +78,6 @@ def _scan_meta(params: InterferenceParams, **fields) -> dict:
 
 
 MAX_GRID_POINTS = 10**6  # per scan grid; checked before anything is allocated
-# rate samples per coincidence_rate call of a batched fringe-scan curve
-_SCAN_BLOCK_POINTS = 2**16
 
 
 def _grid_points(start, stop, step: float):
@@ -243,15 +242,16 @@ def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> 
 
     Pi/4-pi/4 analyzers, +-2 fringe periods at 32 samples per period,
     contrast from fitted extrema.  Each row holds exactly the samples of
-    that tau_B's own `delay_scan`; the rows share one coincidence_rate call
-    per block of _SCAN_BLOCK_POINTS samples and one contrast extraction.
+    that tau_B's own `delay_scan`.  Whole rows are batched into blocks of at
+    most the rate model's _BLOCK_POINTS samples, each with one
+    coincidence_rate call and one contrast extraction.
     """
     period = fringe_period(params)
     step = period / FRINGE_SAMPLES_PER_PERIOD
     starts = tau_b - FRINGE_WINDOW_PERIODS * period
     # _grid_points of every row's scan: it depends on the width alone
     n = int(2 * FRINGE_WINDOW_PERIODS * FRINGE_SAMPLES_PER_PERIOD) + 1
-    rows = _SCAN_BLOCK_POINTS // n
+    rows = _BLOCK_POINTS // n
     vis = np.empty(tau_b.shape)
     for lo in range(0, tau_b.size, rows):
         xs = starts[lo:lo + rows, None] + step * np.arange(n)

@@ -52,6 +52,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -135,7 +136,12 @@ _ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.4632105644226
 _ERF_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
           1.65666309194161350182e3, 5.57535340817727675546e2)
-_ERF_SATURATION = 6.0  # erf rounds to +-1 beyond this |x|
+_ERF_SATURATION = 6.0  # erf rounds to +-1 from this |x| on
+
+# samples per block of the array rate model: a block's temporaries stay in
+# cache, where one pass over the whole broadcast shape streams them through
+# memory
+_BLOCK_POINTS = 2**13
 
 
 def _horner(x, coefs):
@@ -147,34 +153,84 @@ def _horner(x, coefs):
     return acc
 
 
+def _is_scalar(x) -> bool:
+    """True for a float or 0-d input; np.ndim alone costs a microsecond."""
+    return isinstance(x, float) or np.ndim(x) == 0
+
+
+def _erf_small(ax):
+    """erf on 0 <= ax <= 1: ax T(ax^2)/U(ax^2)."""
+    z = ax * ax
+    y = ax * _horner(z, _ERF_T)
+    y /= _horner(z, _ERF_U)
+    return y
+
+
+def _erf_tail(ax):
+    """erf on 1 < ax < 6, nan on nan: 1 - exp(-ax^2) P(ax)/Q(ax)."""
+    y = np.exp(-(ax * ax))
+    y *= _horner(ax, _ERF_P)
+    y /= _horner(ax, _ERF_Q)
+    return 1.0 - y
+
+
 def _erf(x):
     """Error function from the Cephes ndtr.c rational approximations.
 
-    |x| is clamped at 6 first, so +-inf gives +-1 without overflow; nan
-    gives nan.  Scalars are evaluated in Python floats (numpy's per-call
-    overhead would dominate the golden-section searches) and arrays with
-    the same operations in the same order, so a scalar and an array element
-    agree to the last bit.
+    Each element takes one branch of |x|: the x T/U ratio up to 1, the
+    exp P/Q tail below 6, and 1 from 6 on, which is what the tail rounds
+    to there (so +-inf gives +-1 without overflow); nan gives nan.  An
+    array evaluates each branch only on its own elements, and skips the
+    masking when all of them share one branch.  Scalars are evaluated in
+    Python floats (numpy's per-call overhead would dominate the
+    golden-section searches) with the same operations in the same order,
+    so a scalar and an array element agree to the last bit.
     """
-    if np.ndim(x) == 0:
+    if _is_scalar(x):
         x = float(x)
-        ax = min(abs(x), _ERF_SATURATION)  # keeps nan: min(nan, 6) is nan
+        ax = abs(x)
         if ax <= 1.0:
-            z = ax * ax
-            y = ax * _horner(z, _ERF_T) / _horner(z, _ERF_U)
-        else:
-            y = 1.0 - float(np.exp(-(ax * ax))) * _horner(ax, _ERF_P) / _horner(ax, _ERF_Q)
+            y = _erf_small(ax)
+        elif ax >= _ERF_SATURATION:
+            y = 1.0
+        else:  # nan too
+            y = float(_erf_tail(ax))
         return math.copysign(y, x)
     x = np.asarray(x, dtype=float)
-    ax = np.minimum(np.abs(x), _ERF_SATURATION)
-    z = ax * ax
-    small = ax * _horner(z, _ERF_T)
-    small /= _horner(z, _ERF_U)
-    tail = np.exp(-z)
-    tail *= _horner(ax, _ERF_P)
-    tail /= _horner(ax, _ERF_Q)
-    y = np.where(ax <= 1.0, small, np.subtract(1.0, tail, out=tail))
+    ax = np.abs(x)
+    small = ax <= 1.0
+    n_small = np.count_nonzero(small)
+    if n_small == ax.size:
+        y = _erf_small(ax)
+    else:
+        flat = ax >= _ERF_SATURATION
+        if n_small == 0 and not flat.any():
+            y = _erf_tail(ax)
+        else:
+            y = np.ones(ax.shape)
+            y[small] = _erf_small(ax[small])
+            tail = ~(small | flat)
+            y[tail] = _erf_tail(ax[tail])
     return np.copysign(y, x, out=y)
+
+
+def _in_blocks(func, *args):
+    """func(*args) of float arrays, evaluated in blocks of their broadcast shape.
+
+    The blocks split axis 0 into runs of about _BLOCK_POINTS samples; only
+    the arguments that vary along that axis are sliced.  func must act
+    elementwise, so the result equals one unblocked call to the last bit.
+    A broadcast shape of at most one block takes no loop.
+    """
+    full = np.broadcast(*args)
+    if full.size <= _BLOCK_POINTS:
+        return func(*args)
+    rows = max(1, _BLOCK_POINTS * full.shape[0] // full.size)
+    sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
+    out = np.empty(full.shape)
+    for lo in range(0, full.shape[0], rows):
+        out[lo:lo + rows] = func(*(a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced)))
+    return out
 
 
 def _walkoff_scales(times: PropagationTimes):
@@ -203,46 +259,63 @@ def rect_window(params: InterferenceParams, tau_a, tau_b):
     return float(out) if out.ndim == 0 else out
 
 
-def envelope(params: InterferenceParams, tau_a, tau_b):
-    """Slowly varying fringe envelope V(tau_A, tau_B) (no Rect applied)."""
+def _envelope(params: InterferenceParams, tau_a, tau_b):
+    """`envelope` of float arrays in one pass, or of Python floats."""
     t = params.times
     d, span = _walkoff_scales(t)
     s = params.sigma / (4.0 * math.sqrt(2.0))
     r = d / span
-    tau_a = np.asarray(tau_a, dtype=float)
-    tau_b = np.asarray(tau_b, dtype=float)
-    w = 2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b
+    rw = r * abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)
     diff = tau_a - tau_b
-    a1 = diff + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - r * np.abs(w)
-    a2 = diff + t.t_e - t.t_e2 + r * np.abs(w)
-    out = _erf(s * a1) - _erf(s * a2)
-    return float(out) if np.ndim(out) == 0 else out
+    a1 = diff + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - rw
+    a2 = diff + t.t_e - t.t_e2 + rw
+    return _erf(s * a1) - _erf(s * a2)
 
 
-def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
-    """Normalized coincidence rate for analyzer settings and delays.
+def envelope(params: InterferenceParams, tau_a, tau_b):
+    """Slowly varying fringe envelope V(tau_A, tau_B) (no Rect applied).
 
-    Supports array-valued tau/theta fields for vectorized scans.  The rate
-    is clamped at zero; clamping can only occur under the "as_printed"
-    Rect convention and triggers a RuntimeWarning.
+    Scalar delays are evaluated in Python floats; arrays in blocks of about
+    _BLOCK_POINTS samples, which bound the temporaries without changing a
+    bit of the result.
     """
-    t = params.times
-    d, _ = _walkoff_scales(t)
-    th_a = np.asarray(cfg.theta_a, dtype=float)
-    th_b = np.asarray(cfg.theta_b, dtype=float)
-    tau_a = np.asarray(cfg.tau_a, dtype=float)
-    tau_b = np.asarray(cfg.tau_b, dtype=float)
+    if _is_scalar(tau_a) and _is_scalar(tau_b):
+        return _envelope(params, float(tau_a), float(tau_b))
+    return _in_blocks(
+        partial(_envelope, params), np.asarray(tau_a, dtype=float), np.asarray(tau_b, dtype=float)
+    )
+
+
+def _rate(params: InterferenceParams, d: float, th_a, th_b, tau_a, tau_b):
+    """Unclamped `coincidence_rate` of float arrays in one pass, or of Python floats."""
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
     fringe = np.cos(params.omega * (tau_a - tau_b) + params.phi0)
     interference = (
         math.sqrt(8.0 * math.pi)
         * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a)
         * fringe
-        * envelope(params, tau_a, tau_b)
+        * _envelope(params, tau_a, tau_b)
         * rect_window(params, tau_a, tau_b)
         / (params.sigma * d)
     )
-    rate = 0.5 * (projection + interference)
+    return 0.5 * (projection + interference)
+
+
+def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
+    """Normalized coincidence rate for analyzer settings and delays.
+
+    Supports array-valued tau/theta fields for vectorized scans; they are
+    evaluated in blocks of about _BLOCK_POINTS samples, which bound the
+    temporaries without changing a bit of the result.  The rate is clamped
+    at zero; clamping can only occur under the "as_printed" Rect convention
+    and triggers one RuntimeWarning per call.
+    """
+    d, _ = _walkoff_scales(params.times)
+    values = (cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
+    if all(map(_is_scalar, values)):
+        rate = _rate(params, d, *map(float, values))
+    else:
+        rate = _in_blocks(partial(_rate, params, d), *(np.asarray(v, dtype=float) for v in values))
     clipped = rate < 0.0
     if np.any(clipped):
         warnings.warn(

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.interference import _erf, aligned_contrast
+from spdc_cascade.interference import _BLOCK_POINTS, _erf, aligned_contrast
 
 C = 299.792458
 QUARTER = math.pi / 4
@@ -111,6 +111,30 @@ def test_erf_matches_scipy_oracle():
     assert math.isnan(nan_scalar) and np.isnan(nan_array).all()
 
 
+@pytest.mark.parametrize("x", [
+    np.linspace(-1.0, 1.0, 2001),                                   # x T/U ratio only
+    np.concatenate([np.linspace(1.0 + 1e-12, 5.999, 1000),
+                    np.linspace(-5.999, -1.0 - 1e-12, 1000)]),       # exp P/Q tail only
+    np.array([6.0, -6.0, 7.5, -30.0, 1e300, -1e300, np.inf, -np.inf]),  # saturated only
+    np.array([]),
+    np.array(0.4),
+    np.array(-2.5),
+    np.array([0.0, -0.0]),
+    np.array([math.nan, -0.5, -math.nan, 3.0, 8.0]),
+], ids=["small", "tail", "saturated", "empty", "0-d small", "0-d tail", "signed zeros", "nan"])
+def test_erf_branches_equal_scalar_calls(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _erf(x)
+        scalar = [_erf(float(v)) for v in x.ravel()]
+    assert np.shape(got) == x.shape
+    assert all(type(v) is float for v in scalar)
+    flat = np.ravel(got)
+    np.testing.assert_array_equal(flat, scalar)  # nan == nan here
+    np.testing.assert_array_equal(np.signbit(flat), np.signbit(scalar))
+    np.testing.assert_array_equal(np.signbit(flat), np.signbit(x.ravel()))
+
+
 def test_envelope_windowed_tails_vanish(params):
     tau_a, tau_b = sc.optimal_delays(params.times)
     for off in (600.0, 2000.0, -600.0, -2000.0):
@@ -147,6 +171,63 @@ def test_degenerate_parameter_guard():
     cfg = sc.AnalyzerDelayConfig(QUARTER, QUARTER, 0.0, 0.0)
     with pytest.raises(sc.DegenerateParametersError):
         sc.coincidence_rate(params, cfg)
+
+
+# --- blocked evaluation --------------------------------------------------------
+
+@pytest.mark.parametrize("rect", ["zero_aligned", "as_printed"])
+def test_blocked_evaluation_equals_per_row_calls(params, rect):
+    # arrays above _BLOCK_POINTS samples are evaluated in blocks along axis
+    # 0; each row below is one call without a loop, the unblocked reference
+    params = sc.InterferenceParams(params.times, params.sigma, params.omega, 0.0, rect)
+    tau_a, tau_b = sc.optimal_delays(params.times)
+
+    def rate(th_a, th_b, tau_a, tau_b):
+        return sc.coincidence_rate(params, sc.AnalyzerDelayConfig(th_a, th_b, tau_a, tau_b))
+
+    grid_a, grid_b = np.meshgrid(np.linspace(tau_a - 30, tau_a + 30, 317),
+                                 np.linspace(tau_b - 30, tau_b + 30, 317), indexing="ij")
+    line = tau_b + np.linspace(-3000.0, 3000.0, 200_000)
+    rows = line.reshape(200, 1000)
+    theta = np.linspace(0.0, math.pi, 400)[:, None]
+    taus = tau_b + np.linspace(-40.0, 40.0, 300)
+    assert min(grid_a.size, line.size, theta.size * taus.size) > 2 * _BLOCK_POINTS
+    assert max(grid_a.shape[1], rows.shape[1], taus.size) < _BLOCK_POINTS
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the as-printed window clamps far out on the line
+        grid = rate(QUARTER, QUARTER, grid_a, grid_b)
+        np.testing.assert_array_equal(
+            grid, [rate(QUARTER, QUARTER, a, b) for a, b in zip(grid_a, grid_b)])
+        np.testing.assert_array_equal(
+            rate(QUARTER, 0.3, tau_a, line),
+            np.concatenate([rate(QUARTER, 0.3, tau_a, row) for row in rows]))
+        broadcast = rate(theta, QUARTER, tau_a, taus)
+        assert broadcast.shape == (400, 300)
+        np.testing.assert_array_equal(
+            broadcast, [rate(th, QUARTER, tau_a, taus) for th in theta[:, 0]])
+        scalar = rate(QUARTER, QUARTER, float(grid_a[7, 5]), float(grid_b[7, 5]))
+    env = sc.envelope(params, grid_a, grid_b)
+    np.testing.assert_array_equal(env, [sc.envelope(params, a, b) for a, b in zip(grid_a, grid_b)])
+    # scalars are evaluated in Python floats, to the same bits
+    scalar_env = sc.envelope(params, float(grid_a[7, 5]), float(grid_b[7, 5]))
+    assert type(scalar) is float and type(scalar_env) is float
+    assert scalar == grid[7, 5] and scalar_env == env[7, 5]
+
+
+def test_clamp_warning_fires_once_per_call(params):
+    printed = sc.InterferenceParams(
+        params.times, params.sigma, params.omega, 0.0, rect_convention="as_printed"
+    )
+    tau_a, _ = sc.optimal_delays(params.times)
+    xs = np.arange(3000.0, 6000.0, sc.fringe_period(printed) / 64)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rates = sc.coincidence_rate(printed, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, xs))
+    clamped_blocks = [np.any(rates[lo:lo + _BLOCK_POINTS] == 0.0)
+                      for lo in range(0, xs.size, _BLOCK_POINTS)]
+    assert len(clamped_blocks) >= 4 and all(clamped_blocks)
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__
 
 
 # --- coincidence rate ------------------------------------------------------------
