@@ -13,7 +13,7 @@ one batched root solver that works on whole arrays of problems at once:
     summarize each cone as axis direction + half-opening angle
     (`phase_match_cones`), and for the collinear cut angle.
 
-Every solve runs seed -> secant -> verify -> fallback (`_secant_roots`).
+Every solve runs seed -> secant -> verify -> bisect (`_secant_roots`).
 Each problem has a sign-change bracket and a start pair.  Along every
 azimuth a cone's root is bracketed by the pump axis and the search bound,
 so the cone must enclose the pump axis (cut angle above the collinear
@@ -22,15 +22,14 @@ the in-plane extremes and the collinear cut angle take the sign changes
 of their residual on a fixed grid and start from those brackets' ends.
 All problems take a few secant steps together, and a root is accepted
 only where the residual changes sign within half the tolerance of it,
-inside its bracket.  The rest are refined in their brackets by
-Chandrupatla's method (inverse-quadratic steps with a bisection fallback);
-the reference map sends none there.  The map solves each polarization
-once: the crystals are mirror images, so crystal 2's cone at azimuth phi
-is crystal 1's at -phi.  The residual of a solve is built once
-(`_cone_residual`) from scalar products of the emission direction with the
-pump and the optic axis; the optic axis lies in the y-z plane, so an
-azimuth enters only through sin(phi), and a solver step costs sin u, cos u
-and square roots.
+inside its bracket.  The rest are bisected in their brackets; on the
+reference pump only cut angles less than 0.1 deg above the collinear one
+send any there.  The map solves each polarization once: the crystals are
+mirror images, so crystal 2's cone at azimuth phi is crystal 1's at -phi.
+The residual of a solve is built once (`_cone_residual`) from scalar
+products of the emission direction with the pump and the optic axis; the
+optic axis lies in the y-z plane, so an azimuth enters only through
+sin(phi), and a solver step costs sin u, cos u and square roots.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -162,59 +161,29 @@ def _grid_brackets(f, grid, failure):
 
 
 def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
-    """Roots of f(x, *args) in the sign-change brackets [lo, hi], all refined
+    """Roots of f(x, *args) in the sign-change brackets [lo, hi], all bisected
     together until each bracket is narrower than xtol + rtol*|x|; a root is
-    the midpoint of its last bracket.
+    the midpoint of its last bracket, within (xtol + rtol*|x|)/2 of a root.
 
     The fallback of `_secant_roots`, for the lanes whose secant steps it
-    cannot verify.  Chandrupatla's method (Adv. Eng. Software 28, 145
-    (1997)): a step takes the inverse-quadratic interpolation through the
-    last three points where their values show the inverse function to be
-    monotone, and bisects otherwise.  Every step lands at least half the
-    tolerance inside the bracket, so a step close to the root closes the
-    bracket across it.  args are per-bracket arrays handed to f with x; a
-    bracket drops out of the evaluations once it is narrow enough.
+    cannot verify: a few thousand at most, so every step evaluates every
+    lane and a closed bracket stays where it is.  A zero at a bracket end
+    is the root, the lower end first, and a midpoint where f is exactly
+    zero closes the bracket on it.  args are per-bracket arrays handed to
+    f with x.
     """
-    roots = np.empty(lo.shape)
-    # an exact zero at a bracket end is the root, the lower end first
-    b = np.where(f_lo == 0.0, lo, hi)
+    b = np.where(f_lo == 0.0, lo, hi)  # a zero end closes the bracket on it
     a = np.where(f_hi == 0.0, b, lo)
-    fa, fb = f_lo, f_hi  # a is the newest point, b the end across the root
-    c, fc = b, fb  # the point dropped last; a step sets it before any use
-    t = np.full(roots.shape, 0.5)  # the next point is a + t*(b - a)
-    pending = np.arange(roots.size)
+    sign_a = np.sign(f_lo)
     while True:
-        mid = 0.5 * (a + b)
-        tol = xtol + rtol * np.abs(mid)
-        width = np.abs(b - a)
-        done = width < tol
-        if done.any():
-            roots[pending[done]] = mid[done]
-            keep = ~done
-            a, b, c, fa, fb, fc, t, tol, width, pending = (
-                v[keep] for v in (a, b, c, fa, fb, fc, t, tol, width, pending)
-            )
-            args = tuple(v[keep] for v in args)
-        if pending.size == 0:
-            return roots
-        t_min = 0.5 * tol / width
-        x = a + np.clip(t, t_min, 1.0 - t_min) * (b - a)
+        x = 0.5 * (a + b)
+        wide = np.abs(b - a) >= xtol + rtol * np.abs(x)
+        if not wide.any():
+            return x
         fx = f(x, *args)
-        same = np.sign(fx) == np.sign(fa)
-        c, fc = np.where(same, a, b), np.where(same, fa, fb)
-        b, fb = np.where(same, b, a), np.where(same, fb, fa)
-        a, fa = x, fx
-        b = np.where(fx == 0.0, x, b)  # an exact zero closes the bracket on it
-        # the interpolation divides by fc - fa, which is zero only where the
-        # test rejects it, and by b - a, which is zero only on a closed bracket
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (a - b) / (c - b)
-            ph = (fa - fb) / (fc - fb)
-            t = np.where(
-                (ph * ph < xi) & ((1.0 - ph) * (1.0 - ph) < 1.0 - xi),
-                fa / (fb - fa) * fc / (fb - fc) + (c - a) / (b - a) * fa / (fc - fa) * fb / (fc - fb),
-                0.5,
-            )
+        same = np.sign(fx) == sign_a  # the root lies in [x, b]
+        a = np.where(wide & (same | (fx == 0.0)), x, a)
+        b = np.where(wide & ~same, x, b)
 
 
 def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
@@ -226,10 +195,10 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     A lane is accepted when f changes sign (or is exactly zero) across
     x -+ delta, delta = (xtol + rtol*|x|)/2, with both points inside the
     bracket: a root then lies within delta of x.  Every other lane, and one
-    with an exact zero at a bracket end (the root), goes to
-    `_refine_brackets` on its bracket.  The steps converge superlinearly
-    from a close start: on the reference design the cones' in-plane circle
-    (up to 1.1 mrad off) leaves no lane to the fallback.
+    with an exact zero at a bracket end (the root), is bisected in its
+    bracket by `_refine_brackets`.  The steps converge superlinearly from a
+    close start: on the reference design the cones' in-plane circle (up to
+    1.1 mrad off) leaves no lane to the bisection.
     """
     if start is None:
         x0, x1, f0, f1 = lo, hi, f_lo, f_hi
@@ -495,8 +464,9 @@ def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: P
 class EmissionTimeMap:
     """Per-azimuth average emission times for the four photon classes.
 
-    Each class is evaluated on its own phase-matched cone; `times` holds the
-    values in fs with the fixed per-class delays already added.
+    Each class is evaluated on its own phase-matched cone; `times` holds one
+    array per class, shaped like `phi_grid`, of the values in fs with the
+    fixed per-class delays already added.
     """
 
     phi_grid: np.ndarray
@@ -508,6 +478,8 @@ class EmissionTimeMap:
         for name in CLASS_NAMES:
             if name not in self.times:
                 raise ValueError(f"missing class {name!r} in times")
+            if np.shape(self.times[name]) != np.shape(self.phi_grid):
+                raise ValueError(f"times of class {name!r} do not have the shape of the phi grid")
 
     def with_delays(self, delays: dict) -> "EmissionTimeMap":
         """Return a copy with additional fixed per-class delays added."""

@@ -255,7 +255,8 @@ def load_dispersion_model(path) -> DispersionModel:
         e.form         = resonant
         e.coefficients = 2.3753 0.01224 0.01667 -0.01516
 
-    Unknown keys are rejected so typos cannot silently change a material.
+    Unknown keys are rejected so typos cannot silently change a material,
+    and every number must be finite.
     """
     required = {"name", "valid_range_nm", "o.form", "o.coefficients", "e.form", "e.coefficients"}
     entries = {}
@@ -275,13 +276,19 @@ def load_dispersion_model(path) -> DispersionModel:
     missing = required - set(entries)
     if missing:
         raise ValueError(f"{path}: missing keys: {sorted(missing)}")
-    lo, hi = (float(tok) for tok in entries["valid_range_nm"].split())
+
+    def numbers(key):
+        values = tuple(float(tok) for tok in entries[key].split())
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: {key} must be finite numbers, got {entries[key]!r}")
+        return values
+
+    lo, hi = numbers("valid_range_nm")
     if not 0 < lo < hi:
         raise ValueError(f"{path}: invalid wavelength range {lo}..{hi} nm")
     forms = {}
     for pol in ("o", "e"):
-        coeffs = tuple(float(tok) for tok in entries[f"{pol}.coefficients"].split())
-        forms[pol] = SellmeierForm(entries[f"{pol}.form"], coeffs)
+        forms[pol] = SellmeierForm(entries[f"{pol}.form"], numbers(f"{pol}.coefficients"))
     return DispersionModel(
         name=entries["name"],
         sellmeier_o=forms["o"],

@@ -146,6 +146,37 @@ def test_config_material_from_file(tmp_path):
     assert cfg.model.name == "custom"
 
 
+@pytest.mark.parametrize("command, key, value", [
+    pytest.param(["indices", "790"], "o.coefficients", "nan 0.01878 0.01822 -0.01354",
+                 id="nan-coefficient"),
+    pytest.param(["optimize"], "o.coefficients", "inf 0.01878 0.01822 -0.01354",
+                 id="inf-coefficient"),
+    pytest.param(["indices", "790"], "valid_range_nm", "nan 1060", id="nan-range"),
+    pytest.param(["optimize"], "valid_range_nm", "220 inf", id="inf-range"),
+])
+def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command, key, value):
+    entries = {
+        "name": "custom",
+        "valid_range_nm": "220 1060",
+        "o.form": "resonant",
+        "o.coefficients": "2.7359 0.01878 0.01822 -0.01354",
+        "e.form": "resonant",
+        "e.coefficients": "2.3753 0.01224 0.01667 -0.01516",
+    }
+    entries[key] = value
+    mat = tmp_path / "custom.mat"
+    mat.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+    path = tmp_path / "cfg.ini"
+    path.write_text(REFERENCE_INI.replace("material = bbo", f"material = {mat}"))
+    out_path = tmp_path / "out.csv"
+    argv = [command[0], "--config", str(path), "--out", str(out_path), *command[1:]]
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and str(mat) in err and key in err
+    assert not out_path.exists()
+
+
 def test_config_not_utf8_exits_2(tmp_path, capsys):
     path = tmp_path / "latin1.ini"
     path.write_bytes(REFERENCE_INI.encode() + b"\n# caf\xe9 \xff\n")

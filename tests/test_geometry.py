@@ -247,6 +247,25 @@ def test_refine_brackets_meets_the_tolerance_on_a_flat_then_steep_function():
     assert abs(root - 1e-20 ** (1 / 9)) <= XTOL + RTOL * root
 
 
+def test_refine_brackets_meets_half_the_tolerance_in_every_lane():
+    # per-lane roots from 1e-3 to 1e3 in magnitude, in brackets 1e-12 to 1
+    # wide, so the lanes close at different steps; the sign of expm1(x - r)
+    # is exactly that of x - r, so r is the root to the last bit
+    rng = np.random.default_rng(5)
+    n = 60
+    r = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    width = np.logspace(-12.0, 0.0, n)
+    lo = r - rng.uniform(0.0, 1.0, n) * width
+    hi = lo + width
+    f = lambda x, root: np.expm1(x - root)
+    x = _refine_brackets(f, lo, hi, f(lo, r), f(hi, r), XTOL, RTOL, args=(r,))
+    assert np.all(np.abs(x - r) <= 0.5 * (XTOL + RTOL * np.abs(r)))
+    # a closed bracket stays where it is, so no lane depends on the others
+    alone = [_refine_brackets(f, lo[i:i + 1], hi[i:i + 1], f(lo[i:i + 1], r[i]), f(hi[i:i + 1], r[i]),
+                              XTOL, RTOL, args=(r[i:i + 1],))[0] for i in range(n)]
+    assert x.tolist() == alone
+
+
 def _count_fallback_lanes(monkeypatch):
     """Record the number of lanes of every _refine_brackets call."""
     lanes = []
@@ -500,6 +519,17 @@ def test_pairing_mismatch_requires_dense_grid():
     )
     with pytest.raises(ValueError, match="64"):
         sc.pairing_mismatch(emission_map)
+
+
+@pytest.mark.parametrize("size", [1, 3, 65])
+def test_map_rejects_times_not_shaped_like_the_grid(size):
+    # unchecked, a 1-element class would broadcast to a zero mismatch and a
+    # 3-element one would break to_csv with an IndexError
+    phi = sc.geometry.default_phi_grid(64)
+    times = {name: np.zeros(phi.size) for name in CLASS_NAMES}
+    times["1e"] = np.zeros(size)
+    with pytest.raises(ValueError, match="'1e'.*shape"):
+        sc.EmissionTimeMap(phi, times)
 
 
 def test_map_mirror_symmetry_about_the_axis_plane(base_map):
