@@ -238,6 +238,7 @@ def main(argv=None) -> int:
         return 2
     try:
         with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # whatever PYTHONWARNINGS or -W say
             cfg = load_config(config_path)
             file_text, stdout_text = _COMMANDS[args.command](cfg, args)
         if args.out:

@@ -10,7 +10,7 @@ one batched root solver that works on whole arrays of problems at once:
     direction of the o- or e-polarized photon of a given crystal (the
     emission-time map), and
   * in the plane of the optic axes, for the extreme opening angles that
-    summarize each cone as axis direction + half-opening angle
+    summarize each cone as axis tilt + half-opening angle
     (`phase_match_cones`), and for the collinear cut angle.
 
 Every solve runs seed -> secant -> verify -> bisect (`_secant_roots`).
@@ -44,7 +44,9 @@ e-polarized) are averaged over the birth position, i.e. pair creation at
 the generating crystal's centre: half the pump transit to get there, then
 the photon's own group delay over the remaining material.  Times are
 referenced to the pump pulse entering the first crystal and reported at the
-exit face of the second.
+exit face of the second.  As in the solve, a direction enters through u and
+sin(phi) alone: its path takes sec(u), and an e photon's angle to an optic
+axis is the arccos of the residual's d.a.
 """
 
 from __future__ import annotations
@@ -74,22 +76,9 @@ _CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinea
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
 
 
-def optic_axis(crystal: CrystalSpec) -> np.ndarray:
-    """Unit vector of the crystal's optic axis (y-z plane)."""
-    return np.array(
-        [0.0, crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)]
-    )
-
-
-def _angle_to_axis(kx, ky, kz, ax):
-    dot = (ky * ax[1] + kz * ax[2]) / np.sqrt(kx * kx + ky * ky + kz * kz)
-    return np.arccos(np.clip(dot, -1.0, 1.0))
-
-
-def _unit_direction(u, phi):
-    """Unit vector(s) (..., 3) at internal polar angle u and azimuth phi."""
-    su = np.sin(u)
-    return np.stack([su * np.cos(phi), su * np.sin(phi), np.cos(u)], axis=-1)
+def optic_axis(crystal: CrystalSpec) -> tuple[float, float]:
+    """Components (a_y, a_z) of the crystal's unit optic axis, in the y-z plane."""
+    return crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)
 
 
 def _cone_residual(crystal: CrystalSpec, pump: PumpSpec, pol: str):
@@ -117,8 +106,7 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec, pol: str):
     n_e = index_principal_e(crystal.model, lam)
     inv_ne2 = 1.0 / (n_e * n_e)
     excess = 1.0 / (n_o * n_o) - inv_ne2  # 1/n_o^2 - 1/n_e^2
-    a_y = crystal.axis_sign * math.sin(crystal.cut_angle)
-    a_z = math.cos(crystal.cut_angle)
+    a_y, a_z = optic_axis(crystal)
     # the e-polarized pump travels along z, at the cut angle to the optic axis
     k_p = 2.0 * index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
 
@@ -265,13 +253,12 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
         raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
                                      f"{phi[i % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    a_minus, a_plus = _inplane_extremes(crystal, pump, pol, f)
-    tilt, half = 0.5 * (a_plus + a_minus), 0.5 * (a_plus - a_minus)
+    cone = _cone_from_extremes(*_inplane_extremes(crystal, pump, pol, f))
     # the circle's polar angle, u = atan2(y, cos t) + arccos(cos h / hypot(cos t, y));
     # a cone with one in-plane crossing has h = 0 and no such circle: the
     # minimum keeps its starts finite, and the verification judges them
-    y, cos_t = sin_phi * math.sin(tilt), math.cos(tilt)
-    u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(half) / np.hypot(cos_t, y), 1.0))
+    y, cos_t = sin_phi * math.sin(cone.tilt), math.cos(cone.tilt)
+    u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(cone.half_angle) / np.hypot(cos_t, y), 1.0))
     u = _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
     return u.reshape(2, phi.size) if mirror else u
 
@@ -299,15 +286,12 @@ def _inplane_extremes(crystal, pump, pol, residual=None):
 
 @dataclass(frozen=True)
 class Cone:
-    """Circular-cone summary: axis direction and half-opening angle (rad)."""
+    """Circular-cone summary (rad): signed tilt t of the axis toward +y and
+    half-opening angle h; at sin(phi) its polar angle u has
+    sin u sin(phi) sin t + cos u cos t = cos h."""
 
-    axis: np.ndarray
+    tilt: float
     half_angle: float
-
-    @property
-    def tilt(self) -> float:
-        """Signed tilt of the cone axis toward +y, rad."""
-        return math.atan2(self.axis[1], self.axis[2])
 
 
 @dataclass(frozen=True)
@@ -320,10 +304,9 @@ class ConePair:
     external_e: Cone
 
 
-def _cone_from_extremes(a_minus, a_plus):
-    tilt = 0.5 * (a_plus + a_minus)
-    half = 0.5 * (a_plus - a_minus)
-    return Cone(axis=np.array([0.0, math.sin(tilt), math.cos(tilt)]), half_angle=half)
+def _cone_from_extremes(a_minus, a_plus) -> Cone:
+    """The cone through the signed in-plane polar angles a_minus <= a_plus."""
+    return Cone(tilt=0.5 * (a_plus + a_minus), half_angle=0.5 * (a_plus - a_minus))
 
 
 def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
@@ -435,23 +418,25 @@ def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
     )
 
 
-def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, d):
+def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, u, sin_phi):
     """Average emission time (fs) of photon class `name` along the forward
-    unit internal direction(s) d (..., 3), referenced to the pump entering
-    crystal 1; the result has the shape d.shape[:-1].
+    internal direction(s) at polar angle u and sin(phi) (they broadcast; (0, 0)
+    is the pump axis), referenced to the pump entering crystal 1.
 
     Classes: '1e'/'1o' born at the centre of crystal 1, '2e'/'2o' at the
     centre of crystal 2.  Photons from crystal 1 also traverse the full
     second crystal; e-polarized ones see the second axis under a different
-    angle and therefore a different group index.
+    angle, arccos(d.a) with d.a as in `_cone_residual`, and therefore a
+    different group index.  Every path through a slab takes sec(u).
     """
     lam_dc = pump.degenerate_nm
-    sec_u = 1.0 / d[..., 2]
+    sec_u = 1.0 / np.cos(u)
 
     def photon(crystal):
         theta = None
         if name[1] == "e":
-            theta = _angle_to_axis(d[..., 0], d[..., 1], d[..., 2], optic_axis(crystal))
+            a_y, a_z = optic_axis(crystal)
+            theta = np.arccos(np.clip(a_y * sin_phi * np.sin(u) + a_z * np.cos(u), -1.0, 1.0))
         return _transit_time(crystal, lam_dc, theta, sec_u)
 
     tp1 = _pump_time(crystal1, pump)
@@ -530,11 +515,12 @@ def emission_time_map(
         phi_grid = default_phi_grid()
     phi_grid = np.asarray(phi_grid, dtype=float)
 
+    sin_phi = np.sin(phi_grid)
     times = {}
     for pol in ("e", "o"):
         cones = _cone_polar_angles(crystal1, pump, pol, phi_grid, mirror=True)
         for name, u in zip(("1" + pol, "2" + pol), cones):
-            times[name] = _class_time(name, crystal1, crystal2, pump, _unit_direction(u, phi_grid))
+            times[name] = _class_time(name, crystal1, crystal2, pump, u, sin_phi)
     return EmissionTimeMap(phi_grid, times).with_delays(delays)
 
 

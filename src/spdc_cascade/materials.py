@@ -256,7 +256,8 @@ def load_dispersion_model(path) -> DispersionModel:
         e.coefficients = 2.3753 0.01224 0.01667 -0.01516
 
     Unknown keys are rejected so typos cannot silently change a material,
-    and every number must be finite.
+    and every number must be finite; a malformed entry raises a ValueError
+    that names the file and the key.
     """
     required = {"name", "valid_range_nm", "o.form", "o.coefficients", "e.form", "e.coefficients"}
     entries = {}
@@ -278,22 +279,29 @@ def load_dispersion_model(path) -> DispersionModel:
         raise ValueError(f"{path}: missing keys: {sorted(missing)}")
 
     def numbers(key):
-        values = tuple(float(tok) for tok in entries[key].split())
-        if not all(map(math.isfinite, values)):
+        try:
+            values = tuple(float(tok) for tok in entries[key].split())
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
             raise ValueError(f"{path}: {key} must be finite numbers, got {entries[key]!r}")
         return values
 
-    lo, hi = numbers("valid_range_nm")
-    if not 0 < lo < hi:
-        raise ValueError(f"{path}: invalid wavelength range {lo}..{hi} nm")
+    wavelengths = numbers("valid_range_nm")
+    if len(wavelengths) != 2 or not 0 < wavelengths[0] < wavelengths[1]:
+        raise ValueError(f"{path}: valid_range_nm must be 0 < lo < hi nm, got {entries['valid_range_nm']!r}")
     forms = {}
     for pol in ("o", "e"):
-        forms[pol] = SellmeierForm(entries[f"{pol}.form"], numbers(f"{pol}.coefficients"))
+        coefficients = numbers(f"{pol}.coefficients")
+        try:
+            forms[pol] = SellmeierForm(entries[f"{pol}.form"], coefficients)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {pol}.form, {pol}.coefficients: {exc}") from None
     return DispersionModel(
         name=entries["name"],
         sellmeier_o=forms["o"],
         sellmeier_e=forms["e"],
-        valid_range_nm=(lo, hi),
+        valid_range_nm=wavelengths,
     )
 
 

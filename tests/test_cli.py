@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -153,6 +154,11 @@ def test_config_material_from_file(tmp_path):
                  id="inf-coefficient"),
     pytest.param(["indices", "790"], "valid_range_nm", "nan 1060", id="nan-range"),
     pytest.param(["optimize"], "valid_range_nm", "220 inf", id="inf-range"),
+    pytest.param(["indices", "790"], "o.coefficients", "abc 0.01878 0.01822 -0.01354",
+                 id="word-coefficient"),
+    pytest.param(["optimize"], "valid_range_nm", "220 1060 5", id="three-number-range"),
+    pytest.param(["emission-map"], "e.coefficients", "2.3753 0.01224 0.01667",
+                 id="three-resonant-coefficients"),
 ])
 def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command, key, value):
     entries = {
@@ -239,7 +245,7 @@ def test_scan_command_summary_and_csv(config_path, tmp_path, capsys):
     record = json.loads(out)
     assert record["visibility"] == pytest.approx(0.86, abs=0.03)
     assert record["fringe_spacing_fs"] == pytest.approx(2.63, abs=0.03)
-    lines = open(out_path).read().strip().split("\n")
+    lines = Path(out_path).read_text().strip().split("\n")
     assert lines[0] == "delay_fs,rate"
     assert len(lines) > 100
 
@@ -253,7 +259,7 @@ def test_scan_command_orthogonal_analyzers(config_path, tmp_path, capsys):
     assert code == 0
     record = json.loads(out)
     assert record["visibility"] < 1e-9
-    rates = [float(line.split(",")[1]) for line in open(out_path).read().strip().split("\n")[1:]]
+    rates = [float(line.split(",")[1]) for line in Path(out_path).read_text().strip().split("\n")[1:]]
     assert all(r == 0.5 for r in rates)
 
 
@@ -267,7 +273,7 @@ def test_emission_map_command(config_path, tmp_path, capsys):
     assert record["delay_2e_fs"] == pytest.approx(31.0, abs=15.0)
     assert record["beam_a_mismatch_fs"] <= record["pairing_mismatch_fs"]
     assert record["beam_b_mismatch_fs"] <= record["pairing_mismatch_fs"]
-    lines = open(out_path).read().strip().split("\n")
+    lines = Path(out_path).read_text().strip().split("\n")
     assert lines[0] == "phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs"
     assert len(lines) == 1 + 256
 
@@ -279,7 +285,7 @@ def test_emission_map_zero_thickness(tmp_path, capsys):
     out_path = str(tmp_path / "map0.csv")
     code, out, _ = run(["emission-map", "--config", str(path), "--out", out_path], capsys)
     assert code == 0
-    for line in open(out_path).read().strip().split("\n")[1:]:
+    for line in Path(out_path).read_text().strip().split("\n")[1:]:
         assert [float(tok) for tok in line.split(",")[1:]] == [0.0, 0.0, 0.0, 0.0]
 
 
@@ -351,7 +357,7 @@ def test_visibility_curve_command(config_path, tmp_path, capsys):
     _, tau_b = sc.optimal_delays(params.times)
     assert abs(record["peak_tau_b_fs"] - tau_b) <= 30.0
     assert record["peak_visibility"] == pytest.approx(0.86, abs=0.03)
-    lines = open(out_path).read().strip().split("\n")
+    lines = Path(out_path).read_text().strip().split("\n")
     assert lines[0] == "delay_fs,visibility"
     # zero tails at the window margins
     first_vis = float(lines[1].split(",")[1])
@@ -375,7 +381,7 @@ def test_polarization_command(config_path, tmp_path, capsys):
     record = json.loads(out)
     params = load_config(config_path).interference_params()
     assert record["visibility"] == pytest.approx(sc.max_visibility(params), abs=0.01)
-    assert open(out_path).read().startswith("analyzer_rad,rate\n")
+    assert Path(out_path).read_text().startswith("analyzer_rad,rate\n")
 
 
 def test_polarization_analyzer_zero_full_contrast(tmp_path, capsys):
@@ -525,13 +531,14 @@ def test_warning_prints_one_line_without_source(tmp_path, capsys):
     argv = ["visibility-curve", "--config", str(path), "--out"]
     code, out, err = run([*argv, str(tmp_path / "in_process.csv")], capsys)
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
-    child = subprocess.run(
-        [sys.executable, "-m", "spdc_cascade.cli", *argv, str(tmp_path / "child.csv")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-    )
     expected = ("warning: coincidence rate clamped to zero (unphysical region of the "
                 "as-printed Rect window)\n")
-    assert child.stderr == err == expected
-    assert child.returncode == code == 0
-    assert child.stdout == out and json.loads(out)["peak_visibility"] == 1.0
-    assert (tmp_path / "child.csv").read_text() == (tmp_path / "in_process.csv").read_text()
+    assert err == expected and code == 0 and json.loads(out)["peak_visibility"] == 1.0
+    # the same line whatever the interpreter's warning filters say
+    for filters in ("", "error", "ignore"):
+        child = subprocess.run(
+            [sys.executable, "-m", "spdc_cascade.cli", *argv, str(tmp_path / "child.csv")],
+            env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=filters), capture_output=True, text=True,
+        )
+        assert (child.returncode, child.stderr, child.stdout) == (0, expected, out), filters
+        assert (tmp_path / "child.csv").read_text() == (tmp_path / "in_process.csv").read_text()

@@ -9,6 +9,7 @@ import pytest
 from scipy.optimize import brentq
 
 import spdc_cascade as sc
+from spdc_cascade.constants import C_NM_PER_FS
 from spdc_cascade.geometry import (
     CLASS_NAMES,
     _class_time,
@@ -17,11 +18,9 @@ from spdc_cascade.geometry import (
     _inplane_extremes,
     _refine_brackets,
     _secant_roots,
-    _unit_direction,
 )
 
 PSI = math.radians(43.65)
-PUMP_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 def _vector_residual(crystal, pump, pol, u, phi):
@@ -49,8 +48,38 @@ def _vector_residual(crystal, pump, pol, u, phi):
     return np.sqrt(rx * rx + ry * ry + rz * rz) - index("e" if pol == "o" else "o", rx, ry, rz)
 
 
+def _vector_class_time(name, crystal1, crystal2, pump, u, phi):
+    """Oracle: the class time from 3-vectors.
+
+    The photon travels along d(u, phi); an e photon's group index comes from
+    the angle arccos(d.a/|d|) to each crystal's optic axis a, and its path
+    through a slab of thickness L is L/d_z.  Born at the centre of crystal
+    1 or 2 (name[0]), after half that crystal's pump transit, it crosses the
+    rest of its own crystal and, from crystal 1, all of crystal 2.  u and
+    phi broadcast.
+    """
+    lam = pump.degenerate_nm
+    su = np.sin(u)
+    d = np.stack(np.broadcast_arrays(su * np.cos(phi), su * np.sin(phi), np.cos(u)), axis=-1)
+
+    def slab(crystal, lam_nm, theta, path):
+        return crystal.thickness_mm * 1e6 / C_NM_PER_FS * path * sc.group_index(crystal.model, lam_nm, theta)
+
+    def photon(crystal):
+        theta = None
+        if name[1] == "e":
+            a = np.array([0.0, crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)])
+            theta = np.arccos(np.clip(d @ a / np.linalg.norm(d, axis=-1), -1.0, 1.0))
+        return slab(crystal, lam, theta, 1.0 / d[..., 2])
+
+    tp1, tp2 = (slab(c, pump.center_nm, c.cut_angle, 1.0) for c in (crystal1, crystal2))
+    if name[0] == "1":
+        return 0.5 * tp1 + 0.5 * photon(crystal1) + photon(crystal2)
+    return tp1 + 0.5 * tp2 + 0.5 * photon(crystal2)
+
+
 def _on_axis_times(crystal1, crystal2, pump):
-    return {name: _class_time(name, crystal1, crystal2, pump, PUMP_AXIS) for name in CLASS_NAMES}
+    return {name: _class_time(name, crystal1, crystal2, pump, 0.0, 0.0) for name in CLASS_NAMES}
 
 
 # --- phase-matched cones -----------------------------------------------------
@@ -76,12 +105,7 @@ def test_external_cones_are_refraction_widened(crystal1, pump):
 def test_cone_direction_solves_phase_matching(crystal1, pump):
     phi = np.random.default_rng(7).uniform(0, 2 * math.pi, 8)
     for pol in ("o", "e"):
-        d = _unit_direction(_cone_polar_angles(crystal1, pump, pol, phi), phi)
-        np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(
-            np.arctan2(d[:, 1], d[:, 0]) % (2 * math.pi), phi % (2 * math.pi), rtol=0, atol=1e-9
-        )
-        u = np.arccos(d[:, 2])
+        u = _cone_polar_angles(crystal1, pump, pol, phi)
         assert np.abs(_vector_residual(crystal1, pump, pol, u, phi)).max() < 1e-12
 
 
@@ -345,7 +369,7 @@ def test_map_crystal_2_times_match_its_own_cone_solve(thickness, cut_deg, pump_n
     emission_map = sc.emission_time_map(c1, c2, pump, {}, phi)
     for name in ("2e", "2o"):
         u = _cone_polar_angles(c2, pump, name[1], phi)
-        direct = _class_time(name, c1, c2, pump, _unit_direction(u, phi))
+        direct = _class_time(name, c1, c2, pump, u, np.sin(phi))
         assert np.abs(emission_map.times[name] - direct).max() <= 1e-9, name
 
 
@@ -429,14 +453,28 @@ def test_map_matches_per_azimuth_class_times(crystal1, crystal2, pump):
     sources = {"1e": (crystal1, "e"), "1o": (crystal1, "o"),
                "2e": (crystal2, "e"), "2o": (crystal2, "o")}
     for name, (crystal, pol) in sources.items():
-        directions = np.array(
-            [_unit_direction(_oracle_polar_angle(crystal, pump, pol, p), p) for p in phi]
-        )
-        loop = [_class_time(name, crystal1, crystal2, pump, d) for d in directions]
-        batched = _class_time(name, crystal1, crystal2, pump, directions)
+        u = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
+        loop = [_class_time(name, crystal1, crystal2, pump, u_i, np.sin(p)) for u_i, p in zip(u, phi)]
+        batched = _class_time(name, crystal1, crystal2, pump, u, np.sin(phi))
         assert batched.shape == phi.shape
         np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
         np.testing.assert_allclose(emission_map.times[name], loop, rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
+def test_scalar_product_class_times_match_vector_form(thickness, cut_deg, pump_nm):
+    # random directions plus the tilt azimuths, the pump axis and the search bound
+    rng = np.random.default_rng(13)
+    u = np.concatenate([rng.uniform(0.0, 0.35, 5000), [0.0, 0.35, 0.0, 0.35]])
+    phi = np.concatenate([rng.uniform(0.0, 2 * math.pi, 5000), [math.pi / 2] * 2, [3 * math.pi / 2] * 2])
+    pump = sc.PumpSpec(pump_nm, 1.0)
+    for sign in (+1, -1):
+        c1 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
+        c2 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=-sign)
+        for name in CLASS_NAMES:
+            scalar = _class_time(name, c1, c2, pump, u, np.sin(phi))
+            vector = _vector_class_time(name, c1, c2, pump, u, phi)
+            np.testing.assert_allclose(scalar, vector, rtol=1e-14, atol=0, err_msg=f"{sign} {name}")
 
 
 def test_map_of_an_empty_grid_is_empty(crystal1, crystal2, pump):
