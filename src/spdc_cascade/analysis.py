@@ -28,7 +28,7 @@ from .interference import (
     optimal_delays,
 )
 from .materials import DispersionModel, group_index
-from .numeric import golden_section_max, parabola_vertex
+from .numeric import _csv, golden_section_max, parabola_vertex
 
 ABSCISSA_KINDS = ("delay_fs", "analyzer_rad")
 
@@ -59,11 +59,9 @@ class ScanSeries:
             raise ValueError("abscissa and rate arrays must have equal length")
 
     def to_csv(self) -> str:
-        ordinate = self.meta.get("ordinate", "rate")
-        lines = [f"{self.abscissa_kind},{ordinate}"]
-        for x, r in zip(self.xs, self.rates):
-            lines.append(f"{x:.6g},{r:.6g}")
-        return "\n".join(lines) + "\n"
+        """The samples as CSV: an (abscissa, ordinate) header, then one row each."""
+        header = f"{self.abscissa_kind},{self.meta.get('ordinate', 'rate')}"
+        return _csv(header, zip(self.xs.tolist(), self.rates.tolist()), "%.6g,%.6g")
 
 
 def _scan_meta(params: InterferenceParams, **fields) -> dict:

@@ -24,6 +24,7 @@ from . import analysis, geometry, interference, materials
 from .config import RunConfig, load_config
 from .errors import ConfigError, DegenerateParametersError
 from .interference import AnalyzerDelayConfig, optimal_delays
+from .numeric import _csv
 
 CONFIG_ENV_VAR = "SPDC_CASCADE_CONFIG"
 
@@ -49,14 +50,10 @@ def _summary(record: dict) -> str:
 
 
 def cmd_indices(cfg: RunConfig, args) -> tuple:
-    lines = ["lambda_nm,n_o,n_e,n_g_o,n_g_e"]
-    for lam in args.wavelengths:
-        n_o = materials.index_ordinary(cfg.model, lam)
-        n_e = materials.index_principal_e(cfg.model, lam)
-        ng_o = materials.group_index(cfg.model, lam)
-        ng_e = materials.group_index(cfg.model, lam, math.pi / 2.0)
-        lines.append(f"{lam:.6g},{n_o:.6f},{n_e:.6f},{ng_o:.6f},{ng_e:.6f}")
-    table = "\n".join(lines) + "\n"
+    rows = [(lam, materials.index_ordinary(cfg.model, lam), materials.index_principal_e(cfg.model, lam),
+             materials.group_index(cfg.model, lam), materials.group_index(cfg.model, lam, math.pi / 2.0))
+            for lam in args.wavelengths]
+    table = _csv("lambda_nm,n_o,n_e,n_g_o,n_g_e", rows, "%.6g,%.6f,%.6f,%.6f,%.6f")
     return table, table
 
 

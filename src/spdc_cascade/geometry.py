@@ -66,6 +66,7 @@ from .materials import (
     index_ordinary,
     index_principal_e,
 )
+from .numeric import _csv
 
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
@@ -273,8 +274,8 @@ def _inplane_extremes(crystal, pump, pol, residual=None):
     if residual is None:
         residual = _cone_residual(crystal, pump, pol)
 
-    def f(a):  # azimuth pi/2 (sin phi = 1) for a >= 0, 3pi/2 (sin phi = -1) below
-        return residual(np.abs(a), np.where(a >= 0, 1.0, -1.0))
+    def f(a):  # polar angle |a| at sin phi = sign(a): sin u is odd, cos u even
+        return residual(a, 1.0)
 
     cut_deg = math.degrees(crystal.cut_angle)
     brackets = _grid_brackets(
@@ -475,11 +476,9 @@ class EmissionTimeMap:
         return EmissionTimeMap(self.phi_grid, new_times)
 
     def to_csv(self) -> str:
-        lines = ["phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs"]
-        for i, phi in enumerate(self.phi_grid):
-            row = [math.degrees(phi)] + [self.times[c][i] for c in CLASS_NAMES]
-            lines.append(",".join(f"{v:.6g}" for v in row))
-        return "\n".join(lines) + "\n"
+        """The map as CSV: azimuth in degrees and the four class times, one row per azimuth."""
+        columns = [np.degrees(self.phi_grid).tolist()] + [self.times[c].tolist() for c in CLASS_NAMES]
+        return _csv("phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs", zip(*columns), "%.6g,%.6g,%.6g,%.6g,%.6g")
 
 
 def default_phi_grid(n: int = 256) -> np.ndarray:

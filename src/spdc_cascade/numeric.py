@@ -1,5 +1,5 @@
-"""Small numerical search helpers: golden-section refinement and
-three-point parabolic interpolation of sampled extrema."""
+"""Small numerical helpers: golden-section refinement, three-point parabolic
+interpolation of sampled extrema, and `_csv`, the writer of every CSV table."""
 
 from __future__ import annotations
 
@@ -53,3 +53,8 @@ def parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:
     # evaluate the interpolating parabola at its vertex
     yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
     return np.where(collinear, x1, xv), np.where(collinear, y1, yv)
+
+
+def _csv(header: str, rows, template: str) -> str:
+    """The header line, then one `template % row` line per row (a tuple of floats), newline-ended."""
+    return "\n".join([header, *(template % row for row in rows)]) + "\n"
