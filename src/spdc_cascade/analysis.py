@@ -26,6 +26,7 @@ from .interference import (
     envelope,
     fringe_period,
     optimal_delays,
+    rect_window,
 )
 from .materials import DispersionModel, group_index
 from .numeric import _csv, golden_section_max, parabola_vertex
@@ -242,7 +243,9 @@ def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> 
     contrast from fitted extrema.  Each row holds exactly the samples of
     that tau_B's own `delay_scan`.  Whole rows are batched into blocks of at
     most the rate model's _BLOCK_POINTS samples, each with one
-    coincidence_rate call and one contrast extraction.
+    coincidence_rate call and one contrast extraction, except that a row
+    wholly outside the Rect window (tau_A - tau_B finite) has the flat rate
+    0.5 * projection and reads (r - r)/(r + r) = 0 without them.
     """
     period = fringe_period(params)
     step = period / FRINGE_SAMPLES_PER_PERIOD
@@ -250,11 +253,13 @@ def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> 
     # _grid_points of every row's scan: it depends on the width alone
     n = int(2 * FRINGE_WINDOW_PERIODS * FRINGE_SAMPLES_PER_PERIOD) + 1
     rows = _BLOCK_POINTS // n
-    vis = np.empty(tau_b.shape)
+    vis = np.zeros(tau_b.shape)
     for lo in range(0, tau_b.size, rows):
         xs = starts[lo:lo + rows, None] + step * np.arange(n)
+        live = rect_window(params, tau_a, xs).any(axis=1) | ~np.isfinite(tau_a - xs).all(axis=1)
+        xs = xs[live]
         rates = coincidence_rate(params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, xs))
-        vis[lo:lo + rows] = _fringe_contrast(xs, rates)
+        vis[lo:lo + rows][live] = _fringe_contrast(xs, rates)
     return vis
 
 

@@ -407,12 +407,12 @@ def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
 
     On the pump axis the e photon meets both crystals' optic axes at the cut
     angle (mirror symmetry), so t_e2 = t_e; off-axis directions are the job
-    of `emission_time_map`.
+    of `emission_time_map`.  Python floats keep scalar rate-model calls fast.
     """
     lam_dc = pump.degenerate_nm
-    t_e = _transit_time(crystal, lam_dc, crystal.cut_angle)
+    t_e = float(_transit_time(crystal, lam_dc, crystal.cut_angle))
     return PropagationTimes(
-        t_p=_pump_time(crystal, pump),
+        t_p=float(_pump_time(crystal, pump)),
         t_o=_transit_time(crystal, lam_dc),
         t_e=t_e,
         t_e2=t_e,

@@ -52,7 +52,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -181,10 +180,9 @@ def _erf(x):
     exp P/Q tail below 6, and 1 from 6 on, which is what the tail rounds
     to there (so +-inf gives +-1 without overflow); nan gives nan.  An
     array evaluates each branch only on its own elements, and skips the
-    masking when all of them share one branch.  Scalars are evaluated in
-    Python floats (numpy's per-call overhead would dominate the
-    golden-section searches) with the same operations in the same order,
-    so a scalar and an array element agree to the last bit.
+    masking when all of them share one branch.  Scalars take the same
+    operations in Python floats, so they agree with array elements to the
+    last bit.
     """
     if _is_scalar(x):
         x = float(x)
@@ -214,22 +212,26 @@ def _erf(x):
     return np.copysign(y, x, out=y)
 
 
-def _in_blocks(func, *args):
-    """func(*args) of float arrays, evaluated in blocks of their broadcast shape.
+def _elementwise(kernel, params: InterferenceParams, *args):
+    """kernel(params, *args): the one evaluator of the rate model's kernels.
 
-    The blocks split axis 0 into runs of about _BLOCK_POINTS samples; only
-    the arguments that vary along that axis are sliced.  func must act
-    elementwise, so the result equals one unblocked call to the last bit.
-    A broadcast shape of at most one block takes no loop.
+    Scalar (float or 0-d) arguments give a float, computed in Python floats:
+    numpy's per-call overhead would dominate the golden-section searches.
+    Arrays run the kernel in blocks of about _BLOCK_POINTS samples along
+    axis 0 of their broadcast shape, slicing only the arguments that vary
+    along it; the result equals one unblocked call to the last bit.
     """
+    if all(map(_is_scalar, args)):
+        return float(kernel(params, *map(float, args)))
+    args = [np.asarray(a, dtype=float) for a in args]
     full = np.broadcast(*args)
     if full.size <= _BLOCK_POINTS:
-        return func(*args)
+        return kernel(params, *args)
     rows = max(1, _BLOCK_POINTS * full.shape[0] // full.size)
     sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
     out = np.empty(full.shape)
     for lo in range(0, full.shape[0], rows):
-        out[lo:lo + rows] = func(*(a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced)))
+        out[lo:lo + rows] = kernel(params, *(a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced)))
     return out
 
 
@@ -243,10 +245,10 @@ def _walkoff_scales(times: PropagationTimes):
     return d, span
 
 
-def rect_window(params: InterferenceParams, tau_a, tau_b):
-    """Amplitude-overlap window: 1 inside, 0 outside or on the boundary."""
+def _rect(params: InterferenceParams, tau_a, tau_b):
+    """`rect_window` of float arrays in one pass, or of Python floats."""
     t = params.times
-    total = np.asarray(tau_a, dtype=float) + np.asarray(tau_b, dtype=float)
+    total = tau_a + tau_b
     if params.rect_convention == "as_printed":
         lo = t.t_o - t.t_e
         hi = 3.0 * t.t_o - t.t_e - t.t_e2
@@ -254,9 +256,13 @@ def rect_window(params: InterferenceParams, tau_a, tau_b):
     else:
         _, span = _walkoff_scales(t)
         w = 2.0 * t.t_o - t.t_e - t.t_e2 - total
-        inside = np.abs(w) < abs(span)
-    out = inside.astype(float)
-    return float(out) if out.ndim == 0 else out
+        inside = abs(w) < abs(span)
+    return 1.0 * inside
+
+
+def rect_window(params: InterferenceParams, tau_a, tau_b):
+    """Amplitude-overlap window: 1 inside, 0 outside or on the boundary."""
+    return _elementwise(_rect, params, tau_a, tau_b)
 
 
 def _envelope(params: InterferenceParams, tau_a, tau_b):
@@ -273,21 +279,13 @@ def _envelope(params: InterferenceParams, tau_a, tau_b):
 
 
 def envelope(params: InterferenceParams, tau_a, tau_b):
-    """Slowly varying fringe envelope V(tau_A, tau_B) (no Rect applied).
-
-    Scalar delays are evaluated in Python floats; arrays in blocks of about
-    _BLOCK_POINTS samples, which bound the temporaries without changing a
-    bit of the result.
-    """
-    if _is_scalar(tau_a) and _is_scalar(tau_b):
-        return _envelope(params, float(tau_a), float(tau_b))
-    return _in_blocks(
-        partial(_envelope, params), np.asarray(tau_a, dtype=float), np.asarray(tau_b, dtype=float)
-    )
+    """Slowly varying fringe envelope V(tau_A, tau_B) (no Rect applied)."""
+    return _elementwise(_envelope, params, tau_a, tau_b)
 
 
-def _rate(params: InterferenceParams, d: float, th_a, th_b, tau_a, tau_b):
+def _rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
     """Unclamped `coincidence_rate` of float arrays in one pass, or of Python floats."""
+    d, _ = _walkoff_scales(params.times)
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
     fringe = np.cos(params.omega * (tau_a - tau_b) + params.phi0)
     interference = (
@@ -295,7 +293,7 @@ def _rate(params: InterferenceParams, d: float, th_a, th_b, tau_a, tau_b):
         * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a)
         * fringe
         * _envelope(params, tau_a, tau_b)
-        * rect_window(params, tau_a, tau_b)
+        * _rect(params, tau_a, tau_b)
         / (params.sigma * d)
     )
     return 0.5 * (projection + interference)
@@ -304,18 +302,11 @@ def _rate(params: InterferenceParams, d: float, th_a, th_b, tau_a, tau_b):
 def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
     """Normalized coincidence rate for analyzer settings and delays.
 
-    Supports array-valued tau/theta fields for vectorized scans; they are
-    evaluated in blocks of about _BLOCK_POINTS samples, which bound the
-    temporaries without changing a bit of the result.  The rate is clamped
-    at zero; clamping can only occur under the "as_printed" Rect convention
-    and triggers one RuntimeWarning per call.
+    Supports array-valued tau/theta fields for vectorized scans.  The rate
+    is clamped at zero; clamping can only occur under the "as_printed" Rect
+    convention and triggers one RuntimeWarning per call.
     """
-    d, _ = _walkoff_scales(params.times)
-    values = (cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
-    if all(map(_is_scalar, values)):
-        rate = _rate(params, d, *map(float, values))
-    else:
-        rate = _in_blocks(partial(_rate, params, d), *(np.asarray(v, dtype=float) for v in values))
+    rate = _elementwise(_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
     clipped = rate < 0.0
     if np.any(clipped):
         warnings.warn(
@@ -324,8 +315,8 @@ def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
             RuntimeWarning,
             stacklevel=2,
         )
-        rate = np.where(clipped, 0.0, rate)
-    return float(rate) if np.ndim(rate) == 0 else rate
+        rate = 0.0 if clipped is True else np.where(clipped, 0.0, rate)
+    return rate
 
 
 def fringe_period(params: InterferenceParams) -> float:
@@ -344,6 +335,18 @@ def optimal_delays(times: PropagationTimes) -> tuple:
     return tau_a, tau_b
 
 
+def _aligned_contrast(params: InterferenceParams, tau_a, tau_b):
+    """`aligned_contrast` of float arrays in one pass, or of Python floats."""
+    d, _ = _walkoff_scales(params.times)
+    contrast = (
+        math.sqrt(8.0 * math.pi)
+        * abs(_envelope(params, tau_a, tau_b))
+        * _rect(params, tau_a, tau_b)
+        / (2.0 * params.sigma * abs(d))
+    )
+    return np.minimum(contrast, 1.0)
+
+
 def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
     """Fringe contrast of the rate model with the oscillation phase on crest.
 
@@ -353,15 +356,7 @@ def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
     occur only in the unphysical far lobe of the as-printed window, where
     the clamped rate yields full apparent contrast.
     """
-    d, _ = _walkoff_scales(params.times)
-    contrast = (
-        math.sqrt(8.0 * math.pi)
-        * np.abs(envelope(params, tau_a, tau_b))
-        * rect_window(params, tau_a, tau_b)
-        / (2.0 * params.sigma * abs(d))
-    )
-    out = np.minimum(contrast, 1.0)
-    return float(out) if out.ndim == 0 else out
+    return _elementwise(_aligned_contrast, params, tau_a, tau_b)
 
 
 def max_visibility(params: InterferenceParams) -> float:

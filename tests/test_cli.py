@@ -90,9 +90,15 @@ def test_config_rejects_bad_values(tmp_path):
     ("scan", "halfwidth_fs", "inf"),
     ("emission_map", "phi_points", str(MAX_PHI_POINTS + 1)),
     ("emission_map", "phi_points", "63"),
+    ("pump", "bandwidth_nm", "0"),
+    ("emission_map", "phi_points", "1.5"),
+    ("crystal", "cascade", "maybe"),
+    ("visibility_curve", "method", "fit"),
+    ("interference", "rect_convention", "printed"),
 ])
 def test_emission_map_rejects_out_of_domain_config(tmp_path, capsys, section, key, value):
-    # non-finite numbers and out-of-range azimuth counts exit 2 before any
+    # non-finite or non-positive numbers, out-of-range or non-integer azimuth
+    # counts, non-boolean flags and unknown choices exit 2 before any
     # computation or output
     lines = REFERENCE_INI.splitlines()
     if any(line.startswith(f"{key} = ") for line in lines):
@@ -147,6 +153,16 @@ def test_config_material_from_file(tmp_path):
     assert cfg.model.name == "custom"
 
 
+MATERIAL_ENTRIES = {
+    "name": "custom",
+    "valid_range_nm": "220 1060",
+    "o.form": "resonant",
+    "o.coefficients": "2.7359 0.01878 0.01822 -0.01354",
+    "e.form": "resonant",
+    "e.coefficients": "2.3753 0.01224 0.01667 -0.01516",
+}
+
+
 @pytest.mark.parametrize("command, key, value", [
     pytest.param(["indices", "790"], "o.coefficients", "nan 0.01878 0.01822 -0.01354",
                  id="nan-coefficient"),
@@ -161,14 +177,7 @@ def test_config_material_from_file(tmp_path):
                  id="three-resonant-coefficients"),
 ])
 def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command, key, value):
-    entries = {
-        "name": "custom",
-        "valid_range_nm": "220 1060",
-        "o.form": "resonant",
-        "o.coefficients": "2.7359 0.01878 0.01822 -0.01354",
-        "e.form": "resonant",
-        "e.coefficients": "2.3753 0.01224 0.01667 -0.01516",
-    }
+    entries = dict(MATERIAL_ENTRIES)
     entries[key] = value
     mat = tmp_path / "custom.mat"
     mat.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
@@ -180,6 +189,24 @@ def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command,
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1 and str(mat) in err and key in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("o.form resonant", "expected 'key = value'"),
+    ("name = other", "duplicate key 'name'"),
+], ids=["no-equals-sign", "duplicate-key"])
+def test_material_file_with_malformed_line_exits_2(tmp_path, capsys, bad_line, message):
+    mat = tmp_path / "custom.mat"
+    lines = [f"{k} = {v}" for k, v in MATERIAL_ENTRIES.items()]
+    mat.write_text("\n".join([*lines[:2], bad_line, *lines[2:]]) + "\n")
+    path = tmp_path / "cfg.ini"
+    path.write_text(REFERENCE_INI.replace("material = bbo", f"material = {mat}"))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run(["optimize", "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and f"{mat}:3: {message}" in err
     assert not out_path.exists()
 
 
@@ -456,6 +483,28 @@ def test_io_error_exits_4_and_leaves_no_partial_file(config_path, tmp_path, caps
     assert not missing_dir.exists()
 
 
+def test_out_naming_a_directory_exits_4_and_leaves_no_tmp_file(config_path, tmp_path, capsys):
+    out_dir = tmp_path / "taken"
+    out_dir.mkdir()
+    code, out, err = run(["scan", "--config", config_path, "--out", str(out_dir)], capsys)
+    assert code == 4
+    assert out == "" and len(err.splitlines()) == 1
+    assert out_dir.is_dir() and not any(out_dir.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["reference.ini", "taken"]
+
+
+def test_explicit_auto_scan_centre_equals_the_default(config_path, tmp_path, capsys):
+    auto = tmp_path / "auto.ini"
+    auto.write_text(REFERENCE_INI + "\n[scan]\ncenter_fs = auto\ntau_a_fs = AUTO\n")
+    results = []
+    for name, path in (("default", config_path), ("auto", str(auto))):
+        out_path = tmp_path / f"{name}.csv"
+        code, out, err = run(["scan", "--config", path, "--out", str(out_path)], capsys)
+        assert code == 0 and err == ""
+        results.append((out, out_path.read_bytes()))
+    assert results[0] == results[1]
+
+
 def test_byte_identical_reruns(config_path, tmp_path, capsys):
     pairs = []
     for tag in ("a", "b"):
@@ -480,6 +529,8 @@ def test_byte_identical_reruns(config_path, tmp_path, capsys):
                  id="polarization-too-short"),
     pytest.param("emission-map", "[interference]\nbeam_phi_a_deg = 90\nbeam_phi_b_deg = 450\n",
                  2, id="emission-map-equal-beams"),
+    pytest.param("visibility-curve", "[visibility_curve]\ntau_b_min_fs = 500\ntau_b_max_fs = 400\n",
+                 2, id="visibility-curve-empty-range"),
 ])
 def test_failed_run_writes_no_file(tmp_path, capsys, command, section, exit_code):
     path = tmp_path / "fails.ini"

@@ -206,12 +206,16 @@ def test_blocked_evaluation_equals_per_row_calls(params, rect):
         np.testing.assert_array_equal(
             broadcast, [rate(th, QUARTER, tau_a, taus) for th in theta[:, 0]])
         scalar = rate(QUARTER, QUARTER, float(grid_a[7, 5]), float(grid_b[7, 5]))
-    env = sc.envelope(params, grid_a, grid_b)
-    np.testing.assert_array_equal(env, [sc.envelope(params, a, b) for a, b in zip(grid_a, grid_b)])
     # scalars are evaluated in Python floats, to the same bits
-    scalar_env = sc.envelope(params, float(grid_a[7, 5]), float(grid_b[7, 5]))
-    assert type(scalar) is float and type(scalar_env) is float
-    assert scalar == grid[7, 5] and scalar_env == env[7, 5]
+    assert type(scalar) is float and scalar == grid[7, 5]
+    for func in (sc.envelope, sc.rect_window, aligned_contrast):
+        values = func(params, grid_a, grid_b)
+        np.testing.assert_array_equal(values, [func(params, a, b) for a, b in zip(grid_a, grid_b)])
+        np.testing.assert_array_equal(
+            func(params, tau_a, line), np.concatenate([func(params, tau_a, row) for row in rows]))
+        a, b = grid_a[7, 5], grid_b[7, 5]  # numpy scalars; float and 0-d below
+        for scalar in (func(params, float(a), float(b)), func(params, a, np.array(b))):
+            assert type(scalar) is float and scalar == values[7, 5]
 
 
 def test_clamp_warning_fires_once_per_call(params):
