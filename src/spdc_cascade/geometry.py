@@ -29,7 +29,12 @@ mirror images, so crystal 2's cone at azimuth phi is crystal 1's at -phi.
 The residual of a solve is built once (`_cone_residual`) from scalar
 products of the emission direction with the pump and the optic axis; the
 optic axis lies in the y-z plane, so an azimuth enters only through
-sin(phi), and a solver step costs sin u, cos u and square roots.
+sin(phi), and a solver step costs sin u, cos u and square roots.  The map
+therefore solves and times each distinct sin(phi) once: on an n-point
+uniform grid, phi and pi - phi share a sine and the mirror row -sin(phi)
+repeats the grid's sines, so 4 | n leaves n/2 + 1 of them.  Sines within
+_SIN_TOL = 1.8e-15 of each other count as one, which moves a root by about
+1e-16 rad, a thousandth of the solve's tolerance.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -71,6 +76,13 @@ from .numeric import _csv
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
 _SECANT_STEPS = 4  # from a start pair, before the verification of _secant_roots
+# the map solves and times azimuths whose sines lie this close as one
+# (`_sine_lanes`): the sines of phi and pi - phi on a uniform grid differ by
+# a few ulp, and its distinct sines by at least 4.6e-9 up to 65 536
+# azimuths.  A cone's |du/d sin(phi)| is about its tilt, below 0.08 on
+# 0.5-3 mm BBO cut at 42.93-50 deg, so a merged sine moves a root by less
+# than 1.4e-16 rad, a thousandth of _XTOL
+_SIN_TOL = 8 * np.finfo(float).eps  # 1.8e-15
 _INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
 _CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
 
@@ -194,13 +206,15 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     else:
         x0, x1 = start
         f0, f1 = f(x0, *args), f(x1, *args)
-    for step in range(_SECANT_STEPS):
-        if step:
-            x0, f0, x1, f1 = x1, f1, x, f(x, *args)
-        # f1 == f0 (a stalled lane) leaves no step; it stays where it is
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    # f1 == f0 (a stalled lane) leaves no step; it stays where it is.  The
+    # steps evaluate f only inside the brackets, whose ends the caller
+    # evaluated, and the verification below runs outside this errstate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for step in range(_SECANT_STEPS):
+            if step:
+                x0, f0, x1, f1 = x1, f1, x, f(x, *args)
             x = x1 - f1 * (x1 - x0) / (f1 - f0)
-        x = np.clip(np.where(np.isfinite(x), x, x1), lo, hi)
+            x = np.minimum(np.maximum(np.where(np.isfinite(x), x, x1), lo), hi)
     delta = 0.5 * (xtol + rtol * np.abs(x))
     below, above = x - delta, x + delta
     verified = (
@@ -214,7 +228,30 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     return x
 
 
-def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirror=False) -> np.ndarray:
+def _sine_lanes(sines):
+    """The distinct values of sines, sorted, and each sine's position among
+    them, shaped like sines.
+
+    Sorted sines at most _SIN_TOL above the previous one share its lane,
+    whose value is the lane's smallest sine.  Should such a chain span more
+    than _SIN_TOL, only equal sines share a lane, so every sine lies within
+    _SIN_TOL of its lane's value.
+    """
+    order = np.argsort(sines, axis=None, kind="stable")  # merges the grid's sorted runs
+    s = sines.ravel()[order]
+    gaps = s[1:] - s[:-1]
+    new = np.ones(s.size, dtype=bool)  # where a lane starts
+    new[1:] = gaps > _SIN_TOL
+    lane = np.cumsum(new) - 1
+    if np.any(s - s[new][lane] > _SIN_TOL):
+        new[1:] = gaps > 0.0
+        lane = np.cumsum(new) - 1
+    index = np.empty(s.size, dtype=np.intp)
+    index[order] = lane
+    return s[new], index.reshape(np.shape(sines))
+
+
+def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lanes=None) -> np.ndarray:
     """Internal polar angles of the pol-cone along each azimuth of phi (1-D).
 
     Each root is bracketed by the pump axis (residual < 0 inside the cone)
@@ -224,22 +261,22 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
     matches.  `_secant_roots` then starts every azimuth from the circle
     through the cone's in-plane extremes, with tilt t and half-angle h: the
     direction at polar angle u on it has sin u sin(phi) sin t + cos u cos t
-    = cos h.  mirror=True also solves, in the same batch, the cone of the
-    mirror-image crystal (optic axis at -psi), which at phi is this
-    crystal's cone at -phi, and returns both rows, shape (2, phi.size); a
-    failure in either row names its azimuth of phi.
+    = cos h.  lanes=(sines, index), from `_sine_lanes`, solves once per
+    distinct sine instead and returns one angle per sine: index, shape
+    (rows, phi.size), gives each row's azimuths their sines' positions, and
+    a failure names the first failing azimuth of phi, row by row.
     """
     if pol not in ("o", "e"):
         raise ValueError("polarization must be 'o' or 'e'")
     f = _cone_residual(crystal, pump, pol)
-    sin_phi = np.sin(phi)
-    if mirror:  # the mirror image (a_y -> -a_y) at phi is this crystal at -phi
-        sin_phi = np.concatenate([sin_phi, -sin_phi])
+    sin_phi, index = lanes if lanes is not None else (np.sin(phi), np.arange(np.size(phi))[None])
     lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
     f_lo, f_hi = f(lo, sin_phi), f(hi, sin_phi)
     failed = ~((f_lo < 0.0) & (f_hi >= 0.0))
     if failed.any():
-        i = int(np.argmax(failed))
+        lanes_in_order = index.ravel()  # row by row
+        k = int(np.argmax(failed[lanes_in_order]))  # the first failing (row, azimuth)
+        i = lanes_in_order[k]
         if f_lo[i] < 0.0:
             end, reason = f_hi[i], f"the cone opens beyond the {_U_MAX:g} rad search bound"
         else:
@@ -252,7 +289,7 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
                 hint = f"cut angle at or below the collinear cut angle, {collinear:.3f} deg"
             reason = f"the cone does not enclose the pump axis ({hint})"
         raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
-                                     f"{phi[i % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
+                                     f"{phi[k % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
     cone = _cone_from_extremes(*_inplane_extremes(crystal, pump, pol, f))
     # the circle's polar angle, u = atan2(y, cos t) + arccos(cos h / hypot(cos t, y));
@@ -260,8 +297,7 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, mirr
     # minimum keeps its starts finite, and the verification judges them
     y, cos_t = sin_phi * math.sin(cone.tilt), math.cos(cone.tilt)
     u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(cone.half_angle) / np.hypot(cos_t, y), 1.0))
-    u = _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
-    return u.reshape(2, phi.size) if mirror else u
+    return _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
 
 
 def _inplane_extremes(crystal, pump, pol, residual=None):
@@ -437,7 +473,7 @@ def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: P
         theta = None
         if name[1] == "e":
             a_y, a_z = optic_axis(crystal)
-            theta = np.arccos(np.clip(a_y * sin_phi * np.sin(u) + a_z * np.cos(u), -1.0, 1.0))
+            theta = np.arccos(np.minimum(np.maximum(a_y * sin_phi * np.sin(u) + a_z * np.cos(u), -1.0), 1.0))
         return _transit_time(crystal, lam_dc, theta, sec_u)
 
     tp1 = _pump_time(crystal1, pump)
@@ -459,8 +495,7 @@ class EmissionTimeMap:
     times: dict
 
     def __post_init__(self):
-        if np.any(np.diff(self.phi_grid) <= 0):
-            raise ValueError("phi grid must be strictly increasing")
+        _check_phi_grid(self.phi_grid)
         for name in CLASS_NAMES:
             if name not in self.times:
                 raise ValueError(f"missing class {name!r} in times")
@@ -481,6 +516,17 @@ class EmissionTimeMap:
         return _csv("phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs", zip(*columns), "%.6g,%.6g,%.6g,%.6g,%.6g")
 
 
+def _check_phi_grid(phi):
+    """Raise ValueError unless the azimuths of phi are finite and strictly increasing."""
+    phi = np.asarray(phi)
+    finite = np.isfinite(phi)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(f"azimuth {i} of the phi grid is not finite ({phi[i]})")
+    if np.any(phi[1:] <= phi[:-1]):  # phi[1:] - phi[:-1] <= 0 for finite phi
+        raise ValueError("phi grid must be strictly increasing")
+
+
 def default_phi_grid(n: int = 256) -> np.ndarray:
     return np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
 
@@ -499,7 +545,9 @@ def emission_time_map(
     azimuths together, with per-direction path lengths and e-indices.  The
     crystals are mirror images, so crystal 2's cone at azimuth phi is
     crystal 1's at -phi: each polarization is solved once, on crystal 1
-    at phi and -phi.
+    at the distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and
+    each class time is evaluated once per distinct value.  Raises
+    ValueError for a phi grid that is not finite and strictly increasing.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")
@@ -513,13 +561,17 @@ def emission_time_map(
     if phi_grid is None:
         phi_grid = default_phi_grid()
     phi_grid = np.asarray(phi_grid, dtype=float)
+    _check_phi_grid(phi_grid)
 
     sin_phi = np.sin(phi_grid)
+    # row 0 is crystal 1 at phi, row 1 crystal 2 at phi, i.e. crystal 1 at -phi
+    sines, index = _sine_lanes(np.stack([sin_phi, -sin_phi]))
     times = {}
     for pol in ("e", "o"):
-        cones = _cone_polar_angles(crystal1, pump, pol, phi_grid, mirror=True)
-        for name, u in zip(("1" + pol, "2" + pol), cones):
-            times[name] = _class_time(name, crystal1, crystal2, pump, u, sin_phi)
+        u = _cone_polar_angles(crystal1, pump, pol, phi_grid, lanes=(sines, index))
+        # crystal 1's root at sine v is crystal 2's at -v
+        times["1" + pol] = _class_time("1" + pol, crystal1, crystal2, pump, u, sines)[index[0]]
+        times["2" + pol] = _class_time("2" + pol, crystal1, crystal2, pump, u, -sines)[index[1]]
     return EmissionTimeMap(phi_grid, times).with_delays(delays)
 
 

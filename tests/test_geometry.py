@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 import subprocess
 import sys
 import warnings
@@ -16,8 +17,10 @@ from spdc_cascade.geometry import (
     _cone_polar_angles,
     _cone_residual,
     _inplane_extremes,
+    _SIN_TOL,
     _refine_brackets,
     _secant_roots,
+    _sine_lanes,
 )
 
 PSI = math.radians(43.65)
@@ -183,16 +186,20 @@ def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
 
 
 def test_mirrored_cone_failure_names_the_callers_azimuth(crystal1, crystal2, pump, monkeypatch):
-    # the map solves crystal 2's cones as crystal 1's at -phi; at a 0.05 rad
-    # bound crystal 2's e-cone (0.0858 rad at 3pi/2) fails first, and the
-    # error names the azimuth of the caller's grid, not its mirror
+    # the map solves crystal 2's cones as crystal 1's at -phi, and on the
+    # 64-point grid phi and pi - phi share one solve; at a 0.05 rad bound the
+    # e-cones (up to 0.0858 rad) fail first, and the error names the
+    # caller's first failing azimuth, not its mirror or its lane partner
     monkeypatch.setattr(sc.geometry, "_U_MAX", 0.05)
-    phi = 3 * math.pi / 2
-    with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.05 rad search bound") as err:
-        sc.emission_time_map(crystal1, crystal2, pump, {}, np.array([phi]))
-    assert f"e-emission at azimuth {phi:.4f} rad" in str(err.value)
-    at_bound = _vector_residual(crystal2, pump, "e", 0.05, phi)
-    assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
+    for phi in (np.array([3 * math.pi / 2]), sc.geometry.default_phi_grid(64)):
+        beyond = [_vector_residual(crystal, pump, "e", 0.05, phi) < 0.0 for crystal in (crystal1, crystal2)]
+        k = np.flatnonzero(beyond[0] | beyond[1])[0]
+        crystal = crystal1 if beyond[0][k] else crystal2
+        with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.05 rad search bound") as err:
+            sc.emission_time_map(crystal1, crystal2, pump, {}, phi)
+        assert f"e-emission at azimuth {phi[k]:.4f} rad" in str(err.value)
+        at_bound = _vector_residual(crystal, pump, "e", 0.05, phi[k])
+        assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
 # --- batched root solver vs a scalar brentq oracle ----------------------------
@@ -338,7 +345,9 @@ def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, 
     # each 15 evaluations of the residual that _cone_residual builds: 2 at
     # the bracket ends, 6 for the in-plane extremes (the grid, 3 for 4
     # secant steps from the grid-bracket ends, 2 to verify) and 7 for the
-    # azimuths (the start pair, 3 for 4 secant steps, 2 to verify): 30
+    # azimuths (the start pair, 3 for 4 secant steps, 2 to verify): 30.
+    # The azimuths' 2 x 1024 sines (sin phi and -sin phi) take 513 distinct
+    # values, one lane each
     lanes = _count_fallback_lanes(monkeypatch)
     solves, calls = [], []
     build = sc.geometry._cone_residual
@@ -357,7 +366,39 @@ def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, 
     sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
     assert len(solves) == 2
     assert 4 <= len(calls) <= 40
+    assert {np.size(sin_phi) for _, sin_phi in calls if np.ndim(sin_phi)} == {513}
     assert lanes == []  # every azimuth verified from its seed
+
+
+def _folded_turn(turn):
+    """The angle of sine sin(2 pi turn) in [-1/4, 1/4] turns, where sin is one-to-one."""
+    turn %= 1
+    if turn <= Fraction(1, 4):
+        return turn
+    if turn <= Fraction(3, 4):
+        return Fraction(1, 2) - turn  # sin(pi - x) = sin(x)
+    return turn - 1
+
+
+@pytest.mark.parametrize("n", [64, 1000, 1001, 1024, 65536])
+def test_sine_lanes_hold_each_distinct_sine_of_a_uniform_grid_once(n):
+    # oracle: the grid's distinct sines in exact arithmetic, over the map's
+    # two rows sin(phi_k) and -sin(phi_k) = sin(-phi_k)
+    distinct = {_folded_turn(Fraction(sign * k, n)) for k in range(n) for sign in (1, -1)}
+    sin_phi = np.sin(sc.geometry.default_phi_grid(n))
+    rows = np.stack([sin_phi, -sin_phi])
+    sines, index = _sine_lanes(rows)
+    assert sines.size == len(distinct)
+    assert index.shape == rows.shape
+    assert np.abs(sines[index] - rows).max() <= _SIN_TOL
+
+
+def test_sine_lanes_do_not_chain_close_sines_beyond_the_tolerance():
+    # sines 1e-16 apart chain over 6.3e-15 > _SIN_TOL: only equal sines merge
+    rows = np.arange(64) * 1e-16
+    sines, index = _sine_lanes(np.concatenate([rows, rows]))
+    assert sines.tolist() == rows.tolist()
+    assert index.tolist() == 2 * list(range(64))
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
@@ -447,18 +488,21 @@ def test_unequal_crystals_on_axis_combine_propagation_times(pump):
 
 def test_map_matches_per_azimuth_class_times(crystal1, crystal2, pump):
     # reference: the per-azimuth loop, one scalar brentq cone solve and one
-    # class-time evaluation per (azimuth, class)
-    phi = sc.geometry.default_phi_grid(64)
-    emission_map = sc.emission_time_map(crystal1, crystal2, pump, phi_grid=phi)
+    # class-time evaluation per (azimuth, class), on the default grid and on
+    # a non-uniform one, whose sines the map cannot share
+    non_uniform = np.sort(np.random.default_rng(17).uniform(0.0, 2 * math.pi, 64))
+    assert np.all(np.diff(non_uniform) > 0)
     sources = {"1e": (crystal1, "e"), "1o": (crystal1, "o"),
                "2e": (crystal2, "e"), "2o": (crystal2, "o")}
-    for name, (crystal, pol) in sources.items():
-        u = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
-        loop = [_class_time(name, crystal1, crystal2, pump, u_i, np.sin(p)) for u_i, p in zip(u, phi)]
-        batched = _class_time(name, crystal1, crystal2, pump, u, np.sin(phi))
-        assert batched.shape == phi.shape
-        np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
-        np.testing.assert_allclose(emission_map.times[name], loop, rtol=1e-14, atol=0)
+    for phi in (sc.geometry.default_phi_grid(64), non_uniform):
+        emission_map = sc.emission_time_map(crystal1, crystal2, pump, phi_grid=phi)
+        for name, (crystal, pol) in sources.items():
+            u = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
+            loop = [_class_time(name, crystal1, crystal2, pump, u_i, np.sin(p)) for u_i, p in zip(u, phi)]
+            batched = _class_time(name, crystal1, crystal2, pump, u, np.sin(phi))
+            assert batched.shape == phi.shape
+            np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
+            np.testing.assert_allclose(emission_map.times[name], loop, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
@@ -488,6 +532,20 @@ def test_zero_thickness_cascade_gives_zero_times(pump):
     emission_map = sc.emission_time_map(c1, c2, pump, phi_grid=sc.geometry.default_phi_grid(64))
     for name in ("1e", "1o", "2e", "2o"):
         assert np.all(emission_map.times[name] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_maps_reject_a_non_finite_azimuth_before_any_solve(crystal1, crystal2, pump, monkeypatch, bad):
+    # sin(nan) would warn and then blame the cut angle; with the grid
+    # validated first, no cone residual is built and nothing warns
+    phi = np.array([0.0, bad, 1.0, np.nan])
+    monkeypatch.setattr(sc.geometry, "_cone_residual", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"azimuth 1 of the phi grid is not finite \((-?inf|nan)\)"):
+            sc.emission_time_map(crystal1, crystal2, pump, {}, phi)
+        with pytest.raises(ValueError, match="azimuth 1 of the phi grid is not finite"):
+            sc.EmissionTimeMap(phi, {name: np.zeros(phi.size) for name in CLASS_NAMES})
 
 
 def test_emission_map_validation(crystal1, crystal2, pump):
@@ -576,10 +634,11 @@ def test_map_mirror_symmetry_about_the_axis_plane(base_map):
     n = phi.size
     for name in ("1e", "1o", "2e", "2o"):
         t = base_map.times[name]
-        # phi_k -> pi - phi_k lands back on the grid (uniform, endpoint-free)
+        # phi_k -> pi - phi_k lands back on the grid (uniform, endpoint-free);
+        # the map solves and times the two azimuths' shared sine once
         mirrored = np.array([(math.pi - p) % (2 * math.pi) for p in phi])
         idx = np.rint(mirrored / (2 * math.pi / n)).astype(int) % n
-        assert np.allclose(t[idx], t, atol=1e-9)
+        assert np.array_equal(t[idx], t)
 
 
 def test_mismatch_at_beam_azimuths(base_map):
