@@ -67,12 +67,10 @@ def cmd_emission_map(cfg: RunConfig, args) -> tuple:
     delays = {c: opts[f"delay_{c}_fs"] for c in geometry.CLASS_NAMES}
     delays = {c: auto[c] if value is None else value for c, value in delays.items()}
     emission_map = base.with_delays(delays)
-    at_a = geometry.mismatch_at_azimuth(emission_map, cfg.beam_phi_a)
-    at_b = geometry.mismatch_at_azimuth(emission_map, cfg.beam_phi_b)
     return emission_map.to_csv(), _summary({
         "pairing_mismatch_fs": geometry.pairing_mismatch(emission_map),
-        "beam_a_mismatch_fs": max(at_a["1e_2o"], at_a["1o_2e"]),
-        "beam_b_mismatch_fs": max(at_b["1e_2o"], at_b["1o_2e"]),
+        "beam_a_mismatch_fs": geometry.mismatch_at_azimuth(emission_map, cfg.beam_phi_a),
+        "beam_b_mismatch_fs": geometry.mismatch_at_azimuth(emission_map, cfg.beam_phi_b),
         "delay_1e_fs": delays["1e"],
         "delay_2e_fs": delays["2e"],
         "phi_points": opts["phi_points"],

@@ -21,8 +21,8 @@ Minimal example::
     bandwidth_nm = 1.0
 
 Numbers must be finite (``nan`` and ``inf`` are rejected),
-``[emission_map] phi_points`` must lie in [64, MAX_PHI_POINTS], and the
-two beam azimuths of ``[interference]`` must differ (mod 360 deg).
+``[emission_map] phi_points`` must lie in [MIN_PHI_POINTS, MAX_PHI_POINTS],
+and the two beam azimuths of ``[interference]`` must differ (mod 360 deg).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 from .constants import TWO_PI
 from .errors import ConfigError
+from .geometry import MIN_PHI_POINTS
 from .interference import RECT_CONVENTIONS, InterferenceParams, params_from_crystal
 from .materials import CrystalSpec, DispersionModel, PumpSpec, get_model
 
@@ -142,7 +143,7 @@ _SCHEMA = {
         "step_fs": (_parse_positive, 0.25),
     },
     "emission_map": {
-        "phi_points": (_parse_int_in(64, MAX_PHI_POINTS), 256),
+        "phi_points": (_parse_int_in(MIN_PHI_POINTS, MAX_PHI_POINTS), 256),
         "delay_1e_fs": (_parse_auto(_parse_nonnegative), None),
         "delay_2e_fs": (_parse_auto(_parse_nonnegative), None),
         "delay_1o_fs": (_parse_nonnegative, 0.0),

@@ -21,7 +21,8 @@ class NotPhaseMatchableError(ValueError):
 
 
 class DegenerateParametersError(ValueError):
-    """Interference parameters make the model singular (zero denominators)."""
+    """Propagation times outside the rate model's domain, D = 2 t_p - t_o
+    - t_e > 0 and t_o - t_e > 0; the message names the failing value."""
 
 
 class UndefinedVisibilityError(ValueError):

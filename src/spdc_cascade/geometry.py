@@ -87,6 +87,10 @@ _INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +
 _CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
 
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
+# the interfering (e class, o class) pairs: one crystal's e-cone overlaps the
+# other's o-cone
+PAIRS = (("1e", "2o"), ("2e", "1o"))
+MIN_PHI_POINTS = 64  # azimuths a map needs for its worst pair mismatch
 
 
 def optic_axis(crystal: CrystalSpec) -> tuple[float, float]:
@@ -251,8 +255,8 @@ def _sine_lanes(sines):
     return s[new], index.reshape(np.shape(sines))
 
 
-def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lanes=None) -> np.ndarray:
-    """Internal polar angles of the pol-cone along each azimuth of phi (1-D).
+def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lanes) -> np.ndarray:
+    """Internal polar angles of the pol-cone at the distinct sines of lanes.
 
     Each root is bracketed by the pump axis (residual < 0 inside the cone)
     and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for the
@@ -261,15 +265,15 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lane
     matches.  `_secant_roots` then starts every azimuth from the circle
     through the cone's in-plane extremes, with tilt t and half-angle h: the
     direction at polar angle u on it has sin u sin(phi) sin t + cos u cos t
-    = cos h.  lanes=(sines, index), from `_sine_lanes`, solves once per
-    distinct sine instead and returns one angle per sine: index, shape
-    (rows, phi.size), gives each row's azimuths their sines' positions, and
-    a failure names the first failing azimuth of phi, row by row.
+    = cos h.  lanes=(sines, index) comes from `_sine_lanes`: the solve
+    returns one angle per distinct sine, index, shape (rows, phi.size), gives
+    each row's azimuths of phi their sines' positions, and a failure names
+    the first failing azimuth of phi, row by row.
     """
     if pol not in ("o", "e"):
         raise ValueError("polarization must be 'o' or 'e'")
     f = _cone_residual(crystal, pump, pol)
-    sin_phi, index = lanes if lanes is not None else (np.sin(phi), np.arange(np.size(phi))[None])
+    sin_phi, index = lanes
     lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
     f_lo, f_hi = f(lo, sin_phi), f(hi, sin_phi)
     failed = ~((f_lo < 0.0) & (f_hi >= 0.0))
@@ -503,10 +507,8 @@ class EmissionTimeMap:
                 raise ValueError(f"times of class {name!r} do not have the shape of the phi grid")
 
     def with_delays(self, delays: dict) -> "EmissionTimeMap":
-        """Return a copy with additional fixed per-class delays added."""
-        unknown = set(delays) - set(CLASS_NAMES)
-        if unknown:
-            raise ValueError(f"unknown photon classes in delays: {sorted(unknown)}")
+        """Return a copy with additional fixed (finite) per-class delays added."""
+        _check_delays(delays)
         new_times = {c: self.times[c] + delays.get(c, 0.0) for c in CLASS_NAMES}
         return EmissionTimeMap(self.phi_grid, new_times)
 
@@ -514,6 +516,16 @@ class EmissionTimeMap:
         """The map as CSV: azimuth in degrees and the four class times, one row per azimuth."""
         columns = [np.degrees(self.phi_grid).tolist()] + [self.times[c].tolist() for c in CLASS_NAMES]
         return _csv("phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs", zip(*columns), "%.6g,%.6g,%.6g,%.6g,%.6g")
+
+
+def _check_delays(delays: dict):
+    """Raise ValueError unless delays maps photon classes to finite numbers."""
+    unknown = set(delays) - set(CLASS_NAMES)
+    if unknown:
+        raise ValueError(f"unknown photon classes in delays: {sorted(unknown)}")
+    for name, value in delays.items():
+        if not math.isfinite(value):
+            raise ValueError(f"delay of class {name!r} is not finite ({value})")
 
 
 def _check_phi_grid(phi):
@@ -547,7 +559,8 @@ def emission_time_map(
     crystal 1's at -phi: each polarization is solved once, on crystal 1
     at the distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and
     each class time is evaluated once per distinct value.  Raises
-    ValueError for a phi grid that is not finite and strictly increasing.
+    ValueError, before any solve, for a phi grid that is not finite and
+    strictly increasing, and for unknown, non-finite or negative delays.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")
@@ -556,6 +569,7 @@ def emission_time_map(
     if crystal1.model != crystal2.model:
         raise ValueError("cascade crystals must share one dispersion model")
     delays = dict(delays or {})
+    _check_delays(delays)
     if any(v < 0 for v in delays.values()):
         raise ValueError("per-class delays must be nonnegative")
     if phi_grid is None:
@@ -572,50 +586,47 @@ def emission_time_map(
         # crystal 1's root at sine v is crystal 2's at -v
         times["1" + pol] = _class_time("1" + pol, crystal1, crystal2, pump, u, sines)[index[0]]
         times["2" + pol] = _class_time("2" + pol, crystal1, crystal2, pump, u, -sines)[index[1]]
-    return EmissionTimeMap(phi_grid, times).with_delays(delays)
+    emission_map = EmissionTimeMap(phi_grid, times)
+    return emission_map.with_delays(delays) if delays else emission_map
+
+
+def _pair_gaps(emission_map: EmissionTimeMap) -> dict:
+    """Per azimuth, each pair's o-class time minus its e-class time (fs),
+    keyed by the e class.  Raises ValueError for a map without azimuths.
+    """
+    if emission_map.phi_grid.size == 0:
+        raise ValueError("the emission map has no azimuths")
+    t = emission_map.times
+    return {e: t[o] - t[e] for e, o in PAIRS}
 
 
 def pairing_mismatch(emission_map: EmissionTimeMap) -> float:
     """Worst residual arrival-time difference of the interfering pairs.
 
-    max over phi of max(|t_1e - t_2o|, |t_1o - t_2e|), delays included.
+    max over phi and `PAIRS` of |t_o-class - t_e-class|, delays included.
     The photons of a pair exit along (nearly) the same cone, so equal times
     mean which-crystal information is erased for every output direction.
     """
-    if emission_map.phi_grid.size < 64:
-        raise ValueError("emission map must cover at least 64 azimuth points")
-    t = emission_map.times
-    d_b = np.abs(t["1e"] - t["2o"])
-    d_a = np.abs(t["1o"] - t["2e"])
-    return float(max(d_b.max(), d_a.max()))
+    if emission_map.phi_grid.size < MIN_PHI_POINTS:
+        raise ValueError(f"emission map must cover at least {MIN_PHI_POINTS} azimuth points")
+    return float(max(np.abs(gap).max() for gap in _pair_gaps(emission_map).values()))
 
 
-def mismatch_at_azimuth(emission_map: EmissionTimeMap, phi: float) -> dict:
-    """Residual pair mismatches at the grid azimuth nearest to phi (fs)."""
+def mismatch_at_azimuth(emission_map: EmissionTimeMap, phi: float) -> float:
+    """Worst residual pair mismatch (fs) at the grid azimuth nearest to phi."""
+    gaps = _pair_gaps(emission_map)
     grid = emission_map.phi_grid
     i = int(np.argmin(np.abs((grid - phi + math.pi) % (2.0 * math.pi) - math.pi)))
-    t = emission_map.times
-    return {
-        "phi_rad": float(grid[i]),
-        "1e_2o": float(abs(t["1e"][i] - t["2o"][i])),
-        "1o_2e": float(abs(t["1o"][i] - t["2e"][i])),
-    }
+    return float(max(abs(gap[i]) for gap in gaps.values()))
 
 
 def map_flattening_delays(undelayed: EmissionTimeMap) -> dict:
     """Constant per-class delays that best flatten the pair mismatches.
 
-    The midrange of (t_2o - t_1e) over the grid is the minimax-optimal
-    constant delay for the 1e photons, likewise (t_1o - t_2e) for 2e.
-    Expects a map built with zero applied delays.  A negative value means
-    the partner class (2o of 1e, 1o of 2e) is the one to delay, by its
-    magnitude; applied delays (`emission_time_map`, the config) must be
-    nonnegative.
+    For each pair of `PAIRS`, keyed by its e class, the midrange over the
+    grid of (t_o-class - t_e-class): the minimax-optimal constant delay of
+    the e class.  Expects a map built with zero applied delays.  A negative
+    value means the pair's o class is the one to delay, by its magnitude;
+    applied delays (`emission_time_map`, the config) must be nonnegative.
     """
-    t = undelayed.times
-    d_b = t["2o"] - t["1e"]
-    d_a = t["1o"] - t["2e"]
-    return {
-        "1e": float(0.5 * (d_b.max() + d_b.min())),
-        "2e": float(0.5 * (d_a.max() + d_a.min())),
-    }
+    return {e: float(0.5 * (gap.max() + gap.min())) for e, gap in _pair_gaps(undelayed).items()}

@@ -26,6 +26,11 @@ maximized (V = 2 erf(sD)) exactly at the compensating delays
 The maximum visibility is the fringe contrast of the rate at these
 closed-form delays (`max_visibility`); nothing searches for it.
 
+The model holds only for D > 0 and t_o - t_e > 0 (the e photon outruns
+the o photon, as in BBO); rate, envelope and contrast raise
+DegenerateParametersError outside it (quartz), naming the failing value.
+Window and envelope read one rounding of |W|.
+
 Rect is the window of delay sums within which the two biphoton amplitudes
 can overlap at all.  Two conventions are provided:
 
@@ -236,27 +241,34 @@ def _elementwise(kernel, params: InterferenceParams, *args):
 
 
 def _walkoff_scales(times: PropagationTimes):
+    """(D, t_o - t_e) in fs, both positive inside the rate model's domain."""
     d = 2.0 * times.t_p - times.t_o - times.t_e
-    if d == 0.0:
-        raise DegenerateParametersError("2*t_p - t_o - t_e vanishes; rate model is singular")
+    if not d > 0.0:
+        raise DegenerateParametersError(f"2*t_p - t_o - t_e = {d:.6g} fs is not positive; outside the rate "
+                                        "model's domain")
     span = times.t_o - times.t_e
-    if span == 0.0:
-        raise DegenerateParametersError("t_o equals t_e; envelope ratio is singular")
+    if not span > 0.0:
+        raise DegenerateParametersError(f"t_o - t_e = {span:.6g} fs is not positive; the rate model "
+                                        "needs an e photon faster than the o photon (as in BBO)")
     return d, span
+
+
+def _overlap_excess(t: PropagationTimes, tau_a, tau_b):
+    """|W| = |2 t_o - t_e - t_e' - tau_A - tau_B|, rounded one way for all."""
+    return abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)
 
 
 def _rect(params: InterferenceParams, tau_a, tau_b):
     """`rect_window` of float arrays in one pass, or of Python floats."""
     t = params.times
-    total = tau_a + tau_b
     if params.rect_convention == "as_printed":
+        total = tau_a + tau_b
         lo = t.t_o - t.t_e
         hi = 3.0 * t.t_o - t.t_e - t.t_e2
         inside = (total > lo) & (total < hi)
     else:
         _, span = _walkoff_scales(t)
-        w = 2.0 * t.t_o - t.t_e - t.t_e2 - total
-        inside = abs(w) < abs(span)
+        inside = _overlap_excess(t, tau_a, tau_b) < span
     return 1.0 * inside
 
 
@@ -271,7 +283,7 @@ def _envelope(params: InterferenceParams, tau_a, tau_b):
     d, span = _walkoff_scales(t)
     s = params.sigma / (4.0 * math.sqrt(2.0))
     r = d / span
-    rw = r * abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)
+    rw = r * _overlap_excess(t, tau_a, tau_b)
     diff = tau_a - tau_b
     a1 = diff + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - rw
     a2 = diff + t.t_e - t.t_e2 + rw
@@ -342,7 +354,7 @@ def _aligned_contrast(params: InterferenceParams, tau_a, tau_b):
         math.sqrt(8.0 * math.pi)
         * abs(_envelope(params, tau_a, tau_b))
         * _rect(params, tau_a, tau_b)
-        / (2.0 * params.sigma * abs(d))
+        / (2.0 * params.sigma * d)
     )
     return np.minimum(contrast, 1.0)
 
@@ -351,8 +363,8 @@ def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
     """Fringe contrast of the rate model with the oscillation phase on crest.
 
     At pi/4-pi/4 analyzers the projection term is 1/2 and the interference
-    term reaches sqrt(8 pi) |V| Rect / (4 sigma |D|), so the contrast is
-    sqrt(8 pi) |V| Rect / (2 sigma |D|).  It is capped at 1: values above
+    term reaches sqrt(8 pi) |V| Rect / (4 sigma D), so the contrast is
+    sqrt(8 pi) |V| Rect / (2 sigma D).  It is capped at 1: values above
     occur only in the unphysical far lobe of the as-printed window, where
     the clamped rate yields full apparent contrast.
     """

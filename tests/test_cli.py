@@ -351,6 +351,22 @@ def test_emission_map_of_a_material_without_phase_matching_exits_3(tmp_path, cap
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("command", ["scan", "visibility-curve", "polarization"])
+def test_rate_commands_of_a_crystal_outside_the_rate_model_exit_3(tmp_path, capsys, command):
+    # quartz's e photon is the slower one (t_o - t_e = -16.13 fs on the
+    # reference design): the overlap window has no width, and the rate
+    # model names the value instead of clamping rates to a visibility of 1
+    path = tmp_path / "quartz.ini"
+    path.write_text(REFERENCE_INI.replace("material = bbo", "material = quartz"))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: t_o - t_e = -16.13") and "is not positive" in err
+    assert not out_path.exists()
+
+
 def test_emission_map_negative_auto_delay(tmp_path, capsys):
     # here the map-flattening delay of 2e is negative: the 1o photons are the
     # ones to delay.  The summary reports it as it is; an explicit negative

@@ -51,6 +51,13 @@ def _vector_residual(crystal, pump, pol, u, phi):
     return np.sqrt(rx * rx + ry * ry + rz * rz) - index("e" if pol == "o" else "o", rx, ry, rz)
 
 
+def _polar_angles(crystal, pump, pol, phi):
+    """The pol-cone's polar angle at each azimuth of phi, solved as the map
+    solves it: once per distinct sine of the lanes of `_sine_lanes`."""
+    sines, index = _sine_lanes(np.sin(phi)[None])
+    return _cone_polar_angles(crystal, pump, pol, phi, (sines, index))[index[0]]
+
+
 def _vector_class_time(name, crystal1, crystal2, pump, u, phi):
     """Oracle: the class time from 3-vectors.
 
@@ -108,14 +115,14 @@ def test_external_cones_are_refraction_widened(crystal1, pump):
 def test_cone_direction_solves_phase_matching(crystal1, pump):
     phi = np.random.default_rng(7).uniform(0, 2 * math.pi, 8)
     for pol in ("o", "e"):
-        u = _cone_polar_angles(crystal1, pump, pol, phi)
+        u = _polar_angles(crystal1, pump, pol, phi)
         assert np.abs(_vector_residual(crystal1, pump, pol, u, phi)).max() < 1e-12
 
 
 def test_cone_direction_matches_circular_fit_in_plane(crystal1, pump):
     cone = sc.phase_match_cones(crystal1, pump).o_cone
     # in the y-z plane the cone's polar angles are tilt +- half-opening
-    top, bottom = _cone_polar_angles(crystal1, pump, "o", np.array([math.pi / 2, 3 * math.pi / 2]))
+    top, bottom = _polar_angles(crystal1, pump, "o", np.array([math.pi / 2, 3 * math.pi / 2]))
     assert top == pytest.approx(cone.tilt + cone.half_angle, abs=1e-10)
     assert bottom == pytest.approx(cone.half_angle - cone.tilt, abs=1e-10)
 
@@ -165,7 +172,7 @@ def test_cone_below_collinear_angle_does_not_enclose_pump_axis(pump):
     phi = np.array([math.pi / 2, 3 * math.pi / 2])
     for first in (0, 1):
         with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis") as err:
-            _cone_polar_angles(crystal, pump, "o", phi[first:])
+            _polar_angles(crystal, pump, "o", phi[first:])
         assert f"azimuth {phi[first]:.4f} rad" in str(err.value)
         at_axis = _vector_residual(crystal, pump, "o", 1e-12, phi[first])
         assert err.value.residual == pytest.approx(abs(at_axis), rel=1e-9)
@@ -179,7 +186,7 @@ def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
     monkeypatch.setattr(sc.geometry, "_U_MAX", 0.01)
     phi = sc.geometry.default_phi_grid(64)
     with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.01 rad search bound") as err:
-        _cone_polar_angles(crystal1, pump, "e", phi)
+        _polar_angles(crystal1, pump, "e", phi)
     assert f"azimuth {phi[0]:.4f} rad" in str(err.value)
     at_bound = _vector_residual(crystal1, pump, "e", 0.01, phi[0])
     assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
@@ -231,7 +238,7 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
     for sign in (+1, -1):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
         for pol in ("o", "e"):
-            batched = _cone_polar_angles(crystal, pump, pol, phi)
+            batched = _polar_angles(crystal, pump, pol, phi)
             oracle = [_oracle_polar_angle(crystal, pump, pol, p) for p in phi]
             assert np.abs(batched - np.array(oracle)).max() <= 1e-12, (sign, pol)
             # in-plane extremes: every sign change of a 701-point signed-angle scan
@@ -334,7 +341,7 @@ def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump
     crystal = sc.CrystalSpec(sc.BBO, 1.07, psi)
     phi = sc.geometry.default_phi_grid(256)
     for pol in ("o", "e"):
-        batched = _cone_polar_angles(crystal, pump, pol, phi)
+        batched = _polar_angles(crystal, pump, pol, phi)
         oracle = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
         assert np.abs(batched - oracle).max() <= 1e-12, pol
     assert sum(lanes) > 0
@@ -409,7 +416,7 @@ def test_map_crystal_2_times_match_its_own_cone_solve(thickness, cut_deg, pump_n
     phi = sc.geometry.default_phi_grid(256)
     emission_map = sc.emission_time_map(c1, c2, pump, {}, phi)
     for name in ("2e", "2o"):
-        u = _cone_polar_angles(c2, pump, name[1], phi)
+        u = _polar_angles(c2, pump, name[1], phi)
         direct = _class_time(name, c1, c2, pump, u, np.sin(phi))
         assert np.abs(emission_map.times[name] - direct).max() <= 1e-9, name
 
@@ -524,6 +531,12 @@ def test_scalar_product_class_times_match_vector_form(thickness, cut_deg, pump_n
 def test_map_of_an_empty_grid_is_empty(crystal1, crystal2, pump):
     emission_map = sc.emission_time_map(crystal1, crystal2, pump, {}, np.array([]))
     assert all(emission_map.times[name].shape == (0,) for name in CLASS_NAMES)
+    # the pair measures say so, where numpy would raise "zero-size array to
+    # reduction operation" or "attempt to get argmin of an empty sequence"
+    with pytest.raises(ValueError, match="no azimuths"):
+        sc.map_flattening_delays(emission_map)
+    with pytest.raises(ValueError, match="no azimuths"):
+        sc.mismatch_at_azimuth(emission_map, 0.0)
 
 
 def test_zero_thickness_cascade_gives_zero_times(pump):
@@ -645,10 +658,60 @@ def test_mismatch_at_beam_azimuths(base_map):
     delayed = base_map.with_delays(sc.map_flattening_delays(base_map))
     total = sc.pairing_mismatch(delayed)
     for phi in (math.pi / 2, 3 * math.pi / 2):
-        at = sc.mismatch_at_azimuth(delayed, phi)
-        assert at["phi_rad"] == pytest.approx(phi, abs=0.02)
-        assert 0.0 <= at["1e_2o"] <= total
-        assert 0.0 <= at["1o_2e"] <= total
+        assert 0.0 <= sc.mismatch_at_azimuth(delayed, phi) <= total
+
+
+def _gap_map():
+    """A synthetic map whose pair gaps (o class minus e class) are known
+    exactly: 1e-2o spans -20..43 fs, 2e-1o spans -4.875..3 fs."""
+    phi = sc.geometry.default_phi_grid(64)
+    k = np.arange(64.0)
+    gap_1e, gap_2e = (7.0 * k) % 64.0 - 20.0, 3.0 - ((5.0 * k) % 64.0) / 8.0
+    times = {"1e": 1000.0 + k, "2e": np.full(64, 500.0)}
+    times["2o"], times["1o"] = times["1e"] + gap_1e, times["2e"] + gap_2e
+    return sc.EmissionTimeMap(phi, times), gap_1e, gap_2e
+
+
+def test_pair_owners_read_the_gaps_of_a_synthetic_map():
+    assert sc.geometry.PAIRS == (("1e", "2o"), ("2e", "1o"))
+    emission_map, gap_1e, gap_2e = _gap_map()
+    # the midrange of each pair's gap delays its e class
+    assert sc.map_flattening_delays(emission_map) == {"1e": 11.5, "2e": -0.9375}
+    assert sc.pairing_mismatch(emission_map) == 43.0
+    step = 2 * math.pi / 64
+    # the worst pair at the nearest grid azimuth, also across phi = 0; at
+    # azimuth 3 the 2e-1o pair is the worse one (1.125 fs against 1 fs)
+    for phi, i in [(3 * step + 0.4 * step, 3), (10 * step - 0.4 * step, 10), (-0.3 * step, 0),
+                   (2 * math.pi - 0.3 * step, 0), (63 * step + 0.6 * step, 0), (63 * step, 63)]:
+        expected = max(abs(gap_1e[i]), abs(gap_2e[i]))
+        assert sc.mismatch_at_azimuth(emission_map, phi) == expected, phi
+    assert sc.mismatch_at_azimuth(emission_map, 3 * step) == 1.125
+
+
+@pytest.mark.parametrize("delays, name", [({"1e": np.nan}, "1e"), ({"2e": np.inf}, "2e"),
+                                          ({"1o": 0.0, "2o": -np.inf}, "2o")])
+def test_non_finite_delays_are_rejected_naming_the_class(crystal1, crystal2, pump, monkeypatch, delays, name):
+    emission_map, _, _ = _gap_map()
+    with pytest.raises(ValueError, match=f"delay of class '{name}' is not finite"):
+        emission_map.with_delays(delays)
+    # before any solve: no cone residual is built
+    monkeypatch.setattr(sc.geometry, "_cone_residual", None)
+    with pytest.raises(ValueError, match=f"delay of class '{name}' is not finite"):
+        sc.emission_time_map(crystal1, crystal2, pump, delays, sc.geometry.default_phi_grid(64))
+
+
+def test_undelayed_map_is_built_once(crystal1, crystal2, pump, monkeypatch):
+    # the grid is checked on entry and when the map is constructed; an
+    # undelayed map adds no copy through with_delays
+    calls = []
+    check = sc.geometry._check_phi_grid
+    monkeypatch.setattr(sc.geometry, "_check_phi_grid", lambda phi: calls.append(phi) or check(phi))
+    phi = sc.geometry.default_phi_grid(64)
+    sc.emission_time_map(crystal1, crystal2, pump, {}, phi)
+    assert len(calls) == 2
+    delayed = sc.emission_time_map(crystal1, crystal2, pump, {"1e": 410.0}, phi)
+    base = sc.emission_time_map(crystal1, crystal2, pump, None, phi)
+    assert np.array_equal(delayed.times["1e"], base.times["1e"] + 410.0)
 
 
 def test_map_csv_format(base_map):

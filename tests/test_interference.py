@@ -165,12 +165,41 @@ def test_envelope_continuity_on_fine_grid(params):
 
 
 def test_degenerate_parameter_guard():
-    params = synthetic_params(t_p=460.0, t_o=500.0, t_e=420.0)  # 2tp = to + te
-    with pytest.raises(sc.DegenerateParametersError):
-        sc.envelope(params, 0.0, 0.0)
+    # the model's domain is D = 2 t_p - t_o - t_e > 0 and t_o - t_e > 0
     cfg = sc.AnalyzerDelayConfig(QUARTER, QUARTER, 0.0, 0.0)
-    with pytest.raises(sc.DegenerateParametersError):
-        sc.coincidence_rate(params, cfg)
+    for times, message in [
+        (dict(t_p=460.0, t_o=500.0, t_e=420.0), r"2\*t_p - t_o - t_e = 0 fs"),
+        (dict(t_p=400.0, t_o=500.0, t_e=420.0), r"2\*t_p - t_o - t_e = -120 fs"),
+        (dict(t_p=600.0, t_o=420.0, t_e=500.0), r"t_o - t_e = -80 fs"),
+    ]:
+        params = synthetic_params(**times)
+        for evaluate in (lambda: sc.envelope(params, 0.0, 0.0),
+                         lambda: sc.coincidence_rate(params, cfg),
+                         lambda: aligned_contrast(params, 0.0, np.zeros(3)),
+                         lambda: sc.rect_window(params, 0.0, 0.0)):
+            with pytest.raises(sc.DegenerateParametersError, match=message + " is not positive"):
+                evaluate()
+
+
+def test_rect_window_switches_where_the_envelopes_w_crosses_the_span(params):
+    # the window and the envelope read one rounding of W, ((C - tau_A) -
+    # tau_B) with C = 2 t_o - t_e - t_e', so they switch together: stepping
+    # tau_B by single ulps across either zero-aligned edge, the window is 1
+    # exactly where that |W| is below t_o - t_e.  C - (tau_A + tau_B)
+    # rounds differently within a few ulps of the edge for many tau_A
+    t = params.times
+    c, span = 2.0 * t.t_o - t.t_e - t.t_e2, t.t_o - t.t_e
+    tau_a_opt, _ = sc.optimal_delays(t)
+    for tau_a in np.random.default_rng(5).uniform(tau_a_opt - 100.0, tau_a_opt + 100.0, 200):
+        for edge in ((c - tau_a) - span, (c - tau_a) + span):
+            steps = [edge]
+            for _ in range(8):
+                steps = [np.nextafter(steps[0], -np.inf), *steps, np.nextafter(steps[-1], np.inf)]
+            tau_b = np.array(steps)
+            inside = 1.0 * (np.abs((c - tau_a) - tau_b) < span)
+            assert 0.0 < inside.sum() < tau_b.size  # the steps straddle the edge
+            np.testing.assert_array_equal(sc.rect_window(params, tau_a, tau_b), inside)
+            assert [sc.rect_window(params, float(tau_a), float(b)) for b in tau_b] == inside.tolist()
 
 
 # --- blocked evaluation --------------------------------------------------------
