@@ -42,16 +42,22 @@ k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
 Propagation times come from one group-delay model: a wave crossing a slab
 of thickness L at internal polar angle u takes t = L sec(u) n_g(lambda,
 theta) / c, and the pump travels along z at the cut angle to the optic axis.
-It gives the on-axis times of one crystal (`propagation_times`, behind the
-interference model) and the per-direction times of the four photon classes
-(`emission_time_map`).  Those classes (born in crystal 1 or 2, o- or
-e-polarized) are averaged over the birth position, i.e. pair creation at
-the generating crystal's centre: half the pump transit to get there, then
-the photon's own group delay over the remaining material.  Times are
-referenced to the pump pulse entering the first crystal and reported at the
-exit face of the second.  As in the solve, a direction enters through u and
-sin(phi) alone: its path takes sec(u), and an e photon's angle to an optic
-axis is the arccos of the residual's d.a.
+Its `PropagationTimes` (t_p, t_o, t_e, t_e2) hold one crystal's times: floats
+on the pump axis (`propagation_times`, behind the interference model) and
+arrays along the cones (`_cone_times`, behind `emission_time_map`).  One
+composition (`_class_times`) turns either into the times of the four photon
+classes (born in crystal 1 or 2, o- or e-polarized), averaged over the birth
+position, i.e. pair creation at the generating crystal's centre: half the
+pump transit to get there, then the photon's own group delay over the
+remaining material.  It holds for a mirror pair of equal crystals, the only
+cascade the map accepts.  Times are referenced to the pump pulse entering
+the first crystal and reported at the exit face of the second.  As in the
+solve, a direction enters through u and sin(phi) alone: its path takes
+sec(u), and an e photon's angle to an optic axis is the arccos of the
+residual's d.a.  `propagation_times` stays its own builder: on axis
+`_cone_times` would take the e angle as arccos(cos psi), which misses psi
+in the last bit for about 30 % of cut angles, and the rate model's
+outputs read the on-axis times to the last bit.
 """
 
 from __future__ import annotations
@@ -416,11 +422,6 @@ def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0):
     return crystal.thickness_mm * 1e6 / C_NM_PER_FS * sec_u * ng
 
 
-def _pump_time(crystal: CrystalSpec, pump: PumpSpec) -> float:
-    # the e-polarized pump travels along z, at the cut angle to the optic axis
-    return _transit_time(crystal, pump.center_nm, crystal.cut_angle)
-
-
 @dataclass(frozen=True)
 class PropagationTimes:
     """Propagation times through one crystal of the cascade, all in fs.
@@ -429,8 +430,10 @@ class PropagationTimes:
     t_o  : o-polarized down-converted photon
     t_e  : e-polarized down-converted photon in its generating crystal
     t_e2 : the same e photon crossing the other crystal of the cascade,
-           whose optic axis it sees under a different angle in general;
-           times built by `propagation_times` are on axis, so t_e2 = t_e
+           whose optic axis it sees under a different angle in general
+
+    Floats on the pump axis (`propagation_times`, where t_e2 = t_e); arrays
+    along the cones (`_cone_times`, t_p still on axis).
     """
 
     t_p: float
@@ -452,38 +455,42 @@ def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
     lam_dc = pump.degenerate_nm
     t_e = float(_transit_time(crystal, lam_dc, crystal.cut_angle))
     return PropagationTimes(
-        t_p=float(_pump_time(crystal, pump)),
+        t_p=float(_transit_time(crystal, pump.center_nm, crystal.cut_angle)),
         t_o=_transit_time(crystal, lam_dc),
         t_e=t_e,
         t_e2=t_e,
     )
 
 
-def _class_time(name: str, crystal1: CrystalSpec, crystal2: CrystalSpec, pump: PumpSpec, u, sin_phi):
-    """Average emission time (fs) of photon class `name` along the forward
-    internal direction(s) at polar angle u and sin(phi) (they broadcast; (0, 0)
-    is the pump axis), referenced to the pump entering crystal 1.
-
-    Classes: '1e'/'1o' born at the centre of crystal 1, '2e'/'2o' at the
-    centre of crystal 2.  Photons from crystal 1 also traverse the full
-    second crystal; e-polarized ones see the second axis under a different
-    angle, arccos(d.a) with d.a as in `_cone_residual`, and therefore a
-    different group index.  Every path through a slab takes sec(u).
+def _cone_times(crystal: CrystalSpec, pump: PumpSpec, u_o, u_e, sin_phi) -> PropagationTimes:
+    """crystal's times along its o- and e-cones, at polar angles u_o, u_e and
+    sin(phi) (arrays; t_p on axis): paths take sec(u), and t_e, t_e2 the e
+    angle arccos(d.a) of `_cone_residual` to crystal's axis and its mirror's.
     """
     lam_dc = pump.degenerate_nm
-    sec_u = 1.0 / np.cos(u)
+    a_y, a_z = optic_axis(crystal)
+    cos_e = np.cos(u_e)
+    y, z = a_y * sin_phi * np.sin(u_e), a_z * cos_e  # d.a = y + z, and z - y for the mirror
+    theta, theta2 = (np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) for c in (y + z, z - y))
+    return PropagationTimes(
+        t_p=_transit_time(crystal, pump.center_nm, crystal.cut_angle),
+        t_o=_transit_time(crystal, lam_dc, sec_u=1.0 / np.cos(u_o)),
+        t_e=_transit_time(crystal, lam_dc, theta, 1.0 / cos_e),
+        t_e2=_transit_time(crystal, lam_dc, theta2, 1.0 / cos_e),
+    )
 
-    def photon(crystal):
-        theta = None
-        if name[1] == "e":
-            a_y, a_z = optic_axis(crystal)
-            theta = np.arccos(np.minimum(np.maximum(a_y * sin_phi * np.sin(u) + a_z * np.cos(u), -1.0), 1.0))
-        return _transit_time(crystal, lam_dc, theta, sec_u)
 
-    tp1 = _pump_time(crystal1, pump)
-    if name[0] == "1":
-        return 0.5 * tp1 + 0.5 * photon(crystal1) + photon(crystal2)
-    return tp1 + 0.5 * _pump_time(crystal2, pump) + 0.5 * photon(crystal2)
+def _class_times(times: PropagationTimes) -> dict:
+    """Average emission times (fs) of the four photon classes, composed from
+    the generating crystal's times as the module docstring describes.
+    """
+    t_p, t_o, t_e, t_e2 = times.as_tuple()
+    return {
+        "1e": 0.5 * t_p + 0.5 * t_e + t_e2,
+        "1o": 0.5 * t_p + 0.5 * t_o + t_o,
+        "2e": t_p + 0.5 * t_p + 0.5 * t_e,
+        "2o": t_p + 0.5 * t_p + 0.5 * t_o,
+    }
 
 
 @dataclass(frozen=True)
@@ -558,9 +565,10 @@ def emission_time_map(
     crystals are mirror images, so crystal 2's cone at azimuth phi is
     crystal 1's at -phi: each polarization is solved once, on crystal 1
     at the distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and
-    each class time is evaluated once per distinct value.  Raises
-    ValueError, before any solve, for a phi grid that is not finite and
-    strictly increasing, and for unknown, non-finite or negative delays.
+    crystal 1's times there compose all four classes.  Raises ValueError,
+    before any solve, for crystals that are no mirror pair, for a phi grid
+    that is not finite and strictly increasing, and for unknown, non-finite
+    or negative delays.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")
@@ -568,6 +576,9 @@ def emission_time_map(
         raise ValueError("cascade crystals must have mirror-symmetric cut angles")
     if crystal1.model != crystal2.model:
         raise ValueError("cascade crystals must share one dispersion model")
+    if crystal1.thickness_mm != crystal2.thickness_mm:
+        raise ValueError(f"cascade crystals must have equal thicknesses "
+                         f"({crystal1.thickness_mm} and {crystal2.thickness_mm} mm)")
     delays = dict(delays or {})
     _check_delays(delays)
     if any(v < 0 for v in delays.values()):
@@ -580,13 +591,10 @@ def emission_time_map(
     sin_phi = np.sin(phi_grid)
     # row 0 is crystal 1 at phi, row 1 crystal 2 at phi, i.e. crystal 1 at -phi
     sines, index = _sine_lanes(np.stack([sin_phi, -sin_phi]))
-    times = {}
-    for pol in ("e", "o"):
-        u = _cone_polar_angles(crystal1, pump, pol, phi_grid, lanes=(sines, index))
-        # crystal 1's root at sine v is crystal 2's at -v
-        times["1" + pol] = _class_time("1" + pol, crystal1, crystal2, pump, u, sines)[index[0]]
-        times["2" + pol] = _class_time("2" + pol, crystal1, crystal2, pump, u, -sines)[index[1]]
-    emission_map = EmissionTimeMap(phi_grid, times)
+    u_e, u_o = (_cone_polar_angles(crystal1, pump, pol, phi_grid, lanes=(sines, index)) for pol in ("e", "o"))
+    # crystal 1's times at sine v are crystal 2's at -v: class 2 reads row 1
+    classes = _class_times(_cone_times(crystal1, pump, u_o, u_e, sines))
+    emission_map = EmissionTimeMap(phi_grid, {c: t[index[int(c[0]) - 1]] for c, t in classes.items()})
     return emission_map.with_delays(delays) if delays else emission_map
 
 
@@ -614,6 +622,8 @@ def pairing_mismatch(emission_map: EmissionTimeMap) -> float:
 
 def mismatch_at_azimuth(emission_map: EmissionTimeMap, phi: float) -> float:
     """Worst residual pair mismatch (fs) at the grid azimuth nearest to phi."""
+    if not math.isfinite(phi):
+        raise ValueError(f"azimuth {phi} is not finite")
     gaps = _pair_gaps(emission_map)
     grid = emission_map.phi_grid
     i = int(np.argmin(np.abs((grid - phi + math.pi) % (2.0 * math.pi) - math.pi)))

@@ -26,6 +26,17 @@ maximized (V = 2 erf(sD)) exactly at the compensating delays
 The maximum visibility is the fringe contrast of the rate at these
 closed-form delays (`max_visibility`); nothing searches for it.
 
+These delays are the on-axis pair gaps of the emission-time map's classes
+(`geometry._class_times` of `propagation_times`): 2o - 1e = tau_B and
+1o - 2e = tau_A, to rounding, so averaging over the birth position adds
+nothing on axis.  What separates the map's flattening delays from them
+comes from off-axis directions.  Near the collinear cut angle that
+residual stays at about 0.4 fs, not because t_e and t_e' are mislabelled:
+at 42.9245 deg the cones still reach u ~ 0.07 rad, and the map delays sit
++0.23 fs (1e - tau_B) and -0.41 fs (2e - tau_A) from the closed form, what
+remains of a path term (sec u) and an e-angle term of about +-8 fs each,
+which nearly cancel.
+
 The model holds only for D > 0 and t_o - t_e > 0 (the e photon outruns
 the o photon, as in BBO); rate, envelope and contrast raise
 DegenerateParametersError outside it (quartz), naming the failing value.

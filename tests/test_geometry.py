@@ -13,9 +13,10 @@ import spdc_cascade as sc
 from spdc_cascade.constants import C_NM_PER_FS
 from spdc_cascade.geometry import (
     CLASS_NAMES,
-    _class_time,
+    _class_times,
     _cone_polar_angles,
     _cone_residual,
+    _cone_times,
     _inplane_extremes,
     _SIN_TOL,
     _refine_brackets,
@@ -86,10 +87,6 @@ def _vector_class_time(name, crystal1, crystal2, pump, u, phi):
     if name[0] == "1":
         return 0.5 * tp1 + 0.5 * photon(crystal1) + photon(crystal2)
     return tp1 + 0.5 * tp2 + 0.5 * photon(crystal2)
-
-
-def _on_axis_times(crystal1, crystal2, pump):
-    return {name: _class_time(name, crystal1, crystal2, pump, 0.0, 0.0) for name in CLASS_NAMES}
 
 
 # --- phase-matched cones -----------------------------------------------------
@@ -415,10 +412,11 @@ def test_map_crystal_2_times_match_its_own_cone_solve(thickness, cut_deg, pump_n
     c2 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=-1)
     phi = sc.geometry.default_phi_grid(256)
     emission_map = sc.emission_time_map(c1, c2, pump, {}, phi)
+    u_o, u_e = (_polar_angles(c2, pump, pol, phi) for pol in ("o", "e"))
+    # the 2x classes read the generating crystal's own times
+    direct = _class_times(_cone_times(c2, pump, u_o, u_e, np.sin(phi)))
     for name in ("2e", "2o"):
-        u = _polar_angles(c2, pump, name[1], phi)
-        direct = _class_time(name, c1, c2, pump, u, np.sin(phi))
-        assert np.abs(emission_map.times[name] - direct).max() <= 1e-9, name
+        assert np.abs(emission_map.times[name] - direct[name]).max() <= 1e-9, name
 
 
 def test_solves_raise_no_floating_point_warnings(crystal1, crystal2, pump):
@@ -465,51 +463,26 @@ def test_import_leaves_root_finding_scipy_unloaded(tmp_path):
 
 # --- emission times ----------------------------------------------------------
 
-def test_single_crystal_mode_reproduces_two_photon_state_times(crystal1, pump):
-    absent = sc.CrystalSpec(sc.BBO, 0.0, PSI, axis_sign=-1)
-    times = sc.propagation_times(crystal1, pump)
-    on_axis = _on_axis_times(crystal1, absent, pump)
-    # H (ordinary) photon at (t_p + t_o)/2, V (extraordinary) at (t_p + t_e)/2
-    assert on_axis["1o"] == pytest.approx(0.5 * (times.t_p + times.t_o), rel=1e-12)
-    assert on_axis["1e"] == pytest.approx(0.5 * (times.t_p + times.t_e), rel=1e-12)
-    # mean lead of the faster photon
-    lead = on_axis["1o"] - on_axis["1e"]
-    assert lead == pytest.approx(0.5 * abs(times.t_o - times.t_e), rel=1e-12)
-
-
-def test_unequal_crystals_on_axis_combine_propagation_times(pump):
-    c1 = sc.CrystalSpec(sc.BBO, 0.8, PSI, axis_sign=+1)
-    c2 = sc.CrystalSpec(sc.BBO, 1.9, PSI, axis_sign=-1)
-    t1, t2 = sc.propagation_times(c1, pump), sc.propagation_times(c2, pump)
-    on_axis = _on_axis_times(c1, c2, pump)
-    # born mid-crystal: half the generating crystal, then all of the next one
-    expected = {
-        "1e": 0.5 * (t1.t_p + t1.t_e) + t2.t_e2,
-        "1o": 0.5 * (t1.t_p + t1.t_o) + t2.t_o,
-        "2e": t1.t_p + 0.5 * (t2.t_p + t2.t_e),
-        "2o": t1.t_p + 0.5 * (t2.t_p + t2.t_o),
-    }
-    for name, value in expected.items():
-        assert on_axis[name] == pytest.approx(value, rel=1e-12), name
-
-
 def test_map_matches_per_azimuth_class_times(crystal1, crystal2, pump):
     # reference: the per-azimuth loop, one scalar brentq cone solve and one
     # class-time evaluation per (azimuth, class), on the default grid and on
     # a non-uniform one, whose sines the map cannot share
     non_uniform = np.sort(np.random.default_rng(17).uniform(0.0, 2 * math.pi, 64))
     assert np.all(np.diff(non_uniform) > 0)
-    sources = {"1e": (crystal1, "e"), "1o": (crystal1, "o"),
-               "2e": (crystal2, "e"), "2o": (crystal2, "o")}
     for phi in (sc.geometry.default_phi_grid(64), non_uniform):
         emission_map = sc.emission_time_map(crystal1, crystal2, pump, phi_grid=phi)
-        for name, (crystal, pol) in sources.items():
-            u = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
-            loop = [_class_time(name, crystal1, crystal2, pump, u_i, np.sin(p)) for u_i, p in zip(u, phi)]
-            batched = _class_time(name, crystal1, crystal2, pump, u, np.sin(phi))
-            assert batched.shape == phi.shape
-            np.testing.assert_allclose(batched, loop, rtol=1e-14, atol=0)
-            np.testing.assert_allclose(emission_map.times[name], loop, rtol=1e-14, atol=0)
+        # class 1 is crystal 1 at sin(phi); class 2, crystal 2 at sin(phi),
+        # is crystal 1 at -sin(phi)
+        for row, crystal, sin_phi in (("1", crystal1, np.sin(phi)), ("2", crystal2, -np.sin(phi))):
+            u_o, u_e = (np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
+                        for pol in ("o", "e"))
+            loop = [_class_times(_cone_times(crystal1, pump, *args)) for args in zip(u_o, u_e, sin_phi)]
+            batched = _class_times(_cone_times(crystal1, pump, u_o, u_e, sin_phi))
+            for name in (row + "e", row + "o"):
+                assert batched[name].shape == phi.shape
+                expected = [t[name] for t in loop]
+                np.testing.assert_allclose(batched[name], expected, rtol=1e-14, atol=0)
+                np.testing.assert_allclose(emission_map.times[name], expected, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
@@ -522,10 +495,42 @@ def test_scalar_product_class_times_match_vector_form(thickness, cut_deg, pump_n
     for sign in (+1, -1):
         c1 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
         c2 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=-sign)
+        along = _class_times(_cone_times(c1, pump, u, u, np.sin(phi)))
+        # crystal 2 at phi is crystal 1 at -phi
+        mirrored = _class_times(_cone_times(c1, pump, u, u, -np.sin(phi)))
         for name in CLASS_NAMES:
-            scalar = _class_time(name, c1, c2, pump, u, np.sin(phi))
+            scalar = (along if name[0] == "1" else mirrored)[name]
             vector = _vector_class_time(name, c1, c2, pump, u, phi)
             np.testing.assert_allclose(scalar, vector, rtol=1e-14, atol=0, err_msg=f"{sign} {name}")
+
+
+def test_map_composes_its_classes_from_four_transit_times(crystal1, crystal2, pump, monkeypatch):
+    # one set of cone times for the whole map: the pump, the o photon and
+    # the e photon through each crystal's axis
+    calls = []
+    transit = sc.geometry._transit_time
+    monkeypatch.setattr(sc.geometry, "_transit_time",
+                        lambda *args, **kw: calls.append(args) or transit(*args, **kw))
+    sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
+    assert len(calls) == 4
+
+
+def test_on_axis_pair_gaps_are_the_closed_form_delays(monkeypatch):
+    # born at the crystal centres, the pairs' on-axis gaps 2o - 1e and
+    # 1o - 2e are tau_B and tau_A: everything that separates the map's
+    # flattening delays from the closed form comes from off-axis directions
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.inputs import REFERENCE, draw_designs
+
+    designs = [REFERENCE] + [d for seed in (1, 2, 3) for d in draw_designs(seed)]
+    assert len(designs) == 22
+    for d in designs:
+        crystal = sc.CrystalSpec(sc.BBO, d["thickness_mm"], math.radians(d["cut_angle_deg"]))
+        times = sc.propagation_times(crystal, sc.PumpSpec(d["center_nm"], d["bandwidth_nm"]))
+        tau_a, tau_b = sc.optimal_delays(times)
+        t = _class_times(times)
+        assert t["2o"] - t["1e"] == pytest.approx(tau_b, rel=1e-12), d
+        assert t["1o"] - t["2e"] == pytest.approx(tau_a, rel=1e-12), d
 
 
 def test_map_of_an_empty_grid_is_empty(crystal1, crystal2, pump):
@@ -559,6 +564,9 @@ def test_maps_reject_a_non_finite_azimuth_before_any_solve(crystal1, crystal2, p
             sc.emission_time_map(crystal1, crystal2, pump, {}, phi)
         with pytest.raises(ValueError, match="azimuth 1 of the phi grid is not finite"):
             sc.EmissionTimeMap(phi, {name: np.zeros(phi.size) for name in CLASS_NAMES})
+        # the nearest grid azimuth would wrap nan to azimuth 0
+        with pytest.raises(ValueError, match=rf"azimuth {bad} is not finite"):
+            sc.mismatch_at_azimuth(_gap_map()[0], bad)
 
 
 def test_emission_map_validation(crystal1, crystal2, pump):
@@ -575,6 +583,10 @@ def test_emission_map_validation(crystal1, crystal2, pump):
     quartz = sc.CrystalSpec(sc.QUARTZ, 1.07, PSI, -1)
     with pytest.raises(ValueError, match="share one dispersion model"):
         sc.emission_time_map(crystal1, quartz, pump)
+    # the classes are composed from one crystal's times
+    thick = sc.CrystalSpec(sc.BBO, 2.14, PSI, -1)
+    with pytest.raises(ValueError, match=r"equal thicknesses \(1\.07 and 2\.14 mm\)"):
+        sc.emission_time_map(crystal1, thick, pump)
 
 
 def test_with_delays_rejects_unknown_class(base_map):
