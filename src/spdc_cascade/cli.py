@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, geometry, interference, materials
 from .config import RunConfig, load_config
-from .errors import ConfigError, DegenerateParametersError
+from .errors import ConfigError
 from .interference import AnalyzerDelayConfig, optimal_delays
 from .numeric import _csv
 
@@ -58,8 +58,6 @@ def cmd_indices(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_emission_map(cfg: RunConfig, args) -> tuple:
-    if not cfg.cascade:
-        raise ConfigError("emission map requires cascade: set [crystal] cascade = true")
     opts = cfg.emission_map
     phi_grid = geometry.default_phi_grid(opts["phi_points"])
     base = geometry.emission_time_map(cfg.crystal1, cfg.crystal2, cfg.pump, {}, phi_grid)
@@ -157,30 +155,20 @@ def cmd_optimize(cfg: RunConfig, args) -> tuple:
     params = cfg.interference_params()
     plan = analysis.prescribe_delays(params.times, materials.QUARTZ, cfg.pump.degenerate_nm)
     tau_a, tau_b = plan.tau_a_fs, plan.tau_b_fs
-    try:
-        numeric = analysis.optimize_delays_numeric(
-            params, ((tau_a - 50.0, tau_a + 50.0), (tau_b - 50.0, tau_b + 50.0))
-        )
-        numeric_record = {
-            "numeric_tau_a_fs": numeric.tau_a,
-            "numeric_tau_b_fs": numeric.tau_b,
-            "numeric_agrees_closed_form": bool(
-                abs(numeric.tau_a - tau_a) <= 0.5 and abs(numeric.tau_b - tau_b) <= 0.5
-            ),
-            "envelope_value": numeric.envelope_value,
-        }
-    except DegenerateParametersError:
-        # closed form is still defined (no compensation needed when all
-        # propagation times coincide) but the envelope model is singular
-        numeric_record = dict.fromkeys(
-            ("numeric_tau_a_fs", "numeric_tau_b_fs", "numeric_agrees_closed_form", "envelope_value")
-        )
+    numeric = analysis.optimize_delays_numeric(
+        params, ((tau_a - 50.0, tau_a + 50.0), (tau_b - 50.0, tau_b + 50.0))
+    )
     record = {
         "tau_a_fs": tau_a,
         "tau_b_fs": tau_b,
         "quartz_a_mm": plan.quartz_a_mm,
         "quartz_b_mm": plan.quartz_b_mm,
-        **numeric_record,
+        "numeric_tau_a_fs": numeric.tau_a,
+        "numeric_tau_b_fs": numeric.tau_b,
+        "numeric_agrees_closed_form": bool(
+            abs(numeric.tau_a - tau_a) <= 0.5 and abs(numeric.tau_b - tau_b) <= 0.5
+        ),
+        "envelope_value": numeric.envelope_value,
     }
     text = _summary(record) + "\n"
     return text, text

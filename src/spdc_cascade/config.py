@@ -21,8 +21,11 @@ Minimal example::
     bandwidth_nm = 1.0
 
 Numbers must be finite (``nan`` and ``inf`` are rejected),
+``[crystal] thickness_mm`` must be positive,
 ``[emission_map] phi_points`` must lie in [MIN_PHI_POINTS, MAX_PHI_POINTS],
 and the two beam azimuths of ``[interference]`` must differ (mod 360 deg).
+The simulator models the two-crystal cascade only: ``[crystal] cascade``
+accepts every spelling of true and rejects false.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from .constants import TWO_PI
 from .errors import ConfigError
 from .geometry import MIN_PHI_POINTS
-from .interference import RECT_CONVENTIONS, InterferenceParams, params_from_crystal
+from .interference import InterferenceParams, params_from_crystal
 from .materials import CrystalSpec, DispersionModel, PumpSpec, get_model
 
 MAX_PHI_POINTS = 65536  # emission-map azimuths; the map's arrays scale with it
@@ -90,6 +93,13 @@ def _parse_bool(text):
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_cascade(text):
+    if not _parse_bool(text):
+        raise ConfigError("the simulator models the two-crystal cascade only; "
+                          "set cascade = true or leave the key out")
+    return True
+
+
 def _parse_auto(inner):
     def parse(text):
         if text.strip().lower() == "auto":
@@ -117,9 +127,9 @@ def _parse_choice(choices):
 _SCHEMA = {
     "crystal": {
         "material": (_parse_str, "bbo"),
-        "thickness_mm": (_parse_nonnegative, 1.07),
+        "thickness_mm": (_parse_positive, 1.07),
         "cut_angle_deg": (_parse_positive, 43.65),
-        "cascade": (_parse_bool, True),
+        "cascade": (_parse_cascade, True),
     },
     "pump": {
         "center_nm": (_parse_positive, 395.0),
@@ -132,7 +142,6 @@ _SCHEMA = {
         # belongs to a single cone of each crystal; they must be distinct
         "beam_phi_a_deg": (_parse_float, 90.0),
         "beam_phi_b_deg": (_parse_float, 270.0),
-        "rect_convention": (_parse_choice(RECT_CONVENTIONS), "zero_aligned"),
     },
     "scan": {
         "theta_a_deg": (_parse_float, 45.0),
@@ -172,26 +181,19 @@ class RunConfig:
     """Validated configuration: crystals, pump, and per-command settings."""
 
     crystal1: CrystalSpec
-    crystal2: CrystalSpec | None
+    crystal2: CrystalSpec
     pump: PumpSpec
     model: DispersionModel
-    cascade: bool
     phi0: float
     beam_phi_a: float
     beam_phi_b: float
-    rect_convention: str
     scan: dict
     emission_map: dict
     visibility_curve: dict
     polarization: dict
 
     def interference_params(self) -> InterferenceParams:
-        return params_from_crystal(
-            self.crystal1,
-            self.pump,
-            phi0=self.phi0,
-            rect_convention=self.rect_convention,
-        )
+        return params_from_crystal(self.crystal1, self.pump, phi0=self.phi0)
 
 
 def load_config(path) -> RunConfig:
@@ -232,10 +234,9 @@ def load_config(path) -> RunConfig:
 
     cut = math.radians(get("crystal", "cut_angle_deg"))
     thickness = get("crystal", "thickness_mm")
-    cascade = get("crystal", "cascade")
     try:
         crystal1 = CrystalSpec(model, thickness, cut, axis_sign=+1)
-        crystal2 = CrystalSpec(model, thickness, cut, axis_sign=-1) if cascade else None
+        crystal2 = CrystalSpec(model, thickness, cut, axis_sign=-1)
         pump = PumpSpec(get("pump", "center_nm"), get("pump", "bandwidth_nm"))
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
@@ -250,11 +251,9 @@ def load_config(path) -> RunConfig:
         crystal2=crystal2,
         pump=pump,
         model=model,
-        cascade=cascade,
         phi0=get("interference", "phi0_rad"),
         beam_phi_a=beam_phi_a,
         beam_phi_b=beam_phi_b,
-        rect_convention=get("interference", "rect_convention"),
         **{
             section: {key: get(section, key) for key in _SCHEMA[section]}
             for section in ("scan", "emission_map", "visibility_curve", "polarization")

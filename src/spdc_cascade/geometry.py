@@ -413,11 +413,8 @@ def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0):
 
     theta=None is the o-wave, otherwise the e-wave at angle theta to the
     optic axis; sec_u = 1/cos(u) lengthens the path of a ray at internal
-    polar angle u.  theta and sec_u may be arrays of one shape.  An absent
-    (zero-thickness) crystal takes no time.
+    polar angle u.  theta and sec_u may be arrays of one shape.
     """
-    if crystal.thickness_mm == 0.0:
-        return 0.0 * sec_u  # zero, shaped like sec_u
     ng = group_index(crystal.model, lam_nm, theta)
     return crystal.thickness_mm * 1e6 / C_NM_PER_FS * sec_u * ng
 

@@ -42,22 +42,19 @@ the o photon, as in BBO); rate, envelope and contrast raise
 DegenerateParametersError outside it (quartz), naming the failing value.
 Window and envelope read one rounding of |W|.
 
-Rect is the window of delay sums within which the two biphoton amplitudes
-can overlap at all.  Two conventions are provided:
-
-  * "zero_aligned" (default): |W| < t_o - t_e, i.e. the window edges
-    coincide with the zero crossings of V, so the interference term
-    vanishes continuously at the boundary and the rate never goes
-    negative.  Equivalent interval: t_o - t_e' < tau_A + tau_B
-    < 3 t_o - 2 t_e - t_e'.
-  * "as_printed": t_o - t_e < tau_A + tau_B < 3 t_o - t_e - t_e'.  The
-    upper edge extends far beyond the envelope's zero crossing, where |V|
-    grows toward 2 again and the rate formula can turn negative (clamped
-    to zero with a warning).  Kept for comparison; both conventions agree
-    on the lower edge whenever t_e = t_e' and everywhere near the
-    compensation point.
-
-Both conventions treat the boundary itself as outside (open interval).
+Rect is the window of delay sums within which the two pair amplitudes
+overlap at all: |W| < t_o - t_e, open, with edges at the zero crossings of
+V, so the interference term vanishes continuously there (equivalently
+t_o - t_e' < tau_A + tau_B < 3 t_o - 2 t_e - t_e').  Derivation: arm A
+carries {1o, 2e + tau_A}, arm B {1e + tau_B, 2o}.  A pair born at fraction
+x of crystal 1 has t_B - t_A = d = C + x (t_o - t_e), C = t_e + t_e' -
+2 t_o + tau_B; one born at fraction y of crystal 2 has d = (1 - y)(t_o -
+t_e) - tau_A.  The two amplitudes overlap on the d both reach, an interval
+that is empty exactly outside Rect.  There their arm-A times differ by
+a1 - a2 = x t_p + (2 - x) t_o - (1 + y) t_p - (1 - y) t_e - tau_A, linear
+in d at slope r.  A pump amplitude exp(-sigma^2 t^2/4) weighs the overlap
+by exp(-sigma^2 (a1 - a2)^2/8); its integral over d, divided by t_o - t_e,
+is the aligned contrast sqrt(8 pi) |V| Rect / (2 sigma D).
 
 erf is computed in this module from the rational approximations of the
 Cephes library (ndtr.c), so numpy is the only run-time dependency.
@@ -66,7 +63,6 @@ Cephes library (ndtr.c), so numpy is the only run-time dependency.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,8 +72,6 @@ from .errors import DegenerateParametersError
 from .geometry import PropagationTimes, propagation_times
 from .materials import CrystalSpec, PumpSpec
 from .numeric import golden_section_max
-
-RECT_CONVENTIONS = ("zero_aligned", "as_printed")
 
 
 @dataclass(frozen=True)
@@ -94,15 +88,12 @@ class InterferenceParams:
     sigma: float
     omega: float
     phi0: float = 0.0
-    rect_convention: str = "zero_aligned"
 
     def __post_init__(self):
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        if self.rect_convention not in RECT_CONVENTIONS:
-            raise ValueError(f"rect_convention must be one of {RECT_CONVENTIONS}")
 
     def with_sigma(self, sigma: float) -> "InterferenceParams":
         return replace(self, sigma=sigma)
@@ -122,7 +113,6 @@ def params_from_crystal(
     crystal: CrystalSpec,
     pump: PumpSpec,
     phi0: float = 0.0,
-    rect_convention: str = "zero_aligned",
 ) -> InterferenceParams:
     """Build InterferenceParams from crystal and pump specifications.
 
@@ -135,7 +125,6 @@ def params_from_crystal(
         sigma=pump.sigma,
         omega=0.5 * pump.omega_bar,
         phi0=phi0,
-        rect_convention=rect_convention,
     )
 
 
@@ -271,16 +260,8 @@ def _overlap_excess(t: PropagationTimes, tau_a, tau_b):
 
 def _rect(params: InterferenceParams, tau_a, tau_b):
     """`rect_window` of float arrays in one pass, or of Python floats."""
-    t = params.times
-    if params.rect_convention == "as_printed":
-        total = tau_a + tau_b
-        lo = t.t_o - t.t_e
-        hi = 3.0 * t.t_o - t.t_e - t.t_e2
-        inside = (total > lo) & (total < hi)
-    else:
-        _, span = _walkoff_scales(t)
-        inside = _overlap_excess(t, tau_a, tau_b) < span
-    return 1.0 * inside
+    _, span = _walkoff_scales(params.times)
+    return 1.0 * (_overlap_excess(params.times, tau_a, tau_b) < span)
 
 
 def rect_window(params: InterferenceParams, tau_a, tau_b):
@@ -325,19 +306,16 @@ def _rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
 def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
     """Normalized coincidence rate for analyzer settings and delays.
 
-    Supports array-valued tau/theta fields for vectorized scans.  The rate
-    is clamped at zero; clamping can only occur under the "as_printed" Rect
-    convention and triggers one RuntimeWarning per call.
+    Supports array-valued tau/theta fields for vectorized scans.  A
+    negative rate is set to zero, silently: it is rounding, not physics.
+    With theta_A + theta_B = pi and the fringe on its crest the two terms
+    cancel, and on designs of small sigma D the sum can round below zero
+    (-1.9e-16 at 0.01 mm, 43 deg and a 1e-8 nm pump).  nan and -0.0 pass
+    through.
     """
     rate = _elementwise(_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
     clipped = rate < 0.0
     if np.any(clipped):
-        warnings.warn(
-            "coincidence rate clamped to zero (unphysical region of the "
-            "as-printed Rect window)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
         rate = 0.0 if clipped is True else np.where(clipped, 0.0, rate)
     return rate
 
@@ -375,9 +353,9 @@ def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
 
     At pi/4-pi/4 analyzers the projection term is 1/2 and the interference
     term reaches sqrt(8 pi) |V| Rect / (4 sigma D), so the contrast is
-    sqrt(8 pi) |V| Rect / (2 sigma D).  It is capped at 1: values above
-    occur only in the unphysical far lobe of the as-printed window, where
-    the clamped rate yields full apparent contrast.
+    sqrt(8 pi) |V| Rect / (2 sigma D).  It is capped at 1 against
+    rounding: as sigma D -> 0 the contrast tends to 1 from below, and at
+    0.1 mm, 43.65 deg and a 1e-8 nm pump the formula reads 1 + 3e-15.
     """
     return _elementwise(_aligned_contrast, params, tau_a, tau_b)
 

@@ -163,8 +163,7 @@ class CrystalSpec:
 
     cut_angle is the angle psi between the optic axis and the pump
     direction; axis_sign distinguishes the +psi and -psi crystals of a
-    cascade.  thickness may be zero to represent an absent crystal
-    (single-crystal mode of the source).
+    cascade.
     """
 
     model: DispersionModel
@@ -173,8 +172,8 @@ class CrystalSpec:
     axis_sign: int = +1
 
     def __post_init__(self):
-        if not (math.isfinite(self.thickness_mm) and self.thickness_mm >= 0):
-            raise ValueError("crystal thickness must be a finite number >= 0 mm")
+        if not (math.isfinite(self.thickness_mm) and self.thickness_mm > 0):
+            raise ValueError("crystal thickness must be a finite number > 0 mm")
         if not 0.0 < self.cut_angle < math.pi / 2:
             raise ValueError("cut angle must lie in (0, pi/2) rad")
         if self.axis_sign not in (+1, -1):

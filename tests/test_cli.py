@@ -46,8 +46,6 @@ def test_load_config_defaults(config_path):
     assert cfg.crystal1.axis_sign == +1
     assert cfg.crystal2.axis_sign == -1
     assert cfg.pump.center_nm == 395.0
-    assert cfg.cascade
-    assert cfg.rect_convention == "zero_aligned"
     assert cfg.scan["step_fs"] == 0.25
 
 
@@ -56,6 +54,8 @@ def test_load_config_defaults(config_path):
     # no e-photon angle overrides: the rate model works on the pump axis
     ("interference", "e_angle_dc_deg"),
     ("interference", "e_angle_dc_prime_deg"),
+    # the overlap window follows from the model; no key selects it
+    ("interference", "rect_convention"),
 ])
 def test_config_rejects_unknown_key(tmp_path, section, key):
     path = tmp_path / "bad.ini"
@@ -94,7 +94,6 @@ def test_config_rejects_bad_values(tmp_path):
     ("emission_map", "phi_points", "1.5"),
     ("crystal", "cascade", "maybe"),
     ("visibility_curve", "method", "fit"),
-    ("interference", "rect_convention", "printed"),
 ])
 def test_emission_map_rejects_out_of_domain_config(tmp_path, capsys, section, key, value):
     # non-finite or non-positive numbers, out-of-range or non-integer azimuth
@@ -305,23 +304,39 @@ def test_emission_map_command(config_path, tmp_path, capsys):
     assert len(lines) == 1 + 256
 
 
+CONFIG_COMMANDS = ("emission-map", "scan", "visibility-curve", "polarization", "optimize")
+
+
+def _assert_config_error(tmp_path, capsys, path, message):
+    # every command that computes from the config exits 2 with one line and
+    # writes nothing
+    for command in CONFIG_COMMANDS:
+        out_path = tmp_path / "out.csv"
+        code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+        assert (code, out) == (2, ""), command
+        assert err.splitlines() == [f"config error: {path}: {message}"], command
+        assert not out_path.exists()
+
+
 def test_emission_map_zero_thickness(tmp_path, capsys):
+    # both crystals of the cascade are present: a thickness of 0 is rejected
     path = tmp_path / "zero.ini"
-    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 0")
-                    + "\n[emission_map]\nphi_points = 64\ndelay_1e_fs = 0\ndelay_2e_fs = 0\n")
-    out_path = str(tmp_path / "map0.csv")
-    code, out, _ = run(["emission-map", "--config", str(path), "--out", out_path], capsys)
-    assert code == 0
-    for line in Path(out_path).read_text().strip().split("\n")[1:]:
-        assert [float(tok) for tok in line.split(",")[1:]] == [0.0, 0.0, 0.0, 0.0]
+    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 0"))
+    _assert_config_error(tmp_path, capsys, path,
+                         "[crystal] thickness_mm: expected a positive number, got '0'")
 
 
 def test_emission_map_requires_cascade(tmp_path, capsys):
+    # the simulator models the two-crystal cascade only; the key stays, and
+    # every spelling of true loads
     path = tmp_path / "single.ini"
+    for spelling in ("true", "yes", "on", "1", "TRUE"):
+        path.write_text(REFERENCE_INI.replace("cascade = true", f"cascade = {spelling}"))
+        assert load_config(str(path)).crystal2.axis_sign == -1
     path.write_text(REFERENCE_INI.replace("cascade = true", "cascade = false"))
-    code, _, err = run(["emission-map", "--config", str(path), "--out", str(tmp_path / "x.csv")], capsys)
-    assert code == 2
-    assert "cascade" in err
+    _assert_config_error(tmp_path, capsys, path,
+                         "[crystal] cascade: the simulator models the two-crystal cascade only; "
+                         "set cascade = true or leave the key out")
 
 
 def test_emission_map_below_collinear_angle_exits_3(tmp_path, capsys):
@@ -459,8 +474,9 @@ def test_optimize_command_values(config_path, capsys):
 
 
 def test_optimize_equal_times_config(tmp_path, capsys):
-    # a constant-index material has equal propagation times for every wave,
-    # so no compensation is required
+    # a constant-index material has equal propagation times for every wave:
+    # the closed-form delays are 0, but D = 0 lies outside the rate model's
+    # domain, so optimize exits 3 with one line, as scan does
     mat = tmp_path / "const.mat"
     mat.write_text(
         "name = const\nvalid_range_nm = 100 10000\n"
@@ -469,11 +485,14 @@ def test_optimize_equal_times_config(tmp_path, capsys):
     )
     path = tmp_path / "cfg.ini"
     path.write_text(REFERENCE_INI.replace("material = bbo", f"material = {mat}"))
-    code, out, _ = run(["optimize", "--config", str(path)], capsys)
-    assert code == 0
-    record = json.loads(out)
-    assert record["tau_a_fs"] == pytest.approx(0.0, abs=1e-9)
-    assert record["tau_b_fs"] == pytest.approx(0.0, abs=1e-9)
+    assert sc.optimal_delays(load_config(str(path)).interference_params().times) == (0.0, 0.0)
+    for command in ("optimize", "scan"):
+        code, out, err = run([command, "--config", str(path), "--out", str(tmp_path / "x.csv")], capsys)
+        assert (code, out) == (3, "")
+        assert err.splitlines() == [
+            "error: 2*t_p - t_o - t_e = 0 fs is not positive; outside the rate model's domain"
+        ]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_optimize_negative_compensating_delay_exits_3(tmp_path, capsys):
@@ -588,24 +607,70 @@ def test_visibility_curve_grid_stops_at_tau_b_max(tmp_path, capsys):
     assert xs[-1] <= 410.6
 
 
-def test_warning_prints_one_line_without_source(tmp_path, capsys):
-    # the as-printed Rect window clamps the rate in many blocks of this
-    # curve; stderr names the warning once, without a file path or code line
-    path = tmp_path / "as_printed.ini"
-    path.write_text(REFERENCE_INI + "\n[interference]\nrect_convention = as_printed\n"
-                    "\n[visibility_curve]\nmethod = scan\n"
-                    "tau_b_min_fs = -2000\ntau_b_max_fs = 3000\n")
-    argv = ["visibility-curve", "--config", str(path), "--out"]
+# a stand-in command that warns: two distinct messages, one of them twice
+WARNING_COMMAND = """\
+import sys, warnings
+from spdc_cascade import cli
+
+
+def warning_command(cfg, args):
+    for message in ("first message", "second message", "first message"):
+        warnings.warn(message, RuntimeWarning)
+    return "table\\n", "summary\\n"
+"""
+
+
+def test_warning_prints_one_line_without_source(config_path, tmp_path, capsys, monkeypatch):
+    # stderr names each distinct warning once, without a file path or code
+    # line, and the file and stdout are written as usual
+    namespace = {}
+    exec(WARNING_COMMAND, namespace)
+    monkeypatch.setitem(namespace["cli"]._COMMANDS, "scan", namespace["warning_command"])
+    argv = ["scan", "--config", config_path, "--out"]
     code, out, err = run([*argv, str(tmp_path / "in_process.csv")], capsys)
+    expected = "warning: first message\nwarning: second message\n"
+    assert (code, out, err) == (0, "summary\n", expected)
+    assert (tmp_path / "in_process.csv").read_text() == "table\n"
+    # the same lines whatever the interpreter's warning filters say; a
+    # monkeypatch does not reach a child, so the child replaces the command
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
-    expected = ("warning: coincidence rate clamped to zero (unphysical region of the "
-                "as-printed Rect window)\n")
-    assert err == expected and code == 0 and json.loads(out)["peak_visibility"] == 1.0
-    # the same line whatever the interpreter's warning filters say
+    child_code = WARNING_COMMAND + (
+        "cli._COMMANDS['scan'] = warning_command\nsys.exit(cli.main(sys.argv[1:]))\n")
     for filters in ("", "error", "ignore"):
         child = subprocess.run(
-            [sys.executable, "-m", "spdc_cascade.cli", *argv, str(tmp_path / "child.csv")],
+            [sys.executable, "-c", child_code, *argv, str(tmp_path / "child.csv")],
             env=dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS=filters), capture_output=True, text=True,
         )
         assert (child.returncode, child.stderr, child.stdout) == (0, expected, out), filters
-        assert (tmp_path / "child.csv").read_text() == (tmp_path / "in_process.csv").read_text()
+        assert (tmp_path / "child.csv").read_text() == "table\n"
+
+
+POLARIZATION_AT_CRESTS_INI = """\
+[crystal]
+thickness_mm = 0.01
+cut_angle_deg = 43.0
+
+[pump]
+bandwidth_nm = 1e-8
+
+[polarization]
+tau_a_fs = 0.6717834460478722
+tau_b_fs = 3.306939798113273
+theta_b_start_deg = 1
+theta_b_stop_deg = 361
+"""
+
+
+def test_polarization_at_fringe_crests_of_a_narrowband_design_is_silent(tmp_path, capsys):
+    # the fringe contrast of this design rounds to 1; at theta_A + theta_B
+    # = pi (135 and 315 deg) the rate formula rounds a few 1e-16 below
+    # zero, and the rate reads 0 without a warning
+    path = tmp_path / "crests.ini"
+    path.write_text(POLARIZATION_AT_CRESTS_INI)
+    out_path = tmp_path / "pol.csv"
+    code, _, err = run(["polarization", "--config", str(path), "--out", str(out_path)], capsys)
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
+    rates = {round(math.degrees(float(angle))): float(rate) for angle, rate in rows}
+    assert len(rates) == 181 and min(rates.values()) >= 0.0
+    assert rates[135] == rates[315] == 0.0

@@ -544,14 +544,6 @@ def test_map_of_an_empty_grid_is_empty(crystal1, crystal2, pump):
         sc.mismatch_at_azimuth(emission_map, 0.0)
 
 
-def test_zero_thickness_cascade_gives_zero_times(pump):
-    c1 = sc.CrystalSpec(sc.BBO, 0.0, PSI, +1)
-    c2 = sc.CrystalSpec(sc.BBO, 0.0, PSI, -1)
-    emission_map = sc.emission_time_map(c1, c2, pump, phi_grid=sc.geometry.default_phi_grid(64))
-    for name in ("1e", "1o", "2e", "2o"):
-        assert np.all(emission_map.times[name] == 0.0)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_maps_reject_a_non_finite_azimuth_before_any_solve(crystal1, crystal2, pump, monkeypatch, bad):
     # sin(nan) would warn and then blame the cut angle; with the grid

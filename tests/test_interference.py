@@ -12,14 +12,13 @@ QUARTER = math.pi / 4
 
 
 def synthetic_params(t_p=600.0, t_o=500.0, t_e=420.0, t_e2=None, sigma=0.01,
-                     omega=2.4, phi0=0.0, rect="zero_aligned"):
+                     omega=2.4, phi0=0.0):
     t_e2 = t_e if t_e2 is None else t_e2
     return sc.InterferenceParams(
         times=sc.PropagationTimes(t_p, t_o, t_e, t_e2),
         sigma=sigma,
         omega=omega,
         phi0=phi0,
-        rect_convention=rect,
     )
 
 
@@ -28,8 +27,8 @@ def synthetic_params(t_p=600.0, t_o=500.0, t_e=420.0, t_e2=None, sigma=0.01,
 def test_rect_window_interior_and_boundaries():
     params = synthetic_params()
     t = params.times
-    lo = t.t_o - t.t_e                      # same under both conventions (t_e2 == t_e)
-    hi = 3 * t.t_o - 2 * t.t_e - t.t_e2     # zero-aligned upper edge
+    lo = t.t_o - t.t_e2                     # lower edge
+    hi = 3 * t.t_o - 2 * t.t_e - t.t_e2     # upper edge
     mid = 0.5 * (lo + hi)
     assert sc.rect_window(params, 0.0, mid) == 1.0
     assert sc.rect_window(params, 0.0, lo - 10.0) == 0.0
@@ -37,18 +36,6 @@ def test_rect_window_interior_and_boundaries():
     assert sc.rect_window(params, 0.0, hi) == 0.0
     assert sc.rect_window(params, 0.0, hi + 10.0) == 0.0
     assert sc.rect_window(params, mid, 0.0) == sc.rect_window(params, 0.0, mid)
-
-
-def test_rect_window_as_printed_upper_edge():
-    params = synthetic_params(rect="as_printed")
-    t = params.times
-    lo = t.t_o - t.t_e
-    hi = 3 * t.t_o - t.t_e - t.t_e2
-    assert sc.rect_window(params, 0.0, lo - 1.0) == 0.0
-    assert sc.rect_window(params, 0.0, lo) == 0.0
-    assert sc.rect_window(params, 0.0, 0.5 * (lo + hi)) == 1.0
-    assert sc.rect_window(params, 0.0, hi - 1.0) == 1.0
-    assert sc.rect_window(params, 0.0, hi) == 0.0
 
 
 def test_envelope_vanishes_at_window_edges(params):
@@ -204,11 +191,9 @@ def test_rect_window_switches_where_the_envelopes_w_crosses_the_span(params):
 
 # --- blocked evaluation --------------------------------------------------------
 
-@pytest.mark.parametrize("rect", ["zero_aligned", "as_printed"])
-def test_blocked_evaluation_equals_per_row_calls(params, rect):
+def test_blocked_evaluation_equals_per_row_calls(params):
     # arrays above _BLOCK_POINTS samples are evaluated in blocks along axis
     # 0; each row below is one call without a loop, the unblocked reference
-    params = sc.InterferenceParams(params.times, params.sigma, params.omega, 0.0, rect)
     tau_a, tau_b = sc.optimal_delays(params.times)
 
     def rate(th_a, th_b, tau_a, tau_b):
@@ -222,19 +207,17 @@ def test_blocked_evaluation_equals_per_row_calls(params, rect):
     taus = tau_b + np.linspace(-40.0, 40.0, 300)
     assert min(grid_a.size, line.size, theta.size * taus.size) > 2 * _BLOCK_POINTS
     assert max(grid_a.shape[1], rows.shape[1], taus.size) < _BLOCK_POINTS
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the as-printed window clamps far out on the line
-        grid = rate(QUARTER, QUARTER, grid_a, grid_b)
-        np.testing.assert_array_equal(
-            grid, [rate(QUARTER, QUARTER, a, b) for a, b in zip(grid_a, grid_b)])
-        np.testing.assert_array_equal(
-            rate(QUARTER, 0.3, tau_a, line),
-            np.concatenate([rate(QUARTER, 0.3, tau_a, row) for row in rows]))
-        broadcast = rate(theta, QUARTER, tau_a, taus)
-        assert broadcast.shape == (400, 300)
-        np.testing.assert_array_equal(
-            broadcast, [rate(th, QUARTER, tau_a, taus) for th in theta[:, 0]])
-        scalar = rate(QUARTER, QUARTER, float(grid_a[7, 5]), float(grid_b[7, 5]))
+    grid = rate(QUARTER, QUARTER, grid_a, grid_b)
+    np.testing.assert_array_equal(
+        grid, [rate(QUARTER, QUARTER, a, b) for a, b in zip(grid_a, grid_b)])
+    np.testing.assert_array_equal(
+        rate(QUARTER, 0.3, tau_a, line),
+        np.concatenate([rate(QUARTER, 0.3, tau_a, row) for row in rows]))
+    broadcast = rate(theta, QUARTER, tau_a, taus)
+    assert broadcast.shape == (400, 300)
+    np.testing.assert_array_equal(
+        broadcast, [rate(th, QUARTER, tau_a, taus) for th in theta[:, 0]])
+    scalar = rate(QUARTER, QUARTER, float(grid_a[7, 5]), float(grid_b[7, 5]))
     # scalars are evaluated in Python floats, to the same bits
     assert type(scalar) is float and scalar == grid[7, 5]
     for func in (sc.envelope, sc.rect_window, aligned_contrast):
@@ -245,22 +228,6 @@ def test_blocked_evaluation_equals_per_row_calls(params, rect):
         a, b = grid_a[7, 5], grid_b[7, 5]  # numpy scalars; float and 0-d below
         for scalar in (func(params, float(a), float(b)), func(params, a, np.array(b))):
             assert type(scalar) is float and scalar == values[7, 5]
-
-
-def test_clamp_warning_fires_once_per_call(params):
-    printed = sc.InterferenceParams(
-        params.times, params.sigma, params.omega, 0.0, rect_convention="as_printed"
-    )
-    tau_a, _ = sc.optimal_delays(params.times)
-    xs = np.arange(3000.0, 6000.0, sc.fringe_period(printed) / 64)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        rates = sc.coincidence_rate(printed, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, xs))
-    clamped_blocks = [np.any(rates[lo:lo + _BLOCK_POINTS] == 0.0)
-                      for lo in range(0, xs.size, _BLOCK_POINTS)]
-    assert len(clamped_blocks) >= 4 and all(clamped_blocks)
-    assert [w.category for w in caught] == [RuntimeWarning]
-    assert caught[0].filename == __file__
 
 
 # --- coincidence rate ------------------------------------------------------------
@@ -324,19 +291,33 @@ def test_rate_outside_window_is_classical_baseline(params):
         assert rate == pytest.approx(baseline, abs=1e-15)
 
 
-def test_as_printed_window_can_clamp_negative_rates(params):
-    # far beyond the envelope zero the printed window still admits the
-    # interference term, whose magnitude exceeds the baseline there
-    printed = sc.InterferenceParams(
-        params.times, params.sigma, params.omega, 0.0, rect_convention="as_printed"
-    )
-    tau_a, _ = sc.optimal_delays(params.times)
-    period = sc.fringe_period(printed)
-    xs = 3000.0 + np.arange(0.0, 2 * period, period / 64)
-    with pytest.warns(RuntimeWarning, match="clamped"):
-        rates = sc.coincidence_rate(printed, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, xs))
-    assert np.min(rates) == 0.0
-    assert np.all(rates >= 0.0)
+def test_negative_rate_rounding_is_clamped_silently():
+    # at theta_A + theta_B = pi on a fringe crest the two terms of the rate
+    # cancel; with sigma D this small the contrast rounds to 1 and the sum
+    # a few 1e-16 below zero.  The rate reads 0, a float, with no warning
+    crystal = sc.CrystalSpec(sc.BBO, 0.01, math.radians(43.0))
+    params = sc.params_from_crystal(crystal, sc.PumpSpec(395.0, 1e-8))
+    tau_a, tau_b = 0.6717834460478722, 3.306939798113273
+    theta_b = np.radians([135.0, 315.0])
+    unclamped = sc.interference._rate(params, QUARTER, theta_b, tau_a, tau_b)
+    assert np.all(unclamped < 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rates = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, theta_b, tau_a, tau_b))
+        scalar = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, theta_b[0], tau_a, tau_b))
+    assert rates.tolist() == [0.0, 0.0]
+    assert type(scalar) is float and scalar == 0.0
+    # nan passes through the clamp
+    assert math.isnan(sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, 0.3, tau_a, math.nan)))
+
+
+def test_max_visibility_is_capped_at_one():
+    # as sigma D -> 0 the contrast tends to 1 from below; here the formula
+    # rounds to 1 + 3e-15, and the cap holds it at 1
+    crystal = sc.CrystalSpec(sc.BBO, 0.1, math.radians(43.65))
+    params = sc.params_from_crystal(crystal, sc.PumpSpec(395.0, 1e-8))
+    assert sc.max_visibility(params) <= 1.0
+    assert sc.max_visibility(params) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_phi0_shifts_fringe_phase_not_contrast(params):

@@ -277,8 +277,9 @@ def test_crystal_spec_validation():
             sc.CrystalSpec(sc.BBO, bad, 0.5)
         with pytest.raises(ValueError):
             sc.CrystalSpec(sc.BBO, 1.0, bad)
-    # zero thickness is the documented single-crystal degenerate case
-    sc.CrystalSpec(sc.BBO, 0.0, 0.5)
+    # the source is a cascade of two crystals: neither may be absent
+    with pytest.raises(ValueError, match="> 0 mm"):
+        sc.CrystalSpec(sc.BBO, 0.0, 0.5)
 
 
 def test_load_dispersion_model_roundtrip(tmp_path):
