@@ -305,11 +305,16 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
     Coarse 1 fs grid, then golden-section refinement to 0.01 fs: one pass
     per axis plus one diagonal pass (tau_A + t, tau_B - t), which follows
     the envelope's ridge through the kink left by the |...| term.  A
-    maximizer pinned to the box edge is flagged on_boundary.
+    maximizer pinned to the box edge is flagged on_boundary.  Raises
+    ValueError, naming the ends, for an axis whose ends do not increase.
     """
     (a_lo, a_hi), (b_lo, b_hi) = search_box
-    if not (a_hi > a_lo and b_hi > b_lo):
-        raise ValueError("search box must have positive extent on both axes")
+    for axis, lo, hi in (("tau_A", a_lo, a_hi), ("tau_B", b_lo, b_hi)):
+        if not hi > lo:
+            # far from 0 a box of a few fs can round to a point
+            how = "coincide in floating point" if hi == lo else "are not increasing"
+            raise ValueError(f"search box ends of {axis}, {float(lo)!r} and {float(hi)!r} fs, {how}; "
+                             "the box needs positive extent on both axes")
 
     ta = _grid(a_lo, a_hi, 1.0)
     tb = _grid(b_lo, b_hi, 1.0)

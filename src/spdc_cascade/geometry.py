@@ -24,8 +24,13 @@ All problems take a few secant steps together, and a root is accepted
 only where the residual changes sign within half the tolerance of it,
 inside its bracket.  The rest are bisected in their brackets; on the
 reference pump only cut angles less than 0.1 deg above the collinear one
-send any there.  The map solves each polarization once: the crystals are
-mirror images, so crystal 2's cone at azimuth phi is crystal 1's at -phi.
+send any there.  The crystals are mirror images, so crystal 2's cone at
+azimuth phi is crystal 1's at -phi, and each polarization is solved once
+per design: the map solves it along the azimuths on crystal 1, and the
+in-plane extremes are solved once for the +psi crystal and mirrored for
+crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches the o and e
+solves of the last design only, so the cone summaries of both crystals
+and the map's seeds share one solve.
 The residual of a solve is built once (`_cone_residual`) from scalar
 products of the emission direction with the pump and the optic axis; the
 optic axis lies in the y-z plane, so an azimuth enters only through
@@ -62,6 +67,7 @@ outputs read the on-axis times to the last bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -301,7 +307,7 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lane
         raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
                                      f"{phi[k % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    cone = _cone_from_extremes(*_inplane_extremes(crystal, pump, pol, f))
+    cone = _cone_from_extremes(*_inplane_extremes(crystal, pump, pol))
     # the circle's polar angle, u = atan2(y, cos t) + arccos(cos h / hypot(cos t, y));
     # a cone with one in-plane crossing has h = 0 and no such circle: the
     # minimum keeps its starts finite, and the verification judges them
@@ -310,20 +316,40 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lane
     return _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
 
 
-def _inplane_extremes(crystal, pump, pol, residual=None):
-    """Signed polar angles (toward +y) where the cone crosses the y-z plane.
+def _inplane_extremes(crystal, pump, pol):
+    """Signed polar angles a- <= a+ (toward +y) where the pol-cone crosses
+    the y-z plane.
 
-    residual is the pol-cone's `_cone_residual`, built here when the caller
-    has none.  A single crossing (tangency) degenerates the cone to one ray
-    there.
+    Read from the +psi crystal's solve (`_inplane_solve`): a -psi crystal's
+    residual at signed angle a is the +psi one's at -a to the bit, so its
+    extremes are (-a+, -a-).  A single crossing (tangency) degenerates the
+    cone to one ray there.
     """
-    if residual is None:
-        residual = _cone_residual(crystal, pump, pol)
+    a_minus, a_plus = _inplane_solve(crystal.model, crystal.cut_angle, pump.center_nm, pol)
+    if crystal.axis_sign < 0:
+        return -a_plus, -a_minus
+    return a_minus, a_plus
+
+
+# two entries hold one design's o and e solves: `phase_match_cones` of
+# crystal 1 solves them, and crystal 2's summary and the map's seeds reuse
+# them; the next design replaces them
+@functools.lru_cache(maxsize=2)
+def _inplane_solve(model, cut_angle, center_nm, pol):
+    """The in-plane extremes of the +psi crystal's pol-cone, solved on
+    _INPLANE_GRID's sign changes.
+
+    Keyed by the inputs of `_cone_residual` but the axis sign, which
+    `_inplane_extremes` applies; the thickness and the pump bandwidth do
+    not enter the residual, so the specs built here hold placeholders.
+    A NotPhaseMatchableError is raised, never cached.
+    """
+    residual = _cone_residual(CrystalSpec(model, 1.0, cut_angle), PumpSpec(center_nm, 1.0), pol)
 
     def f(a):  # polar angle |a| at sin phi = sign(a): sin u is odd, cos u even
         return residual(a, 1.0)
 
-    cut_deg = math.degrees(crystal.cut_angle)
+    cut_deg = math.degrees(cut_angle)
     brackets = _grid_brackets(
         f, _INPLANE_GRID, f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg"
     )
@@ -362,7 +388,10 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     The cones are summarized by their in-plane extremes (exact solutions of
     the vector phase-matching condition); external cones apply Snell
     refraction at the exit face with the ordinary index for the o-cone and
-    the direction-dependent index for the e-cone.
+    the direction-dependent index for the e-cone.  The extremes come from
+    one solve per polarization per design, made for the +psi crystal and
+    mirrored for the -psi one, so the two crystals' cones are exact mirror
+    images; the solve is cached for the last design only.
     """
     lam = pump.degenerate_nm
     axis_tilt = crystal.axis_sign * crystal.cut_angle  # signed, toward +y

@@ -83,8 +83,11 @@ def test_optimizer_flags_boundary_when_box_excludes_optimum(params):
 
 
 def test_optimizer_rejects_inverted_box(params):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ends of tau_A, 10\.0 and -10\.0 fs, are not increasing"):
         sc.optimize_delays_numeric(params, ((10.0, -10.0), (0.0, 100.0)))
+    # 1e21 +- 50 fs rounds to one point (the spacing of floats there is 131072)
+    with pytest.raises(ValueError, match=r"ends of tau_B, 1e\+21 and 1e\+21 fs, coincide in floating point"):
+        sc.optimize_delays_numeric(params, ((0.0, 100.0), (1e21 - 50.0, 1e21 + 50.0)))
 
 
 # --- delay scans ---------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -508,6 +509,19 @@ def test_optimize_negative_compensating_delay_exits_3(tmp_path, capsys):
         "error: compensating delay tau_A = -224.54 fs is negative; no quartz plate realizes it"
     ]
     assert not out_path.exists()
+
+
+def test_optimize_of_a_box_rounded_to_a_point_exits_3(tmp_path, capsys):
+    # a 1e20 mm crystal puts tau_A near 2.5e21 fs, where the +-50 fs search
+    # box around it rounds to one point; the error names the box's ends
+    path = tmp_path / "huge.ini"
+    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 1e20"))
+    code, out, err = run(["optimize", "--config", str(path)], capsys)
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    ends = re.fullmatch(r"error: search box ends of tau_A, (\S+) and (\S+) fs, coincide in floating point; "
+                        r"the box needs positive extent on both axes", line)
+    assert ends and ends[1] == ends[2] and float(ends[1]) == pytest.approx(2.488e21, rel=1e-3), line
 
 
 def test_io_error_exits_4_and_leaves_no_partial_file(config_path, tmp_path, capsys):

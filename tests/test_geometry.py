@@ -1,5 +1,6 @@
 import math
 import os
+from dataclasses import replace
 from fractions import Fraction
 import subprocess
 import sys
@@ -346,12 +347,14 @@ def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump
 
 def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
     # one solve per polarization (crystal 2's cones are crystal 1's at -phi),
-    # each 15 evaluations of the residual that _cone_residual builds: 2 at
-    # the bracket ends, 6 for the in-plane extremes (the grid, 3 for 4
-    # secant steps from the grid-bracket ends, 2 to verify) and 7 for the
-    # azimuths (the start pair, 3 for 4 secant steps, 2 to verify): 30.
+    # each 9 evaluations of the residual that _cone_residual builds: 2 at
+    # the bracket ends and 7 for the azimuths (the start pair, 3 for 4
+    # secant steps, 2 to verify): 18.  Their seeds read the in-plane
+    # extremes that crystal 1's cone summary solved, as in the benchmark's
+    # op; from a cold cache the map would build 2 more residuals for them.
     # The azimuths' 2 x 1024 sines (sin phi and -sin phi) take 513 distinct
     # values, one lane each
+    sc.phase_match_cones(crystal1, pump)
     lanes = _count_fallback_lanes(monkeypatch)
     solves, calls = [], []
     build = sc.geometry._cone_residual
@@ -372,6 +375,95 @@ def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, 
     assert 4 <= len(calls) <= 40
     assert {np.size(sin_phi) for _, sin_phi in calls if np.ndim(sin_phi)} == {513}
     assert lanes == []  # every azimuth verified from its seed
+
+
+def _benchmark_designs(monkeypatch):
+    """The reference design, then the 21 designs of the benchmark's seeds 1-3."""
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.inputs import REFERENCE, draw_designs
+
+    designs = [REFERENCE] + [d for seed in (1, 2, 3) for d in draw_designs(seed)]
+    assert len(designs) == 22
+    return designs
+
+
+def _count_inplane_solves(monkeypatch):
+    """Record the failure text of every in-plane cone solve; each one scans
+    _INPLANE_GRID through _grid_brackets."""
+    solves = []
+    brackets = sc.geometry._grid_brackets
+
+    def counted(f, grid, failure):
+        if grid is sc.geometry._INPLANE_GRID:
+            solves.append(failure)
+        return brackets(f, grid, failure)
+
+    monkeypatch.setattr(sc.geometry, "_grid_brackets", counted)
+    return solves
+
+
+def _mirror_pair(design):
+    """The +psi and -psi crystals and the pump of a benchmark design."""
+    cut = math.radians(design["cut_angle_deg"])
+    crystals = (sc.CrystalSpec(sc.BBO, design["thickness_mm"], cut, axis_sign=s) for s in (+1, -1))
+    return (*crystals, sc.PumpSpec(design["center_nm"], design["bandwidth_nm"]))
+
+
+def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(monkeypatch):
+    # crystal 2's residual at signed in-plane angle a is crystal 1's at -a
+    # to the bit, but _INPLANE_GRID is not symmetric to the bit: two
+    # separate solves differed by up to 5.8e-15 rad on these designs
+    for design in _benchmark_designs(monkeypatch):
+        crystal1, crystal2, pump = _mirror_pair(design)
+        one, two = sc.phase_match_cones(crystal1, pump), sc.phase_match_cones(crystal2, pump)
+        for field in ("o_cone", "e_cone", "external_o", "external_e"):
+            a, b = getattr(one, field), getattr(two, field)
+            assert (b.tilt, b.half_angle) == (-a.tilt, a.half_angle), (design, field)
+
+
+def test_an_emission_map_op_takes_one_inplane_solve_per_polarization(monkeypatch):
+    # designs A, B, A as the benchmark's closed loop meets them, each op
+    # both crystals' cone summaries and a 1024-azimuth map: each solves its
+    # o and e extremes once, and a design switch leaves nothing to reuse
+    design_a, design_b = _benchmark_designs(monkeypatch)[:2]
+    solves = _count_inplane_solves(monkeypatch)
+    per_op, cones = [], []
+    for design in (design_a, design_b, design_a):
+        before = len(solves)
+        crystal1, crystal2, pump = _mirror_pair(design)
+        cones.append([sc.phase_match_cones(c, pump) for c in (crystal1, crystal2)])
+        sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
+        per_op.append(len(solves) - before)
+    assert per_op == [2, 2, 2]
+    assert cones[2] == cones[0]
+    assert cones[1] != cones[0]
+
+
+def test_inplane_solve_is_keyed_by_the_inputs_of_the_residual(crystal1, pump, monkeypatch):
+    solves = _count_inplane_solves(monkeypatch)
+    reference = sc.phase_match_cones(crystal1, pump)
+    assert len(solves) == 2
+    # thickness, bandwidth and axis sign do not enter the residual
+    for crystal, p in ((replace(crystal1, thickness_mm=2.5), pump),
+                       (crystal1, replace(pump, bandwidth_fwhm_nm=3.0)),
+                       (replace(crystal1, axis_sign=-1), pump)):
+        sc.phase_match_cones(crystal, p)
+    assert len(solves) == 2
+    # the cut angle, the pump centre and the material do
+    perturbed = replace(sc.BBO, sellmeier_e=sc.SellmeierForm("resonant", (2.3754, 0.01224, 0.01667, -0.01516)))
+    for crystal, p in ((replace(crystal1, cut_angle=crystal1.cut_angle + 1e-3), pump),
+                       (crystal1, replace(pump, center_nm=396.0)),
+                       (replace(crystal1, model=perturbed), pump)):
+        solves.clear()
+        assert sc.phase_match_cones(crystal, p) != reference
+        assert len(solves) == 2
+    # a failure is raised again on every call, never cached
+    quartz = replace(crystal1, model=sc.QUARTZ)
+    solves.clear()
+    for _ in range(2):
+        with pytest.raises(sc.NotPhaseMatchableError, match="o-cone not phase matchable"):
+            sc.phase_match_cones(quartz, pump)
+    assert solves == 2 * ["o-cone not phase matchable at cut angle 43.650 deg"]
 
 
 def _folded_turn(turn):
@@ -519,12 +611,7 @@ def test_on_axis_pair_gaps_are_the_closed_form_delays(monkeypatch):
     # born at the crystal centres, the pairs' on-axis gaps 2o - 1e and
     # 1o - 2e are tau_B and tau_A: everything that separates the map's
     # flattening delays from the closed form comes from off-axis directions
-    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from perfbench.inputs import REFERENCE, draw_designs
-
-    designs = [REFERENCE] + [d for seed in (1, 2, 3) for d in draw_designs(seed)]
-    assert len(designs) == 22
-    for d in designs:
+    for d in _benchmark_designs(monkeypatch):
         crystal = sc.CrystalSpec(sc.BBO, d["thickness_mm"], math.radians(d["cut_angle_deg"]))
         times = sc.propagation_times(crystal, sc.PumpSpec(d["center_nm"], d["bandwidth_nm"]))
         tau_a, tau_b = sc.optimal_delays(times)
