@@ -29,7 +29,7 @@ from .interference import (
     rect_window,
 )
 from .materials import DispersionModel, group_index
-from .numeric import _csv, golden_section_max, parabola_vertex
+from .numeric import _check_range, _csv, golden_section_max, parabola_vertex
 
 ABSCISSA_KINDS = ("delay_fs", "analyzer_rad")
 
@@ -79,30 +79,30 @@ def _scan_meta(params: InterferenceParams, **fields) -> dict:
 MAX_GRID_POINTS = 10**6  # per scan grid; checked before anything is allocated
 
 
-def _grid_points(start, stop, step: float):
-    """Number of points of `_grid(start, stop, step)`, elementwise.
+def _grid_points(start: float, stop: float, step: float, name: str, **words) -> int:
+    """Number of points of `_grid(start, stop, step, name, **words)`.
 
-    The 1e-9-of-a-step slack is widened by the endpoints' rounding, so the
-    count depends on the width and step alone.  Checks the point budget, so
-    nothing is allocated for a grid over it.
+    `numeric._check_range(name, start, stop, step, **words)` checks the
+    range.  The 1e-9-of-a-step slack is widened by the endpoints' rounding,
+    so the count depends on the width and step alone.  Checks the point
+    budget, so nothing is allocated for a grid over it.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    if np.any(stop <= start):
-        raise ValueError("scan range must have stop > start")
-    rounding = 4 * np.finfo(float).eps * np.maximum(np.abs(start), np.abs(stop))
+    _check_range(name, start, stop, step, **words)
+    rounding = 4 * np.finfo(float).eps * max(abs(start), abs(stop))
     intervals = (stop - start) / step + (1e-9 + rounding / step)
-    if not np.all(intervals < MAX_GRID_POINTS):
+    if not intervals < MAX_GRID_POINTS:
         raise ValueError(
-            f"scan grid of {np.max(intervals) + 1:.4g} points exceeds the budget of "
+            f"scan grid of {intervals + 1:.4g} points exceeds the budget of "
             f"{MAX_GRID_POINTS} points"
         )
-    return np.floor(intervals).astype(int) + 1
+    return math.floor(intervals) + 1
 
 
-def _grid(start: float, stop: float, step: float) -> np.ndarray:
+def _grid(start: float, stop: float, step: float, name: str, **words) -> np.ndarray:
     """start, start + step, ... up to stop (within the slack of `_grid_points`)."""
-    return start + step * np.arange(_grid_points(start, stop, step))
+    return start + step * np.arange(_grid_points(start, stop, step, name, **words))
 
 
 def delay_scan(
@@ -123,7 +123,7 @@ def delay_scan(
             f"step {step:g} fs too coarse; fringe sampling requires step <= "
             f"{period / 8.0:g} fs"
         )
-    xs = _grid(tau_b_start, tau_b_stop, step)
+    xs = _grid(tau_b_start, tau_b_stop, step, "scan range ends of tau_B")
     rates = coincidence_rate(
         params,
         AnalyzerDelayConfig(cfg.theta_a, cfg.theta_b, cfg.tau_a, xs),
@@ -147,7 +147,7 @@ def polarization_scan(
             f"step {step:g} rad too coarse; polarization scans require step <= "
             f"{math.pi / 64.0:g} rad"
         )
-    xs = _grid(theta_b_start, theta_b_stop, step)
+    xs = _grid(theta_b_start, theta_b_stop, step, "scan range ends of theta_B", unit="rad")
     rates = coincidence_rate(params, AnalyzerDelayConfig(theta_a, xs, tau_a, tau_b))
     meta = _scan_meta(params, theta_a_rad=theta_a, tau_a_fs=tau_a, tau_b_fs=tau_b)
     return ScanSeries("analyzer_rad", xs, np.asarray(rates, dtype=float), meta)
@@ -245,7 +245,9 @@ def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> 
     most the rate model's _BLOCK_POINTS samples, each with one
     coincidence_rate call and one contrast extraction, except that a row
     wholly outside the Rect window (tau_A - tau_B finite) has the flat rate
-    0.5 * projection and reads (r - r)/(r + r) = 0 without them.
+    0.5 * projection and reads (r - r)/(r + r) = 0 without them.  The
+    finite rows a block samples must resolve their step: `_check_range`
+    refuses their tau_B range where doubles lie a step or more apart.
     """
     period = fringe_period(params)
     step = period / FRINGE_SAMPLES_PER_PERIOD
@@ -256,7 +258,11 @@ def _fringe_scan_visibility(params: InterferenceParams, tau_a: float, tau_b) -> 
     vis = np.zeros(tau_b.shape)
     for lo in range(0, tau_b.size, rows):
         xs = starts[lo:lo + rows, None] + step * np.arange(n)
-        live = rect_window(params, tau_a, xs).any(axis=1) | ~np.isfinite(tau_a - xs).all(axis=1)
+        finite = np.isfinite(tau_a - xs).all(axis=1)
+        live = rect_window(params, tau_a, xs).any(axis=1) | ~finite
+        sampled = live & finite
+        if sampled.any():
+            _check_range("fringe-scan range ends of tau_B", xs[sampled, 0].min(), xs[sampled, -1].max(), step)
         xs = xs[live]
         rates = coincidence_rate(params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, xs))
         vis[lo:lo + rows][live] = _fringe_contrast(xs, rates)
@@ -306,18 +312,13 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
     per axis plus one diagonal pass (tau_A + t, tau_B - t), which follows
     the envelope's ridge through the kink left by the |...| term.  A
     maximizer pinned to the box edge is flagged on_boundary.  Raises
-    ValueError, naming the ends, for an axis whose ends do not increase.
+    ValueError, naming the ends, for an axis whose ends do not increase or
+    lie too far from 0 for doubles to resolve the 1 fs grid.
     """
     (a_lo, a_hi), (b_lo, b_hi) = search_box
-    for axis, lo, hi in (("tau_A", a_lo, a_hi), ("tau_B", b_lo, b_hi)):
-        if not hi > lo:
-            # far from 0 a box of a few fs can round to a point
-            how = "coincide in floating point" if hi == lo else "are not increasing"
-            raise ValueError(f"search box ends of {axis}, {float(lo)!r} and {float(hi)!r} fs, {how}; "
-                             "the box needs positive extent on both axes")
-
-    ta = _grid(a_lo, a_hi, 1.0)
-    tb = _grid(b_lo, b_hi, 1.0)
+    extent = "the box needs positive extent on both axes"
+    ta = _grid(a_lo, a_hi, 1.0, "search box ends of tau_A", extent=extent)
+    tb = _grid(b_lo, b_hi, 1.0, "search box ends of tau_B", extent=extent)
     grid_a, grid_b = np.meshgrid(ta, tb, indexing="ij")
     vals = envelope(params, grid_a, grid_b)
     i, j = np.unravel_index(np.argmax(vals), vals.shape)

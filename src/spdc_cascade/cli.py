@@ -113,9 +113,7 @@ def cmd_visibility_curve(cfg: RunConfig, args) -> tuple:
     tau_a = opts["tau_a_fs"] if opts["tau_a_fs"] is not None else tau_a_opt
     lo = opts["tau_b_min_fs"] if opts["tau_b_min_fs"] is not None else tau_b_opt - 300.0
     hi = opts["tau_b_max_fs"] if opts["tau_b_max_fs"] is not None else tau_b_opt + 300.0
-    if hi <= lo:
-        raise ConfigError("[visibility_curve] needs tau_b_max_fs > tau_b_min_fs")
-    grid = analysis._grid(lo, hi, opts["step_fs"])
+    grid = analysis._grid(lo, hi, opts["step_fs"], "visibility-curve range ends of tau_B")
     series = analysis.visibility_curve(params, tau_a, grid, method=opts["method"])
     peak = int(np.argmax(series.rates))
     return series.to_csv(), _summary({

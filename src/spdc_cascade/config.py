@@ -23,7 +23,9 @@ Minimal example::
 Numbers must be finite (``nan`` and ``inf`` are rejected),
 ``[crystal] thickness_mm`` must be positive,
 ``[emission_map] phi_points`` must lie in [MIN_PHI_POINTS, MAX_PHI_POINTS],
-and the two beam azimuths of ``[interference]`` must differ (mod 360 deg).
+the two beam azimuths of ``[interference]`` must differ (mod 360 deg), and
+``[visibility_curve] tau_b_max_fs`` must exceed ``tau_b_min_fs`` where both
+are set.
 The simulator models the two-crystal cascade only: ``[crystal] cascade``
 accepts every spelling of true and rejects false.
 """
@@ -245,6 +247,10 @@ def load_config(path) -> RunConfig:
     beam_phi_b = math.radians(get("interference", "beam_phi_b_deg"))
     if abs((beam_phi_a - beam_phi_b + math.pi) % TWO_PI - math.pi) <= 1e-9:
         raise ConfigError(f"{path}: [interference] beam_phi_a_deg equals beam_phi_b_deg (mod 360)")
+
+    tau_b_min, tau_b_max = get("visibility_curve", "tau_b_min_fs"), get("visibility_curve", "tau_b_max_fs")
+    if tau_b_min is not None and tau_b_max is not None and not tau_b_max > tau_b_min:
+        raise ConfigError(f"{path}: [visibility_curve] needs tau_b_max_fs > tau_b_min_fs")
 
     return RunConfig(
         crystal1=crystal1,

@@ -71,7 +71,7 @@ from .constants import TWO_PI
 from .errors import DegenerateParametersError
 from .geometry import PropagationTimes, propagation_times
 from .materials import CrystalSpec, PumpSpec
-from .numeric import golden_section_max
+from .numeric import _check_range, golden_section_max
 
 
 @dataclass(frozen=True)
@@ -90,6 +90,10 @@ class InterferenceParams:
     phi0: float = 0.0
 
     def __post_init__(self):
+        for name in ("sigma", "omega", "phi0"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.sigma <= 0:
             raise ValueError("sigma must be positive")
         if self.omega <= 0:
@@ -287,25 +291,26 @@ def envelope(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_envelope, params, tau_a, tau_b)
 
 
+def _interference(params: InterferenceParams, factor, tau_a, tau_b):
+    """factor V Rect / (sigma D), the interference term of rate and contrast alike."""
+    d, _ = _walkoff_scales(params.times)
+    return factor * _envelope(params, tau_a, tau_b) * _rect(params, tau_a, tau_b) / (params.sigma * d)
+
+
 def _rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
     """Unclamped `coincidence_rate` of float arrays in one pass, or of Python floats."""
-    d, _ = _walkoff_scales(params.times)
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
     fringe = np.cos(params.omega * (tau_a - tau_b) + params.phi0)
-    interference = (
-        math.sqrt(8.0 * math.pi)
-        * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a)
-        * fringe
-        * _envelope(params, tau_a, tau_b)
-        * _rect(params, tau_a, tau_b)
-        / (params.sigma * d)
-    )
-    return 0.5 * (projection + interference)
+    factor = math.sqrt(8.0 * math.pi) * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a) * fringe
+    return 0.5 * (projection + _interference(params, factor, tau_a, tau_b))
 
 
 def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
     """Normalized coincidence rate for analyzer settings and delays.
 
+    Half the sum of the projection term and the interference term
+    (`_interference`, shared with `aligned_contrast`) whose factor is
+    sqrt(8 pi) cos th_B sin th_B cos th_A sin th_A times the fringe.
     Supports array-valued tau/theta fields for vectorized scans.  A
     negative rate is set to zero, silently: it is rounding, not physics.
     With theta_A + theta_B = pi and the fringe on its crest the two terms
@@ -338,14 +343,7 @@ def optimal_delays(times: PropagationTimes) -> tuple:
 
 def _aligned_contrast(params: InterferenceParams, tau_a, tau_b):
     """`aligned_contrast` of float arrays in one pass, or of Python floats."""
-    d, _ = _walkoff_scales(params.times)
-    contrast = (
-        math.sqrt(8.0 * math.pi)
-        * abs(_envelope(params, tau_a, tau_b))
-        * _rect(params, tau_a, tau_b)
-        / (2.0 * params.sigma * d)
-    )
-    return np.minimum(contrast, 1.0)
+    return np.minimum(abs(_interference(params, 0.5 * math.sqrt(8.0 * math.pi), tau_a, tau_b)), 1.0)
 
 
 def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
@@ -353,7 +351,10 @@ def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
 
     At pi/4-pi/4 analyzers the projection term is 1/2 and the interference
     term reaches sqrt(8 pi) |V| Rect / (4 sigma D), so the contrast is
-    sqrt(8 pi) |V| Rect / (2 sigma D).  It is capped at 1 against
+    sqrt(8 pi) |V| Rect / (2 sigma D): the rate's interference term
+    (`_interference`) with the factor sqrt(8 pi)/2, in magnitude.  Halving
+    the factor rather than doubling sigma D rescales by a power of two,
+    which rounds nothing.  It is capped at 1 against
     rounding: as sigma D -> 0 the contrast tends to 1 from below, and at
     0.1 mm, 43.65 deg and a 1e-8 nm pump the formula reads 1 + 3e-15.
     """
@@ -392,7 +393,9 @@ def fringe_locked_delays(params: InterferenceParams) -> tuple:
             params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, tb)
         )
 
-    grid = np.linspace(tau_b - 0.5 * period, tau_b + 0.5 * period, 33)
+    lo, hi = tau_b - 0.5 * period, tau_b + 0.5 * period
+    _check_range("fringe-crest grid ends of tau_B", lo, hi, (hi - lo) / 32)
+    grid = np.linspace(lo, hi, 33)
     crest = grid[np.argmax(rate(grid))]
     half = 0.75 * period / 32.0
     tau_b_crest, _ = golden_section_max(rate, crest - half, crest + half, 1e-4)

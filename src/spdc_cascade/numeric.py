@@ -1,5 +1,6 @@
-"""Small numerical helpers: golden-section refinement, three-point parabolic
-interpolation of sampled extrema, and `_csv`, the writer of every CSV table."""
+"""Small numerical helpers: `_check_range` of every sampled or searched range,
+golden-section refinement, three-point parabolic interpolation of sampled
+extrema, and `_csv`, the writer of every CSV table."""
 
 from __future__ import annotations
 
@@ -10,17 +11,43 @@ import numpy as np
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
+def _check_range(name: str, lo, hi, step=None, unit: str = "fs",
+                 extent: str = "the range needs positive extent"):
+    """Raise ValueError unless lo < hi and, given a step, the samples lo,
+    lo + step, ... up to hi are distinct doubles.
+
+    The message reads "<name>, <lo> and <hi> <unit>, <problem>", plus
+    "; <extent>" for ends that do not increase.  Neighbouring samples could
+    round equal unless the step exceeds the spacing of doubles at the larger
+    end plus that at the width, which bounds the rounding of its multiples.
+    """
+    unit = f" {unit}" if unit else ""
+    ends = f"{float(lo)!r} and {float(hi)!r}{unit}"
+    if not hi > lo:
+        how = "coincide in floating point" if hi == lo else "are not increasing"
+        raise ValueError(f"{name}, {ends}, {how}; {extent}")
+    if step is not None:
+        gap = math.ulp(max(abs(lo), abs(hi)))
+        if not step > gap + math.ulp(hi - lo):
+            raise ValueError(f"{name}, {ends}, are too far from 0 for a step of {float(step)!r}{unit}: "
+                             f"doubles there lie {gap!r}{unit} apart, so neighbouring samples could "
+                             "round equal")
+
+
 def golden_section_min(f, a: float, b: float, xtol: float) -> tuple:
     """Minimize a unimodal scalar function on [a, b].
 
-    Returns (x, f(x)) with the bracket narrowed below xtol.
+    Returns (x, f(x)) with the bracket narrowed below xtol, or to where
+    doubles cannot resolve it further: the search stops once its interior
+    points no longer lie strictly inside the bracket, as happens far from
+    0, where doubles are farther apart than xtol.  Raises ValueError,
+    naming the ends, unless b > a.
     """
-    if not b > a:
-        raise ValueError("need b > a for a golden-section bracket")
+    _check_range("golden-section bracket ends", a, b, unit="", extent="the bracket needs positive extent")
     c = b - _INV_GOLDEN * (b - a)
     d = a + _INV_GOLDEN * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > xtol:
+    while (b - a) > xtol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _INV_GOLDEN * (b - a)

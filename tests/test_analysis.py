@@ -1,11 +1,13 @@
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.analysis import ScanSeries, _refined_extrema
+from spdc_cascade.analysis import ScanSeries, _grid, _refined_extrema
+from spdc_cascade.numeric import _check_range, golden_section_min
 
 QUARTER = math.pi / 4
 
@@ -88,6 +90,49 @@ def test_optimizer_rejects_inverted_box(params):
     # 1e21 +- 50 fs rounds to one point (the spacing of floats there is 131072)
     with pytest.raises(ValueError, match=r"ends of tau_B, 1e\+21 and 1e\+21 fs, coincide in floating point"):
         sc.optimize_delays_numeric(params, ((0.0, 100.0), (1e21 - 50.0, 1e21 + 50.0)))
+    # around 2.5e16 fs doubles lie 4 fs apart, coarser than the 1 fs grid
+    with pytest.raises(ValueError, match=r"search box ends of tau_A, \S+ and \S+ fs, are too far from 0 for a "
+                                         r"step of 1\.0 fs: doubles there lie 4\.0 fs apart"):
+        sc.optimize_delays_numeric(params, ((2.5e16 - 50.0, 2.5e16 + 50.0), (0.0, 100.0)))
+
+
+def test_range_check_on_both_sides_of_the_resolution_of_doubles():
+    # doubles in [2**50, 2**51) lie 0.25 fs apart; the step must exceed that
+    # plus the spacing at the width, which bounds the rounding of its multiples
+    lo, hi = 2.0**50 + 1.0, 2.0**50 + 101.0
+    bound = 0.25 + math.ulp(100.0)
+    below = math.nextafter(bound, 0.0)
+    with pytest.raises(ValueError, match=rf"^r, {lo!r} and {hi!r} fs, are too far from 0 for a step of "
+                                         rf"{re.escape(repr(below))} fs: doubles there lie 0\.25 fs apart, so "
+                                         r"neighbouring samples could round equal$"):
+        _check_range("r", lo, hi, below)
+    step = math.nextafter(bound, math.inf)
+    _check_range("r", lo, hi, step)
+    assert np.all(np.diff(_grid(lo, hi, step, "r")) > 0)
+    # a range's ends, in every unit, named in one format
+    with pytest.raises(ValueError, match=r"^scan range ends of theta_B, 1\.0 and 1\.0 rad, coincide in floating "
+                                         r"point; the range needs positive extent$"):
+        _grid(1.0, 1.0, 0.01, "scan range ends of theta_B", unit="rad")
+    with pytest.raises(ValueError, match=r"^golden-section bracket ends, 1\.0 and 0\.0, are not increasing; the "
+                                         r"bracket needs positive extent$"):
+        golden_section_min(abs, 1.0, 0.0, 1e-3)
+
+
+def test_golden_section_stops_where_doubles_cannot_resolve_the_tolerance():
+    # near 1e14 fs doubles lie 0.016 fs apart, far above the 1e-4 fs
+    # tolerance; the interior points collide, and the search must stop there
+    calls = 0
+
+    def objective(x):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise RuntimeError("the search does not stop")
+        return (x - 1e14) ** 2
+
+    x, _ = golden_section_min(objective, 1e14 - 1.0, 1e14 + 1.0, 1e-4)
+    assert abs(x - 1e14) <= 2 * math.ulp(1e14)
+    assert calls < 100
 
 
 # --- delay scans ---------------------------------------------------------------

@@ -128,6 +128,21 @@ def test_config_rejects_equal_beam_azimuths(tmp_path):
             load_config(str(path))
 
 
+@pytest.mark.parametrize("command", ["indices", "emission-map", "scan", "visibility-curve", "polarization",
+                                     "optimize"])
+def test_inverted_visibility_curve_range_exits_2_at_load(tmp_path, capsys, command):
+    # checked where the config loads, like the beam azimuths, so every
+    # command refuses it, not only the one that reads the range
+    path = tmp_path / "inverted.ini"
+    path.write_text(REFERENCE_INI + "\n[visibility_curve]\ntau_b_min_fs = 10\ntau_b_max_fs = 5\n")
+    out_path = tmp_path / "out.csv"
+    argv = [command, "--config", str(path), "--out", str(out_path)] + (["800"] if command == "indices" else [])
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"config error: {path}: [visibility_curve] needs tau_b_max_fs > tau_b_min_fs"]
+    assert not out_path.exists()
+
+
 def test_phi_points_maximum_is_accepted(tmp_path):
     path = tmp_path / "max.ini"
     path.write_text(REFERENCE_INI + f"\n[emission_map]\nphi_points = {MAX_PHI_POINTS}\n")
@@ -522,6 +537,87 @@ def test_optimize_of_a_box_rounded_to_a_point_exits_3(tmp_path, capsys):
     ends = re.fullmatch(r"error: search box ends of tau_A, (\S+) and (\S+) fs, coincide in floating point; "
                         r"the box needs positive extent on both axes", line)
     assert ends and ends[1] == ends[2] and float(ends[1]) == pytest.approx(2.488e21, rel=1e-3), line
+
+
+RANGE_ERROR = re.compile(r"error: (scan range|visibility-curve range|fringe-scan range|fringe-crest grid|search box) "
+                         r"ends of tau_[AB], \S+ and \S+ fs, (coincide in floating point; .+|are too far from 0 for "
+                         r"a step of \S+ fs: doubles there lie \S+ fs apart, so neighbouring samples could round equal)")
+
+
+@pytest.mark.parametrize("thickness_mm, command, method", [
+    # tau_B ~ 3.8e15 fs, where doubles lie 0.5 fs apart: the 0.25 fs scan
+    # step, the fringe scans' and the crest grid's period/32 cannot be resolved
+    ("1e13", "scan", "aligned"),
+    ("1e13", "visibility-curve", "scan"),
+    ("1e13", "polarization", "aligned"),
+    # tau_B ~ 3.8e22 fs: every derived range rounds to a point
+    ("1e20", "scan", "aligned"),
+    ("1e20", "visibility-curve", "aligned"),
+    ("1e20", "visibility-curve", "scan"),
+    ("1e20", "polarization", "aligned"),
+    ("1e20", "optimize", "aligned"),
+])
+def test_delay_range_doubles_cannot_resolve_exits_3(tmp_path, capsys, thickness_mm, command, method):
+    path = tmp_path / "huge.ini"
+    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", f"thickness_mm = {thickness_mm}")
+                    + f"\n[visibility_curve]\nmethod = {method}\n")
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert (code, out) == (3, "")
+    (line,) = err.splitlines()
+    assert RANGE_ERROR.fullmatch(line), line
+    assert not out_path.exists()
+
+
+def test_aligned_visibility_curve_of_a_resolvable_far_range_runs(tmp_path, capsys):
+    # at 1e13 mm the 5 fs grid of the aligned curve still resolves (doubles
+    # lie 0.5 fs apart there), and no finer grid is sampled
+    path = tmp_path / "far.ini"
+    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 1e13"))
+    code, _, err = run(["visibility-curve", "--config", str(path), "--out", str(tmp_path / "v.csv")], capsys)
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("center_fs, code", [
+    # doubles lie 0.125 fs apart below 2**50 fs and 0.25 fs from there on
+    (1e15, 0),
+    (2**50, 3),
+])
+def test_scan_step_at_the_resolution_of_doubles(tmp_path, capsys, center_fs, code):
+    path = tmp_path / "far.ini"
+    path.write_text(REFERENCE_INI + f"\n[scan]\ncenter_fs = {center_fs!r}\nstep_fs = 0.25\n")
+    out_path = tmp_path / "scan.csv"
+    result = run(["scan", "--config", str(path), "--out", str(out_path)], capsys)
+    assert result[0] == code, result
+    assert out_path.exists() == (code == 0)
+
+
+def test_polarization_far_from_zero_returns(tmp_path):
+    # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, farther
+    # than the crest search's 1e-4 fs tolerance; the search stops at their
+    # resolution instead of looping.  A child process, so a regression fails
+    # on the timeout instead of hanging the suite
+    path = tmp_path / "far.ini"
+    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 2e9"))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
+    child = subprocess.run(
+        [sys.executable, "-m", "spdc_cascade.cli", "polarization", "--config", str(path),
+         "--out", str(tmp_path / "pol.csv")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    assert json.loads(child.stdout)["tau_b_fs"] == pytest.approx(7.643236171e11, rel=1e-9)
+
+
+def test_non_finite_pump_width_exits_3(tmp_path, capsys):
+    # a 1e308 nm bandwidth overflows sigma to inf; the rate commands name it
+    path = tmp_path / "wide.ini"
+    path.write_text(REFERENCE_INI.replace("bandwidth_nm = 1.0", "bandwidth_nm = 1e308"))
+    for command in ("scan", "visibility-curve", "polarization", "optimize"):
+        out_path = tmp_path / "out.csv"
+        code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+        assert (code, out, err) == (3, "", "error: sigma must be finite, got inf\n"), command
+        assert not out_path.exists()
 
 
 def test_io_error_exits_4_and_leaves_no_partial_file(config_path, tmp_path, capsys):

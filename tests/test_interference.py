@@ -166,6 +166,15 @@ def test_degenerate_parameter_guard():
                          lambda: sc.rect_window(params, 0.0, 0.0)):
             with pytest.raises(sc.DegenerateParametersError, match=message + " is not positive"):
                 evaluate()
+    # sigma, omega and phi0 must be finite: NaN passed the sign checks, and
+    # an infinite sigma read a visibility of 0 beside an envelope of 2
+    params = synthetic_params()
+    for name in ("sigma", "omega", "phi0"):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
+                sc.InterferenceParams(**{**vars(params), name: bad})
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        params.with_sigma(math.nan)
 
 
 def test_rect_window_switches_where_the_envelopes_w_crosses_the_span(params):
