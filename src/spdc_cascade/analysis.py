@@ -29,7 +29,7 @@ from .interference import (
     rect_window,
 )
 from .materials import DispersionModel, group_index
-from .numeric import _check_range, _csv, golden_section_max, parabola_vertex
+from .numeric import _check_range, _csv, parabola_vertex
 
 ABSCISSA_KINDS = ("delay_fs", "analyzer_rad")
 
@@ -40,7 +40,12 @@ FRINGE_SAMPLES_PER_PERIOD = 32
 
 @dataclass(frozen=True)
 class ScanSeries:
-    """Ordered (abscissa, rate) samples plus a snapshot of the settings."""
+    """Ordered (abscissa, rate) samples.
+
+    meta holds what reading them takes: the fringe period of a delay series
+    (`fringe_period_fs`, for the span check of `extract_visibility`) and the
+    name of a CSV ordinate other than "rate" (`ordinate`).
+    """
 
     abscissa_kind: str
     xs: np.ndarray
@@ -63,17 +68,6 @@ class ScanSeries:
         """The samples as CSV: an (abscissa, ordinate) header, then one row each."""
         header = f"{self.abscissa_kind},{self.meta.get('ordinate', 'rate')}"
         return _csv(header, zip(self.xs.tolist(), self.rates.tolist()), "%.6g,%.6g")
-
-
-def _scan_meta(params: InterferenceParams, **fields) -> dict:
-    """Scan metadata: the given settings plus the model parameters behind them."""
-    return {
-        **fields,
-        "fringe_period_fs": fringe_period(params),
-        "sigma_rad_per_fs": params.sigma,
-        "phi0_rad": params.phi0,
-        "times_fs": params.times.as_tuple(),
-    }
 
 
 MAX_GRID_POINTS = 10**6  # per scan grid; checked before anything is allocated
@@ -128,8 +122,7 @@ def delay_scan(
         params,
         AnalyzerDelayConfig(cfg.theta_a, cfg.theta_b, cfg.tau_a, xs),
     )
-    meta = _scan_meta(params, theta_a_rad=cfg.theta_a, theta_b_rad=cfg.theta_b, tau_a_fs=cfg.tau_a)
-    return ScanSeries("delay_fs", xs, np.asarray(rates, dtype=float), meta)
+    return ScanSeries("delay_fs", xs, np.asarray(rates, dtype=float), {"fringe_period_fs": period})
 
 
 def polarization_scan(
@@ -149,8 +142,7 @@ def polarization_scan(
         )
     xs = _grid(theta_b_start, theta_b_stop, step, "scan range ends of theta_B", unit="rad")
     rates = coincidence_rate(params, AnalyzerDelayConfig(theta_a, xs, tau_a, tau_b))
-    meta = _scan_meta(params, theta_a_rad=theta_a, tau_a_fs=tau_a, tau_b_fs=tau_b)
-    return ScanSeries("analyzer_rad", xs, np.asarray(rates, dtype=float), meta)
+    return ScanSeries("analyzer_rad", xs, np.asarray(rates, dtype=float))
 
 
 def _refined_extrema(xs, rates):
@@ -291,7 +283,7 @@ def visibility_curve(
         vis = _fringe_scan_visibility(params, tau_a, tau_b_grid)
     else:
         raise ValueError("method must be 'aligned' or 'scan'")
-    meta = _scan_meta(params, ordinate="visibility", method=method, tau_a_fs=tau_a)
+    meta = {"ordinate": "visibility", "fringe_period_fs": fringe_period(params)}
     return ScanSeries("delay_fs", tau_b_grid, vis, meta)
 
 
@@ -308,12 +300,15 @@ class DelayOptimum:
 def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOptimum:
     """Maximize the fringe envelope over a rectangular (tau_A, tau_B) box.
 
-    Coarse 1 fs grid, then golden-section refinement to 0.01 fs: one pass
-    per axis plus one diagonal pass (tau_A + t, tau_B - t), which follows
-    the envelope's ridge through the kink left by the |...| term.  A
-    maximizer pinned to the box edge is flagged on_boundary.  Raises
-    ValueError, naming the ends, for an axis whose ends do not increase or
-    lie too far from 0 for doubles to resolve the 1 fs grid.
+    Coarse 1 fs grid, then refinement passes, each the highest sample of
+    the envelope at 5e-3 fs steps over +-1.5 fs (within the box) around the
+    current point: one pass per axis plus one diagonal pass (tau_A + t,
+    tau_B - t) sampled along tau_A, which follows the envelope's ridge
+    through the kink left by the |...| term.  A maximizer pinned to the box
+    edge is flagged on_boundary.  Raises ValueError, naming the ends, for an
+    axis whose ends do not increase or lie too far from 0 for doubles to
+    resolve the 1 fs grid, and for a pass whose window they cannot resolve
+    at 5e-3 fs.
     """
     (a_lo, a_hi), (b_lo, b_hi) = search_box
     extent = "the box needs positive extent on both axes"
@@ -324,29 +319,30 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     a_cur, b_cur = float(ta[i]), float(tb[j])
 
-    def refine(center, lo, hi, f):
+    def refine(center, lo, hi, delay, f):
         left = max(lo, center - 1.5)
         right = min(hi, center + 1.5)
         if right <= left:
             return center
-        x, _ = golden_section_max(f, left, right, 5e-3)
-        return x
+        xs = _grid(left, right, 5e-3, f"refinement window ends of {delay}")
+        return float(xs[np.argmax(f(xs))])
 
     for _ in range(2):
-        b_cur = refine(b_cur, b_lo, b_hi, lambda x: envelope(params, a_cur, x))
-        a_cur = refine(a_cur, a_lo, a_hi, lambda x: envelope(params, x, b_cur))
+        b_cur = refine(b_cur, b_lo, b_hi, "tau_B", lambda x: envelope(params, a_cur, x))
+        a_cur = refine(a_cur, a_lo, a_hi, "tau_A", lambda x: envelope(params, x, b_cur))
         # diagonal pass: u varies while the delay sum (and hence |W|) is fixed
-        t = refine(
-            0.0,
-            max(a_lo - a_cur, b_cur - b_hi),
-            min(a_hi - a_cur, b_cur - b_lo),
-            lambda x: envelope(params, a_cur + x, b_cur - x),
+        a_new = refine(
+            a_cur,
+            max(a_lo, a_cur + b_cur - b_hi),
+            min(a_hi, a_cur + b_cur - b_lo),
+            "tau_A",
+            lambda x: envelope(params, x, b_cur - (x - a_cur)),
         )
-        a_cur += t
-        b_cur -= t
+        b_cur -= a_new - a_cur
+        a_cur = a_new
     # finish on the axes so a constrained maximizer ends up pinned to the edge
-    b_cur = refine(b_cur, b_lo, b_hi, lambda x: envelope(params, a_cur, x))
-    a_cur = refine(a_cur, a_lo, a_hi, lambda x: envelope(params, x, b_cur))
+    b_cur = refine(b_cur, b_lo, b_hi, "tau_B", lambda x: envelope(params, a_cur, x))
+    a_cur = refine(a_cur, a_lo, a_hi, "tau_A", lambda x: envelope(params, x, b_cur))
     edge = 0.05
     on_boundary = (
         a_cur - a_lo < edge or a_hi - a_cur < edge or b_cur - b_lo < edge or b_hi - b_cur < edge

@@ -476,7 +476,7 @@ def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
 
     On the pump axis the e photon meets both crystals' optic axes at the cut
     angle (mirror symmetry), so t_e2 = t_e; off-axis directions are the job
-    of `emission_time_map`.  Python floats keep scalar rate-model calls fast.
+    of `emission_time_map`.  Each time is a Python float.
     """
     lam_dc = pump.degenerate_nm
     t_e = float(_transit_time(crystal, lam_dc, crystal.cut_angle))

@@ -71,7 +71,7 @@ from .constants import TWO_PI
 from .errors import DegenerateParametersError
 from .geometry import PropagationTimes, propagation_times
 from .materials import CrystalSpec, PumpSpec
-from .numeric import _check_range, golden_section_max
+from .numeric import _check_range, parabola_vertex
 
 
 @dataclass(frozen=True)
@@ -155,15 +155,10 @@ _BLOCK_POINTS = 2**13
 def _horner(x, coefs):
     """Polynomial with the given coefficients (highest power first) at x."""
     acc = x * coefs[0] + coefs[1]
-    for c in coefs[2:]:  # in place on arrays, rebinding on floats
+    for c in coefs[2:]:
         acc *= x
         acc += c
     return acc
-
-
-def _is_scalar(x) -> bool:
-    """True for a float or 0-d input; np.ndim alone costs a microsecond."""
-    return isinstance(x, float) or np.ndim(x) == 0
 
 
 def _erf_small(ax):
@@ -183,26 +178,15 @@ def _erf_tail(ax):
 
 
 def _erf(x):
-    """Error function from the Cephes ndtr.c rational approximations.
+    """Error function of a float array, from the Cephes ndtr.c rational
+    approximations.
 
     Each element takes one branch of |x|: the x T/U ratio up to 1, the
     exp P/Q tail below 6, and 1 from 6 on, which is what the tail rounds
-    to there (so +-inf gives +-1 without overflow); nan gives nan.  An
-    array evaluates each branch only on its own elements, and skips the
-    masking when all of them share one branch.  Scalars take the same
-    operations in Python floats, so they agree with array elements to the
-    last bit.
+    to there (so +-inf gives +-1 without overflow); nan gives nan.  Each
+    branch is evaluated only on its own elements, and the masking is
+    skipped when all of them share one branch.
     """
-    if _is_scalar(x):
-        x = float(x)
-        ax = abs(x)
-        if ax <= 1.0:
-            y = _erf_small(ax)
-        elif ax >= _ERF_SATURATION:
-            y = 1.0
-        else:  # nan too
-            y = float(_erf_tail(ax))
-        return math.copysign(y, x)
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     small = ax <= 1.0
@@ -218,30 +202,31 @@ def _erf(x):
             y[small] = _erf_small(ax[small])
             tail = ~(small | flat)
             y[tail] = _erf_tail(ax[tail])
-    return np.copysign(y, x, out=y)
+    return np.copysign(y, x)
 
 
 def _elementwise(kernel, params: InterferenceParams, *args):
     """kernel(params, *args): the one evaluator of the rate model's kernels.
 
-    Scalar (float or 0-d) arguments give a float, computed in Python floats:
-    numpy's per-call overhead would dominate the golden-section searches.
-    Arrays run the kernel in blocks of about _BLOCK_POINTS samples along
-    axis 0 of their broadcast shape, slicing only the arguments that vary
-    along it; the result equals one unblocked call to the last bit.
+    Every argument reaches the kernel as a float array of at least one
+    dimension.  The kernel runs in blocks of about _BLOCK_POINTS samples
+    along axis 0 of the broadcast shape, slicing only the arguments that
+    vary along it; the result equals one unblocked call to the last bit.
+    Scalar (float or 0-d) arguments alone give a Python float, the one
+    element of that array.
     """
-    if all(map(_is_scalar, args)):
-        return float(kernel(params, *map(float, args)))
-    args = [np.asarray(a, dtype=float) for a in args]
+    scalar = all(np.ndim(a) == 0 for a in args)
+    args = [np.atleast_1d(np.asarray(a, dtype=float)) for a in args]
     full = np.broadcast(*args)
     if full.size <= _BLOCK_POINTS:
-        return kernel(params, *args)
-    rows = max(1, _BLOCK_POINTS * full.shape[0] // full.size)
-    sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
-    out = np.empty(full.shape)
-    for lo in range(0, full.shape[0], rows):
-        out[lo:lo + rows] = kernel(params, *(a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced)))
-    return out
+        out = kernel(params, *args)
+    else:
+        rows = max(1, _BLOCK_POINTS * full.shape[0] // full.size)
+        sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
+        out = np.empty(full.shape)
+        for lo in range(0, full.shape[0], rows):
+            out[lo:lo + rows] = kernel(params, *(a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced)))
+    return float(out[0]) if scalar else out
 
 
 def _walkoff_scales(times: PropagationTimes):
@@ -263,7 +248,7 @@ def _overlap_excess(t: PropagationTimes, tau_a, tau_b):
 
 
 def _rect(params: InterferenceParams, tau_a, tau_b):
-    """`rect_window` of float arrays in one pass, or of Python floats."""
+    """`rect_window` of float arrays in one pass."""
     _, span = _walkoff_scales(params.times)
     return 1.0 * (_overlap_excess(params.times, tau_a, tau_b) < span)
 
@@ -274,7 +259,7 @@ def rect_window(params: InterferenceParams, tau_a, tau_b):
 
 
 def _envelope(params: InterferenceParams, tau_a, tau_b):
-    """`envelope` of float arrays in one pass, or of Python floats."""
+    """`envelope` of float arrays in one pass."""
     t = params.times
     d, span = _walkoff_scales(t)
     s = params.sigma / (4.0 * math.sqrt(2.0))
@@ -298,11 +283,18 @@ def _interference(params: InterferenceParams, factor, tau_a, tau_b):
 
 
 def _rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
-    """Unclamped `coincidence_rate` of float arrays in one pass, or of Python floats."""
+    """Unclamped `coincidence_rate` of float arrays in one pass."""
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
     fringe = np.cos(params.omega * (tau_a - tau_b) + params.phi0)
     factor = math.sqrt(8.0 * math.pi) * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a) * fringe
     return 0.5 * (projection + _interference(params, factor, tau_a, tau_b))
+
+
+def _clamped_rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
+    """`coincidence_rate` of float arrays in one pass."""
+    rate = _rate(params, th_a, th_b, tau_a, tau_b)
+    rate[rate < 0.0] = 0.0
+    return rate
 
 
 def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
@@ -318,11 +310,7 @@ def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
     (-1.9e-16 at 0.01 mm, 43 deg and a 1e-8 nm pump).  nan and -0.0 pass
     through.
     """
-    rate = _elementwise(_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
-    clipped = rate < 0.0
-    if np.any(clipped):
-        rate = 0.0 if clipped is True else np.where(clipped, 0.0, rate)
-    return rate
+    return _elementwise(_clamped_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
 
 
 def fringe_period(params: InterferenceParams) -> float:
@@ -342,7 +330,7 @@ def optimal_delays(times: PropagationTimes) -> tuple:
 
 
 def _aligned_contrast(params: InterferenceParams, tau_a, tau_b):
-    """`aligned_contrast` of float arrays in one pass, or of Python floats."""
+    """`aligned_contrast` of float arrays in one pass."""
     return np.minimum(abs(_interference(params, 0.5 * math.sqrt(8.0 * math.pi), tau_a, tau_b)), 1.0)
 
 
@@ -381,22 +369,24 @@ def fringe_locked_delays(params: InterferenceParams) -> tuple:
     The envelope peak fixes delays only up to the fast fringe phase; for
     polarization-interference measurements the delays must also sit on a
     fringe maximum, which is how delay lines are tuned in practice.  The
-    crest is the highest of 33 samples of the pi/4-pi/4 rate over one
-    period centred on the compensating tau_B, refined by golden section
-    to 1e-4 fs.
+    pi/4-pi/4 rate is sampled at 33 points over one period centred on the
+    compensating tau_B, then at 33 points over one coarse step either side
+    of the highest sample; the parabola through the highest fine sample and
+    its neighbours (`parabola_vertex`) places the crest, within 1e-4 fs of
+    the rate's maximum.
     """
     tau_a, tau_b = optimal_delays(params.times)
-    period = fringe_period(params)
 
-    def rate(tb):
-        return coincidence_rate(
-            params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, tb)
-        )
+    def sample(lo, hi):
+        """33 samples of the rate over [lo, hi] and the index of the highest."""
+        _check_range("fringe-crest grid ends of tau_B", lo, hi, (hi - lo) / 32)
+        grid = np.linspace(lo, hi, 33)
+        rates = coincidence_rate(params, AnalyzerDelayConfig(math.pi / 4, math.pi / 4, tau_a, grid))
+        return grid, rates, int(np.argmax(rates))
 
-    lo, hi = tau_b - 0.5 * period, tau_b + 0.5 * period
-    _check_range("fringe-crest grid ends of tau_B", lo, hi, (hi - lo) / 32)
-    grid = np.linspace(lo, hi, 33)
-    crest = grid[np.argmax(rate(grid))]
-    half = 0.75 * period / 32.0
-    tau_b_crest, _ = golden_section_max(rate, crest - half, crest + half, 1e-4)
-    return tau_a, tau_b_crest
+    step = fringe_period(params) / 32
+    grid, _, k = sample(tau_b - 16 * step, tau_b + 16 * step)
+    grid, rates, k = sample(grid[k] - step, grid[k] + step)
+    k = min(max(k, 1), 31)  # the parabola needs a neighbour on either side
+    tau_b_crest, _ = parabola_vertex(grid[k - 1], rates[k - 1], grid[k], rates[k], grid[k + 1], rates[k + 1])
+    return tau_a, float(tau_b_crest)

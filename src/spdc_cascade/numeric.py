@@ -1,14 +1,12 @@
-"""Small numerical helpers: `_check_range` of every sampled or searched range,
-golden-section refinement, three-point parabolic interpolation of sampled
-extrema, and `_csv`, the writer of every CSV table."""
+"""Small numerical helpers: `_check_range` of every sampled range, searches
+included, three-point parabolic interpolation of sampled extrema, and
+`_csv`, the writer of every CSV table."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
-
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
 
 
 def _check_range(name: str, lo, hi, step=None, unit: str = "fs",
@@ -21,48 +19,16 @@ def _check_range(name: str, lo, hi, step=None, unit: str = "fs",
     round equal unless the step exceeds the spacing of doubles at the larger
     end plus that at the width, which bounds the rounding of its multiples.
     """
-    unit = f" {unit}" if unit else ""
-    ends = f"{float(lo)!r} and {float(hi)!r}{unit}"
+    ends = f"{float(lo)!r} and {float(hi)!r} {unit}"
     if not hi > lo:
         how = "coincide in floating point" if hi == lo else "are not increasing"
         raise ValueError(f"{name}, {ends}, {how}; {extent}")
     if step is not None:
         gap = math.ulp(max(abs(lo), abs(hi)))
         if not step > gap + math.ulp(hi - lo):
-            raise ValueError(f"{name}, {ends}, are too far from 0 for a step of {float(step)!r}{unit}: "
-                             f"doubles there lie {gap!r}{unit} apart, so neighbouring samples could "
+            raise ValueError(f"{name}, {ends}, are too far from 0 for a step of {float(step)!r} {unit}: "
+                             f"doubles there lie {gap!r} {unit} apart, so neighbouring samples could "
                              "round equal")
-
-
-def golden_section_min(f, a: float, b: float, xtol: float) -> tuple:
-    """Minimize a unimodal scalar function on [a, b].
-
-    Returns (x, f(x)) with the bracket narrowed below xtol, or to where
-    doubles cannot resolve it further: the search stops once its interior
-    points no longer lie strictly inside the bracket, as happens far from
-    0, where doubles are farther apart than xtol.  Raises ValueError,
-    naming the ends, unless b > a.
-    """
-    _check_range("golden-section bracket ends", a, b, unit="", extent="the bracket needs positive extent")
-    c = b - _INV_GOLDEN * (b - a)
-    d = a + _INV_GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > xtol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _INV_GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INV_GOLDEN * (b - a)
-            fd = f(d)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
-def golden_section_max(f, a: float, b: float, xtol: float) -> tuple:
-    x, fneg = golden_section_min(lambda t: -f(t), a, b, xtol)
-    return x, -fneg
 
 
 def parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:

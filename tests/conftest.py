@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -48,3 +49,24 @@ def doubled_map(pump):
     c1 = sc.CrystalSpec(sc.BBO, 2 * THICKNESS_MM, math.radians(PSI_DEG), axis_sign=+1)
     c2 = sc.CrystalSpec(sc.BBO, 2 * THICKNESS_MM, math.radians(PSI_DEG), axis_sign=-1)
     return sc.emission_time_map(c1, c2, pump)
+
+
+@pytest.fixture()
+def benchmark_designs(monkeypatch):
+    """The reference design, then the 21 designs of the benchmark's seeds 1-3."""
+    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    from perfbench.inputs import REFERENCE, draw_designs
+
+    designs = [REFERENCE] + [d for seed in (1, 2, 3) for d in draw_designs(seed)]
+    assert len(designs) == 22
+    return designs
+
+
+@pytest.fixture()
+def benchmark_params(benchmark_designs):
+    """InterferenceParams of each of `benchmark_designs`."""
+    return [
+        sc.params_from_crystal(sc.CrystalSpec(sc.BBO, d["thickness_mm"], math.radians(d["cut_angle_deg"])),
+                               sc.PumpSpec(d["center_nm"], d["bandwidth_nm"]))
+        for d in benchmark_designs
+    ]

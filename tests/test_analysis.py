@@ -7,7 +7,7 @@ import pytest
 
 import spdc_cascade as sc
 from spdc_cascade.analysis import ScanSeries, _grid, _refined_extrema
-from spdc_cascade.numeric import _check_range, golden_section_min
+from spdc_cascade.numeric import _check_range
 
 QUARTER = math.pi / 4
 
@@ -39,6 +39,17 @@ def test_numeric_optimizer_agrees_with_closed_form(params):
     assert result.envelope_value == pytest.approx(
         sc.envelope(params, tau_a, tau_b), rel=1e-6
     )
+
+
+def test_numeric_optimizer_lands_within_its_step_on_the_benchmark_designs(benchmark_params):
+    # the refinement passes sample at 5e-3 fs, and the envelope peaks at the
+    # closed form
+    for params in benchmark_params:
+        tau_a, tau_b = sc.optimal_delays(params.times)
+        result = sc.optimize_delays_numeric(params, ((tau_a - 50.0, tau_a + 50.0), (tau_b - 50.0, tau_b + 50.0)))
+        assert abs(result.tau_a - tau_a) <= 5e-3, params
+        assert abs(result.tau_b - tau_b) <= 5e-3, params
+        assert not result.on_boundary
 
 
 @pytest.mark.parametrize("thickness", [0.5, 1.07, 2.0])
@@ -94,6 +105,11 @@ def test_optimizer_rejects_inverted_box(params):
     with pytest.raises(ValueError, match=r"search box ends of tau_A, \S+ and \S+ fs, are too far from 0 for a "
                                          r"step of 1\.0 fs: doubles there lie 4\.0 fs apart"):
         sc.optimize_delays_numeric(params, ((2.5e16 - 50.0, 2.5e16 + 50.0), (0.0, 100.0)))
+    # around 3.8e14 fs doubles lie 0.0625 fs apart: the 1 fs grid resolves,
+    # the 5e-3 fs refinement window of the first pass does not
+    with pytest.raises(ValueError, match=r"^refinement window ends of tau_B, \S+ and \S+ fs, are too far from 0 "
+                                         r"for a step of 0\.005 fs: doubles there lie 0\.0625 fs apart"):
+        sc.optimize_delays_numeric(params, ((0.0, 100.0), (3.8e14 - 50.0, 3.8e14 + 50.0)))
 
 
 def test_range_check_on_both_sides_of_the_resolution_of_doubles():
@@ -113,26 +129,6 @@ def test_range_check_on_both_sides_of_the_resolution_of_doubles():
     with pytest.raises(ValueError, match=r"^scan range ends of theta_B, 1\.0 and 1\.0 rad, coincide in floating "
                                          r"point; the range needs positive extent$"):
         _grid(1.0, 1.0, 0.01, "scan range ends of theta_B", unit="rad")
-    with pytest.raises(ValueError, match=r"^golden-section bracket ends, 1\.0 and 0\.0, are not increasing; the "
-                                         r"bracket needs positive extent$"):
-        golden_section_min(abs, 1.0, 0.0, 1e-3)
-
-
-def test_golden_section_stops_where_doubles_cannot_resolve_the_tolerance():
-    # near 1e14 fs doubles lie 0.016 fs apart, far above the 1e-4 fs
-    # tolerance; the interior points collide, and the search must stop there
-    calls = 0
-
-    def objective(x):
-        nonlocal calls
-        calls += 1
-        if calls > 10_000:
-            raise RuntimeError("the search does not stop")
-        return (x - 1e14) ** 2
-
-    x, _ = golden_section_min(objective, 1e14 - 1.0, 1e14 + 1.0, 1e-4)
-    assert abs(x - 1e14) <= 2 * math.ulp(1e14)
-    assert calls < 100
 
 
 # --- delay scans ---------------------------------------------------------------

@@ -539,7 +539,8 @@ def test_optimize_of_a_box_rounded_to_a_point_exits_3(tmp_path, capsys):
     assert ends and ends[1] == ends[2] and float(ends[1]) == pytest.approx(2.488e21, rel=1e-3), line
 
 
-RANGE_ERROR = re.compile(r"error: (scan range|visibility-curve range|fringe-scan range|fringe-crest grid|search box) "
+RANGE_ERROR = re.compile(r"error: (scan range|visibility-curve range|fringe-scan range|fringe-crest grid|search box|"
+                         r"refinement window) "
                          r"ends of tau_[AB], \S+ and \S+ fs, (coincide in floating point; .+|are too far from 0 for "
                          r"a step of \S+ fs: doubles there lie \S+ fs apart, so neighbouring samples could round equal)")
 
@@ -550,6 +551,11 @@ RANGE_ERROR = re.compile(r"error: (scan range|visibility-curve range|fringe-scan
     ("1e13", "scan", "aligned"),
     ("1e13", "visibility-curve", "scan"),
     ("1e13", "polarization", "aligned"),
+    # tau_B ~ 3.8e14 fs, where doubles lie 0.0625 fs apart: the coarse grids
+    # resolve, but not the optimizer's 5e-3 fs refinement windows nor the
+    # crest's fine grid (a sixteenth of period/32)
+    ("1e12", "optimize", "aligned"),
+    ("1e12", "polarization", "aligned"),
     # tau_B ~ 3.8e22 fs: every derived range rounds to a point
     ("1e20", "scan", "aligned"),
     ("1e20", "visibility-curve", "aligned"),
@@ -593,10 +599,10 @@ def test_scan_step_at_the_resolution_of_doubles(tmp_path, capsys, center_fs, cod
 
 
 def test_polarization_far_from_zero_returns(tmp_path):
-    # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, farther
-    # than the crest search's 1e-4 fs tolerance; the search stops at their
-    # resolution instead of looping.  A child process, so a regression fails
-    # on the timeout instead of hanging the suite
+    # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, and the
+    # crest's grids, the finer at about 5e-3 fs, still resolve there.  A child
+    # process, so a regression fails on the timeout instead of hanging the
+    # suite
     path = tmp_path / "far.ini"
     path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 2e9"))
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
@@ -607,6 +613,16 @@ def test_polarization_far_from_zero_returns(tmp_path):
     )
     assert (child.returncode, child.stderr) == (0, "")
     assert json.loads(child.stdout)["tau_b_fs"] == pytest.approx(7.643236171e11, rel=1e-9)
+
+
+def test_optimize_far_from_zero_returns(tmp_path, capsys):
+    # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, finer
+    # than the 5e-3 fs refinement windows
+    path = tmp_path / "far.ini"
+    path.write_text(REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 2e9"))
+    code, out, err = run(["optimize", "--config", str(path)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["tau_b_fs"] == pytest.approx(7.643236171e11, rel=1e-9)
 
 
 def test_non_finite_pump_width_exits_3(tmp_path, capsys):

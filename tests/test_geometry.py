@@ -377,16 +377,6 @@ def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, 
     assert lanes == []  # every azimuth verified from its seed
 
 
-def _benchmark_designs(monkeypatch):
-    """The reference design, then the 21 designs of the benchmark's seeds 1-3."""
-    monkeypatch.syspath_prepend(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
-    from perfbench.inputs import REFERENCE, draw_designs
-
-    designs = [REFERENCE] + [d for seed in (1, 2, 3) for d in draw_designs(seed)]
-    assert len(designs) == 22
-    return designs
-
-
 def _count_inplane_solves(monkeypatch):
     """Record the failure text of every in-plane cone solve; each one scans
     _INPLANE_GRID through _grid_brackets."""
@@ -409,11 +399,11 @@ def _mirror_pair(design):
     return (*crystals, sc.PumpSpec(design["center_nm"], design["bandwidth_nm"]))
 
 
-def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(monkeypatch):
+def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(benchmark_designs):
     # crystal 2's residual at signed in-plane angle a is crystal 1's at -a
     # to the bit, but _INPLANE_GRID is not symmetric to the bit: two
     # separate solves differed by up to 5.8e-15 rad on these designs
-    for design in _benchmark_designs(monkeypatch):
+    for design in benchmark_designs:
         crystal1, crystal2, pump = _mirror_pair(design)
         one, two = sc.phase_match_cones(crystal1, pump), sc.phase_match_cones(crystal2, pump)
         for field in ("o_cone", "e_cone", "external_o", "external_e"):
@@ -421,11 +411,11 @@ def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(monkeypatch):
             assert (b.tilt, b.half_angle) == (-a.tilt, a.half_angle), (design, field)
 
 
-def test_an_emission_map_op_takes_one_inplane_solve_per_polarization(monkeypatch):
+def test_an_emission_map_op_takes_one_inplane_solve_per_polarization(benchmark_designs, monkeypatch):
     # designs A, B, A as the benchmark's closed loop meets them, each op
     # both crystals' cone summaries and a 1024-azimuth map: each solves its
     # o and e extremes once, and a design switch leaves nothing to reuse
-    design_a, design_b = _benchmark_designs(monkeypatch)[:2]
+    design_a, design_b = benchmark_designs[:2]
     solves = _count_inplane_solves(monkeypatch)
     per_op, cones = [], []
     for design in (design_a, design_b, design_a):
@@ -607,11 +597,11 @@ def test_map_composes_its_classes_from_four_transit_times(crystal1, crystal2, pu
     assert len(calls) == 4
 
 
-def test_on_axis_pair_gaps_are_the_closed_form_delays(monkeypatch):
+def test_on_axis_pair_gaps_are_the_closed_form_delays(benchmark_designs):
     # born at the crystal centres, the pairs' on-axis gaps 2o - 1e and
     # 1o - 2e are tau_B and tau_A: everything that separates the map's
     # flattening delays from the closed form comes from off-axis directions
-    for d in _benchmark_designs(monkeypatch):
+    for d in benchmark_designs:
         crystal = sc.CrystalSpec(sc.BBO, d["thickness_mm"], math.radians(d["cut_angle_deg"]))
         times = sc.propagation_times(crystal, sc.PumpSpec(d["center_nm"], d["bandwidth_nm"]))
         tau_a, tau_b = sc.optimal_delays(times)

@@ -79,12 +79,12 @@ def test_erf_matches_scipy_oracle():
     special = np.array([0.0, -0.0, 1.0, -1.0, 1.0 + one_ulp, 1.0 - one_ulp / 2, 6.0, -6.0,
                         30.0, -30.0, np.inf, -np.inf, 5e-324])
     x = np.concatenate([special, np.random.default_rng(11).uniform(-8.0, 8.0, 10**6)])
-    n_scalar = special.size + 20000  # scalar calls cost microseconds each
+    n_single = special.size + 20000  # one-element calls cost microseconds each
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow or invalid-value warnings
         got = _erf(x)
-        scalar = [_erf(v) for v in x[:n_scalar]]
-        nan_scalar, nan_array = _erf(math.nan), _erf(np.array([math.nan]))
+        single = [_erf(x[i:i + 1]) for i in range(n_single)]
+        nan_single = _erf(np.array([math.nan]))
     want = erf(x)
     err = np.abs(got - want)
     assert err.max() <= 4.5e-16
@@ -92,10 +92,9 @@ def test_erf_matches_scipy_oracle():
     assert np.max(err[nonzero] / np.abs(want[nonzero])) <= 4.5e-16
     np.testing.assert_array_equal(np.signbit(got[:2]), [False, True])
     np.testing.assert_array_equal(got[6:12], [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
-    # a scalar and the same point inside an array agree to the last bit
-    assert all(type(v) is float for v in scalar)
-    np.testing.assert_array_equal(scalar, got[:n_scalar])
-    assert math.isnan(nan_scalar) and np.isnan(nan_array).all()
+    # a point alone and the same point inside a long array agree to the last bit
+    np.testing.assert_array_equal(np.concatenate(single), got[:n_single])
+    assert nan_single.shape == (1,) and np.isnan(nan_single).all()
 
 
 @pytest.mark.parametrize("x", [
@@ -110,15 +109,16 @@ def test_erf_matches_scipy_oracle():
     np.array([math.nan, -0.5, -math.nan, 3.0, 8.0]),
 ], ids=["small", "tail", "saturated", "empty", "0-d small", "0-d tail", "signed zeros", "nan"])
 def test_erf_branches_equal_scalar_calls(x):
+    # each element equals the call on the one-element array holding it alone,
+    # whichever branches the whole array takes
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = _erf(x)
-        scalar = [_erf(float(v)) for v in x.ravel()]
+        single = [_erf(np.array([v]))[0] for v in x.ravel()]
     assert np.shape(got) == x.shape
-    assert all(type(v) is float for v in scalar)
     flat = np.ravel(got)
-    np.testing.assert_array_equal(flat, scalar)  # nan == nan here
-    np.testing.assert_array_equal(np.signbit(flat), np.signbit(scalar))
+    np.testing.assert_array_equal(flat, single)  # nan == nan here
+    np.testing.assert_array_equal(np.signbit(flat), np.signbit(single))
     np.testing.assert_array_equal(np.signbit(flat), np.signbit(x.ravel()))
 
 
@@ -227,7 +227,7 @@ def test_blocked_evaluation_equals_per_row_calls(params):
     np.testing.assert_array_equal(
         broadcast, [rate(th, QUARTER, tau_a, taus) for th in theta[:, 0]])
     scalar = rate(QUARTER, QUARTER, float(grid_a[7, 5]), float(grid_b[7, 5]))
-    # scalars are evaluated in Python floats, to the same bits
+    # scalars give a Python float with the bits of the same point in an array
     assert type(scalar) is float and scalar == grid[7, 5]
     for func in (sc.envelope, sc.rect_window, aligned_contrast):
         values = func(params, grid_a, grid_b)
@@ -308,7 +308,7 @@ def test_negative_rate_rounding_is_clamped_silently():
     params = sc.params_from_crystal(crystal, sc.PumpSpec(395.0, 1e-8))
     tau_a, tau_b = 0.6717834460478722, 3.306939798113273
     theta_b = np.radians([135.0, 315.0])
-    unclamped = sc.interference._rate(params, QUARTER, theta_b, tau_a, tau_b)
+    unclamped = sc.interference._rate(params, np.array([QUARTER]), theta_b, np.array([tau_a]), np.array([tau_b]))
     assert np.all(unclamped < 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -391,3 +391,21 @@ def test_fringe_locked_delays_sit_on_a_crest(params):
             for tb in grid]
     array = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, grid))
     np.testing.assert_array_equal(array, loop)
+
+
+def test_fringe_locked_tau_b_is_the_maximum_of_the_rate(benchmark_params):
+    # a bounded scalar search for the pi/4-pi/4 rate's maximum at the locked
+    # tau_A, within a quarter period, agrees with the sampled crest to 1e-4 fs
+    from scipy.optimize import minimize_scalar
+
+    for params in benchmark_params:
+        tau_a, tau_b = sc.fringe_locked_delays(params)
+        quarter = sc.fringe_period(params) / 4
+
+        def negative_rate(tb):
+            return -sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, tb))
+
+        best = minimize_scalar(negative_rate, bounds=(tau_b - quarter, tau_b + quarter), method="bounded",
+                               options={"xatol": 1e-9})
+        assert best.success
+        assert abs(best.x - tau_b) <= 1e-4, (params, best.x, tau_b)
