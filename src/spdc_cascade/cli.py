@@ -150,8 +150,10 @@ def cmd_polarization(cfg: RunConfig, args) -> tuple:
 
 
 def cmd_optimize(cfg: RunConfig, args) -> tuple:
+    # the plates first, so a quartz source names its negative tau_A
+    times = geometry.propagation_times(cfg.crystal1, cfg.pump)
+    plan = analysis.prescribe_delays(times, materials.QUARTZ, cfg.pump.degenerate_nm)
     params = cfg.interference_params()
-    plan = analysis.prescribe_delays(params.times, materials.QUARTZ, cfg.pump.degenerate_nm)
     tau_a, tau_b = plan.tau_a_fs, plan.tau_b_fs
     numeric = analysis.optimize_delays_numeric(
         params, ((tau_a - 50.0, tau_a + 50.0), (tau_b - 50.0, tau_b + 50.0))

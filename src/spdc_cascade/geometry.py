@@ -47,22 +47,19 @@ k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
 Propagation times come from one group-delay model: a wave crossing a slab
 of thickness L at internal polar angle u takes t = L sec(u) n_g(lambda,
 theta) / c, and the pump travels along z at the cut angle to the optic axis.
-Its `PropagationTimes` (t_p, t_o, t_e, t_e2) hold one crystal's times: floats
-on the pump axis (`propagation_times`, behind the interference model) and
-arrays along the cones (`_cone_times`, behind `emission_time_map`).  One
-composition (`_class_times`) turns either into the times of the four photon
-classes (born in crystal 1 or 2, o- or e-polarized), averaged over the birth
-position, i.e. pair creation at the generating crystal's centre: half the
-pump transit to get there, then the photon's own group delay over the
-remaining material.  It holds for a mirror pair of equal crystals, the only
-cascade the map accepts.  Times are referenced to the pump pulse entering
-the first crystal and reported at the exit face of the second.  As in the
-solve, a direction enters through u and sin(phi) alone: its path takes
-sec(u), and an e photon's angle to an optic axis is the arccos of the
-residual's d.a.  `propagation_times` stays its own builder: on axis
-`_cone_times` would take the e angle as arccos(cos psi), which misses psi
-in the last bit for about 30 % of cut angles, and the rate model's
-outputs read the on-axis times to the last bit.
+Its `PropagationTimes` (t_p, t_o, t_e, t_e2) hold one crystal's times, all
+built by `_cone_times`: arrays along the cones (behind `emission_time_map`)
+and floats on the pump axis (`propagation_times`, behind the interference
+model).  One composition (`_class_times`) turns either into the times of the
+four photon classes (born in crystal 1 or 2, o- or e-polarized), averaged
+over the birth position, i.e. pair creation at the generating crystal's
+centre: half the pump transit to get there, then the photon's own group
+delay over the remaining material.  It holds for a mirror pair of equal
+crystals, the only cascade the map accepts.  Times are referenced to the
+pump pulse entering the first crystal and reported at the exit face of the
+second.  As in the solve, a direction enters through u and sin(phi) alone:
+its path takes sec(u), and an e photon's angle to an optic axis is the
+arccos of the residual's d.a, on the pump axis (u = 0) arccos(cos psi).
 """
 
 from __future__ import annotations
@@ -282,8 +279,6 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lane
     each row's azimuths of phi their sines' positions, and a failure names
     the first failing azimuth of phi, row by row.
     """
-    if pol not in ("o", "e"):
-        raise ValueError("polarization must be 'o' or 'e'")
     f = _cone_residual(crystal, pump, pol)
     sin_phi, index = lanes
     lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
@@ -458,8 +453,8 @@ class PropagationTimes:
     t_e2 : the same e photon crossing the other crystal of the cascade,
            whose optic axis it sees under a different angle in general
 
-    Floats on the pump axis (`propagation_times`, where t_e2 = t_e); arrays
-    along the cones (`_cone_times`, t_p still on axis).
+    Built by `_cone_times`: arrays along the cones (t_p still on axis), and
+    Python floats on the pump axis (`propagation_times`, where t_e2 = t_e).
     """
 
     t_p: float
@@ -469,23 +464,6 @@ class PropagationTimes:
 
     def as_tuple(self):
         return (self.t_p, self.t_o, self.t_e, self.t_e2)
-
-
-def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
-    """Group-delay propagation times t = L*n_g/c through one crystal, on axis.
-
-    On the pump axis the e photon meets both crystals' optic axes at the cut
-    angle (mirror symmetry), so t_e2 = t_e; off-axis directions are the job
-    of `emission_time_map`.  Each time is a Python float.
-    """
-    lam_dc = pump.degenerate_nm
-    t_e = float(_transit_time(crystal, lam_dc, crystal.cut_angle))
-    return PropagationTimes(
-        t_p=float(_transit_time(crystal, pump.center_nm, crystal.cut_angle)),
-        t_o=_transit_time(crystal, lam_dc),
-        t_e=t_e,
-        t_e2=t_e,
-    )
 
 
 def _cone_times(crystal: CrystalSpec, pump: PumpSpec, u_o, u_e, sin_phi) -> PropagationTimes:
@@ -504,6 +482,16 @@ def _cone_times(crystal: CrystalSpec, pump: PumpSpec, u_o, u_e, sin_phi) -> Prop
         t_e=_transit_time(crystal, lam_dc, theta, 1.0 / cos_e),
         t_e2=_transit_time(crystal, lam_dc, theta2, 1.0 / cos_e),
     )
+
+
+def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
+    """Group-delay propagation times t = L*n_g/c through one crystal, on axis.
+
+    `_cone_times` at u = 0: the e photon meets both crystals' optic axes at
+    the cut angle (mirror symmetry), so t_e2 = t_e; off-axis directions are
+    the job of `emission_time_map`.  Each time is a Python float.
+    """
+    return PropagationTimes(*map(float, _cone_times(crystal, pump, 0.0, 0.0, 0.0).as_tuple()))
 
 
 def _class_times(times: PropagationTimes) -> dict:

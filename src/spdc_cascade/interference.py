@@ -38,9 +38,10 @@ remains of a path term (sec u) and an e-angle term of about +-8 fs each,
 which nearly cancel.
 
 The model holds only for D > 0 and t_o - t_e > 0 (the e photon outruns
-the o photon, as in BBO); rate, envelope and contrast raise
-DegenerateParametersError outside it (quartz), naming the failing value.
-Window and envelope read one rounding of |W|.
+the o photon, as in BBO); `InterferenceParams` refuses a design outside
+it (quartz) with a DegenerateParametersError that names the failing
+value, so every kernel may divide by both.  Window and envelope read one
+rounding of |W|.
 
 Rect is the window of delay sums within which the two pair amplitudes
 overlap at all: |W| < t_o - t_e, open, with edges at the zero crossings of
@@ -82,6 +83,8 @@ class InterferenceParams:
     sigma  : pump spectral width (rad/fs)
     omega  : degenerate photon centre angular frequency (rad/fs)
     phi0   : constant phase offset of the fringe pattern (rad)
+
+    The times must lie in the model's domain (else DegenerateParametersError).
     """
 
     times: PropagationTimes
@@ -98,6 +101,13 @@ class InterferenceParams:
             raise ValueError("sigma must be positive")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
+        d, span = _walkoff_scales(self.times)
+        if not d > 0.0:
+            raise DegenerateParametersError(f"2*t_p - t_o - t_e = {d:.6g} fs is not positive; outside the rate "
+                                            "model's domain")
+        if not span > 0.0:
+            raise DegenerateParametersError(f"t_o - t_e = {span:.6g} fs is not positive; the rate model "
+                                            "needs an e photon faster than the o photon (as in BBO)")
 
     def with_sigma(self, sigma: float) -> "InterferenceParams":
         return replace(self, sigma=sigma)
@@ -230,16 +240,8 @@ def _elementwise(kernel, params: InterferenceParams, *args):
 
 
 def _walkoff_scales(times: PropagationTimes):
-    """(D, t_o - t_e) in fs, both positive inside the rate model's domain."""
-    d = 2.0 * times.t_p - times.t_o - times.t_e
-    if not d > 0.0:
-        raise DegenerateParametersError(f"2*t_p - t_o - t_e = {d:.6g} fs is not positive; outside the rate "
-                                        "model's domain")
-    span = times.t_o - times.t_e
-    if not span > 0.0:
-        raise DegenerateParametersError(f"t_o - t_e = {span:.6g} fs is not positive; the rate model "
-                                        "needs an e photon faster than the o photon (as in BBO)")
-    return d, span
+    """(D, t_o - t_e) in fs, both positive for the times of an `InterferenceParams`."""
+    return 2.0 * times.t_p - times.t_o - times.t_e, times.t_o - times.t_e
 
 
 def _overlap_excess(t: PropagationTimes, tau_a, tau_b):

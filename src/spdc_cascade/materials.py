@@ -90,26 +90,34 @@ class DispersionModel:
     sellmeier_e: SellmeierForm
     valid_range_nm: tuple
 
-    def check_range(self, lam_nm: float, interior: bool = False):
-        lo, hi = self.valid_range_nm
-        ok = lo < lam_nm < hi if interior else lo <= lam_nm <= hi
-        if not ok:
-            kind = "strict interior of" if interior else "interval"
-            raise WavelengthRangeError(
-                f"{lam_nm} nm outside the {kind} [{lo}, {hi}] nm valid for {self.name}"
-            )
+
+def _n_squared(model: DispersionModel, pol: str, lam_nm: float, interior: bool = False) -> float:
+    """n^2 of the model's pol-form ("o" or "e") at lam_nm: the one read of a
+    Sellmeier form behind every index, checked before any square root.
+
+    Raises WavelengthRangeError outside the model's interval (its strict
+    interior if interior), and ValueError, naming the material, the
+    polarization, the wavelength and n^2, unless n^2 > 0.
+    """
+    lo, hi = model.valid_range_nm
+    if not (lo < lam_nm < hi if interior else lo <= lam_nm <= hi):
+        kind = "strict interior of" if interior else "interval"
+        raise WavelengthRangeError(f"{lam_nm} nm outside the {kind} [{lo}, {hi}] nm valid for {model.name}")
+    n2 = (model.sellmeier_o if pol == "o" else model.sellmeier_e).n_squared(lam_nm / 1000.0)
+    if not n2 > 0.0:
+        raise ValueError(f"material {model.name}: the {pol}-wave Sellmeier form gives n^2 = {n2:.6g} "
+                         f"at {lam_nm:g} nm, which is not positive")
+    return n2
 
 
 def index_ordinary(model: DispersionModel, lam_nm: float) -> float:
     """Ordinary phase index n_o(lambda)."""
-    model.check_range(lam_nm)
-    return math.sqrt(model.sellmeier_o.n_squared(lam_nm / 1000.0))
+    return math.sqrt(_n_squared(model, "o", lam_nm))
 
 
 def index_principal_e(model: DispersionModel, lam_nm: float) -> float:
     """Principal extraordinary index n_e(lambda) (propagation at 90 deg)."""
-    model.check_range(lam_nm)
-    return math.sqrt(model.sellmeier_e.n_squared(lam_nm / 1000.0))
+    return math.sqrt(_n_squared(model, "e", lam_nm))
 
 
 def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
@@ -120,10 +128,7 @@ def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
 
     theta may be a number or an array of angles (elementwise result).
     """
-    model.check_range(lam_nm)
-    lam_um = lam_nm / 1000.0
-    no2 = model.sellmeier_o.n_squared(lam_um)
-    ne2 = model.sellmeier_e.n_squared(lam_um)
+    no2, ne2 = _n_squared(model, "o", lam_nm), _n_squared(model, "e", lam_nm)
     c, s = np.cos(theta), np.sin(theta)
     return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
 
@@ -136,16 +141,14 @@ def group_index(model: DispersionModel, lam_nm: float, theta=None):
     wavelength must lie strictly inside the model's validity interval so
     the derivative is trustworthy.
     """
-    model.check_range(lam_nm, interior=True)
     lam_um = lam_nm / 1000.0
+    no2 = _n_squared(model, "o", lam_nm, interior=True)
     if theta is None:
-        n2 = model.sellmeier_o.n_squared(lam_um)
         dn2 = model.sellmeier_o.dn2_dlam(lam_um)
-        n = math.sqrt(n2)
+        n = math.sqrt(no2)
         # dn/dlam = (dn2/dlam) / (2n); lambda*dn/dlambda is unit-invariant
         return n - lam_um * dn2 / (2.0 * n)
-    no2 = model.sellmeier_o.n_squared(lam_um)
-    ne2 = model.sellmeier_e.n_squared(lam_um)
+    ne2 = _n_squared(model, "e", lam_nm, interior=True)
     dno2 = model.sellmeier_o.dn2_dlam(lam_um)
     dne2 = model.sellmeier_e.dn2_dlam(lam_um)
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2

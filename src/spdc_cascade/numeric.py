@@ -9,10 +9,10 @@ import math
 import numpy as np
 
 
-def _check_range(name: str, lo, hi, step=None, unit: str = "fs",
+def _check_range(name: str, lo, hi, step, unit: str = "fs",
                  extent: str = "the range needs positive extent"):
-    """Raise ValueError unless lo < hi and, given a step, the samples lo,
-    lo + step, ... up to hi are distinct doubles.
+    """Raise ValueError unless lo < hi and the samples lo, lo + step, ... up
+    to hi are distinct doubles.
 
     The message reads "<name>, <lo> and <hi> <unit>, <problem>", plus
     "; <extent>" for ends that do not increase.  Neighbouring samples could
@@ -23,12 +23,11 @@ def _check_range(name: str, lo, hi, step=None, unit: str = "fs",
     if not hi > lo:
         how = "coincide in floating point" if hi == lo else "are not increasing"
         raise ValueError(f"{name}, {ends}, {how}; {extent}")
-    if step is not None:
-        gap = math.ulp(max(abs(lo), abs(hi)))
-        if not step > gap + math.ulp(hi - lo):
-            raise ValueError(f"{name}, {ends}, are too far from 0 for a step of {float(step)!r} {unit}: "
-                             f"doubles there lie {gap!r} {unit} apart, so neighbouring samples could "
-                             "round equal")
+    gap = math.ulp(max(abs(lo), abs(hi)))
+    if not step > gap + math.ulp(hi - lo):
+        raise ValueError(f"{name}, {ends}, are too far from 0 for a step of {float(step)!r} {unit}: "
+                         f"doubles there lie {gap!r} {unit} apart, so neighbouring samples could "
+                         "round equal")
 
 
 def parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:

@@ -137,6 +137,9 @@ def test_delay_scan_rejects_coarse_step(params):
     period = sc.fringe_period(params)
     with pytest.raises(ValueError, match=f"{period / 8.0:g}"):
         sc.delay_scan(params, cfg_quarter(0.0), 0.0, 50.0, period)
+    for step in (0.0, -0.25):
+        with pytest.raises(ValueError, match="^step must be positive$"):
+            sc.delay_scan(params, cfg_quarter(0.0), 0.0, 50.0, step)
 
 
 def test_delay_scan_orthogonal_analyzers_machine_flat(params):
@@ -208,6 +211,8 @@ def test_extract_visibility_requires_two_periods():
     xs = np.linspace(0.0, 2.0, 64)
     with pytest.raises(ValueError, match="two fringe periods"):
         sc.extract_visibility(synthetic_series(xs, 1.0 + np.cos(xs), period=2 * math.pi))
+    with pytest.raises(ValueError, match="^delay series lacks fringe_period_fs metadata for the span check$"):
+        sc.extract_visibility(ScanSeries("delay_fs", xs, 1.0 + np.cos(xs)))
 
 
 def test_extract_visibility_undefined_for_all_zero():
@@ -301,6 +306,8 @@ def test_visibility_curve_shape_and_peak(pump):
     span = params.times.t_o - params.times.t_e
     outside = np.abs(curve.xs - tau_b) > span + 12.0
     assert np.all(curve.rates[outside] == 0.0)
+    with pytest.raises(ValueError, match="^method must be 'aligned' or 'scan'$"):
+        sc.visibility_curve(params, tau_a, grid, method="fit")
 
 
 def test_visibility_curve_monochromatic_peak(params):
@@ -379,6 +386,12 @@ def test_quartz_anchor_440fs():
 
 def test_quartz_zero_thickness():
     assert sc.quartz_calibration(sc.QUARTZ, 790.0, 0.0) == 0.0
+    assert sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, 0.0) == 0.0
+    # a plate only adds delay
+    with pytest.raises(ValueError, match="^plate thickness must be nonnegative$"):
+        sc.quartz_calibration(sc.QUARTZ, 790.0, -0.1)
+    with pytest.raises(ValueError, match="^delay must be nonnegative$"):
+        sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, -1.0)
 
 
 def test_quartz_round_trip():
@@ -410,6 +423,8 @@ def test_scan_series_validation():
         ScanSeries("volts", xs, np.ones(3))
     with pytest.raises(ValueError, match="two points"):
         ScanSeries("delay_fs", xs[:1], np.ones(1))
+    with pytest.raises(ValueError, match="^abscissa and rate arrays must have equal length$"):
+        ScanSeries("delay_fs", xs, np.ones(2))
 
 
 def test_scan_series_csv(params):

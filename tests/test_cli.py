@@ -178,22 +178,32 @@ MATERIAL_ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("command, key, value", [
-    pytest.param(["indices", "790"], "o.coefficients", "nan 0.01878 0.01822 -0.01354",
-                 id="nan-coefficient"),
-    pytest.param(["optimize"], "o.coefficients", "inf 0.01878 0.01822 -0.01354",
-                 id="inf-coefficient"),
-    pytest.param(["indices", "790"], "valid_range_nm", "nan 1060", id="nan-range"),
-    pytest.param(["optimize"], "valid_range_nm", "220 inf", id="inf-range"),
-    pytest.param(["indices", "790"], "o.coefficients", "abc 0.01878 0.01822 -0.01354",
-                 id="word-coefficient"),
-    pytest.param(["optimize"], "valid_range_nm", "220 1060 5", id="three-number-range"),
-    pytest.param(["emission-map"], "e.coefficients", "2.3753 0.01224 0.01667",
+@pytest.mark.parametrize("command, changes, message", [
+    pytest.param(["indices", "790"], {"o.coefficients": "nan 0.01878 0.01822 -0.01354"},
+                 "o.coefficients must be finite numbers", id="nan-coefficient"),
+    pytest.param(["optimize"], {"o.coefficients": "inf 0.01878 0.01822 -0.01354"},
+                 "o.coefficients must be finite numbers", id="inf-coefficient"),
+    pytest.param(["indices", "790"], {"valid_range_nm": "nan 1060"}, "valid_range_nm must be finite numbers",
+                 id="nan-range"),
+    pytest.param(["optimize"], {"valid_range_nm": "220 inf"}, "valid_range_nm must be finite numbers",
+                 id="inf-range"),
+    pytest.param(["indices", "790"], {"o.coefficients": "abc 0.01878 0.01822 -0.01354"},
+                 "o.coefficients must be finite numbers", id="word-coefficient"),
+    pytest.param(["optimize"], {"valid_range_nm": "220 1060 5"}, "valid_range_nm must be 0 < lo < hi nm",
+                 id="three-number-range"),
+    pytest.param(["emission-map"], {"e.coefficients": "2.3753 0.01224 0.01667"},
+                 "e.form, e.coefficients: resonant form takes 4 coefficients",
                  id="three-resonant-coefficients"),
+    pytest.param(["scan"], {"o.form": "sellmeier"}, "o.form, o.coefficients: unknown Sellmeier form 'sellmeier'",
+                 id="unknown-form"),
+    pytest.param(["optimize"], {"e.form": "power_series", "e.coefficients": "2.3849 -0.01259 0.01079 "
+                                "1.6518e-4 -1.9474e-6 9.3648e-8 1e-9"},
+                 "e.form, e.coefficients: power_series form takes 1..6 coefficients",
+                 id="seven-power-series-coefficients"),
 ])
-def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command, key, value):
-    entries = dict(MATERIAL_ENTRIES)
-    entries[key] = value
+def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command, changes, message):
+    # also every other malformed entry: the one line names the file and the keys
+    entries = {**MATERIAL_ENTRIES, **changes}
     mat = tmp_path / "custom.mat"
     mat.write_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
     path = tmp_path / "cfg.ini"
@@ -203,7 +213,37 @@ def test_material_file_with_non_finite_number_exits_2(tmp_path, capsys, command,
     code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
-    assert len(err.splitlines()) == 1 and str(mat) in err and key in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"config error: {path}: [crystal] material: {mat}: ")
+    assert message in err and all(key in err for key in changes)
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", [["indices", "790"], ["emission-map"], ["optimize"], ["scan"]],
+                         ids=lambda command: command[0])
+def test_material_of_non_positive_n_squared_exits_3(tmp_path, capsys, command):
+    # n^2 = -1 at every wavelength: the first index read names the material,
+    # the polarization, the wavelength and n^2, before any square root warns
+    mat = tmp_path / "negative.mat"
+    mat.write_text("".join(f"{k} = {v}\n" for k, v in {**MATERIAL_ENTRIES, "o.form": "power_series",
+                                                        "o.coefficients": "-1"}.items()))
+    path = tmp_path / "cfg.ini"
+    path.write_text(REFERENCE_INI.replace("material = bbo", f"material = {mat}"))
+    out_path = tmp_path / "out.csv"
+    code, out, err = run([command[0], "--config", str(path), "--out", str(out_path), *command[1:]], capsys)
+    assert (code, out) == (3, "")
+    wavelength = 790 if command[0] in ("indices", "emission-map") else 395
+    assert err.splitlines() == [f"error: material custom: the o-wave Sellmeier form gives n^2 = -1 at "
+                                f"{wavelength} nm, which is not positive"]
+    assert not out_path.exists()
+
+
+def test_cut_angle_outside_its_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "cut.ini"
+    path.write_text(REFERENCE_INI.replace("cut_angle_deg = 43.65", "cut_angle_deg = 95"))
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run(["scan", "--config", str(path), "--out", str(out_path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"config error: {path}: cut angle must lie in (0, pi/2) rad"]
     assert not out_path.exists()
 
 
@@ -396,6 +436,15 @@ def test_rate_commands_of_a_crystal_outside_the_rate_model_exit_3(tmp_path, caps
     assert len(err.splitlines()) == 1
     assert err.startswith("error: t_o - t_e = -16.13") and "is not positive" in err
     assert not out_path.exists()
+    # the rate model refuses the design before any delay range is checked:
+    # at 1e20 mm every derived range also rounds to a point
+    path.write_text(REFERENCE_INI.replace("material = bbo", "material = quartz")
+                    .replace("thickness_mm = 1.07", "thickness_mm = 1e20"))
+    code, out, err = run([command, "--config", str(path), "--out", str(out_path)], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: t_o - t_e = -1.50784e+21 fs is not positive; the rate model needs an e "
+                                "photon faster than the o photon (as in BBO)"]
+    assert not out_path.exists()
 
 
 def test_emission_map_negative_auto_delay(tmp_path, capsys):
@@ -501,7 +550,8 @@ def test_optimize_equal_times_config(tmp_path, capsys):
     )
     path = tmp_path / "cfg.ini"
     path.write_text(REFERENCE_INI.replace("material = bbo", f"material = {mat}"))
-    assert sc.optimal_delays(load_config(str(path)).interference_params().times) == (0.0, 0.0)
+    cfg = load_config(str(path))
+    assert sc.optimal_delays(sc.propagation_times(cfg.crystal1, cfg.pump)) == (0.0, 0.0)
     for command in ("optimize", "scan"):
         code, out, err = run([command, "--config", str(path), "--out", str(tmp_path / "x.csv")], capsys)
         assert (code, out) == (3, "")

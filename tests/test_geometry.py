@@ -514,7 +514,8 @@ def test_solves_raise_no_floating_point_warnings(crystal1, crystal2, pump):
 
 def test_propagation_times_bit_identical_to_scalar_recording(crystal1, pump):
     # recorded from the math-module (scalar-only) dispersion functions; the
-    # numerical delay optimizer is sensitive to the last bit of these times
+    # reference design's on-axis times, which `_cone_times` at u = 0 gives
+    # to the bit, are what the golden fixtures of tests/golden/ rest on
     recorded = (6096.85998672402, 6014.596797057221, 5796.830166706795, 5796.830166706795)
     assert sc.propagation_times(crystal1, pump).as_tuple() == recorded
 
@@ -656,6 +657,12 @@ def test_emission_map_validation(crystal1, crystal2, pump):
     thick = sc.CrystalSpec(sc.BBO, 2.14, PSI, -1)
     with pytest.raises(ValueError, match=r"equal thicknesses \(1\.07 and 2\.14 mm\)"):
         sc.emission_time_map(crystal1, thick, pump)
+    # a repeated azimuth, and a map without one of its classes
+    with pytest.raises(ValueError, match="^phi grid must be strictly increasing$"):
+        sc.emission_time_map(crystal1, crystal2, pump, phi_grid=[0.0, 1.0, 1.0])
+    phi = sc.geometry.default_phi_grid(64)
+    with pytest.raises(ValueError, match="^missing class '2o' in times$"):
+        sc.EmissionTimeMap(phi, {name: np.zeros(phi.size) for name in ("1e", "1o", "2e")})
 
 
 def test_with_delays_rejects_unknown_class(base_map):

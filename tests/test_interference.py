@@ -151,24 +151,29 @@ def test_envelope_continuity_on_fine_grid(params):
     assert np.sum(jumps > 1.5 * slope_bound * step) <= 2  # the two Rect edges
 
 
-def test_degenerate_parameter_guard():
-    # the model's domain is D = 2 t_p - t_o - t_e > 0 and t_o - t_e > 0
-    cfg = sc.AnalyzerDelayConfig(QUARTER, QUARTER, 0.0, 0.0)
+def test_degenerate_parameter_guard(pump):
+    # the model's domain is D = 2 t_p - t_o - t_e > 0 and t_o - t_e > 0:
+    # InterferenceParams refuses times outside it, D first
     for times, message in [
         (dict(t_p=460.0, t_o=500.0, t_e=420.0), r"2\*t_p - t_o - t_e = 0 fs"),
         (dict(t_p=400.0, t_o=500.0, t_e=420.0), r"2\*t_p - t_o - t_e = -120 fs"),
         (dict(t_p=600.0, t_o=420.0, t_e=500.0), r"t_o - t_e = -80 fs"),
+        (dict(t_p=400.0, t_o=420.0, t_e=500.0), r"2\*t_p - t_o - t_e = -120 fs"),
     ]:
-        params = synthetic_params(**times)
-        for evaluate in (lambda: sc.envelope(params, 0.0, 0.0),
-                         lambda: sc.coincidence_rate(params, cfg),
-                         lambda: aligned_contrast(params, 0.0, np.zeros(3)),
-                         lambda: sc.rect_window(params, 0.0, 0.0)):
-            with pytest.raises(sc.DegenerateParametersError, match=message + " is not positive"):
-                evaluate()
+        with pytest.raises(sc.DegenerateParametersError, match=message + " is not positive"):
+            synthetic_params(**times)
+    # a quartz source: its e photon is the slower one
+    quartz = sc.CrystalSpec(sc.QUARTZ, 1.07, math.radians(43.65))
+    with pytest.raises(sc.DegenerateParametersError, match=r"^t_o - t_e = -16\.13\d* fs is not positive"):
+        sc.params_from_crystal(quartz, pump)
+    # sigma and omega must be positive
+    params = synthetic_params()
+    for name in ("sigma", "omega"):
+        for bad in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^{name} must be positive$"):
+                sc.InterferenceParams(**{**vars(params), name: bad})
     # sigma, omega and phi0 must be finite: NaN passed the sign checks, and
     # an infinite sigma read a visibility of 0 beside an envelope of 2
-    params = synthetic_params()
     for name in ("sigma", "omega", "phi0"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
