@@ -29,7 +29,7 @@ from .interference import (
     rect_window,
 )
 from .materials import DispersionModel, group_index
-from .numeric import _check_range, _csv, parabola_vertex
+from .numeric import _check_range, _csv, _fixed, parabola_vertex
 
 ABSCISSA_KINDS = ("delay_fs", "analyzer_rad")
 
@@ -67,7 +67,7 @@ class ScanSeries:
     def to_csv(self) -> str:
         """The samples as CSV: an (abscissa, ordinate) header, then one row each."""
         header = f"{self.abscissa_kind},{self.meta.get('ordinate', 'rate')}"
-        return _csv(header, zip(self.xs.tolist(), self.rates.tolist()), "%.6g,%.6g")
+        return _csv(header, zip(self.xs.tolist(), self.rates.tolist()), _fixed(self.xs) + ",%.6g")
 
 
 MAX_GRID_POINTS = 10**6  # per scan grid; checked before anything is allocated

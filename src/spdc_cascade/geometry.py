@@ -80,7 +80,7 @@ from .materials import (
     index_ordinary,
     index_principal_e,
 )
-from .numeric import _csv
+from .numeric import _csv, _fixed
 
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
@@ -534,9 +534,10 @@ class EmissionTimeMap:
         return EmissionTimeMap(self.phi_grid, new_times)
 
     def to_csv(self) -> str:
-        """The map as CSV: azimuth in degrees and the four class times, one row per azimuth."""
-        columns = [np.degrees(self.phi_grid).tolist()] + [self.times[c].tolist() for c in CLASS_NAMES]
-        return _csv("phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs", zip(*columns), "%.6g,%.6g,%.6g,%.6g,%.6g")
+        """The map as CSV: azimuth in degrees and the four class times at 1e-4 fs, one row per azimuth."""
+        degrees = np.degrees(self.phi_grid)
+        columns = [degrees.tolist()] + [self.times[c].tolist() for c in CLASS_NAMES]
+        return _csv("phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs", zip(*columns), _fixed(degrees) + ",%.4f" * 4)
 
 
 def _check_delays(delays: dict):

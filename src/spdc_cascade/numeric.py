@@ -1,6 +1,7 @@
 """Small numerical helpers: `_check_range` of every sampled range, searches
 included, three-point parabolic interpolation of sampled extrema, and
-`_csv`, the writer of every CSV table."""
+`_csv`, the writer of every CSV table, with `_fixed`, the conversion of its
+abscissas."""
 
 from __future__ import annotations
 
@@ -50,3 +51,12 @@ def parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:
 def _csv(header: str, rows, template: str) -> str:
     """The header line, then one `template % row` line per row (a tuple of floats), newline-ended."""
     return "\n".join([header, *(template % row for row in rows)]) + "\n"
+
+
+def _fixed(xs) -> str:
+    """The `%` conversion of a strictly increasing abscissa column: 4 decimals,
+    or more where its smallest step is below 1e-3.  Each printed value then
+    lies within a twentieth of a step of its own, so the column stays
+    strictly increasing wherever it is centred."""
+    step = float(np.diff(xs).min(initial=math.inf))
+    return f"%.{4 if step >= 1e-3 else math.ceil(-math.log10(step)) + 1}f"

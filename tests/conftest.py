@@ -1,5 +1,7 @@
 import math
 import os
+import shutil
+import tempfile
 
 import pytest
 
@@ -9,6 +11,15 @@ PSI_DEG = 43.65
 THICKNESS_MM = 1.07
 PUMP_NM = 395.0
 BANDWIDTH_NM = 1.0
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants of local source files in its storage
+    # directory, .hypothesis/ under the working directory unless this names
+    # another, even with database=None; keep the checkout as the tests found it
+    storage = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(storage, ignore_errors=True))
+    os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = storage
 
 
 @pytest.fixture(autouse=True)

@@ -1,8 +1,11 @@
 """Byte-level checks of the CSV tables against their per-row f-string
 renderings, kept here as the oracle: `ScanSeries.to_csv`,
 `EmissionTimeMap.to_csv` and the `indices` table all go through one
-`%`-template writer, and no digit, header or newline may move."""
+`%`-template writer, and no digit, header or newline may move.  Times and
+delays print at 1e-4 fs, every abscissa with decimals down to a tenth of
+its smallest step, rates and indices with 6 digits."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import spdc_cascade as sc
-from spdc_cascade.cli import cmd_indices
+from spdc_cascade.cli import cmd_indices, main
 from spdc_cascade.config import MAX_PHI_POINTS
 from spdc_cascade.geometry import CLASS_NAMES
 
@@ -28,19 +31,27 @@ _MAGNITUDES = _EDGES + _RANDOM
 _SIGNED = [0.0, -0.0] + _MAGNITUDES + [-v for v in _MAGNITUDES]
 
 
+def _decimals(xs):
+    # a printed abscissa lies within 1e-4 and within a twentieth of a step
+    return max(4, math.ceil(-math.log10(min(np.diff(xs)))) + 1)
+
+
 def _scan_csv_oracle(series):
     ordinate = series.meta.get("ordinate", "rate")
     lines = [f"{series.abscissa_kind},{ordinate}"]
+    decimals = _decimals(series.xs)
     for x, r in zip(series.xs, series.rates):
-        lines.append(f"{x:.6g},{r:.6g}")
+        lines.append(f"{x:.{decimals}f},{r:.6g}")
     return "\n".join(lines) + "\n"
 
 
 def _map_csv_oracle(emission_map):
     lines = ["phi_deg,t_1e_fs,t_1o_fs,t_2e_fs,t_2o_fs"]
-    for i, phi in enumerate(emission_map.phi_grid):
-        row = [math.degrees(phi)] + [emission_map.times[c][i] for c in CLASS_NAMES]
-        lines.append(",".join(f"{v:.6g}" for v in row))
+    degrees = [math.degrees(phi) for phi in emission_map.phi_grid]
+    decimals = _decimals(degrees)
+    for i, phi_deg in enumerate(degrees):
+        times = [emission_map.times[c][i] for c in CLASS_NAMES]
+        lines.append(",".join([f"{phi_deg:.{decimals}f}", *(f"{t:.4f}" for t in times)]))
     return "\n".join(lines) + "\n"
 
 
@@ -73,7 +84,8 @@ def test_scan_csv_bytes_match_oracle(kind, ordinate):
 
 
 def test_scan_csv_of_a_command_matches_oracle(params):
-    # a delay scan far from the origin, where 6 digits repeat abscissas
+    # a delay scan far from the origin, where 6 significant digits repeated
+    # abscissas
     series = sc.delay_scan(params, sc.AnalyzerDelayConfig(math.pi / 4, math.pi / 4, 26.6, 0.0),
                            1e6 - 50.0, 1e6 + 50.0, 0.25)
     _assert_same_text(series.to_csv(), _scan_csv_oracle(series))
@@ -114,3 +126,15 @@ def test_indices_table_of_extreme_values_matches_oracle(monkeypatch):
         monkeypatch.setattr(sc.materials, name, fake)
     table, _ = cmd_indices(SimpleNamespace(model=None), SimpleNamespace(wavelengths=_SIGNED))
     _assert_same_text(table, _indices_oracle(None, _SIGNED))
+
+
+def test_map_csv_resolves_the_pair_mismatch(tmp_path, capsys):
+    # the map exists to show a pair mismatch of ~0.6 fs; its file must give
+    # it back to 1e-3 fs
+    config, out = tmp_path / "empty.ini", tmp_path / "map.csv"
+    config.write_text("")
+    assert main(["emission-map", "--config", str(config), "--out", str(out)]) == 0
+    columns = np.loadtxt(out, delimiter=",", skiprows=1, unpack=True)
+    times = dict(zip(CLASS_NAMES, columns[1:]))
+    mismatch = max(np.abs(times[o] - times[e]).max() for e, o in sc.geometry.PAIRS)
+    assert mismatch == pytest.approx(json.loads(capsys.readouterr().out)["pairing_mismatch_fs"], abs=1e-3)
