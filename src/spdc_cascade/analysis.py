@@ -300,49 +300,28 @@ class DelayOptimum:
 def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOptimum:
     """Maximize the fringe envelope over a rectangular (tau_A, tau_B) box.
 
-    Coarse 1 fs grid, then refinement passes, each the highest sample of
-    the envelope at 5e-3 fs steps over +-1.5 fs (within the box) around the
-    current point: one pass per axis plus one diagonal pass (tau_A + t,
-    tau_B - t) sampled along tau_A, which follows the envelope's ridge
-    through the kink left by the |...| term.  A maximizer pinned to the box
-    edge is flagged on_boundary.  Raises ValueError, naming the ends, for an
-    axis whose ends do not increase or lie too far from 0 for doubles to
-    resolve the 1 fs grid, and for a pass whose window they cannot resolve
-    at 5e-3 fs.
+    The highest sample of a 1 fs grid over the box, then of two nested 2-D
+    windows around the current point: +-1 fs at 0.1 fs steps, then +-0.1 fs
+    at 5e-3 fs steps.  A window samples the envelope's ridge along the delay
+    sum (the kink left by its |...| term) directly, and clipped to the box it
+    pins a constrained maximizer to the box edge, where it is flagged
+    on_boundary.  Raises ValueError, naming the ends, for an axis whose ends
+    do not increase or lie too far from 0 for doubles to resolve the 1 fs
+    grid, and for a window that they cannot resolve at its step.
     """
     (a_lo, a_hi), (b_lo, b_hi) = search_box
     extent = "the box needs positive extent on both axes"
     ta = _grid(a_lo, a_hi, 1.0, "search box ends of tau_A", extent=extent)
     tb = _grid(b_lo, b_hi, 1.0, "search box ends of tau_B", extent=extent)
-    grid_a, grid_b = np.meshgrid(ta, tb, indexing="ij")
-    vals = envelope(params, grid_a, grid_b)
+    for half, step in ((1.0, 0.1), (0.1, 5e-3)):
+        vals = envelope(params, *np.meshgrid(ta, tb, indexing="ij"))
+        i, j = np.unravel_index(np.argmax(vals), vals.shape)
+        a_cur, b_cur = float(ta[i]), float(tb[j])
+        tb = _grid(max(b_lo, b_cur - half), min(b_hi, b_cur + half), step, "refinement window ends of tau_B")
+        ta = _grid(max(a_lo, a_cur - half), min(a_hi, a_cur + half), step, "refinement window ends of tau_A")
+    vals = envelope(params, *np.meshgrid(ta, tb, indexing="ij"))
     i, j = np.unravel_index(np.argmax(vals), vals.shape)
     a_cur, b_cur = float(ta[i]), float(tb[j])
-
-    def refine(center, lo, hi, delay, f):
-        left = max(lo, center - 1.5)
-        right = min(hi, center + 1.5)
-        if right <= left:
-            return center
-        xs = _grid(left, right, 5e-3, f"refinement window ends of {delay}")
-        return float(xs[np.argmax(f(xs))])
-
-    for _ in range(2):
-        b_cur = refine(b_cur, b_lo, b_hi, "tau_B", lambda x: envelope(params, a_cur, x))
-        a_cur = refine(a_cur, a_lo, a_hi, "tau_A", lambda x: envelope(params, x, b_cur))
-        # diagonal pass: u varies while the delay sum (and hence |W|) is fixed
-        a_new = refine(
-            a_cur,
-            max(a_lo, a_cur + b_cur - b_hi),
-            min(a_hi, a_cur + b_cur - b_lo),
-            "tau_A",
-            lambda x: envelope(params, x, b_cur - (x - a_cur)),
-        )
-        b_cur -= a_new - a_cur
-        a_cur = a_new
-    # finish on the axes so a constrained maximizer ends up pinned to the edge
-    b_cur = refine(b_cur, b_lo, b_hi, "tau_B", lambda x: envelope(params, a_cur, x))
-    a_cur = refine(a_cur, a_lo, a_hi, "tau_A", lambda x: envelope(params, x, b_cur))
     edge = 0.05
     on_boundary = (
         a_cur - a_lo < edge or a_hi - a_cur < edge or b_cur - b_lo < edge or b_hi - b_cur < edge
@@ -350,7 +329,7 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
     return DelayOptimum(
         tau_a=a_cur,
         tau_b=b_cur,
-        envelope_value=float(envelope(params, a_cur, b_cur)),
+        envelope_value=float(vals[i, j]),
         on_boundary=on_boundary,
     )
 

@@ -3,10 +3,11 @@
 Subcommands dispatch to the computation modules and emit CSV data files
 plus one-line JSON summaries on stdout.  Each subcommand computes its file
 and stdout text first; only then is the file written, via a temporary file
-and atomic rename, and the summary printed, so a failed run writes no file.
-Exit codes: 0 success, 2 configuration error, 3 numeric or domain error,
-4 I/O error.  Warnings print as one `warning: <message>` line on stderr,
-each distinct message once.
+and atomic rename, and the summary printed, so a failed run writes no file
+(one whose stdout fails removes it).  Exit codes, each chosen in `main`:
+0 success, 2 usage or configuration error, 3 numeric or domain error, 4 I/O
+error, stdout included.  Warnings print as one `warning: <message>` line on
+stderr, each distinct message once.
 """
 
 from __future__ import annotations
@@ -184,8 +185,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main reports it in one line, exit 2
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdc-cascade",
         description="Simulation toolkit for cascaded type-II down-conversion sources",
     )
@@ -214,18 +220,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if not config_path:
-        print(f"error: no configuration (use --config or ${CONFIG_ENV_VAR})", file=sys.stderr)
-        return 2
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # whatever PYTHONWARNINGS or -W say
+            args = build_parser().parse_args(argv)
+            config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+            if not config_path:
+                raise ConfigError(f"no configuration (use --config or ${CONFIG_ENV_VAR})")
             cfg = load_config(config_path)
             file_text, stdout_text = _COMMANDS[args.command](cfg, args)
         if args.out:
             _write_atomic(args.out, file_text)
+        try:
+            sys.stdout.write(stdout_text)
+            sys.stdout.flush()
+        except OSError:
+            if args.out:
+                os.unlink(args.out)  # a failed run leaves no file
+            raise
+    except argparse.ArgumentError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -238,7 +253,6 @@ def main(argv=None) -> int:
     finally:
         for message in dict.fromkeys(str(w.message) for w in caught):
             print(f"warning: {message}", file=sys.stderr)
-    sys.stdout.write(stdout_text)
     return 0
 
 

@@ -38,9 +38,10 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(spdc_cascade.__file__)))
 class Case:
     """One config, run by each of `commands` (a subcommand and its
     positional arguments, e.g. "indices 790") with `--config` and, if `out`,
-    `--out`.  `err` is the one stderr line and `match` a pattern it
-    contains; both have {config} and {material} filled in, escaped in
-    `match`.  A `code` of None asks for the contract alone."""
+    `--out`; an empty command runs the CLI with no arguments at all.  `err`
+    is the one stderr line and `match` a pattern it contains; both have
+    {config} and {material} filled in, escaped in `match`.  A `code` of None
+    asks for the contract alone."""
 
     commands: str | tuple
     ini: str = ""  # {material} names the file of `material`
@@ -114,8 +115,8 @@ def run_case(case, workdir):
         fh.write(case.ini.format(material=material))
     path = os.path.join(workdir, "out.csv") if case.out else None
     for command in (case.commands,) if isinstance(case.commands, str) else case.commands:
-        head, *positional = command.split()
-        argv = [head, "--config", config, *(["--out", path] if path else []), *positional]
+        head, *positional = command.split() or [""]
+        argv = [head, "--config", config, *(["--out", path] if path else []), *positional] if head else []
         code, stdout, stderr = run(argv, case.child)
         where = f"{command}: exit {code}, stderr {stderr!r}"
         assert case.code in (None, code), where
@@ -260,6 +261,17 @@ CASES = {
         for command, wavelength in [("indices 790", 790), ("emission-map", 790), ("optimize", 395), ("scan", 395)]
     ],
     "test_indices_out_of_range_exits_3": Case("indices 100", code=3, match="220"),  # names the valid interval
+    # argparse's errors reach main's handler: one line, exit 2
+    "test_indices_requires_wavelengths": Case("indices", code=2,
+                                              err="usage error: the following arguments are required: NM"),
+    "test_usage_error_exits_2_in_one_line": [
+        Case("scan", code=2, err="usage error: the following arguments are required: --out", out=False,
+             name="scan-without-out"),
+        Case("bogus", code=2, match=r"^usage error: argument command: invalid choice: 'bogus' \(choose from ",
+             name="unknown-subcommand"),
+        Case("", code=2, err="usage error: the following arguments are required: command", out=False,
+             name="no-subcommand"),
+    ],
     # at 42.5 deg (collinear: 42.9 deg) the cones do not enclose the pump axis
     "test_emission_map_below_collinear_angle_exits_3": Case(
         "emission-map", "[crystal]\ncut_angle_deg = 42.5\n", 3,

@@ -42,7 +42,7 @@ def test_numeric_optimizer_agrees_with_closed_form(params):
 
 
 def test_numeric_optimizer_lands_within_its_step_on_the_benchmark_designs(benchmark_params):
-    # the refinement passes sample at 5e-3 fs, and the envelope peaks at the
+    # the finest window samples at 5e-3 fs, and the envelope peaks at the
     # closed form
     for params in benchmark_params:
         tau_a, tau_b = sc.optimal_delays(params.times)
@@ -95,6 +95,46 @@ def test_optimizer_flags_boundary_when_box_excludes_optimum(params):
     assert result.tau_a == pytest.approx(tau_a + 20.0, abs=0.1)
 
 
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_optimizer_pins_tau_b_to_the_edge_of_a_box_that_excludes_the_optimum(benchmark_params, side):
+    # the box ends 5 fs short of the optimum's tau_B: the maximizer sits on
+    # that edge, and tau_A on the envelope's ridge along it, to within the
+    # 5e-3 fs of the finest window of a 1e-3 fs scan along the edge
+    for params in benchmark_params:
+        tau_a, tau_b = sc.optimal_delays(params.times)
+        b_box = (tau_b - 40.0, tau_b - 5.0) if side == "below" else (tau_b + 5.0, tau_b + 40.0)
+        edge = b_box[1] if side == "below" else b_box[0]
+        result = sc.optimize_delays_numeric(params, ((tau_a - 50.0, tau_a + 50.0), b_box))
+        assert result.on_boundary and result.tau_b == edge, params
+        xs = _grid(tau_a - 50.0, tau_a + 50.0, 1e-3, "edge scan")
+        ridge = xs[np.argmax(sc.envelope(params, xs, edge))]
+        assert abs(result.tau_a - ridge) <= 5e-3, params
+
+
+def test_optimizer_pins_both_delays_to_the_corner_of_a_box_that_excludes_the_optimum(benchmark_params):
+    for params in benchmark_params:
+        tau_a, tau_b = sc.optimal_delays(params.times)
+        result = sc.optimize_delays_numeric(params, ((tau_a + 20.0, tau_a + 60.0), (tau_b + 5.0, tau_b + 40.0)))
+        assert result.on_boundary and (result.tau_a, result.tau_b) == (tau_a + 20.0, tau_b + 5.0), params
+
+
+def test_optimizer_takes_three_envelope_calls(params, monkeypatch):
+    # the 1 fs grid over a +-50 fs box (101 x 101), then the +-1 fs window at
+    # 0.1 fs (21 x 21) and the +-0.1 fs window at 5e-3 fs (41 x 41); the
+    # value of the last window's highest sample is the one returned
+    sizes = []
+    envelope = sc.analysis.envelope
+
+    def counted(params, tau_a, tau_b):
+        sizes.append(np.size(tau_a))
+        return envelope(params, tau_a, tau_b)
+
+    monkeypatch.setattr(sc.analysis, "envelope", counted)
+    tau_a, tau_b = sc.optimal_delays(params.times)
+    sc.optimize_delays_numeric(params, ((tau_a - 50.0, tau_a + 50.0), (tau_b - 50.0, tau_b + 50.0)))
+    assert sizes == [10201, 441, 1681]
+
+
 def test_optimizer_rejects_inverted_box(params):
     with pytest.raises(ValueError, match=r"ends of tau_A, 10\.0 and -10\.0 fs, are not increasing"):
         sc.optimize_delays_numeric(params, ((10.0, -10.0), (0.0, 100.0)))
@@ -106,7 +146,7 @@ def test_optimizer_rejects_inverted_box(params):
                                          r"step of 1\.0 fs: doubles there lie 4\.0 fs apart"):
         sc.optimize_delays_numeric(params, ((2.5e16 - 50.0, 2.5e16 + 50.0), (0.0, 100.0)))
     # around 3.8e14 fs doubles lie 0.0625 fs apart: the 1 fs grid resolves,
-    # the 5e-3 fs refinement window of the first pass does not
+    # the 5e-3 fs window does not
     with pytest.raises(ValueError, match=r"^refinement window ends of tau_B, \S+ and \S+ fs, are too far from 0 "
                                          r"for a step of 0\.005 fs: doubles there lie 0\.0625 fs apart"):
         sc.optimize_delays_numeric(params, ((0.0, 100.0), (3.8e14 - 50.0, 3.8e14 + 50.0)))

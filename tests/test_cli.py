@@ -1,3 +1,6 @@
+import contextlib
+import errno
+import io
 import json
 import math
 import os
@@ -12,7 +15,7 @@ from spdc_cascade.cli import _summary, main
 from spdc_cascade.config import MAX_PHI_POINTS, load_config
 from spdc_cascade.errors import ConfigError
 
-from cli_contract import CASES, Case, material, run, run_case
+from cli_contract import CASES, Case, check_contract, material, run, run_case
 
 REFERENCE_INI = """\
 [crystal]
@@ -154,17 +157,42 @@ def test_indices_command_values(config_path):
     )
 
 
-def test_indices_requires_wavelengths(config_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["indices", "--config", config_path])
-    assert exc.value.code == 2
-
-
 def test_missing_config_exits_2(monkeypatch, tmp_path):
     monkeypatch.delenv("SPDC_CASCADE_CONFIG", raising=False)
     code, _, err = run(["optimize"])
     assert code == 2
     assert "config" in err.lower()
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["scan", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: spdc-cascade") and err == ""
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, errno_code):
+        super().__init__()
+        self.errno_code = errno_code
+
+    def write(self, text):
+        raise OSError(self.errno_code, os.strerror(self.errno_code))
+
+
+@pytest.mark.parametrize("errno_code", [errno.ENOSPC, errno.EPIPE], ids=["ENOSPC", "EPIPE"])
+@pytest.mark.parametrize("command", ["optimize", "scan"])
+def test_failed_stdout_write_exits_4_and_removes_the_file(config_path, tmp_path, command, errno_code):
+    # the summary is written after the file; a stdout that fails (a full
+    # disk, a closed pipe) exits 4 with one line, and the run leaves no file
+    out_path = str(tmp_path / "out")
+    stdout, stderr = _FailingStdout(errno_code), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main([command, "--config", config_path, "--out", out_path])
+    check_contract(command, code, stdout.getvalue(), stderr.getvalue(), out_path)
+    assert code == 4 and stderr.getvalue() == f"i/o error: [Errno {errno_code}] {os.strerror(errno_code)}\n"
 
 
 def test_config_via_environment(config_path, monkeypatch):
