@@ -185,6 +185,15 @@ _COMMANDS = {
 }
 
 
+# the subcommands that need --out, and their help
+_WRITES_OUT = {
+    "emission-map": "angle-resolved average emission times of the four photon classes",
+    "scan": "coincidence rate versus the delay in path B",
+    "visibility-curve": "space-time visibility versus the delay in path B",
+    "polarization": "coincidence rate versus the angle of analyzer B",
+}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # main reports it in one line, exit 2
         raise argparse.ArgumentError(None, message)
@@ -195,27 +204,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="spdc-cascade",
         description="Simulation toolkit for cascaded type-II down-conversion sources",
     )
+
+    def add_common(p, default):
+        p.add_argument("--config", default=default, help=f"configuration file (default: ${CONFIG_ENV_VAR})")
+        p.add_argument("--out", default=default, help="output data file")
+
+    # before or after the subcommand; after it, one given overrides
+    add_common(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p, needs_out):
-        p.add_argument("--config", help=f"configuration file (default: ${CONFIG_ENV_VAR})")
-        p.add_argument("--out", required=needs_out, help="output data file")
-
     p = sub.add_parser("indices", help="tabulate refractive and group indices")
-    add_common(p, needs_out=False)
+    add_common(p, argparse.SUPPRESS)
     p.add_argument("wavelengths", nargs="+", type=float, metavar="NM")
 
-    for name, help_text in [
-        ("emission-map", "angle-resolved average emission times of the four photon classes"),
-        ("scan", "coincidence rate versus the delay in path B"),
-        ("visibility-curve", "space-time visibility versus the delay in path B"),
-        ("polarization", "coincidence rate versus the angle of analyzer B"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        add_common(p, needs_out=True)
-
-    p = sub.add_parser("optimize", help="compensating delays and quartz equivalents")
-    add_common(p, needs_out=False)
+    for name, help_text in _WRITES_OUT.items():
+        add_common(sub.add_parser(name, help=help_text), argparse.SUPPRESS)
+    add_common(sub.add_parser("optimize", help="compensating delays and quartz equivalents"), argparse.SUPPRESS)
     return parser
 
 
@@ -224,6 +227,8 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # whatever PYTHONWARNINGS or -W say
             args = build_parser().parse_args(argv)
+            if args.out is None and args.command in _WRITES_OUT:
+                raise argparse.ArgumentError(None, "the following arguments are required: --out")
             config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
             if not config_path:
                 raise ConfigError(f"no configuration (use --config or ${CONFIG_ENV_VAR})")

@@ -40,8 +40,9 @@ which nearly cancel.
 The model holds only for D > 0 and t_o - t_e > 0 (the e photon outruns
 the o photon, as in BBO); `InterferenceParams` refuses a design outside
 it (quartz) with a DegenerateParametersError that names the failing
-value, so every kernel may divide by both.  Window and envelope read one
-rounding of |W|.
+value, so every kernel may divide by both.  The kernels see the delays
+only through tau_A - tau_B and |W|: `_elementwise` rounds each once per
+block, and window, envelope and fringe all read those two values.
 
 Rect is the window of delay sums within which the two pair amplitudes
 overlap at all: |W| < t_o - t_e, open, with edges at the zero crossings of
@@ -216,26 +217,29 @@ def _erf(x):
 
 
 def _elementwise(kernel, params: InterferenceParams, *args):
-    """kernel(params, *args): the one evaluator of the rate model's kernels.
+    """kernel(params, *others, u, w): the one evaluator of the rate model's
+    kernels, where args are the others followed by the delays tau_A, tau_B.
 
-    Every argument reaches the kernel as a float array of at least one
-    dimension.  The kernel runs in blocks of about _BLOCK_POINTS samples
-    along axis 0 of the broadcast shape, slicing only the arguments that
-    vary along it; the result equals one unblocked call to the last bit.
-    Scalar (float or 0-d) arguments alone give a Python float, the one
-    element of that array.
+    Every argument becomes a float array of at least one dimension.  The
+    broadcast shape runs in blocks of about _BLOCK_POINTS samples along
+    axis 0, slicing only the arguments that vary along it, and the result
+    does not depend on the blocking, to the last bit.  Each block meets
+    the delays with the times once, here: its kernel takes the others,
+    then u = tau_A - tau_B (not the shifted u of V) and
+    w = |W| = |2 t_o - t_e - t_e' - tau_A - tau_B|.  Scalar (float or 0-d)
+    arguments alone give a Python float, the one element of that array.
     """
     scalar = all(np.ndim(a) == 0 for a in args)
     args = [np.atleast_1d(np.asarray(a, dtype=float)) for a in args]
     full = np.broadcast(*args)
-    if full.size <= _BLOCK_POINTS:
-        out = kernel(params, *args)
-    else:
-        rows = max(1, _BLOCK_POINTS * full.shape[0] // full.size)
-        sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
-        out = np.empty(full.shape)
-        for lo in range(0, full.shape[0], rows):
-            out[lo:lo + rows] = kernel(params, *(a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced)))
+    rows = max(1, _BLOCK_POINTS * full.shape[0] // max(full.size, 1))
+    sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
+    t = params.times
+    out = np.empty(full.shape)
+    for lo in range(0, full.shape[0], rows):
+        *others, tau_a, tau_b = (a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced))
+        w = abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)
+        out[lo:lo + rows] = kernel(params, *others, tau_a - tau_b, w)
     return float(out[0]) if scalar else out
 
 
@@ -244,15 +248,10 @@ def _walkoff_scales(times: PropagationTimes):
     return 2.0 * times.t_p - times.t_o - times.t_e, times.t_o - times.t_e
 
 
-def _overlap_excess(t: PropagationTimes, tau_a, tau_b):
-    """|W| = |2 t_o - t_e - t_e' - tau_A - tau_B|, rounded one way for all."""
-    return abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)
-
-
-def _rect(params: InterferenceParams, tau_a, tau_b):
-    """`rect_window` of float arrays in one pass."""
+def _rect(params: InterferenceParams, u, w):
+    """`rect_window` at (u, w) of `_elementwise`."""
     _, span = _walkoff_scales(params.times)
-    return 1.0 * (_overlap_excess(params.times, tau_a, tau_b) < span)
+    return 1.0 * (w < span)
 
 
 def rect_window(params: InterferenceParams, tau_a, tau_b):
@@ -260,16 +259,14 @@ def rect_window(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_rect, params, tau_a, tau_b)
 
 
-def _envelope(params: InterferenceParams, tau_a, tau_b):
-    """`envelope` of float arrays in one pass."""
+def _envelope(params: InterferenceParams, u, w):
+    """`envelope` at (u, w) of `_elementwise`."""
     t = params.times
     d, span = _walkoff_scales(t)
     s = params.sigma / (4.0 * math.sqrt(2.0))
-    r = d / span
-    rw = r * _overlap_excess(t, tau_a, tau_b)
-    diff = tau_a - tau_b
-    a1 = diff + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - rw
-    a2 = diff + t.t_e - t.t_e2 + rw
+    rw = d / span * w
+    a1 = u + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - rw
+    a2 = u + t.t_e - t.t_e2 + rw
     return _erf(s * a1) - _erf(s * a2)
 
 
@@ -278,23 +275,18 @@ def envelope(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_envelope, params, tau_a, tau_b)
 
 
-def _interference(params: InterferenceParams, factor, tau_a, tau_b):
+def _interference(params: InterferenceParams, factor, u, w):
     """factor V Rect / (sigma D), the interference term of rate and contrast alike."""
     d, _ = _walkoff_scales(params.times)
-    return factor * _envelope(params, tau_a, tau_b) * _rect(params, tau_a, tau_b) / (params.sigma * d)
+    return factor * _envelope(params, u, w) * _rect(params, u, w) / (params.sigma * d)
 
 
-def _rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
-    """Unclamped `coincidence_rate` of float arrays in one pass."""
+def _rate(params: InterferenceParams, th_a, th_b, u, w):
+    """`coincidence_rate` at (u, w) of `_elementwise`."""
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
-    fringe = np.cos(params.omega * (tau_a - tau_b) + params.phi0)
+    fringe = np.cos(params.omega * u + params.phi0)
     factor = math.sqrt(8.0 * math.pi) * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a) * fringe
-    return 0.5 * (projection + _interference(params, factor, tau_a, tau_b))
-
-
-def _clamped_rate(params: InterferenceParams, th_a, th_b, tau_a, tau_b):
-    """`coincidence_rate` of float arrays in one pass."""
-    rate = _rate(params, th_a, th_b, tau_a, tau_b)
+    rate = 0.5 * (projection + _interference(params, factor, u, w))
     rate[rate < 0.0] = 0.0
     return rate
 
@@ -312,7 +304,7 @@ def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
     (-1.9e-16 at 0.01 mm, 43 deg and a 1e-8 nm pump).  nan and -0.0 pass
     through.
     """
-    return _elementwise(_clamped_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
+    return _elementwise(_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
 
 
 def fringe_period(params: InterferenceParams) -> float:
@@ -331,9 +323,9 @@ def optimal_delays(times: PropagationTimes) -> tuple:
     return tau_a, tau_b
 
 
-def _aligned_contrast(params: InterferenceParams, tau_a, tau_b):
-    """`aligned_contrast` of float arrays in one pass."""
-    return np.minimum(abs(_interference(params, 0.5 * math.sqrt(8.0 * math.pi), tau_a, tau_b)), 1.0)
+def _aligned_contrast(params: InterferenceParams, u, w):
+    """`aligned_contrast` at (u, w) of `_elementwise`."""
+    return np.minimum(abs(_interference(params, 0.5 * math.sqrt(8.0 * math.pi), u, w)), 1.0)
 
 
 def aligned_contrast(params: InterferenceParams, tau_a, tau_b):

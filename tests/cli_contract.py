@@ -11,7 +11,7 @@ writes its summary).  `check_contract` asserts that of any run; each
 `CASES` maps the name of a test to the cases it runs, so a case keeps the
 test id it had as a one-off test; `tests/test_cli.py` defines those tests.
 The console script's own wiring is left to CI, which runs the installed
-entry point twice.
+entry point three times.
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ class Case:
     summary: dict = field(default_factory=dict)  # values to 1e-9 relative
     out: bool = True
     child: bool = False  # a `python -m` child with a timeout: the case guards against a hang
+    first: bool = False  # rerun with the options before the subcommand: the same exit, streams and file
 
 
 def run(argv, child=False):
@@ -116,11 +117,16 @@ def run_case(case, workdir):
     path = os.path.join(workdir, "out.csv") if case.out else None
     for command in (case.commands,) if isinstance(case.commands, str) else case.commands:
         head, *positional = command.split() or [""]
-        argv = [head, "--config", config, *(["--out", path] if path else []), *positional] if head else []
-        code, stdout, stderr = run(argv, case.child)
+        options = ["--config", config, *(["--out", path] if path else [])]
+        code, stdout, stderr = run([head, *options, *positional] if head else [], case.child)
         where = f"{command}: exit {code}, stderr {stderr!r}"
         assert case.code in (None, code), where
         text = check_contract(head, code, stdout, stderr, path)
+        if case.first:
+            if text is not None and path is not None:
+                os.unlink(path)
+            again = run([*options, head, *positional], case.child)
+            assert again == (code, stdout, stderr) and check_contract(head, *again, path) == text, where
         if case.err is not None:
             assert stderr == case.err.format(config=config, material=material) + "\n", where
         if case.match is not None:
@@ -168,6 +174,9 @@ CASES = {
         Case("indices 400 800", out=False, name="indices"),
         Case("emission-map", rows=256, header=MAP, name="emission-map"),
         Case("polarization", name="polarization"),
+        # --config and --out also before the subcommand
+        Case("optimize", out=False, first=True, name="optimize-options-first"),
+        Case("scan", rows=401, header="delay_fs,rate", first=True, name="scan-options-first"),
         # the largest azimuth grid the config accepts, so the largest batched
         # cone solve; then 0.007 deg above the collinear cut angle, where some
         # azimuths leave the secant steps for bisection; then an odd number
@@ -267,6 +276,8 @@ CASES = {
     "test_usage_error_exits_2_in_one_line": [
         Case("scan", code=2, err="usage error: the following arguments are required: --out", out=False,
              name="scan-without-out"),
+        Case("scan", code=2, err="usage error: the following arguments are required: --out", out=False, first=True,
+             name="scan-without-out-options-first"),
         Case("bogus", code=2, match=r"^usage error: argument command: invalid choice: 'bogus' \(choose from ",
              name="unknown-subcommand"),
         Case("", code=2, err="usage error: the following arguments are required: command", out=False,

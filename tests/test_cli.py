@@ -195,6 +195,20 @@ def test_failed_stdout_write_exits_4_and_removes_the_file(config_path, tmp_path,
     assert code == 4 and stderr.getvalue() == f"i/o error: [Errno {errno_code}] {os.strerror(errno_code)}\n"
 
 
+def test_options_after_the_subcommand_override_those_before(config_path, tmp_path):
+    # a zero thickness before the subcommand exits 2 alone; the reference
+    # config after it is the one read, and only the later --out is written
+    zero = tmp_path / "zero.ini"
+    zero.write_text("[crystal]\nthickness_mm = 0\n")
+    before, after = tmp_path / "before.csv", tmp_path / "after.csv"
+    assert run(["--config", str(zero), "optimize"])[0] == 2
+    code, out, err = run(["--config", str(zero), "--out", str(before), "scan", "--config", config_path,
+                          "--out", str(after)])
+    assert (code, err) == (0, "") and not before.exists()
+    csv = after.read_text()
+    assert run(["scan", "--config", config_path, "--out", str(after)])[1] == out and after.read_text() == csv
+
+
 def test_config_via_environment(config_path, monkeypatch):
     monkeypatch.setenv("SPDC_CASCADE_CONFIG", config_path)
     code, out, _ = run(["optimize"])

@@ -206,8 +206,9 @@ def test_rect_window_switches_where_the_envelopes_w_crosses_the_span(params):
 # --- blocked evaluation --------------------------------------------------------
 
 def test_blocked_evaluation_equals_per_row_calls(params):
-    # arrays above _BLOCK_POINTS samples are evaluated in blocks along axis
-    # 0; each row below is one call without a loop, the unblocked reference
+    # arrays are evaluated in blocks of about _BLOCK_POINTS samples along
+    # axis 0; each row below is a call of fewer samples, so one block, the
+    # reference for the many blocks of the whole array
     tau_a, tau_b = sc.optimal_delays(params.times)
 
     def rate(th_a, th_b, tau_a, tau_b):
@@ -242,6 +243,23 @@ def test_blocked_evaluation_equals_per_row_calls(params):
         a, b = grid_a[7, 5], grid_b[7, 5]  # numpy scalars; float and 0-d below
         for scalar in (func(params, float(a), float(b)), func(params, a, np.array(b))):
             assert type(scalar) is float and scalar == values[7, 5]
+    # delays as broadcast views, a column of tau_A and a row of tau_B, give
+    # the meshgrid's bits
+    col, row = grid_a[:, :1], grid_b[:1, :]
+    np.testing.assert_array_equal(rate(QUARTER, QUARTER, col, row), grid)
+    for func in (sc.envelope, sc.rect_window, aligned_contrast):
+        np.testing.assert_array_equal(func(params, col, row), func(params, grid_a, grid_b))
+    # one block exactly (64 rows), and one sample more (3 rows, two blocks)
+    for n, n_rows in ((_BLOCK_POINTS, 64), (_BLOCK_POINTS + 1, 3)):
+        assert n % n_rows == 0
+        taus_b = tau_b + np.linspace(-300.0, 300.0, n).reshape(n_rows, -1)
+        np.testing.assert_array_equal(rate(QUARTER, 0.3, tau_a, taus_b),
+                                      [rate(QUARTER, 0.3, tau_a, row) for row in taus_b])
+        for func in (sc.envelope, sc.rect_window, aligned_contrast):
+            np.testing.assert_array_equal(func(params, tau_a, taus_b), [func(params, tau_a, row) for row in taus_b])
+    # no sample at all: an empty array of the broadcast shape
+    empty = rate(QUARTER, QUARTER, tau_a, np.empty((0, 129)))
+    assert empty.shape == (0, 129) and empty.dtype == float
 
 
 # --- coincidence rate ------------------------------------------------------------
@@ -313,7 +331,14 @@ def test_negative_rate_rounding_is_clamped_silently():
     params = sc.params_from_crystal(crystal, sc.PumpSpec(395.0, 1e-8))
     tau_a, tau_b = 0.6717834460478722, 3.306939798113273
     theta_b = np.radians([135.0, 315.0])
-    unclamped = sc.interference._rate(params, np.array([QUARTER]), theta_b, np.array([tau_a]), np.array([tau_b]))
+    # the sum before the clamp, as `_rate` forms it from the (u, w) of `_elementwise`
+    t = params.times
+    u = np.array([tau_a - tau_b])
+    w = np.array([abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)])
+    projection = (np.cos(QUARTER) * np.sin(theta_b)) ** 2 + (np.cos(theta_b) * np.sin(QUARTER)) ** 2
+    factor = (math.sqrt(8.0 * math.pi) * np.cos(theta_b) * np.sin(theta_b) * np.cos(QUARTER) * np.sin(QUARTER)
+              * np.cos(params.omega * u + params.phi0))
+    unclamped = 0.5 * (projection + sc.interference._interference(params, factor, u, w))
     assert np.all(unclamped < 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
