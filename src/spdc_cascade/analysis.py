@@ -156,26 +156,19 @@ def _refined_extrema(xs, rates):
     stretch at either end or a step is none.
     """
     n = rates.shape[1]
+    xs, rates = xs.ravel(), rates.ravel()
     is_start = np.ones(rates.shape, dtype=bool)
-    is_start[:, 1:] = rates[:, 1:] != rates[:, :-1]
-    # first sample of the run after each sample's run (n past the last run)
-    next_start = np.full(rates.shape, n)
-    next_start[:, :-1] = np.minimum.accumulate(
-        np.where(is_start, np.arange(n), n)[:, :0:-1], axis=1
-    )[:, ::-1]
-    row, i = np.nonzero(is_start[:, 1:-1])
-    i += 1
-    j = next_start[row, i]
-    inner = j < n
-    row, i, j = row[inner], i[inner], j[inner]
-    here, before, after = rates[row, i], rates[row, i - 1], rates[row, j]
+    is_start[1:] = rates[1:] != rates[:-1]
+    is_start[::n] = True
+    # each run start against the run starts before and after it, in its row
+    start = np.flatnonzero(is_start)
+    row = start // n
+    before, here, after = rates[start[:-2]], rates[start[1:-1]], rates[start[2:]]
     is_max = (here > before) & (here > after)
-    keep = is_max | ((here < before) & (here < after))
-    row, i, is_max = row[keep], i[keep], is_max[keep]
-    x, value = parabola_vertex(
-        xs[row, i - 1], rates[row, i - 1], xs[row, i], rates[row, i], xs[row, i + 1], rates[row, i + 1]
-    )
-    is_min = ~is_max
+    keep = (is_max | ((here < before) & (here < after))) & (row[:-2] == row[2:])
+    i, is_max = start[1:-1][keep], is_max[keep]
+    x, value = parabola_vertex(xs[i - 1], rates[i - 1], xs[i], rates[i], xs[i + 1], rates[i + 1])
+    row, is_min = i // n, ~is_max
     return (row[is_max], x[is_max], value[is_max]), (row[is_min], x[is_min], value[is_min])
 
 
@@ -350,14 +343,14 @@ def _plate_delay_per_mm(model: DispersionModel, lam_nm: float) -> float:
 
 def quartz_calibration(model: DispersionModel, lam_nm: float, thickness_mm: float) -> float:
     """Birefringent group delay (fs) of a plate of the given thickness."""
-    if thickness_mm < 0:
+    if not thickness_mm >= 0:
         raise ValueError("plate thickness must be nonnegative")
     return thickness_mm * _plate_delay_per_mm(model, lam_nm)
 
 
 def delay_to_quartz_thickness(model: DispersionModel, lam_nm: float, delay_fs: float) -> float:
     """Plate thickness (mm) realizing a requested birefringent group delay."""
-    if delay_fs < 0:
+    if not delay_fs >= 0:
         raise ValueError("delay must be nonnegative")
     return delay_fs / _plate_delay_per_mm(model, lam_nm)
 
@@ -380,7 +373,7 @@ def prescribe_delays(times, quartz_model: DispersionModel, lam_nm: float) -> Del
     """
     tau_a, tau_b = optimal_delays(times)
     for name, tau in (("tau_A", tau_a), ("tau_B", tau_b)):
-        if tau < 0:
+        if not tau >= 0:
             raise ValueError(f"compensating delay {name} = {tau:.2f} fs is negative; "
                              f"no {quartz_model.name} plate realizes it")
     return DelayPrescription(

@@ -5,8 +5,11 @@ at this boundary only.  The crystal, pump and beam settings are converted to
 internal units once, at load time; the per-command sections ([scan],
 [emission_map], [visibility_curve], [polarization]) are kept as parsed, so
 their angles stay in degrees in `RunConfig` and the CLI converts them.
-Unknown sections or keys are rejected, and every value is validated against
-the module-level preconditions before any computation starts.
+Unknown sections or keys are rejected, ``[DEFAULT]`` among them (it is an
+ordinary, unknown section here, not one inherited by the others), and every
+value is validated against the module-level preconditions before any
+computation starts.  Values are taken verbatim: ``%`` is a character like
+any other, not an interpolation.
 
 Minimal example::
 
@@ -200,8 +203,9 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file."""
+    # values verbatim; a header is never empty, so [DEFAULT] is an ordinary section
     parser = configparser.ConfigParser(
-        delimiters=("=",), inline_comment_prefixes=("#",), strict=True
+        delimiters=("=",), inline_comment_prefixes=("#",), strict=True, interpolation=None, default_section=""
     )
     try:
         with open(path, "r", encoding="utf-8") as fh:

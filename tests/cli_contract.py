@@ -202,6 +202,15 @@ CASES = {
         Case(CONFIG_COMMANDS, "[crystal]\ncascade = false\n", 2,
              "config error: {config}: [crystal] cascade: the simulator models the two-crystal cascade only; "
              "set cascade = true or leave the key out", name="cascade-false"),
+        # values are verbatim, so a % reaches the number parser, and
+        # [DEFAULT] is an unknown section, not one inherited by the others
+        *(Case(CONFIG_COMMANDS, f"[crystal]\nthickness_mm = {value}\n", 2,
+               f"config error: {{config}}: [crystal] thickness_mm: expected a number, got '{value}'", name=name)
+          for value, name in [("1.07%", "percent-sign"), ("%(x)s", "percent-interpolation")]),
+        *(Case(CONFIG_COMMANDS, ini + "[crystal]\nmaterial = bbo\n", 2,
+               "config error: {config}: unknown section [DEFAULT]", name=name)
+          for ini, name in [("[DEFAULT]\nthickness_mm = 2\n\n", "default-section"),
+                            ("[DEFAULT]\n\n", "empty-default-section")]),
     ],
     # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, and the
     # finest grids of the crest search and the optimizer (5e-3 fs) still

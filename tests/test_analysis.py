@@ -4,10 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import spdc_cascade as sc
 from spdc_cascade.analysis import ScanSeries, _grid, _refined_extrema
-from spdc_cascade.numeric import _check_range
+from spdc_cascade.numeric import _check_range, parabola_vertex
 
 QUARTER = math.pi / 4
 
@@ -292,6 +295,56 @@ def test_fringe_extrema_ignore_flat_stretches(params):
     assert len(minima) == 3 and minima[1][0] == 5.5
 
 
+def _reference_extrema(xs, rates):
+    """`_refined_extrema` in 2-D, the reference it is checked against: the
+    next run's start from a reversed running minimum, every candidate
+    sample gathered."""
+    n = rates.shape[1]
+    is_start = np.ones(rates.shape, dtype=bool)
+    is_start[:, 1:] = rates[:, 1:] != rates[:, :-1]
+    next_start = np.full(rates.shape, n)
+    next_start[:, :-1] = np.minimum.accumulate(
+        np.where(is_start, np.arange(n), n)[:, :0:-1], axis=1
+    )[:, ::-1]
+    row, i = np.nonzero(is_start[:, 1:-1])
+    i += 1
+    j = next_start[row, i]
+    inner = j < n
+    row, i, j = row[inner], i[inner], j[inner]
+    here, before, after = rates[row, i], rates[row, i - 1], rates[row, j]
+    is_max = (here > before) & (here > after)
+    keep = is_max | ((here < before) & (here < after))
+    row, i, is_max = row[keep], i[keep], is_max[keep]
+    x, value = parabola_vertex(
+        xs[row, i - 1], rates[row, i - 1], xs[row, i], rates[row, i], xs[row, i + 1], rates[row, i + 1]
+    )
+    is_min = ~is_max
+    return (row[is_max], x[is_max], value[is_max]), (row[is_min], x[is_min], value[is_min])
+
+
+@st.composite
+def _fringe_rows(draw):
+    """0-5 rows of 2-40 samples in runs of 1-6 equal values, zeros of both
+    signs, NaN and a flat 0.25 among them; some rows are one flat run."""
+    shape = (draw(st.integers(0, 5)), draw(st.integers(2, 40)))
+    value = st.one_of(st.sampled_from([0.0, -0.0, 0.25, 1.0, math.nan]), st.floats(-2.0, 2.0))
+    values = draw(arrays(float, shape, elements=value))
+    runs = draw(arrays(np.int64, shape, elements=st.integers(1, 6), fill=st.just(1)))
+    flat = draw(arrays(bool, shape[0]))
+    rates = np.array([np.full(shape[1], v[0]) if f else np.repeat(v, k)[:shape[1]]
+                      for v, k, f in zip(values, runs, flat)]).reshape(shape)
+    start = draw(arrays(float, (shape[0], 1), elements=st.floats(-1e3, 1e3)))
+    return start + draw(st.floats(1e-3, 10.0)) * np.arange(shape[1]), rates
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(_fringe_rows())
+def test_refined_extrema_equal_the_reference_bit_for_bit(rows):
+    for got, want in zip(_refined_extrema(*rows), _reference_extrema(*rows)):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 # --- polarization scans ----------------------------------------------------------
 
 def test_polarization_scan_rejects_coarse_step(params):
@@ -432,6 +485,11 @@ def test_quartz_zero_thickness():
         sc.quartz_calibration(sc.QUARTZ, 790.0, -0.1)
     with pytest.raises(ValueError, match="^delay must be nonnegative$"):
         sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, -1.0)
+    # so is NaN
+    with pytest.raises(ValueError, match="^plate thickness must be nonnegative$"):
+        sc.quartz_calibration(sc.QUARTZ, 790.0, math.nan)
+    with pytest.raises(ValueError, match="^delay must be nonnegative$"):
+        sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, math.nan)
 
 
 def test_quartz_round_trip():
@@ -449,6 +507,9 @@ def test_prescribe_delays(params):
     per_mm = sc.quartz_calibration(sc.QUARTZ, 790.0, 1.0)
     assert prescription.quartz_a_mm == pytest.approx(tau_a / per_mm, rel=1e-12)
     assert prescription.quartz_b_mm == pytest.approx(tau_b / per_mm, rel=1e-12)
+    # a NaN time gives a NaN delay, which no plate realizes either
+    with pytest.raises(ValueError, match="^compensating delay tau_B = nan fs is negative; no quartz plate"):
+        sc.prescribe_delays(sc.PropagationTimes(250.0, 250.0, 250.0, math.nan), sc.QUARTZ, 790.0)
 
 
 # --- series container --------------------------------------------------------------
