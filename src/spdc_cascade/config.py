@@ -1,15 +1,22 @@
 """Declarative run configuration for the command-line front end.
 
-Flat INI-style text in UTF-8: sections of key = value pairs, degrees and nm
-at this boundary only.  The crystal, pump and beam settings are converted to
-internal units once, at load time; the per-command sections ([scan],
-[emission_map], [visibility_curve], [polarization]) are kept as parsed, so
-their angles stay in degrees in `RunConfig` and the CLI converts them.
-Unknown sections or keys are rejected, ``[DEFAULT]`` among them (it is an
-ordinary, unknown section here, not one inherited by the others), and every
-value is validated against the module-level preconditions before any
-computation starts.  Values are taken verbatim: ``%`` is a character like
-any other, not an interpolation.
+Flat INI-style text in UTF-8, degrees and nm at this boundary only.  Blank
+lines and lines whose first non-blank character is ``#`` or ``;`` are
+skipped, and a ``#`` after whitespace starts a comment.  A line that is
+exactly ``[name]`` opens a section (names are case-sensitive); every other
+line is ``key = value``, split at the first ``=``, with case-insensitive
+keys and values taken verbatim: ``%`` is a character like any other, not
+an interpolation.  Leading whitespace is not significant, so no line
+continues another.  A key before the first section, a repeated section or
+key, and any other line are errors of one line, ``<path>:<line>: <what>``.
+The crystal, pump and beam settings are converted to internal units once,
+at load time; the per-command sections ([scan], [emission_map],
+[visibility_curve], [polarization]) are kept as parsed, so their angles
+stay in degrees in `RunConfig` and the CLI converts them.  Unknown
+sections or keys are rejected, ``[DEFAULT]`` among them (it is an
+ordinary, unknown section here, not one inherited by the others), and
+every value is validated against the module-level preconditions before
+any computation starts.
 
 Minimal example::
 
@@ -35,7 +42,6 @@ accepts every spelling of true and rejects false.
 
 from __future__ import annotations
 
-import configparser
 import math
 from dataclasses import dataclass
 
@@ -43,7 +49,7 @@ from .constants import TWO_PI
 from .errors import ConfigError
 from .geometry import MIN_PHI_POINTS
 from .interference import InterferenceParams, params_from_crystal
-from .materials import CrystalSpec, DispersionModel, PumpSpec, get_model
+from .materials import CrystalSpec, DispersionModel, PumpSpec, _read_entries, get_model
 
 MAX_PHI_POINTS = 65536  # emission-map azimuths; the map's arrays scale with it
 
@@ -203,56 +209,39 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a configuration file."""
-    # values verbatim; a header is never empty, so [DEFAULT] is an ordinary section
-    parser = configparser.ConfigParser(
-        delimiters=("=",), inline_comment_prefixes=("#",), strict=True, interpolation=None, default_section=""
-    )
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    values = {}
-    for section in parser.sections():
+    # every default, then each entry of the file in its order, so an error names its first defect
+    values = {section: {key: default for key, (_, default) in keys.items()} for section, keys in _SCHEMA.items()}
+    for section, entries in _read_entries(path).items():
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
+        for key, (text, _) in entries.items():
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {key!r} in section [{section}]")
-    for section, keys in _SCHEMA.items():
-        for key, (parse, default) in keys.items():
-            if parser.has_option(section, key):
-                try:
-                    values[(section, key)] = parse(parser.get(section, key))
-                except ConfigError as exc:
-                    raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
-            else:
-                values[(section, key)] = default
-
-    def get(section, key):
-        return values[(section, key)]
+            try:
+                values[section][key] = _SCHEMA[section][key][0](text)
+            except ConfigError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc}") from exc
 
     try:
-        model = get_model(get("crystal", "material"))
+        model = get_model(values["crystal"]["material"])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: [crystal] material: {exc}") from exc
 
-    cut = math.radians(get("crystal", "cut_angle_deg"))
-    thickness = get("crystal", "thickness_mm")
+    cut = math.radians(values["crystal"]["cut_angle_deg"])
+    thickness = values["crystal"]["thickness_mm"]
     try:
         crystal1 = CrystalSpec(model, thickness, cut, axis_sign=+1)
         crystal2 = CrystalSpec(model, thickness, cut, axis_sign=-1)
-        pump = PumpSpec(get("pump", "center_nm"), get("pump", "bandwidth_nm"))
+        pump = PumpSpec(values["pump"]["center_nm"], values["pump"]["bandwidth_nm"])
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
-    beam_phi_a = math.radians(get("interference", "beam_phi_a_deg"))
-    beam_phi_b = math.radians(get("interference", "beam_phi_b_deg"))
+    beam_phi_a = math.radians(values["interference"]["beam_phi_a_deg"])
+    beam_phi_b = math.radians(values["interference"]["beam_phi_b_deg"])
     if abs((beam_phi_a - beam_phi_b + math.pi) % TWO_PI - math.pi) <= 1e-9:
         raise ConfigError(f"{path}: [interference] beam_phi_a_deg equals beam_phi_b_deg (mod 360)")
 
-    tau_b_min, tau_b_max = get("visibility_curve", "tau_b_min_fs"), get("visibility_curve", "tau_b_max_fs")
+    tau_b_min, tau_b_max = values["visibility_curve"]["tau_b_min_fs"], values["visibility_curve"]["tau_b_max_fs"]
     if tau_b_min is not None and tau_b_max is not None and not tau_b_max > tau_b_min:
         raise ConfigError(f"{path}: [visibility_curve] needs tau_b_max_fs > tau_b_min_fs")
 
@@ -261,11 +250,8 @@ def load_config(path) -> RunConfig:
         crystal2=crystal2,
         pump=pump,
         model=model,
-        phi0=get("interference", "phi0_rad"),
+        phi0=values["interference"]["phi0_rad"],
         beam_phi_a=beam_phi_a,
         beam_phi_b=beam_phi_b,
-        **{
-            section: {key: get(section, key) for key in _SCHEMA[section]}
-            for section in ("scan", "emission_map", "visibility_curve", "polarization")
-        },
+        **{section: values[section] for section in ("scan", "emission_map", "visibility_curve", "polarization")},
     )

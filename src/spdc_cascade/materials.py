@@ -24,12 +24,13 @@ see `load_dispersion_model`.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_NM_PER_FS, TWO_PI
-from .errors import WavelengthRangeError
+from .errors import ConfigError, WavelengthRangeError
 
 
 @dataclass(frozen=True)
@@ -243,12 +244,49 @@ QUARTZ = DispersionModel(
 )
 
 BUILTIN_MODELS = {"bbo": BBO, "quartz": QUARTZ}
+_INLINE_COMMENT = re.compile(r"\s#")  # a '#' after whitespace starts a comment
+
+
+def _read_entries(path, headers=True) -> dict:
+    """{section: {key: (value, line number)}} of a UTF-8 file in the format
+    that the `config` module states; without headers, every line is ``key =
+    value`` and the keys go under None.  Errors are one-line ConfigErrors.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    entries = {} if headers else {None: {}}
+    current = entries.get(None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        line = _INLINE_COMMENT.split(line, 1)[0].rstrip()
+        if headers and line[0] == "[":
+            if len(line) < 3 or line[-1] != "]":
+                raise ConfigError(f"{path}:{lineno}: expected '[section]', got {line!r}")
+            if line[1:-1] in entries:
+                raise ConfigError(f"{path}:{lineno}: duplicate section {line!r}")
+            entries[line[1:-1]] = current = {}
+            continue
+        key, equals, value = line.partition("=")
+        key = key.rstrip().lower()
+        if not (equals and key):
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if current is None:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} before the first section header")
+        if key in current:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        current[key] = (value.lstrip(), lineno)
+    return entries
 
 
 def load_dispersion_model(path) -> DispersionModel:
     """Read a DispersionModel from a flat key-value text file.
 
-    Expected keys (one per line, ``key = value``, '#' starts a comment)::
+    Expected keys (one per line, ``key = value``)::
 
         name           = mycrystal
         valid_range_nm = 200 1100
@@ -257,25 +295,19 @@ def load_dispersion_model(path) -> DispersionModel:
         e.form         = resonant
         e.coefficients = 2.3753 0.01224 0.01667 -0.01516
 
+    It shares the config files' reader (see `config`), without sections: a
+    line that starts with '#' or ';' is a comment, so is a '#' after
+    whitespace, but not one inside a value; keys are case-insensitive.
     Unknown keys are rejected so typos cannot silently change a material,
     and every number must be finite; a malformed entry raises a ValueError
-    that names the file and the key.
+    that names the file and the key, or the file and the line.
     """
     required = {"name", "valid_range_nm", "o.form", "o.coefficients", "e.form", "e.coefficients"}
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in required:
-                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in entries:
-                raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value
+    for key, (value, lineno) in _read_entries(path, headers=False)[None].items():
+        if key not in required:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        entries[key] = value
     missing = required - set(entries)
     if missing:
         raise ValueError(f"{path}: missing keys: {sorted(missing)}")

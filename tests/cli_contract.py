@@ -212,6 +212,29 @@ CASES = {
           for ini, name in [("[DEFAULT]\nthickness_mm = 2\n\n", "default-section"),
                             ("[DEFAULT]\n\n", "empty-default-section")]),
     ],
+    # every error of the config reader: one line that names the file and the line
+    "test_config_reader_error_exits_2_in_one_line": [
+        *(Case(CONFIG_COMMANDS, ini, 2, "config error: {config}:" + message, name=name)
+          for ini, message, name in [
+              ("[crystal]\njunk\n", "2: expected 'key = value', got 'junk'", "no-equals-sign"),
+              ("[]\n", "1: expected '[section]', got '[]'", "empty-header"),
+              ("[crystal] junk\n", "1: expected '[section]', got '[crystal] junk'", "text-after-header"),
+              ("[pump]\n\n[crystal]\n[pump]\n", "4: duplicate section '[pump]'", "duplicate-section"),
+              ("[crystal]\nthickness_mm = 1\nthickness_mm = 2\n", "3: duplicate key 'thickness_mm'",
+               "duplicate-key"),
+              ("[crystal]\nthickness_mm = 1\nThickness_MM = 2\n", "3: duplicate key 'thickness_mm'",
+               "duplicate-key-other-case"),
+              ("# a comment\nthickness_mm = 1\n[crystal]\n", "2: key 'thickness_mm' before the first section header",
+               "key-before-header"),
+              # no line continues another, so an indented value is a line of its own
+              ("[crystal]\nthickness_mm =\n  2\n", "3: expected 'key = value', got '2'", "indented-value"),
+          ]),
+        Case(CONFIG_COMMANDS, CUSTOM, 2, "config error: {config}: [crystal] material: {material}:3: "
+             "expected 'key = value', got '[o]'", name="material-section", material=material(bad_line="[o]")),
+    ],
+    # leading whitespace is not significant: an indented key is a key
+    "test_indented_key_is_read": Case("optimize", "[pump]\ncenter_nm = 395\n  bandwidth_nm = 2\n", out=False,
+                                      summary={"envelope_value": 1.899996752440063}),
     # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, and the
     # finest grids of the crest search and the optimizer (5e-3 fs) still
     # resolve there

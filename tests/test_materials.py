@@ -6,6 +6,8 @@ import pytest
 import spdc_cascade as sc
 from spdc_cascade.materials import SellmeierForm, DispersionModel
 
+from cli_contract import material
+
 C = 299.792458  # nm/fs
 
 
@@ -309,6 +311,20 @@ def test_load_dispersion_model_rejects_unknown_and_missing_keys(tmp_path):
     incomplete.write_text("name = x\n")
     with pytest.raises(ValueError, match="missing keys"):
         sc.load_dispersion_model(incomplete)
+
+
+def test_load_dispersion_model_reads_by_the_config_rules(tmp_path):
+    # ';' starts a comment line, keys are case-insensitive, and only a '#'
+    # after whitespace starts a comment: one inside a value is kept
+    path = tmp_path / "custom.mat"
+    path.write_text(material({"name": "bbo#2 # the copy"}, bad_line="; comment line").replace("name =", "Name ="))
+    assert sc.load_dispersion_model(path).name == "bbo#2"
+    path.write_text(material({"valid_range_nm": "220 1060#nm"}))
+    with pytest.raises(ValueError, match="valid_range_nm must be finite numbers, got '220 1060#nm'"):
+        sc.load_dispersion_model(path)
+    path.write_text(material(bad_line="[o]"))
+    with pytest.raises(ValueError, match=r"custom\.mat:3: expected 'key = value', got '\[o\]'"):
+        sc.load_dispersion_model(path)
 
 
 def test_get_model_builtins():
