@@ -17,6 +17,7 @@ from .analysis import (
     quartz_calibration,
     visibility_curve,
 )
+from .config import get_model, load_dispersion_model
 from .errors import (
     ConfigError,
     DegenerateParametersError,
@@ -56,12 +57,10 @@ from .materials import (
     DispersionModel,
     PumpSpec,
     SellmeierForm,
-    get_model,
     group_index,
     index_extraordinary,
     index_ordinary,
     index_principal_e,
-    load_dispersion_model,
 )
 
 __version__ = "0.1.0"

@@ -42,6 +42,8 @@ FRINGE_SAMPLES_PER_PERIOD = 32
 class ScanSeries:
     """Ordered (abscissa, rate) samples.
 
+    The abscissa strictly increases, so it holds no NaN; the rates are not
+    negative, but a NaN rate (a non-finite delay gives one) passes through.
     meta holds what reading them takes: the fringe period of a delay series
     (`fringe_period_fs`, for the span check of `extract_visibility`) and the
     name of a CSV ordinate other than "rate" (`ordinate`).
@@ -57,7 +59,7 @@ class ScanSeries:
             raise ValueError(f"abscissa_kind must be one of {ABSCISSA_KINDS}")
         if self.xs.size < 2:
             raise ValueError("a scan needs at least two points")
-        if np.any(np.diff(self.xs) <= 0):
+        if not np.all(np.diff(self.xs) > 0):  # a NaN abscissa fails this too
             raise ValueError("scan abscissa must be strictly increasing")
         if np.any(self.rates < 0):
             raise ValueError("scan rates must be nonnegative")
@@ -207,7 +209,9 @@ def extract_visibility(series: ScanSeries) -> float:
     """Fringe contrast (max - min)/(max + min) from fitted extrema.
 
     The endpoint samples count as extrema too, unrefined, so flat or
-    monotone series still yield a contrast.
+    monotone series still yield a contrast.  A NaN rate passes through: at
+    an end of the series the contrast is NaN, inside it the extrema search
+    skips the sample.
     """
     _check_span(series)
     return float(_fringe_contrast(series.xs[None], series.rates[None])[0])

@@ -175,22 +175,14 @@ def cmd_optimize(cfg: RunConfig, args) -> tuple:
     return text, text
 
 
+# name -> (command, help, whether it needs --out), in the order of --help
 _COMMANDS = {
-    "indices": cmd_indices,
-    "emission-map": cmd_emission_map,
-    "scan": cmd_scan,
-    "visibility-curve": cmd_visibility_curve,
-    "polarization": cmd_polarization,
-    "optimize": cmd_optimize,
-}
-
-
-# the subcommands that need --out, and their help
-_WRITES_OUT = {
-    "emission-map": "angle-resolved average emission times of the four photon classes",
-    "scan": "coincidence rate versus the delay in path B",
-    "visibility-curve": "space-time visibility versus the delay in path B",
-    "polarization": "coincidence rate versus the angle of analyzer B",
+    "indices": (cmd_indices, "tabulate refractive and group indices", False),
+    "emission-map": (cmd_emission_map, "angle-resolved average emission times of the four photon classes", True),
+    "scan": (cmd_scan, "coincidence rate versus the delay in path B", True),
+    "visibility-curve": (cmd_visibility_curve, "space-time visibility versus the delay in path B", True),
+    "polarization": (cmd_polarization, "coincidence rate versus the angle of analyzer B", True),
+    "optimize": (cmd_optimize, "compensating delays and quartz equivalents", False),
 }
 
 
@@ -212,13 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
     # before or after the subcommand; after it, one given overrides
     add_common(parser, None)
     sub = parser.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("indices", help="tabulate refractive and group indices")
-    add_common(p, argparse.SUPPRESS)
-    p.add_argument("wavelengths", nargs="+", type=float, metavar="NM")
-
-    for name, help_text in _WRITES_OUT.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         add_common(sub.add_parser(name, help=help_text), argparse.SUPPRESS)
-    add_common(sub.add_parser("optimize", help="compensating delays and quartz equivalents"), argparse.SUPPRESS)
+    sub.choices["indices"].add_argument("wavelengths", nargs="+", type=float, metavar="NM")
     return parser
 
 
@@ -227,13 +215,14 @@ def main(argv=None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # whatever PYTHONWARNINGS or -W say
             args = build_parser().parse_args(argv)
-            if args.out is None and args.command in _WRITES_OUT:
+            command, _, needs_out = _COMMANDS[args.command]
+            if args.out is None and needs_out:
                 raise argparse.ArgumentError(None, "the following arguments are required: --out")
             config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
             if not config_path:
                 raise ConfigError(f"no configuration (use --config or ${CONFIG_ENV_VAR})")
             cfg = load_config(config_path)
-            file_text, stdout_text = _COMMANDS[args.command](cfg, args)
+            file_text, stdout_text = command(cfg, args)
         if args.out:
             _write_atomic(args.out, file_text)
         try:

@@ -1,16 +1,22 @@
-"""Declarative run configuration for the command-line front end.
+"""Every input file of the command-line front end: run configurations and
+material files.
 
-Flat INI-style text in UTF-8, degrees and nm at this boundary only.  Blank
-lines and lines whose first non-blank character is ``#`` or ``;`` are
-skipped, and a ``#`` after whitespace starts a comment.  A line that is
-exactly ``[name]`` opens a section (names are case-sensitive); every other
-line is ``key = value``, split at the first ``=``, with case-insensitive
-keys and values taken verbatim: ``%`` is a character like any other, not
-an interpolation.  Leading whitespace is not significant, so no line
-continues another.  A key before the first section, a repeated section or
-key, and any other line are errors of one line, ``<path>:<line>: <what>``.
-The crystal, pump and beam settings are converted to internal units once,
-at load time; the per-command sections ([scan], [emission_map],
+One key-value format serves both: UTF-8 text, a leading byte-order mark
+skipped.  Blank lines and lines whose first non-blank character is ``#``
+or ``;`` are skipped, and a ``#`` after whitespace starts a comment.  A
+line that is exactly ``[name]`` opens a section (names are
+case-sensitive); every other line is ``key = value``, split at the first
+``=``, with case-insensitive keys and values taken verbatim: ``%`` is a
+character like any other, not an interpolation.  Leading whitespace is not
+significant, so no line continues another.  A key before the first
+section, a repeated section or key, and any other line are errors of one
+line, ``<path>:<line>: <what>``.  ``[crystal] material`` names a built-in
+material or a material file (`get_model`), which holds no sections (see
+`load_dispersion_model`).
+
+A config file gives angles in degrees and wavelengths in nm.  The
+crystal, pump and beam settings are converted to internal units once, at
+load time; the per-command sections ([scan], [emission_map],
 [visibility_curve], [polarization]) are kept as parsed, so their angles
 stay in degrees in `RunConfig` and the CLI converts them.  Unknown
 sections or keys are rejected, ``[DEFAULT]`` among them (it is an
@@ -43,15 +49,128 @@ accepts every spelling of true and rejects false.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from .constants import TWO_PI
 from .errors import ConfigError
 from .geometry import MIN_PHI_POINTS
 from .interference import InterferenceParams, params_from_crystal
-from .materials import CrystalSpec, DispersionModel, PumpSpec, _read_entries, get_model
+from .materials import BBO, QUARTZ, CrystalSpec, DispersionModel, PumpSpec, SellmeierForm
 
 MAX_PHI_POINTS = 65536  # emission-map azimuths; the map's arrays scale with it
+
+BUILTIN_MODELS = {"bbo": BBO, "quartz": QUARTZ}
+_INLINE_COMMENT = re.compile(r"\s#")  # a '#' after whitespace starts a comment
+
+
+def _read_entries(path, headers=True) -> dict:
+    """{section: {key: (value, line number)}} of a UTF-8 file in the format
+    of the module docstring; without headers, every line is ``key = value``
+    and the keys go under None.  A leading byte-order mark is skipped, as
+    Windows editors write one.  Errors are one-line ConfigErrors.
+    """
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    entries = {} if headers else {None: {}}
+    current = entries.get(None)
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line[0] in "#;":
+            continue
+        line = _INLINE_COMMENT.split(line, 1)[0].rstrip()
+        if headers and line[0] == "[":
+            if len(line) < 3 or line[-1] != "]":
+                raise ConfigError(f"{path}:{lineno}: expected '[section]', got {line!r}")
+            if line[1:-1] in entries:
+                raise ConfigError(f"{path}:{lineno}: duplicate section {line!r}")
+            entries[line[1:-1]] = current = {}
+            continue
+        key, equals, value = line.partition("=")
+        key = key.rstrip().lower()
+        if not (equals and key):
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+        if current is None:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} before the first section header")
+        if key in current:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        current[key] = (value.lstrip(), lineno)
+    return entries
+
+
+def load_dispersion_model(path) -> DispersionModel:
+    """Read a DispersionModel from a flat key-value text file.
+
+    Expected keys (one per line, ``key = value``)::
+
+        name           = mycrystal
+        valid_range_nm = 200 1100
+        o.form         = resonant
+        o.coefficients = 2.7359 0.01878 0.01822 -0.01354
+        e.form         = resonant
+        e.coefficients = 2.3753 0.01224 0.01667 -0.01516
+
+    It shares the config files' reader (see the module docstring), without
+    sections: a line that starts with '#' or ';' is a comment, so is a '#'
+    after whitespace, but not one inside a value; keys are case-insensitive.
+    Unknown keys are rejected so typos cannot silently change a material,
+    and every number must be finite; a malformed entry raises a ValueError
+    that names the file and the key, or the file and the line.
+    """
+    required = {"name", "valid_range_nm", "o.form", "o.coefficients", "e.form", "e.coefficients"}
+    entries = {}
+    for key, (value, lineno) in _read_entries(path, headers=False)[None].items():
+        if key not in required:
+            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+        entries[key] = value
+    missing = required - set(entries)
+    if missing:
+        raise ValueError(f"{path}: missing keys: {sorted(missing)}")
+
+    def numbers(key):
+        try:
+            values = tuple(float(tok) for tok in entries[key].split())
+        except ValueError:
+            values = None
+        if values is None or not all(map(math.isfinite, values)):
+            raise ValueError(f"{path}: {key} must be finite numbers, got {entries[key]!r}")
+        return values
+
+    wavelengths = numbers("valid_range_nm")
+    if len(wavelengths) != 2 or not 0 < wavelengths[0] < wavelengths[1]:
+        raise ValueError(f"{path}: valid_range_nm must be 0 < lo < hi nm, got {entries['valid_range_nm']!r}")
+    forms = {}
+    for pol in ("o", "e"):
+        coefficients = numbers(f"{pol}.coefficients")
+        try:
+            forms[pol] = SellmeierForm(entries[f"{pol}.form"], coefficients)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {pol}.form, {pol}.coefficients: {exc}") from None
+    return DispersionModel(
+        name=entries["name"],
+        sellmeier_o=forms["o"],
+        sellmeier_e=forms["e"],
+        valid_range_nm=wavelengths,
+    )
+
+
+def get_model(name_or_path: str) -> DispersionModel:
+    """Resolve a built-in material name or a material definition file.
+
+    A name that is neither raises a FileNotFoundError that lists the
+    built-in materials; any other OSError keeps its own message.
+    """
+    key = name_or_path.lower()
+    if key in BUILTIN_MODELS:
+        return BUILTIN_MODELS[key]
+    try:
+        return load_dispersion_model(name_or_path)
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{name_or_path!r} is neither a built-in material ({', '.join(BUILTIN_MODELS)}) "
+                                "nor an existing file") from None
 
 
 def _parse_float(text):
@@ -64,35 +183,11 @@ def _parse_float(text):
     return value
 
 
-def _parse_positive(text):
-    value = _parse_float(text)
-    if value <= 0:
-        raise ConfigError(f"expected a positive number, got {text!r}")
-    return value
-
-
-def _parse_nonnegative(text):
-    value = _parse_float(text)
-    if value < 0:
-        raise ConfigError(f"expected a nonnegative number, got {text!r}")
-    return value
-
-
 def _parse_int(text):
     try:
         return int(text)
     except ValueError as exc:
         raise ConfigError(f"expected an integer, got {text!r}") from exc
-
-
-def _parse_int_in(lo, hi):
-    def parse(text):
-        value = _parse_int(text)
-        if not lo <= value <= hi:
-            raise ConfigError(f"expected an integer in [{lo}, {hi}], got {text!r}")
-        return value
-
-    return parse
 
 
 def _parse_bool(text):
@@ -120,31 +215,33 @@ def _parse_auto(inner):
     return parse
 
 
-def _parse_str(text):
-    return text.strip()
-
-
-def _parse_choice(choices):
-    def parse(text):
-        value = text.strip()
-        if value not in choices:
-            raise ConfigError(f"expected one of {choices}, got {text!r}")
+def _checked(parse, ok, expected):
+    """parse, then refuse a value that fails ok: ``expected <expected>, got <text>``."""
+    def parse_checked(text):
+        value = parse(text)
+        if not ok(value):
+            raise ConfigError(f"expected {expected}, got {text!r}")
         return value
 
-    return parse
+    return parse_checked
+
+
+_POSITIVE = _checked(_parse_float, lambda value: value > 0, "a positive number")
+_NONNEGATIVE = _checked(_parse_float, lambda value: value >= 0, "a nonnegative number")
+_METHODS = ("aligned", "scan")
 
 
 # section -> key -> (parser, default); defaults apply when key or section is absent
 _SCHEMA = {
     "crystal": {
-        "material": (_parse_str, "bbo"),
-        "thickness_mm": (_parse_positive, 1.07),
-        "cut_angle_deg": (_parse_positive, 43.65),
+        "material": (str.strip, "bbo"),
+        "thickness_mm": (_POSITIVE, 1.07),
+        "cut_angle_deg": (_POSITIVE, 43.65),
         "cascade": (_parse_cascade, True),
     },
     "pump": {
-        "center_nm": (_parse_positive, 395.0),
-        "bandwidth_nm": (_parse_positive, 1.0),
+        "center_nm": (_POSITIVE, 395.0),
+        "bandwidth_nm": (_POSITIVE, 1.0),
     },
     "interference": {
         "phi0_rad": (_parse_float, 0.0),
@@ -159,22 +256,23 @@ _SCHEMA = {
         "theta_b_deg": (_parse_float, 45.0),
         "tau_a_fs": (_parse_auto(_parse_float), None),
         "center_fs": (_parse_auto(_parse_float), None),
-        "halfwidth_fs": (_parse_positive, 50.0),
-        "step_fs": (_parse_positive, 0.25),
+        "halfwidth_fs": (_POSITIVE, 50.0),
+        "step_fs": (_POSITIVE, 0.25),
     },
     "emission_map": {
-        "phi_points": (_parse_int_in(MIN_PHI_POINTS, MAX_PHI_POINTS), 256),
-        "delay_1e_fs": (_parse_auto(_parse_nonnegative), None),
-        "delay_2e_fs": (_parse_auto(_parse_nonnegative), None),
-        "delay_1o_fs": (_parse_nonnegative, 0.0),
-        "delay_2o_fs": (_parse_nonnegative, 0.0),
+        "phi_points": (_checked(_parse_int, lambda value: MIN_PHI_POINTS <= value <= MAX_PHI_POINTS,
+                                 f"an integer in [{MIN_PHI_POINTS}, {MAX_PHI_POINTS}]"), 256),
+        "delay_1e_fs": (_parse_auto(_NONNEGATIVE), None),
+        "delay_2e_fs": (_parse_auto(_NONNEGATIVE), None),
+        "delay_1o_fs": (_NONNEGATIVE, 0.0),
+        "delay_2o_fs": (_NONNEGATIVE, 0.0),
     },
     "visibility_curve": {
         "tau_a_fs": (_parse_auto(_parse_float), None),
         "tau_b_min_fs": (_parse_auto(_parse_float), None),
         "tau_b_max_fs": (_parse_auto(_parse_float), None),
-        "step_fs": (_parse_positive, 5.0),
-        "method": (_parse_choice(("aligned", "scan")), "aligned"),
+        "step_fs": (_POSITIVE, 5.0),
+        "method": (_checked(str.strip, _METHODS.__contains__, f"one of {_METHODS}"), "aligned"),
     },
     "polarization": {
         "theta_a_deg": (_parse_float, 45.0),
@@ -182,7 +280,7 @@ _SCHEMA = {
         "tau_b_fs": (_parse_auto(_parse_float), None),
         "theta_b_start_deg": (_parse_float, 0.0),
         "theta_b_stop_deg": (_parse_float, 360.0),
-        "step_deg": (_parse_positive, 2.0),
+        "step_deg": (_POSITIVE, 2.0),
     },
 }
 

@@ -1,8 +1,10 @@
 """Shared physical constants and unit conventions.
 
 Internal units throughout the package: wavelengths in nm, times in fs,
-lengths of optical elements in mm, angles in rad.  Degrees and nm are
-accepted only at the configuration boundary.
+lengths of optical elements in mm, angles in rad.  Degrees are accepted
+only in the front end: `config` converts the crystal cut and the beam
+azimuths when it loads a file, and `cli` the angles of the per-command
+sections when it runs a command.
 """
 
 import math

@@ -17,20 +17,19 @@ Embedded coefficient sources:
     quartz   : power-series set for crystalline quartz from Newlight
                Photonics (https://www.newlightphotonics.com/v1/quartz-properties.html).
 
-Additional materials can be supplied at run time from a key-value text file,
-see `load_dispersion_model`.
+Additional materials are read at run time from key-value text files by
+`config.load_dispersion_model`; this module opens no file.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_NM_PER_FS, TWO_PI
-from .errors import ConfigError, WavelengthRangeError
+from .errors import WavelengthRangeError
 
 
 @dataclass(frozen=True)
@@ -242,106 +241,3 @@ QUARTZ = DispersionModel(
     ),
     valid_range_nm=(185.0, 1500.0),
 )
-
-BUILTIN_MODELS = {"bbo": BBO, "quartz": QUARTZ}
-_INLINE_COMMENT = re.compile(r"\s#")  # a '#' after whitespace starts a comment
-
-
-def _read_entries(path, headers=True) -> dict:
-    """{section: {key: (value, line number)}} of a UTF-8 file in the format
-    that the `config` module states; without headers, every line is ``key =
-    value`` and the keys go under None.  Errors are one-line ConfigErrors.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    entries = {} if headers else {None: {}}
-    current = entries.get(None)
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line[0] in "#;":
-            continue
-        line = _INLINE_COMMENT.split(line, 1)[0].rstrip()
-        if headers and line[0] == "[":
-            if len(line) < 3 or line[-1] != "]":
-                raise ConfigError(f"{path}:{lineno}: expected '[section]', got {line!r}")
-            if line[1:-1] in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate section {line!r}")
-            entries[line[1:-1]] = current = {}
-            continue
-        key, equals, value = line.partition("=")
-        key = key.rstrip().lower()
-        if not (equals and key):
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
-        if current is None:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} before the first section header")
-        if key in current:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        current[key] = (value.lstrip(), lineno)
-    return entries
-
-
-def load_dispersion_model(path) -> DispersionModel:
-    """Read a DispersionModel from a flat key-value text file.
-
-    Expected keys (one per line, ``key = value``)::
-
-        name           = mycrystal
-        valid_range_nm = 200 1100
-        o.form         = resonant
-        o.coefficients = 2.7359 0.01878 0.01822 -0.01354
-        e.form         = resonant
-        e.coefficients = 2.3753 0.01224 0.01667 -0.01516
-
-    It shares the config files' reader (see `config`), without sections: a
-    line that starts with '#' or ';' is a comment, so is a '#' after
-    whitespace, but not one inside a value; keys are case-insensitive.
-    Unknown keys are rejected so typos cannot silently change a material,
-    and every number must be finite; a malformed entry raises a ValueError
-    that names the file and the key, or the file and the line.
-    """
-    required = {"name", "valid_range_nm", "o.form", "o.coefficients", "e.form", "e.coefficients"}
-    entries = {}
-    for key, (value, lineno) in _read_entries(path, headers=False)[None].items():
-        if key not in required:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        entries[key] = value
-    missing = required - set(entries)
-    if missing:
-        raise ValueError(f"{path}: missing keys: {sorted(missing)}")
-
-    def numbers(key):
-        try:
-            values = tuple(float(tok) for tok in entries[key].split())
-        except ValueError:
-            values = None
-        if values is None or not all(map(math.isfinite, values)):
-            raise ValueError(f"{path}: {key} must be finite numbers, got {entries[key]!r}")
-        return values
-
-    wavelengths = numbers("valid_range_nm")
-    if len(wavelengths) != 2 or not 0 < wavelengths[0] < wavelengths[1]:
-        raise ValueError(f"{path}: valid_range_nm must be 0 < lo < hi nm, got {entries['valid_range_nm']!r}")
-    forms = {}
-    for pol in ("o", "e"):
-        coefficients = numbers(f"{pol}.coefficients")
-        try:
-            forms[pol] = SellmeierForm(entries[f"{pol}.form"], coefficients)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {pol}.form, {pol}.coefficients: {exc}") from None
-    return DispersionModel(
-        name=entries["name"],
-        sellmeier_o=forms["o"],
-        sellmeier_e=forms["e"],
-        valid_range_nm=wavelengths,
-    )
-
-
-def get_model(name_or_path: str) -> DispersionModel:
-    """Resolve a built-in material name or a material definition file."""
-    key = name_or_path.lower()
-    if key in BUILTIN_MODELS:
-        return BUILTIN_MODELS[key]
-    return load_dispersion_model(name_or_path)

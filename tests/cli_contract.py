@@ -293,6 +293,15 @@ CASES = {
         for line, message, name in [("o.form resonant", "expected 'key = value'", "no-equals-sign"),
                                     ("name = other", "duplicate key 'name'", "duplicate-key")]
     ],
+    # a name that is neither a built-in material nor a file lists the
+    # built-in ones; a directory keeps the system's message
+    "test_unknown_material_exits_2_in_one_line": [
+        Case(("indices 790", *CONFIG_COMMANDS), "[crystal]\nmaterial = bbo2\n", 2,
+             "config error: {config}: [crystal] material: 'bbo2' is neither a built-in material (bbo, quartz) "
+             "nor an existing file", name="mistyped-name"),
+        Case(("indices 790", *CONFIG_COMMANDS), "[crystal]\nmaterial = .\n", 2,
+             "config error: {config}: [crystal] material: [Errno 21] Is a directory: '.'", name="directory"),
+    ],
     # n^2 = -1 at every wavelength: the first index read names the material,
     # the polarization, the wavelength and n^2, before any square root warns
     "test_material_of_non_positive_n_squared_exits_3": [

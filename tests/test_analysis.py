@@ -467,6 +467,20 @@ def test_scan_visibility_of_non_finite_delays_is_nan(params):
     assert rates[0] > 0.8 and math.isnan(rates[1])
 
 
+def test_nan_abscissa_is_refused(params):
+    # NaN compares false both ways, so the check asks that every step be
+    # positive rather than that none be nonpositive
+    tau_a, tau_b = sc.optimal_delays(params.times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for method in ("aligned", "scan"):
+            with pytest.raises(ValueError, match="scan abscissa must be strictly increasing"):
+                sc.visibility_curve(params, tau_a, [tau_b, math.nan, tau_b + 1.0], method=method)
+    for xs in ([0.0, math.nan, 1.0], [math.nan, 0.0], [0.0, math.nan]):
+        with pytest.raises(ValueError, match="scan abscissa must be strictly increasing"):
+            ScanSeries("delay_fs", np.array(xs), np.ones(len(xs)))
+
+
 # --- quartz delay lines ----------------------------------------------------------
 
 def test_quartz_anchor_one_millimetre():

@@ -450,7 +450,7 @@ def test_warning_prints_one_line_without_source(config_path, tmp_path, monkeypat
     # line, and the file and stdout are written as usual
     namespace = {}
     exec(WARNING_COMMAND, namespace)
-    monkeypatch.setitem(namespace["cli"]._COMMANDS, "scan", namespace["warning_command"])
+    monkeypatch.setitem(namespace["cli"]._COMMANDS, "scan", (namespace["warning_command"], "", True))
     argv = ["scan", "--config", config_path, "--out"]
     code, out, err = run([*argv, str(tmp_path / "in_process.csv")])
     expected = "warning: first message\nwarning: second message\n"
@@ -460,7 +460,7 @@ def test_warning_prints_one_line_without_source(config_path, tmp_path, monkeypat
     # monkeypatch does not reach a child, so the child replaces the command
     src = os.path.dirname(os.path.dirname(os.path.abspath(sc.__file__)))
     child_code = WARNING_COMMAND + (
-        "cli._COMMANDS['scan'] = warning_command\nsys.exit(cli.main(sys.argv[1:]))\n")
+        "cli._COMMANDS['scan'] = (warning_command, '', True)\nsys.exit(cli.main(sys.argv[1:]))\n")
     for filters in ("", "error", "ignore"):
         child = subprocess.run(
             [sys.executable, "-c", child_code, *argv, str(tmp_path / "child.csv")],

@@ -1,10 +1,11 @@
-"""The key-value reader behind config and material files, against configparser.
+"""The key-value reader behind config and material files.
 
-`materials._read_entries` follows `configparser.ConfigParser` under the
+`config._read_entries` follows `configparser.ConfigParser` under the
 options that `config.load_config` once passed it, on every file where the
 two rules agree: no indented lines (configparser reads them as
 continuations), and no text after a section header.  Derandomized and
-without a database, so a run repeats exactly.
+without a database, so a run repeats exactly.  A byte-order mark, which
+configparser would read as text, is skipped.
 """
 
 import configparser
@@ -16,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdc_cascade.config import _read_entries, load_config, load_dispersion_model
 from spdc_cascade.errors import ConfigError
-from spdc_cascade.materials import _read_entries
 
-from cli_contract import SRC
+from cli_contract import SRC, material
 
 # names are case-sensitive, keys are not, and %, =, ; and a # that follows
 # no whitespace are characters of a value like any other
@@ -105,3 +106,21 @@ def test_the_package_does_not_import_configparser():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
+
+
+@pytest.mark.parametrize("first_line", ["", "# a comment\n"], ids=["entry-first", "comment-first"])
+def test_a_byte_order_mark_reads_as_nothing(tmp_path, first_line):
+    # Windows editors start a UTF-8 file with U+FEFF: a config and a
+    # material file read the same with it as without it
+    def write(name, text, encoding):
+        path = tmp_path / name
+        path.write_text(first_line + text, encoding=encoding)
+        return str(path)
+
+    plain, marked = write("plain.mat", material(), "utf-8"), write("marked.mat", material(), "utf-8-sig")
+    assert (tmp_path / "marked.mat").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert load_dispersion_model(marked) == load_dispersion_model(plain)
+    ini = "[crystal]\nthickness_mm = 2\nmaterial = {}\n\n[pump]\nbandwidth_nm = 3\n"
+    cfg = load_config(write("marked.ini", ini.format(marked), "utf-8-sig"))
+    assert cfg == load_config(write("plain.ini", ini.format(plain), "utf-8"))
+    assert (cfg.crystal1.thickness_mm, cfg.pump.bandwidth_fwhm_nm, cfg.model.name) == (2.0, 3.0, "custom")

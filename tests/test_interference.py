@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import spdc_cascade as sc
 from spdc_cascade.interference import _BLOCK_POINTS, _erf, aligned_contrast
@@ -407,6 +409,22 @@ def test_max_visibility_nonincreasing_in_sigma(params):
     values = [sc.max_visibility(params.with_sigma(f * params.sigma)) for f in factors]
     for a, b in zip(values, values[1:]):
         assert b <= a + 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(thickness=st.floats(0.05, 5.0), cut_deg=st.floats(43.6, 50.0), center=st.floats(390.0, 400.0),
+       bandwidth=st.floats(0.01, 5.0), factor=st.floats(1.01, 10.0))
+def test_max_visibility_does_not_increase_with_bandwidth_or_thickness(thickness, cut_deg, center, bandwidth,
+                                                                       factor):
+    # V = sqrt(8 pi) erf(sigma D / 4 sqrt 2) / (sigma D), capped at 1,
+    # decreases in sigma D; sigma grows with the bandwidth, D with the thickness
+    def visibility(thickness_mm, bandwidth_nm):
+        crystal = sc.CrystalSpec(sc.BBO, thickness_mm, math.radians(cut_deg))
+        return sc.max_visibility(sc.params_from_crystal(crystal, sc.PumpSpec(center, bandwidth_nm)))
+
+    base = visibility(thickness, bandwidth)
+    assert visibility(factor * thickness, bandwidth) <= base
+    assert visibility(thickness, factor * bandwidth) <= base
 
 
 def test_fringe_locked_delays_sit_on_a_crest(params):
