@@ -43,7 +43,8 @@ class ScanSeries:
     """Ordered (abscissa, rate) samples.
 
     The abscissa strictly increases, so it holds no NaN; the rates are not
-    negative, but a NaN rate (a non-finite delay gives one) passes through.
+    negative, but a NaN rate (a non-finite delay gives one) passes through:
+    `extract_visibility` of a series with one is NaN.
     meta holds what reading them takes: the fringe period of a delay series
     (`fringe_period_fs`, for the span check of `extract_visibility`) and the
     name of a CSV ordinate other than "rate" (`ordinate`).
@@ -209,11 +210,12 @@ def extract_visibility(series: ScanSeries) -> float:
     """Fringe contrast (max - min)/(max + min) from fitted extrema.
 
     The endpoint samples count as extrema too, unrefined, so flat or
-    monotone series still yield a contrast.  A NaN rate passes through: at
-    an end of the series the contrast is NaN, inside it the extrema search
-    skips the sample.
+    monotone series still yield a contrast.  A NaN rate passes through
+    wherever it sits: the contrast is NaN, with no warning.
     """
     _check_span(series)
+    if np.isnan(series.rates).any():
+        return math.nan
     return float(_fringe_contrast(series.xs[None], series.rates[None])[0])
 
 

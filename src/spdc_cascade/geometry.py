@@ -3,15 +3,19 @@
 The pump propagates along +z; the optic axes of the two crystals lie in the
 y-z plane at angles +psi and -psi to the pump.  Degenerate phase matching
 (energy conservation plus vector momentum conservation, with the e-wave
-index taken at its actual angle to the optic axis) is solved exactly by
-one batched root solver that works on whole arrays of problems at once:
-
-  * along every azimuth phi of a grid together, for the internal emission
-    direction of the o- or e-polarized photon of a given crystal (the
-    emission-time map), and
-  * in the plane of the optic axes, for the extreme opening angles that
-    summarize each cone as axis tilt + half-opening angle
-    (`phase_match_cones`), and for the collinear cut angle.
+index taken at its actual angle to the optic axis) is solved exactly, for
+the e-cone once per design, by one batched root solver that works on whole
+arrays of problems at once: along every azimuth phi of a grid (the
+emission-time map), in the plane of the optic axes for the extremes that
+summarize a cone as axis tilt + half-opening angle (`phase_match_cones`),
+and for the collinear cut angle.  Each e photon's o partner leaves along
+the recoil r = k_p z - n d (`_cone_residual`) at azimuth phi + pi, so the
+o-cone at sine v is read off the e root at -v: u_o = atan2(n sin u_e,
+k_p - n cos u_e), n the e photon's index.  No search bound applies to this
+unsearched angle, and in a negative-uniaxial crystal none is needed:
+n <= n_o gives sin u_o = (n/n_o) sin u_e <= sin u_e, and k_p > n keeps u_o
+below pi/2.  So a positive-uniaxial material whose o-cone alone opens
+beyond the bound is mapped, not refused.
 
 Every solve runs seed -> secant -> verify -> bisect (`_secant_roots`).
 Each problem has a sign-change bracket and a start pair.  Along every
@@ -25,21 +29,20 @@ only where the residual changes sign within half the tolerance of it,
 inside its bracket.  The rest are bisected in their brackets; on the
 reference pump only cut angles less than 0.1 deg above the collinear one
 send any there.  The crystals are mirror images, so crystal 2's cone at
-azimuth phi is crystal 1's at -phi, and each polarization is solved once
-per design: the map solves it along the azimuths on crystal 1, and the
-in-plane extremes are solved once for the +psi crystal and mirrored for
-crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches the o and e
-solves of the last design only, so the cone summaries of both crystals
-and the map's seeds share one solve.
+azimuth phi is crystal 1's at -phi: the map solves along the azimuths on
+crystal 1, and the in-plane extremes are solved for the +psi crystal and
+mirrored for crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches
+the last design's solve only, so the cone summaries of both crystals and
+the map's seeds share it.
 The residual of a solve is built once (`_cone_residual`) from scalar
 products of the emission direction with the pump and the optic axis; the
 optic axis lies in the y-z plane, so an azimuth enters only through
 sin(phi), and a solver step costs sin u, cos u and square roots.  The map
 therefore solves and times each distinct sin(phi) once: on an n-point
 uniform grid, phi and pi - phi share a sine and the mirror row -sin(phi)
-repeats the grid's sines, so 4 | n leaves n/2 + 1 of them.  Sines within
-_SIN_TOL = 1.8e-15 of each other count as one, which moves a root by about
-1e-16 rad, a thousandth of the solve's tolerance.
+repeats the grid's sines, so 4 | n leaves n/2 + 1 of them, the distinct
+|sin(phi)| mirrored to +-: the o angle at v reads the lane at -v.  Sines
+within _SIN_TOL of each other count as one.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -107,25 +110,25 @@ def optic_axis(crystal: CrystalSpec) -> tuple[float, float]:
     return crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)
 
 
-def _cone_residual(crystal: CrystalSpec, pump: PumpSpec, pol: str):
-    """Momentum-conservation residual of the pol-cone, as residual(u, sin_phi).
+def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
+    """The e-cone's residual(u, sin_phi) and its o partner's polar angle recoil(u, sin_phi).
 
     Wavevectors are in units of the degenerate photon's vacuum wavenumber,
-    so the pump is k_p = 2*n_pump along z.  The photon leaves at polar angle
-    u, azimuth phi, along the unit vector d = (sin u cos phi, sin u sin phi,
-    cos u) with phase index n; the conjugate photon takes the recoil
-    r = k_p z - n d.  The residual is |r| minus the index the conjugate
-    (the other polarization) needs along r; a root means the pair conserves
-    both energy and momentum.
+    so the pump is k_p = 2*n_pump along z.  The e photon leaves at polar
+    angle u, azimuth phi, along the unit vector d = (sin u cos phi,
+    sin u sin phi, cos u) with phase index n; its o partner takes the
+    recoil r = k_p z - n d, at polar angle atan2(n sin u, k_p - n cos u).
+    The residual is |r| - n_o; a root means the pair conserves both energy
+    and momentum.
 
     Only scalar products of d enter: the optic axis a = (0, a_y, a_z) lies
     in the y-z plane, so d.a = a_y sin(phi) sin(u) + a_z cos(u) and phi
-    enters through sin(phi) alone; |r|^2 = k_p^2 - 2 k_p n cos(u) + n^2 and
-    r.a = k_p a_z - n d.a.  An e-index follows from its direction's squared
-    cosine to the axis, 1/n^2 = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2(theta),
-    so a step costs sin u, cos u and square roots.  Everything that does
-    not depend on (u, phi) is computed here, once per solve.  u and sin_phi
-    may be arrays; they broadcast together.
+    enters through sin(phi) alone; |r|^2 = k_p^2 - 2 k_p n cos(u) + n^2.
+    The e-index follows from d's squared cosine to the axis,
+    1/n^2 = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2(theta), so a step costs
+    sin u, cos u and square roots.  Everything that does not depend on
+    (u, phi) is computed here, once per solve.  u and sin_phi may be
+    arrays; they broadcast together.
     """
     lam = pump.degenerate_nm
     n_o = index_ordinary(crystal.model, lam)
@@ -136,23 +139,20 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec, pol: str):
     # the e-polarized pump travels along z, at the cut angle to the optic axis
     k_p = 2.0 * index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
 
-    if pol == "o":
-        # the photon's index is n_o in every direction; the conjugate is the e-wave
-        def residual(u, sin_phi):
-            cu = np.cos(u)
-            m = np.sqrt(k_p * k_p + n_o * n_o - 2.0 * k_p * n_o * cu)  # |r|
-            cos_r = (k_p * a_z - n_o * (a_y * sin_phi * np.sin(u) + a_z * cu)) / m
-            return m - 1.0 / np.sqrt(inv_ne2 + excess * (cos_r * cos_r))
-
-        return residual
-
-    def residual(u, sin_phi):
+    def e_index(u, sin_phi):  # the e photon's index along (u, phi), and cos u
         cu = np.cos(u)
         cos_d = a_y * sin_phi * np.sin(u) + a_z * cu
-        n = 1.0 / np.sqrt(inv_ne2 + excess * (cos_d * cos_d))  # the e-photon's index
+        return 1.0 / np.sqrt(inv_ne2 + excess * (cos_d * cos_d)), cu
+
+    def residual(u, sin_phi):
+        n, cu = e_index(u, sin_phi)
         return np.sqrt(k_p * k_p - 2.0 * k_p * n * cu + n * n) - n_o
 
-    return residual
+    def recoil(u, sin_phi):
+        n, cu = e_index(u, sin_phi)
+        return np.arctan2(n * np.sin(u), k_p - n * cu)
+
+    return residual, recoil
 
 
 # ---------------------------------------------------------------------------
@@ -241,17 +241,19 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     return x
 
 
-def _sine_lanes(sines):
-    """The distinct values of sines, sorted, and each sine's position among
-    them, shaped like sines.
+def _sine_lanes(sin_phi):
+    """The lanes of the map's rows sin(phi) and -sin(phi): their sines,
+    ascending, and each row's positions among them, shape (2, sin_phi.size).
 
-    Sorted sines at most _SIN_TOL above the previous one share its lane,
-    whose value is the lane's smallest sine.  Should such a chain span more
-    than _SIN_TOL, only equal sines share a lane, so every sine lies within
-    _SIN_TOL of its lane's value.
+    The lanes are the distinct |sin(phi)| mirrored to +-, zero once, so
+    lane -1 - i holds minus lane i exactly and an azimuth's two positions
+    are such partners.  Sorted magnitudes at most _SIN_TOL above the
+    previous one share its lane, whose magnitude is the lane's smallest.
+    Should such a chain span more than _SIN_TOL, only equal magnitudes
+    share a lane, so every sine lies within _SIN_TOL of its lane's value.
     """
-    order = np.argsort(sines, axis=None, kind="stable")  # merges the grid's sorted runs
-    s = sines.ravel()[order]
+    order = np.argsort(np.abs(sin_phi), kind="stable")
+    s = np.abs(sin_phi)[order]
     gaps = s[1:] - s[:-1]
     new = np.ones(s.size, dtype=bool)  # where a lane starts
     new[1:] = gaps > _SIN_TOL
@@ -259,27 +261,31 @@ def _sine_lanes(sines):
     if np.any(s - s[new][lane] > _SIN_TOL):
         new[1:] = gaps > 0.0
         lane = np.cumsum(new) - 1
-    index = np.empty(s.size, dtype=np.intp)
-    index[order] = lane
-    return s[new], index.reshape(np.shape(sines))
+    w, k = s[new], np.empty(s.size, dtype=np.intp)
+    k[order] = lane
+    # -w[-1], ..., -w[0], then w; a zero magnitude is one lane, not two
+    below = w.size - int(w.size > 0 and w[0] == 0.0)
+    sines = np.concatenate([-w[::-1][:below], w])
+    row = np.where(sin_phi < 0.0, w.size - 1 - k, below + k)
+    return sines, np.stack([row, sines.size - 1 - row])
 
 
-def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lanes) -> np.ndarray:
-    """Internal polar angles of the pol-cone at the distinct sines of lanes.
+def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
+    """Internal polar angles (u_e, u_o) of the e- and o-cones, one per lane.
 
-    Each root is bracketed by the pump axis (residual < 0 inside the cone)
-    and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for the
-    first azimuth where an end fails, naming that end; at the pump axis it
-    also names the collinear cut angle, or says that no cut angle phase
+    Each e root is bracketed by the pump axis (residual < 0 inside the
+    cone) and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for
+    the first azimuth where an end fails, naming that end; at the pump axis
+    it also names the collinear cut angle, or says that no cut angle phase
     matches.  `_secant_roots` then starts every azimuth from the circle
     through the cone's in-plane extremes, with tilt t and half-angle h: the
     direction at polar angle u on it has sin u sin(phi) sin t + cos u cos t
-    = cos h.  lanes=(sines, index) comes from `_sine_lanes`: the solve
-    returns one angle per distinct sine, index, shape (rows, phi.size), gives
-    each row's azimuths of phi their sines' positions, and a failure names
-    the first failing azimuth of phi, row by row.
+    = cos h.  u_o at a lane is the recoil of u_e at its partner.
+    lanes=(sines, index) comes from `_sine_lanes`: index, shape (rows,
+    phi.size), gives each row's azimuths of phi their sines' positions,
+    and a failure names the first failing azimuth of phi, row by row.
     """
-    f = _cone_residual(crystal, pump, pol)
+    f, recoil = _cone_residual(crystal, pump)
     sin_phi, index = lanes
     lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
     f_lo, f_hi = f(lo, sin_phi), f(hi, sin_phi)
@@ -299,57 +305,52 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, pol: str, phi, lane
             else:
                 hint = f"cut angle at or below the collinear cut angle, {collinear:.3f} deg"
             reason = f"the cone does not enclose the pump axis ({hint})"
-        raise NotPhaseMatchableError(f"no phase-matched {pol}-emission at azimuth "
+        raise NotPhaseMatchableError(f"no phase-matched e-emission at azimuth "
                                      f"{phi[k % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    cone = _cone_from_extremes(*_inplane_extremes(crystal, pump, pol))
+    cone = _cone_from_extremes(*_inplane_extremes(crystal, pump)[0])
     # the circle's polar angle, u = atan2(y, cos t) + arccos(cos h / hypot(cos t, y));
     # a cone with one in-plane crossing has h = 0 and no such circle: the
     # minimum keeps its starts finite, and the verification judges them
     y, cos_t = sin_phi * math.sin(cone.tilt), math.cos(cone.tilt)
     u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(cone.half_angle) / np.hypot(cos_t, y), 1.0))
-    return _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
+    u_e = _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
+    return u_e, recoil(u_e[::-1], sin_phi[::-1])
 
 
-def _inplane_extremes(crystal, pump, pol):
-    """Signed polar angles a- <= a+ (toward +y) where the pol-cone crosses
-    the y-z plane.
-
-    Read from the +psi crystal's solve (`_inplane_solve`): a -psi crystal's
-    residual at signed angle a is the +psi one's at -a to the bit, so its
-    extremes are (-a+, -a-).  A single crossing (tangency) degenerates the
-    cone to one ray there.
+def _inplane_extremes(crystal, pump):
+    """Signed polar angles a- <= a+ (toward +y) where the e-cone and the
+    o-cone cross the y-z plane, e first, from the +psi crystal's solve
+    (`_inplane_solve`): a -psi crystal's residual at signed angle a is the
+    +psi one's at -a to the bit, so its extremes are (-a+, -a-).  A single
+    crossing (tangency) degenerates the cone to one ray there.
     """
-    a_minus, a_plus = _inplane_solve(crystal.model, crystal.cut_angle, pump.center_nm, pol)
+    e, o = _inplane_solve(crystal.model, crystal.cut_angle, pump.center_nm)
     if crystal.axis_sign < 0:
-        return -a_plus, -a_minus
-    return a_minus, a_plus
+        return tuple((-a_plus, -a_minus) for a_minus, a_plus in (e, o))
+    return e, o
 
 
-# two entries hold one design's o and e solves: `phase_match_cones` of
-# crystal 1 solves them, and crystal 2's summary and the map's seeds reuse
-# them; the next design replaces them
-@functools.lru_cache(maxsize=2)
-def _inplane_solve(model, cut_angle, center_nm, pol):
-    """The in-plane extremes of the +psi crystal's pol-cone, solved on
-    _INPLANE_GRID's sign changes.
+# one entry, the last design's: `phase_match_cones` of crystal 1 solves it,
+# and crystal 2's summary and the map's seeds reuse it
+@functools.lru_cache(maxsize=1)
+def _inplane_solve(model, cut_angle, center_nm):
+    """The +psi crystal's in-plane extremes: the e-cone's solved on
+    _INPLANE_GRID's sign changes, the o-cone's the recoils of those roots.
 
     Keyed by the inputs of `_cone_residual` but the axis sign, which
     `_inplane_extremes` applies; the thickness and the pump bandwidth do
     not enter the residual, so the specs built here hold placeholders.
     A NotPhaseMatchableError is raised, never cached.
     """
-    residual = _cone_residual(CrystalSpec(model, 1.0, cut_angle), PumpSpec(center_nm, 1.0), pol)
-
-    def f(a):  # polar angle |a| at sin phi = sign(a): sin u is odd, cos u even
-        return residual(a, 1.0)
-
+    residual, recoil = _cone_residual(CrystalSpec(model, 1.0, cut_angle), PumpSpec(center_nm, 1.0))
+    # polar angle |a| at sin phi = sign(a): sin u is odd, cos u even
+    f = functools.partial(residual, sin_phi=1.0)
     cut_deg = math.degrees(cut_angle)
-    brackets = _grid_brackets(
-        f, _INPLANE_GRID, f"{pol}-cone not phase matchable at cut angle {cut_deg:.3f} deg"
-    )
+    brackets = _grid_brackets(f, _INPLANE_GRID, f"e-cone not phase matchable at cut angle {cut_deg:.3f} deg")
     roots = _secant_roots(f, *brackets, _XTOL, _RTOL)
-    return float(roots.min()), float(roots.max())
+    partners = -recoil(roots, 1.0)  # each e photon's o partner, across the pump axis
+    return (float(roots.min()), float(roots.max())), (float(partners.min()), float(partners.max()))
 
 
 @dataclass(frozen=True)
@@ -384,27 +385,22 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     the vector phase-matching condition); external cones apply Snell
     refraction at the exit face with the ordinary index for the o-cone and
     the direction-dependent index for the e-cone.  The extremes come from
-    one solve per polarization per design, made for the +psi crystal and
-    mirrored for the -psi one, so the two crystals' cones are exact mirror
-    images; the solve is cached for the last design only.
+    one e-cone solve per design and its recoils, made for the +psi crystal
+    and mirrored for the -psi one, so the two crystals' cones are exact
+    mirror images; the solve is cached for the last design only.
     """
     lam = pump.degenerate_nm
     axis_tilt = crystal.axis_sign * crystal.cut_angle  # signed, toward +y
-    cones = {}
-    ext = {}
-    for pol in ("o", "e"):
-        a_minus, a_plus = _inplane_extremes(crystal, pump, pol)
-        cones[pol] = _cone_from_extremes(a_minus, a_plus)
-        refracted = []
-        for a in (a_minus, a_plus):
-            # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
-            if pol == "o":
-                n = index_ordinary(crystal.model, lam)
-            else:
-                n = index_extraordinary(crystal.model, lam, a - axis_tilt)
-            refracted.append(math.copysign(math.asin(min(1.0, n * math.sin(abs(a)))), a))
-        ext[pol] = _cone_from_extremes(min(refracted), max(refracted))
-    return ConePair(o_cone=cones["o"], e_cone=cones["e"], external_o=ext["o"], external_e=ext["e"])
+    e, o = _inplane_extremes(crystal, pump)
+
+    def refracted(extremes, index):
+        # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
+        angles = [math.copysign(math.asin(min(1.0, index(a) * math.sin(abs(a)))), a) for a in extremes]
+        return _cone_from_extremes(min(angles), max(angles))
+
+    return ConePair(o_cone=_cone_from_extremes(*o), e_cone=_cone_from_extremes(*e),
+                    external_o=refracted(o, lambda a: index_ordinary(crystal.model, lam)),
+                    external_e=refracted(e, lambda a: index_extraordinary(crystal.model, lam, a - axis_tilt)))
 
 
 def collinear_cut_angle(model, pump: PumpSpec) -> float:
@@ -578,12 +574,12 @@ def emission_time_map(
     its own cone (e-cone or o-cone of the generating crystal) along all
     azimuths together, with per-direction path lengths and e-indices.  The
     crystals are mirror images, so crystal 2's cone at azimuth phi is
-    crystal 1's at -phi: each polarization is solved once, on crystal 1
-    at the distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and
-    crystal 1's times there compose all four classes.  Raises ValueError,
-    before any solve, for crystals that are no mirror pair, for a phi grid
-    that is not finite and strictly increasing, and for unknown, non-finite
-    or negative delays.
+    crystal 1's at -phi: the e-cone is solved once, on crystal 1 at the
+    distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and its
+    recoils and crystal 1's times there compose all four classes.  Raises
+    ValueError, before any solve, for crystals that are no mirror pair, for
+    a phi grid that is not finite and strictly increasing, and for unknown,
+    non-finite or negative delays.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")
@@ -603,10 +599,9 @@ def emission_time_map(
     phi_grid = np.asarray(phi_grid, dtype=float)
     _check_phi_grid(phi_grid)
 
-    sin_phi = np.sin(phi_grid)
     # row 0 is crystal 1 at phi, row 1 crystal 2 at phi, i.e. crystal 1 at -phi
-    sines, index = _sine_lanes(np.stack([sin_phi, -sin_phi]))
-    u_e, u_o = (_cone_polar_angles(crystal1, pump, pol, phi_grid, lanes=(sines, index)) for pol in ("e", "o"))
+    sines, index = _sine_lanes(np.sin(phi_grid))
+    u_e, u_o = _cone_polar_angles(crystal1, pump, phi_grid, (sines, index))
     # crystal 1's times at sine v are crystal 2's at -v: class 2 reads row 1
     classes = _class_times(_cone_times(crystal1, pump, u_o, u_e, sines))
     emission_map = EmissionTimeMap(phi_grid, {c: t[index[int(c[0]) - 1]] for c, t in classes.items()})

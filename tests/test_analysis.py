@@ -258,6 +258,18 @@ def test_extract_visibility_requires_two_periods():
         sc.extract_visibility(ScanSeries("delay_fs", xs, 1.0 + np.cos(xs)))
 
 
+@pytest.mark.parametrize("at", [0, 10, 49])
+def test_extract_visibility_passes_a_nan_rate_through_wherever_it_sits(at):
+    # one rule for the first sample, an interior one and the last: the
+    # contrast is NaN, and nothing warns
+    xs = np.linspace(0.0, 6 * math.pi, 50)
+    rates = 1.0 + np.cos(xs)
+    rates[at] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(sc.extract_visibility(synthetic_series(xs, rates)))
+
+
 def test_extract_visibility_undefined_for_all_zero():
     xs = np.linspace(0.0, 20.0, 64)
     with pytest.raises(sc.UndefinedVisibilityError):

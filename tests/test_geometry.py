@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import spdc_cascade as sc
@@ -53,11 +55,24 @@ def _vector_residual(crystal, pump, pol, u, phi):
     return np.sqrt(rx * rx + ry * ry + rz * rz) - index("e" if pol == "o" else "o", rx, ry, rz)
 
 
-def _polar_angles(crystal, pump, pol, phi):
-    """The pol-cone's polar angle at each azimuth of phi, solved as the map
-    solves it: once per distinct sine of the lanes of `_sine_lanes`."""
-    sines, index = _sine_lanes(np.sin(phi)[None])
-    return _cone_polar_angles(crystal, pump, pol, phi, (sines, index))[index[0]]
+def _vector_recoil(crystal, pump, u, phi):
+    """Oracle: the polar angle of the recoil r = k_pump - n d of the e
+    photon along d(u, phi), from 3-vectors."""
+    a_y, a_z = crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)
+    su = np.sin(u)
+    dx, dy, dz = su * np.cos(phi), su * np.sin(phi), np.cos(u)
+    theta = np.arccos(np.clip(dy * a_y + dz * a_z, -1.0, 1.0))
+    n = sc.index_extraordinary(crystal.model, pump.degenerate_nm, theta)
+    k_pump = 2.0 * sc.index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
+    return np.arctan2(np.hypot(n * dx, n * dy), k_pump - n * dz)
+
+
+def _polar_angles(crystal, pump, phi):
+    """The e- and o-cones' polar angles (u_e, u_o) at each azimuth of phi,
+    as the map finds them: the e-cone solved once per lane of `_sine_lanes`,
+    each o angle the recoil of its e partner at the negated lane."""
+    sines, index = _sine_lanes(np.sin(phi))
+    return tuple(u[index[0]] for u in _cone_polar_angles(crystal, pump, phi, (sines, index)))
 
 
 def _vector_class_time(name, crystal1, crystal2, pump, u, phi):
@@ -112,15 +127,14 @@ def test_external_cones_are_refraction_widened(crystal1, pump):
 
 def test_cone_direction_solves_phase_matching(crystal1, pump):
     phi = np.random.default_rng(7).uniform(0, 2 * math.pi, 8)
-    for pol in ("o", "e"):
-        u = _polar_angles(crystal1, pump, pol, phi)
+    for pol, u in zip("eo", _polar_angles(crystal1, pump, phi)):
         assert np.abs(_vector_residual(crystal1, pump, pol, u, phi)).max() < 1e-12
 
 
 def test_cone_direction_matches_circular_fit_in_plane(crystal1, pump):
     cone = sc.phase_match_cones(crystal1, pump).o_cone
     # in the y-z plane the cone's polar angles are tilt +- half-opening
-    top, bottom = _polar_angles(crystal1, pump, "o", np.array([math.pi / 2, 3 * math.pi / 2]))
+    top, bottom = _polar_angles(crystal1, pump, np.array([math.pi / 2, 3 * math.pi / 2]))[1]
     assert top == pytest.approx(cone.tilt + cone.half_angle, abs=1e-10)
     assert bottom == pytest.approx(cone.half_angle - cone.tilt, abs=1e-10)
 
@@ -170,9 +184,9 @@ def test_cone_below_collinear_angle_does_not_enclose_pump_axis(pump):
     phi = np.array([math.pi / 2, 3 * math.pi / 2])
     for first in (0, 1):
         with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis") as err:
-            _polar_angles(crystal, pump, "o", phi[first:])
+            _polar_angles(crystal, pump, phi[first:])
         assert f"azimuth {phi[first]:.4f} rad" in str(err.value)
-        at_axis = _vector_residual(crystal, pump, "o", 1e-12, phi[first])
+        at_axis = _vector_residual(crystal, pump, "e", 1e-12, phi[first])
         assert err.value.residual == pytest.approx(abs(at_axis), rel=1e-9)
     with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis"):
         sc.emission_time_map(crystal, sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5), -1), pump)
@@ -184,17 +198,17 @@ def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
     monkeypatch.setattr(sc.geometry, "_U_MAX", 0.01)
     phi = sc.geometry.default_phi_grid(64)
     with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.01 rad search bound") as err:
-        _polar_angles(crystal1, pump, "e", phi)
+        _polar_angles(crystal1, pump, phi)
     assert f"azimuth {phi[0]:.4f} rad" in str(err.value)
     at_bound = _vector_residual(crystal1, pump, "e", 0.01, phi[0])
     assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
 def test_mirrored_cone_failure_names_the_callers_azimuth(crystal1, crystal2, pump, monkeypatch):
-    # the map solves crystal 2's cones as crystal 1's at -phi, and on the
+    # the map solves crystal 2's e-cone as crystal 1's at -phi, and on the
     # 64-point grid phi and pi - phi share one solve; at a 0.05 rad bound the
-    # e-cones (up to 0.0858 rad) fail first, and the error names the
-    # caller's first failing azimuth, not its mirror or its lane partner
+    # e-cones (up to 0.0858 rad) fail, and the error names the caller's
+    # first failing azimuth, not its mirror or its lane partner
     monkeypatch.setattr(sc.geometry, "_U_MAX", 0.05)
     for phi in (np.array([3 * math.pi / 2]), sc.geometry.default_phi_grid(64)):
         beyond = [_vector_residual(crystal, pump, "e", 0.05, phi) < 0.0 for crystal in (crystal1, crystal2)]
@@ -235,8 +249,8 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
     phi = sc.geometry.default_phi_grid(64)
     for sign in (+1, -1):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
-        for pol in ("o", "e"):
-            batched = _polar_angles(crystal, pump, pol, phi)
+        extremes = dict(zip("eo", _inplane_extremes(crystal, pump)))
+        for pol, batched in zip("eo", _polar_angles(crystal, pump, phi)):
             oracle = [_oracle_polar_angle(crystal, pump, pol, p) for p in phi]
             assert np.abs(batched - np.array(oracle)).max() <= 1e-12, (sign, pol)
             # in-plane extremes: every sign change of a 701-point signed-angle scan
@@ -245,8 +259,31 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
                     crystal, pump, pol, abs(a), math.pi / 2 if a >= 0 else 3 * math.pi / 2)),
                 np.linspace(-0.35, 0.35, 701),
             )
-            lo, hi = _inplane_extremes(crystal, pump, pol)
+            lo, hi = extremes[pol]
             assert abs(lo - min(roots)) <= 1e-12 and abs(hi - max(roots)) <= 1e-12
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(cut_deg=st.floats(42.93, 50.0), pump_nm=st.floats(390.0, 400.0), n=st.integers(1, 256))
+def test_map_roots_satisfy_the_residual_to_the_solvers_tolerance(cut_deg, pump_nm, n):
+    # both cones' angles on the map's lanes, the o angles read off the e
+    # roots' recoils, against the 3-vector residual: it changes sign within
+    # the solve's tolerance xtol + rtol*u of every root.  At cut angles below
+    # the collinear one (43.52 deg at 390 nm) the map refuses the design
+    pump = sc.PumpSpec(pump_nm, 1.0)
+    crystal = sc.CrystalSpec(sc.BBO, 1.0, math.radians(cut_deg))
+    collinear = sc.collinear_cut_angle(sc.BBO, pump)
+    assume(abs(crystal.cut_angle - collinear) > 1e-9)
+    phi = sc.geometry.default_phi_grid(n)
+    sines, index = _sine_lanes(np.sin(phi))
+    if crystal.cut_angle < collinear:
+        with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis"):
+            _cone_polar_angles(crystal, pump, phi, (sines, index))
+        return
+    for pol, u in zip("eo", _cone_polar_angles(crystal, pump, phi, (sines, index))):
+        tol = XTOL + RTOL * u
+        below, above = (_vector_residual(crystal, pump, pol, u + side * tol, np.arcsin(sines)) for side in (-1, 1))
+        assert np.all(np.sign(below) * np.sign(above) <= 0), pol
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
@@ -258,10 +295,11 @@ def test_scalar_product_residual_matches_vector_form(thickness, cut_deg, pump_nm
     pump = sc.PumpSpec(pump_nm, 1.0)
     for sign in (+1, -1):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
-        for pol in ("o", "e"):
-            scalar = _cone_residual(crystal, pump, pol)(u, np.sin(phi))
-            vector = _vector_residual(crystal, pump, pol, u, phi)
-            assert np.abs(scalar - vector).max() <= 1e-14, (sign, pol)
+        residual, recoil = _cone_residual(crystal, pump)
+        vector = _vector_residual(crystal, pump, "e", u, phi)
+        assert np.abs(residual(u, np.sin(phi)) - vector).max() <= 1e-14, sign
+        # the recoil's polar angle, from r = k_pump - n d as 3-vectors
+        assert np.abs(recoil(u, np.sin(phi)) - _vector_recoil(crystal, pump, u, phi)).max() <= 1e-14, sign
 
 
 def test_refine_brackets_takes_an_exact_zero_as_the_root():
@@ -338,22 +376,21 @@ def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump
     psi = sc.collinear_cut_angle(sc.BBO, pump) + math.radians(0.001)
     crystal = sc.CrystalSpec(sc.BBO, 1.07, psi)
     phi = sc.geometry.default_phi_grid(256)
-    for pol in ("o", "e"):
-        batched = _polar_angles(crystal, pump, pol, phi)
+    for pol, batched in zip("eo", _polar_angles(crystal, pump, phi)):
         oracle = np.array([_oracle_polar_angle(crystal, pump, pol, p) for p in phi])
         assert np.abs(batched - oracle).max() <= 1e-12, pol
     assert sum(lanes) > 0
 
 
-def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
-    # one solve per polarization (crystal 2's cones are crystal 1's at -phi),
-    # each 9 evaluations of the residual that _cone_residual builds: 2 at
-    # the bracket ends and 7 for the azimuths (the start pair, 3 for 4
-    # secant steps, 2 to verify): 18.  Their seeds read the in-plane
-    # extremes that crystal 1's cone summary solved, as in the benchmark's
-    # op; from a cold cache the map would build 2 more residuals for them.
-    # The azimuths' 2 x 1024 sines (sin phi and -sin phi) take 513 distinct
-    # values, one lane each
+def test_map_takes_one_cone_solve_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
+    # one e-cone solve (crystal 2's cones are crystal 1's at -phi, and the
+    # o-cone is the e-cone's recoil), 9 evaluations of the residual that
+    # _cone_residual builds: 2 at the bracket ends and 7 for the azimuths
+    # (the start pair, 3 for 4 secant steps, 2 to verify).  Its seeds read
+    # the in-plane extremes that crystal 1's cone summary solved, as in the
+    # benchmark's op; from a cold cache the map would build 1 more residual
+    # for them.  The azimuths' 2 x 1024 sines (sin phi and -sin phi) take
+    # 513 distinct values, one lane each
     sc.phase_match_cones(crystal1, pump)
     lanes = _count_fallback_lanes(monkeypatch)
     solves, calls = [], []
@@ -361,18 +398,18 @@ def test_map_takes_two_cone_solves_of_few_evaluations(crystal1, crystal2, pump, 
 
     def counted_build(*args):
         solves.append(args)
-        residual = build(*args)
+        residual, recoil = build(*args)
 
         def counted(*step):
             calls.append(step)
             return residual(*step)
 
-        return counted
+        return counted, recoil
 
     monkeypatch.setattr(sc.geometry, "_cone_residual", counted_build)
     sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
-    assert len(solves) == 2
-    assert 4 <= len(calls) <= 40
+    assert len(solves) == 1
+    assert 4 <= len(calls) <= 20
     assert {np.size(sin_phi) for _, sin_phi in calls if np.ndim(sin_phi)} == {513}
     assert lanes == []  # every azimuth verified from its seed
 
@@ -411,10 +448,11 @@ def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(benchmark_desig
             assert (b.tilt, b.half_angle) == (-a.tilt, a.half_angle), (design, field)
 
 
-def test_an_emission_map_op_takes_one_inplane_solve_per_polarization(benchmark_designs, monkeypatch):
+def test_an_emission_map_op_takes_one_inplane_solve(benchmark_designs, monkeypatch):
     # designs A, B, A as the benchmark's closed loop meets them, each op
     # both crystals' cone summaries and a 1024-azimuth map: each solves its
-    # o and e extremes once, and a design switch leaves nothing to reuse
+    # e extremes once, whose recoils give the o extremes, and a design
+    # switch leaves nothing to reuse
     design_a, design_b = benchmark_designs[:2]
     solves = _count_inplane_solves(monkeypatch)
     per_op, cones = [], []
@@ -424,7 +462,7 @@ def test_an_emission_map_op_takes_one_inplane_solve_per_polarization(benchmark_d
         cones.append([sc.phase_match_cones(c, pump) for c in (crystal1, crystal2)])
         sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
         per_op.append(len(solves) - before)
-    assert per_op == [2, 2, 2]
+    assert per_op == [1, 1, 1]
     assert cones[2] == cones[0]
     assert cones[1] != cones[0]
 
@@ -432,13 +470,13 @@ def test_an_emission_map_op_takes_one_inplane_solve_per_polarization(benchmark_d
 def test_inplane_solve_is_keyed_by_the_inputs_of_the_residual(crystal1, pump, monkeypatch):
     solves = _count_inplane_solves(monkeypatch)
     reference = sc.phase_match_cones(crystal1, pump)
-    assert len(solves) == 2
+    assert len(solves) == 1
     # thickness, bandwidth and axis sign do not enter the residual
     for crystal, p in ((replace(crystal1, thickness_mm=2.5), pump),
                        (crystal1, replace(pump, bandwidth_fwhm_nm=3.0)),
                        (replace(crystal1, axis_sign=-1), pump)):
         sc.phase_match_cones(crystal, p)
-    assert len(solves) == 2
+    assert len(solves) == 1
     # the cut angle, the pump centre and the material do
     perturbed = replace(sc.BBO, sellmeier_e=sc.SellmeierForm("resonant", (2.3754, 0.01224, 0.01667, -0.01516)))
     for crystal, p in ((replace(crystal1, cut_angle=crystal1.cut_angle + 1e-3), pump),
@@ -446,14 +484,14 @@ def test_inplane_solve_is_keyed_by_the_inputs_of_the_residual(crystal1, pump, mo
                        (replace(crystal1, model=perturbed), pump)):
         solves.clear()
         assert sc.phase_match_cones(crystal, p) != reference
-        assert len(solves) == 2
+        assert len(solves) == 1
     # a failure is raised again on every call, never cached
     quartz = replace(crystal1, model=sc.QUARTZ)
     solves.clear()
     for _ in range(2):
-        with pytest.raises(sc.NotPhaseMatchableError, match="o-cone not phase matchable"):
+        with pytest.raises(sc.NotPhaseMatchableError, match="e-cone not phase matchable"):
             sc.phase_match_cones(quartz, pump)
-    assert solves == 2 * ["o-cone not phase matchable at cut angle 43.650 deg"]
+    assert solves == 2 * ["e-cone not phase matchable at cut angle 43.650 deg"]
 
 
 def _folded_turn(turn):
@@ -466,25 +504,51 @@ def _folded_turn(turn):
     return turn - 1
 
 
-@pytest.mark.parametrize("n", [64, 1000, 1001, 1024, 65536])
+def _paired_lanes(sin_phi):
+    """`_sine_lanes` of sin_phi, checked: ascending lanes, each lane's
+    partner holding exactly its negated value, the rows' positions of each
+    azimuth partners, and every sine within _SIN_TOL of its lane."""
+    sines, index = _sine_lanes(sin_phi)
+    rows = np.stack([sin_phi, -sin_phi])
+    assert index.shape == rows.shape
+    assert np.all(sines[1:] > sines[:-1])
+    assert np.array_equal(sines[::-1], -sines)
+    assert np.array_equal(index[1], sines.size - 1 - index[0])
+    assert np.abs(sines[index] - rows).max() <= _SIN_TOL
+    return sines, index
+
+
+@pytest.mark.parametrize("n", [64, 100, 1000, 1001, 1024, 65536])
 def test_sine_lanes_hold_each_distinct_sine_of_a_uniform_grid_once(n):
     # oracle: the grid's distinct sines in exact arithmetic, over the map's
-    # two rows sin(phi_k) and -sin(phi_k) = sin(-phi_k)
+    # two rows sin(phi_k) and -sin(phi_k) = sin(-phi_k); n/2 + 1 when 4 | n
     distinct = {_folded_turn(Fraction(sign * k, n)) for k in range(n) for sign in (1, -1)}
-    sin_phi = np.sin(sc.geometry.default_phi_grid(n))
-    rows = np.stack([sin_phi, -sin_phi])
-    sines, index = _sine_lanes(rows)
+    sines, _ = _paired_lanes(np.sin(sc.geometry.default_phi_grid(n)))
     assert sines.size == len(distinct)
-    assert index.shape == rows.shape
-    assert np.abs(sines[index] - rows).max() <= _SIN_TOL
+    if n % 4 == 0:
+        assert sines.size == n // 2 + 1
+
+
+def test_sine_lanes_pair_by_construction_on_any_grid():
+    # a random grid shares no sines; a one-point grid has its sine and its
+    # negation as lanes, or one lane at zero
+    phi = np.sort(np.random.default_rng(23).uniform(0.0, 2 * math.pi, 999))
+    assert np.all(np.diff(phi) > 0)
+    sines, _ = _paired_lanes(np.sin(phi))
+    assert sines.size == 2 * phi.size
+    sines, index = _paired_lanes(np.sin([1.0]))
+    assert sines.tolist() == [-math.sin(1.0), math.sin(1.0)] and index.tolist() == [[1], [0]]
+    sines, index = _paired_lanes(np.sin([0.0]))
+    assert sines.tolist() == [0.0] and index.tolist() == [[0], [0]]
 
 
 def test_sine_lanes_do_not_chain_close_sines_beyond_the_tolerance():
-    # sines 1e-16 apart chain over 6.3e-15 > _SIN_TOL: only equal sines merge
+    # magnitudes 1e-16 apart chain over 6.3e-15 > _SIN_TOL: only equal ones
+    # merge, and zero is one lane
     rows = np.arange(64) * 1e-16
-    sines, index = _sine_lanes(np.concatenate([rows, rows]))
-    assert sines.tolist() == rows.tolist()
-    assert index.tolist() == 2 * list(range(64))
+    sines, index = _paired_lanes(np.concatenate([rows, -rows]))
+    assert sines.tolist() == (-rows[:0:-1]).tolist() + rows.tolist()
+    assert index[0].tolist() == list(range(63, 127)) + list(range(63, -1, -1))
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
@@ -494,7 +558,7 @@ def test_map_crystal_2_times_match_its_own_cone_solve(thickness, cut_deg, pump_n
     c2 = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=-1)
     phi = sc.geometry.default_phi_grid(256)
     emission_map = sc.emission_time_map(c1, c2, pump, {}, phi)
-    u_o, u_e = (_polar_angles(c2, pump, pol, phi) for pol in ("o", "e"))
+    u_e, u_o = _polar_angles(c2, pump, phi)
     # the 2x classes read the generating crystal's own times
     direct = _class_times(_cone_times(c2, pump, u_o, u_e, np.sin(phi)))
     for name in ("2e", "2o"):
