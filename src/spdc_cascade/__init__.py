@@ -41,6 +41,7 @@ from .geometry import (
 from .interference import (
     AnalyzerDelayConfig,
     InterferenceParams,
+    aligned_contrast,
     coincidence_rate,
     envelope,
     fringe_locked_delays,

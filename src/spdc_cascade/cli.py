@@ -65,6 +65,11 @@ def cmd_emission_map(cfg: RunConfig, args) -> tuple:
     auto = geometry.map_flattening_delays(base)
     delays = {c: opts[f"delay_{c}_fs"] for c in geometry.CLASS_NAMES}
     delays = {c: auto[c] if value is None else value for c, value in delays.items()}
+    for e, o in geometry.PAIRS:  # only a flattening delay can be negative
+        if delays[e] < 0.0:
+            raise ValueError(f"the flattening delay of class {e} is {delays[e]:.3f} fs, and a delay line only adds "
+                             f"delay; delay its partner {o} instead: set [emission_map] delay_{e}_fs = 0 and "
+                             f"delay_{o}_fs = {delays[o] - delays[e]:.3f}")
     emission_map = base.with_delays(delays)
     return emission_map.to_csv(), _summary({
         "pairing_mismatch_fs": geometry.pairing_mismatch(emission_map),

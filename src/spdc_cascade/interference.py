@@ -44,6 +44,11 @@ value, so every kernel may divide by both.  The kernels see the delays
 only through tau_A - tau_B and |W|: `_elementwise` rounds each once per
 block, and window, envelope and fringe all read those two values.
 
+The times are floats on the pump axis (`params_from_crystal`) or arrays,
+one element per direction, that broadcast with the delays: `_elementwise`
+slices them into its blocks with the delays, so one call evaluates every
+direction, equal to the bit to a call per direction.
+
 Rect is the window of delay sums within which the two pair amplitudes
 overlap at all: |W| < t_o - t_e, open, with edges at the zero crossings of
 V, so the interference term vanishes continuously there (equivalently
@@ -80,12 +85,17 @@ from .numeric import _check_range, parabola_vertex
 class InterferenceParams:
     """Inputs of the coincidence-rate model.
 
-    times  : propagation times through one cascade crystal (fs)
+    times  : propagation times through one cascade crystal (fs): floats on
+             the pump axis, or arrays, one element per direction, that
+             broadcast with the delays
     sigma  : pump spectral width (rad/fs)
     omega  : degenerate photon centre angular frequency (rad/fs)
     phi0   : constant phase offset of the fringe pattern (rad)
 
-    The times must lie in the model's domain (else DegenerateParametersError).
+    The times must lie in the model's domain (else DegenerateParametersError,
+    which names the first failing direction of array times, in C order).
+    The scans, `fringe_locked_delays`, `analysis.optimize_delays_numeric`
+    and `analysis.visibility_curve` take one design: float times.
     """
 
     times: PropagationTimes
@@ -103,12 +113,15 @@ class InterferenceParams:
         if self.omega <= 0:
             raise ValueError("omega must be positive")
         d, span = _walkoff_scales(self.times)
-        if not d > 0.0:
-            raise DegenerateParametersError(f"2*t_p - t_o - t_e = {d:.6g} fs is not positive; outside the rate "
-                                            "model's domain")
-        if not span > 0.0:
-            raise DegenerateParametersError(f"t_o - t_e = {span:.6g} fs is not positive; the rate model "
-                                            "needs an e photon faster than the o photon (as in BBO)")
+        for value, name, reason in ((d, "2*t_p - t_o - t_e", "outside the rate model's domain"),
+                                    (span, "t_o - t_e", "the rate model needs an e photon faster than the o "
+                                                        "photon (as in BBO)")):
+            bad = ~(np.ravel(value) > 0.0)  # C order; nan fails too
+            if bad.any():
+                k = int(np.argmax(bad))
+                where = f" at direction {k}" if np.ndim(value) else ""
+                raise DegenerateParametersError(f"{name} = {np.ravel(value)[k]:.6g} fs is not positive; "
+                                                f"{reason}{where}")
 
     def with_sigma(self, sigma: float) -> "InterferenceParams":
         return replace(self, sigma=sigma)
@@ -217,29 +230,30 @@ def _erf(x):
 
 
 def _elementwise(kernel, params: InterferenceParams, *args):
-    """kernel(params, *others, u, w): the one evaluator of the rate model's
-    kernels, where args are the others followed by the delays tau_A, tau_B.
+    """kernel(params, t, *others, u, w): the one evaluator of the rate
+    model's kernels; args are the others, then the delays tau_A, tau_B.
 
-    Every argument becomes a float array of at least one dimension.  The
-    broadcast shape runs in blocks of about _BLOCK_POINTS samples along
-    axis 0, slicing only the arguments that vary along it, and the result
-    does not depend on the blocking, to the last bit.  Each block meets
-    the delays with the times once, here: its kernel takes the others,
-    then u = tau_A - tau_B (not the shifted u of V) and
-    w = |W| = |2 t_o - t_e - t_e' - tau_A - tau_B|.  Scalar (float or 0-d)
-    arguments alone give a Python float, the one element of that array.
+    The arguments and the four fields of params.times become float arrays
+    of at least one dimension.  The broadcast shape runs in blocks of about
+    _BLOCK_POINTS samples along axis 0, slicing only the arrays that vary
+    along it, and the result does not depend on the blocking, to the last
+    bit.  Each block meets its delays with its times once, here: its kernel
+    takes the block's times t, the others, then u = tau_A - tau_B (not the
+    shifted u of V) and w = |W| = |2 t_o - t_e - t_e' - tau_A - tau_B|.
+    Scalar (float or 0-d) arguments and times give a Python float, the one
+    element of that array.
     """
+    args = (*args, *params.times.as_tuple())
     scalar = all(np.ndim(a) == 0 for a in args)
     args = [np.atleast_1d(np.asarray(a, dtype=float)) for a in args]
     full = np.broadcast(*args)
     rows = max(1, _BLOCK_POINTS * full.shape[0] // max(full.size, 1))
     sliced = [a.ndim == full.ndim and a.shape[0] != 1 for a in args]
-    t = params.times
     out = np.empty(full.shape)
     for lo in range(0, full.shape[0], rows):
-        *others, tau_a, tau_b = (a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced))
-        w = abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)
-        out[lo:lo + rows] = kernel(params, *others, tau_a - tau_b, w)
+        *others, tau_a, tau_b, t_p, t_o, t_e, t_e2 = (a[lo:lo + rows] if cut else a for a, cut in zip(args, sliced))
+        w = abs(2.0 * t_o - t_e - t_e2 - tau_a - tau_b)
+        out[lo:lo + rows] = kernel(params, PropagationTimes(t_p, t_o, t_e, t_e2), *others, tau_a - tau_b, w)
     return float(out[0]) if scalar else out
 
 
@@ -248,9 +262,9 @@ def _walkoff_scales(times: PropagationTimes):
     return 2.0 * times.t_p - times.t_o - times.t_e, times.t_o - times.t_e
 
 
-def _rect(params: InterferenceParams, u, w):
-    """`rect_window` at (u, w) of `_elementwise`."""
-    _, span = _walkoff_scales(params.times)
+def _rect(params: InterferenceParams, t: PropagationTimes, u, w):
+    """`rect_window` at (t, u, w) of `_elementwise`."""
+    _, span = _walkoff_scales(t)
     return 1.0 * (w < span)
 
 
@@ -259,9 +273,8 @@ def rect_window(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_rect, params, tau_a, tau_b)
 
 
-def _envelope(params: InterferenceParams, u, w):
-    """`envelope` at (u, w) of `_elementwise`."""
-    t = params.times
+def _envelope(params: InterferenceParams, t: PropagationTimes, u, w):
+    """`envelope` at (t, u, w) of `_elementwise`."""
     d, span = _walkoff_scales(t)
     s = params.sigma / (4.0 * math.sqrt(2.0))
     rw = d / span * w
@@ -275,18 +288,18 @@ def envelope(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_envelope, params, tau_a, tau_b)
 
 
-def _interference(params: InterferenceParams, factor, u, w):
+def _interference(params: InterferenceParams, t: PropagationTimes, factor, u, w):
     """factor V Rect / (sigma D), the interference term of rate and contrast alike."""
-    d, _ = _walkoff_scales(params.times)
-    return factor * _envelope(params, u, w) * _rect(params, u, w) / (params.sigma * d)
+    d, _ = _walkoff_scales(t)
+    return factor * _envelope(params, t, u, w) * _rect(params, t, u, w) / (params.sigma * d)
 
 
-def _rate(params: InterferenceParams, th_a, th_b, u, w):
-    """`coincidence_rate` at (u, w) of `_elementwise`."""
+def _rate(params: InterferenceParams, t: PropagationTimes, th_a, th_b, u, w):
+    """`coincidence_rate` at (t, u, w) of `_elementwise`."""
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
     fringe = np.cos(params.omega * u + params.phi0)
     factor = math.sqrt(8.0 * math.pi) * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a) * fringe
-    rate = 0.5 * (projection + _interference(params, factor, u, w))
+    rate = 0.5 * (projection + _interference(params, t, factor, u, w))
     rate[rate < 0.0] = 0.0
     return rate
 
@@ -323,9 +336,9 @@ def optimal_delays(times: PropagationTimes) -> tuple:
     return tau_a, tau_b
 
 
-def _aligned_contrast(params: InterferenceParams, u, w):
-    """`aligned_contrast` at (u, w) of `_elementwise`."""
-    return np.minimum(abs(_interference(params, 0.5 * math.sqrt(8.0 * math.pi), u, w)), 1.0)
+def _aligned_contrast(params: InterferenceParams, t: PropagationTimes, u, w):
+    """`aligned_contrast` at (t, u, w) of `_elementwise`."""
+    return np.minimum(abs(_interference(params, t, 0.5 * math.sqrt(8.0 * math.pi), u, w)), 1.0)
 
 
 def aligned_contrast(params: InterferenceParams, tau_a, tau_b):

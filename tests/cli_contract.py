@@ -335,6 +335,13 @@ CASES = {
     "test_emission_map_of_a_material_without_phase_matching_exits_3": Case(
         "emission-map", QUARTZ, 3, match=re.escape("does not enclose the pump axis (no cut angle in 5-85 deg "
                                                     "phase matches)")),
+    # at 76.75 deg and a 270 nm pump the 2e class would need a flattening
+    # delay of -45.38 fs: a delay line only adds delay, so the run names the
+    # partner to delay instead of shifting the 2e column earlier
+    "test_emission_map_negative_flattening_delay_exits_3": Case(
+        "emission-map", "[crystal]\ncut_angle_deg = 76.75\nthickness_mm = 1.0\n\n[pump]\ncenter_nm = 270\n", 3,
+        "error: the flattening delay of class 2e is -45.377 fs, and a delay line only adds delay; delay its partner "
+        "1o instead: set [emission_map] delay_2e_fs = 0 and delay_1o_fs = 45.377"),
     # quartz's e photon is the slower one (t_o - t_e = -16.13 fs on the
     # reference design): the overlap window has no width, and the rate model
     # names the value instead of clamping rates to a visibility of 1.  It

@@ -268,26 +268,31 @@ def test_emission_map_requires_cascade(tmp_path):
 
 def test_emission_map_negative_auto_delay(tmp_path):
     # here the map-flattening delay of 2e is negative: the 1o photons are the
-    # ones to delay.  The summary reports it as it is; an explicit negative
-    # delay is a config error, and delaying 1o by its magnitude instead gives
-    # the same pair mismatch.
+    # ones to delay.  The run refuses to apply it and names the partner and
+    # its delay; an explicit negative delay is a config error, and delaying
+    # 1o by the magnitude instead gives the mismatch the negative delay would.
     text = (REFERENCE_INI.replace("thickness_mm = 1.07", "thickness_mm = 1")
             .replace("cut_angle_deg = 43.65", "cut_angle_deg = 61.5")
             .replace("center_nm = 395", "center_nm = 300"))
     path = tmp_path / "uv.ini"
     path.write_text(text)
     argv = ["emission-map", "--config", str(path), "--out", str(tmp_path / "map.csv")]
-    code, out, _ = run(argv)
-    assert code == 0
-    auto = json.loads(out)
-    assert auto["delay_2e_fs"] < 0
-    delays = f"\n[emission_map]\ndelay_1e_fs = {auto['delay_1e_fs']!r}\n"
-    path.write_text(text + delays + f"delay_2e_fs = {auto['delay_2e_fs']!r}\n")
+    cfg = load_config(str(path))
+    base = sc.emission_time_map(cfg.crystal1, cfg.crystal2, cfg.pump)
+    auto = sc.map_flattening_delays(base)
+    assert auto["2e"] < 0
+    code, out, err = run(argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(f"error: the flattening delay of class 2e is {auto['2e']:.3f} fs")
+    assert err.endswith(f"set [emission_map] delay_2e_fs = 0 and delay_1o_fs = {-auto['2e']:.3f}\n")
+    delays = f"\n[emission_map]\ndelay_1e_fs = {auto['1e']!r}\n"
+    path.write_text(text + delays + f"delay_2e_fs = {auto['2e']!r}\n")
     assert run(argv)[0] == 2
-    path.write_text(text + delays + f"delay_2e_fs = 0\ndelay_1o_fs = {-auto['delay_2e_fs']!r}\n")
+    path.write_text(text + delays + f"delay_2e_fs = 0\ndelay_1o_fs = {-auto['2e']!r}\n")
     code, out, _ = run(argv)
     assert code == 0
-    assert json.loads(out)["pairing_mismatch_fs"] == pytest.approx(auto["pairing_mismatch_fs"], abs=1e-9)
+    assert json.loads(out)["pairing_mismatch_fs"] == pytest.approx(sc.pairing_mismatch(base.with_delays(auto)),
+                                                                   abs=1e-9)
 
 
 def test_visibility_curve_command(config_path, tmp_path):

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import spdc_cascade as sc
@@ -11,6 +11,7 @@ from spdc_cascade.interference import _BLOCK_POINTS, _erf, aligned_contrast
 
 C = 299.792458
 QUARTER = math.pi / 4
+EPS = np.finfo(float).eps
 
 
 def synthetic_params(t_p=600.0, t_o=500.0, t_e=420.0, t_e2=None, sigma=0.01,
@@ -264,6 +265,45 @@ def test_blocked_evaluation_equals_per_row_calls(params):
     assert empty.shape == (0, 129) and empty.dtype == float
 
 
+def test_per_direction_times_equal_per_direction_calls(crystal1, pump, params):
+    # the times along the cones of a 4096-azimuth reference map, one lane
+    # per distinct sin(phi), as a column against a row of tau_B: the blocks
+    # slice the times with the delays, and each lane's row has the bits of
+    # a call with that lane's scalar times
+    phi = sc.geometry.default_phi_grid(4096)
+    lanes = sc.geometry._sine_lanes(np.sin(phi))
+    u_e, u_o = sc.geometry._cone_polar_angles(crystal1, pump, phi, lanes)
+    cone = sc.geometry._cone_times(crystal1, pump, u_o, u_e, lanes[0])
+    t_p, t_o, t_e, t_e2 = (np.broadcast_to(x, lanes[0].shape) for x in cone.as_tuple())
+    assert t_o.shape == (2049,)
+    column = sc.InterferenceParams(sc.PropagationTimes(*(x[:, None] for x in (t_p, t_o, t_e, t_e2))),
+                                   params.sigma, params.omega)
+    tau_a, tau_b = sc.optimal_delays(params.times)
+    span = params.times.t_o - params.times.t_e
+    row = tau_b + span * np.array([-1.2, -0.6, 0.0, 0.6, 1.0])  # the last one near the window's edge
+    assert t_o.size * row.size > _BLOCK_POINTS
+    funcs = {
+        "rate": lambda p: sc.coincidence_rate(p, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, row)),
+        "envelope": lambda p: sc.envelope(p, tau_a, row),
+        "rect": lambda p: sc.rect_window(p, tau_a, row),
+        "contrast": lambda p: sc.aligned_contrast(p, tau_a, row),
+    }
+    blocked = {name: func(column) for name, func in funcs.items()}
+    lane_params = [sc.InterferenceParams(sc.PropagationTimes(*map(float, times)), params.sigma, params.omega)
+                   for times in zip(t_p, t_o, t_e, t_e2)]
+    for name, func in funcs.items():
+        assert blocked[name].shape == (2049, 5), name
+        assert blocked[name].tobytes() == np.array([func(p) for p in lane_params]).tobytes(), name
+    assert 0.0 < blocked["rect"][:, -1].sum() < 2049  # the edge falls between the lanes
+    # the domain check reads every direction and names the first that fails
+    for k, field, value, message in [(1000, "t_o", t_e[1000] - 1.0, r"t_o - t_e = -1 fs .* \(as in BBO\)"),
+                                     (7, "t_e", 2.0 * t_p[7] - t_o[7] + 2.0, r"2\*t_p - t_o - t_e = -2 fs .*domain")]:
+        bad = dict(zip(("t_p", "t_o", "t_e", "t_e2"), (x[:, None].copy() for x in (t_p, t_o, t_e, t_e2))))
+        bad[field][k] = value
+        with pytest.raises(sc.DegenerateParametersError, match=f"^{message} at direction {k}$"):
+            sc.InterferenceParams(sc.PropagationTimes(**bad), params.sigma, params.omega)
+
+
 # --- coincidence rate ------------------------------------------------------------
 
 def test_orthogonal_analyzers_give_constant_half(params):
@@ -340,7 +380,8 @@ def test_negative_rate_rounding_is_clamped_silently():
     projection = (np.cos(QUARTER) * np.sin(theta_b)) ** 2 + (np.cos(theta_b) * np.sin(QUARTER)) ** 2
     factor = (math.sqrt(8.0 * math.pi) * np.cos(theta_b) * np.sin(theta_b) * np.cos(QUARTER) * np.sin(QUARTER)
               * np.cos(params.omega * u + params.phi0))
-    unclamped = 0.5 * (projection + sc.interference._interference(params, factor, u, w))
+    block = sc.PropagationTimes(*np.atleast_1d(*t.as_tuple()))  # the times of `_elementwise`'s block
+    unclamped = 0.5 * (projection + sc.interference._interference(params, block, factor, u, w))
     assert np.all(unclamped < 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -350,6 +391,38 @@ def test_negative_rate_rounding_is_clamped_silently():
     assert type(scalar) is float and scalar == 0.0
     # nan passes through the clamp
     assert math.isnan(sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, 0.3, tau_a, math.nan)))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(thickness=st.floats(0.01, 5.0), cut_deg=st.floats(43.6, 50.0), center=st.floats(390.0, 400.0),
+       bandwidth=st.floats(1e-8, 5.0))
+@example(thickness=0.1, cut_deg=43.65, center=395.0, bandwidth=1e-8)  # contrast 1 + 14 eps
+@example(thickness=0.01, cut_deg=43.0, center=395.0, bandwidth=1e-8)  # rate -0.875 eps
+@example(thickness=1.6625, cut_deg=48.628, center=397.54, bandwidth=1.9e-8)  # rate -4.125 eps
+def test_rate_and_contrast_before_their_guards_are_off_by_rounding_only(thickness, cut_deg, center, bandwidth):
+    # the sums that the rate's clamp and the contrast's cap guard, formed as
+    # in `test_negative_rate_rounding_is_clamped_silently`, at the envelope
+    # peak and at the crest nearest it (tau_A and tau_B moved by +-delta/2,
+    # so W stays).  There, at theta_A + theta_B = pi, the rate is (1 -
+    # contrast)/4, so the contrast's 1 + 32 eps bounds it by -8 eps
+    crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg))
+    params = sc.params_from_crystal(crystal, sc.PumpSpec(center, bandwidth))
+    t = params.times
+    block = sc.PropagationTimes(*np.atleast_1d(*t.as_tuple()))
+    tau_a0, tau_b0 = sc.optimal_delays(t)
+    period = sc.fringe_period(params)
+    half = 0.5 * (period * round((tau_a0 - tau_b0) / period) - (tau_a0 - tau_b0))
+    theta_b = np.radians([135.0, 315.0])
+    projection = (np.cos(QUARTER) * np.sin(theta_b)) ** 2 + (np.cos(theta_b) * np.sin(QUARTER)) ** 2
+    for tau_a, tau_b in ((tau_a0, tau_b0), (tau_a0 + half, tau_b0 - half)):
+        u = np.array([tau_a - tau_b])
+        w = np.array([abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)])
+        contrast = abs(sc.interference._interference(params, block, 0.5 * math.sqrt(8.0 * math.pi), u, w))
+        factor = (math.sqrt(8.0 * math.pi) * np.cos(theta_b) * np.sin(theta_b) * np.cos(QUARTER) * np.sin(QUARTER)
+                  * np.cos(params.omega * u + params.phi0))
+        unclamped = 0.5 * (projection + sc.interference._interference(params, block, factor, u, w))
+        assert contrast[0] <= 1.0 + 32 * EPS, (tau_a, tau_b, (contrast[0] - 1.0) / EPS)
+        assert unclamped.min() >= -8 * EPS, (tau_a, tau_b, unclamped.min() / EPS)
 
 
 def test_max_visibility_is_capped_at_one():
