@@ -236,8 +236,8 @@ CASES = {
     "test_indented_key_is_read": Case("optimize", "[pump]\ncenter_nm = 395\n  bandwidth_nm = 2\n", out=False,
                                       summary={"envelope_value": 1.899996752440063}),
     # at 2e9 mm doubles near tau_B ~ 7.6e11 fs lie 1.2e-4 fs apart, and the
-    # finest grids of the crest search and the optimizer (5e-3 fs) still
-    # resolve there
+    # crest guard's period/512 and the optimizer's finest grid (5e-3 fs)
+    # still resolve there
     "test_polarization_far_from_zero_returns": Case("polarization", FAR, summary=FAR_TAU_B, child=True),
     "test_optimize_far_from_zero_returns": Case("optimize", FAR, summary=FAR_TAU_B, child=True),
     # non-finite or non-positive numbers, out-of-range or non-integer
@@ -368,11 +368,11 @@ CASES = {
              match=RANGE_ERROR, name=f"{thickness}-{command}-{method}")
         for thickness, command, method in [
             # tau_B ~ 3.8e15 fs, where doubles lie 0.5 fs apart: the 0.25 fs scan
-            # step, the fringe scans' and the crest grid's period/32 cannot be resolved
+            # step, the fringe scans' period/32 and the crest guard's period/512 cannot be resolved
             ("1e13", "scan", "aligned"), ("1e13", "visibility-curve", "scan"), ("1e13", "polarization", "aligned"),
             # tau_B ~ 3.8e14 fs, where doubles lie 0.0625 fs apart: the coarse grids
             # resolve, but not the optimizer's 5e-3 fs refinement windows nor the
-            # crest's fine grid (a sixteenth of period/32)
+            # crest guard's period/512
             ("1e12", "optimize", "aligned"), ("1e12", "polarization", "aligned"),
             # tau_B ~ 3.8e22 fs: every derived range rounds to a point
             ("1e20", "scan", "aligned"), ("1e20", "visibility-curve", "aligned"), ("1e20", "visibility-curve", "scan"),

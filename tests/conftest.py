@@ -81,3 +81,14 @@ def benchmark_params(benchmark_designs):
                                sc.PumpSpec(d["center_nm"], d["bandwidth_nm"]))
         for d in benchmark_designs
     ]
+
+
+@pytest.fixture()
+def crest_params(benchmark_params):
+    """0.5 mm / 0.3 nm and 0.1 mm / 1e-8 nm (43.65 deg, 395 nm), then
+    `benchmark_params`, the reference design first: designs on which a fringe
+    lock that moved tau_B alone read 5e-3, 0.057 and 5e-4 below
+    `max_visibility`."""
+    return [sc.params_from_crystal(sc.CrystalSpec(sc.BBO, thickness_mm, math.radians(PSI_DEG)),
+                                   sc.PumpSpec(PUMP_NM, bandwidth_nm))
+            for thickness_mm, bandwidth_nm in ((0.5, 0.3), (0.1, 1e-8))] + benchmark_params

@@ -365,10 +365,14 @@ def test_polarization_scan_rejects_coarse_step(params):
         sc.polarization_scan(params, tau_a, tau_b, QUARTER, 0.0, 2 * math.pi, math.pi / 16)
 
 
-def test_polarization_visibility_equals_spacetime_at_quarter(params):
-    tau_a, tau_b = sc.fringe_locked_delays(params)
-    series = sc.polarization_scan(params, tau_a, tau_b, QUARTER, 0.0, 2 * math.pi, math.pi / 64)
-    assert sc.extract_visibility(series) == pytest.approx(sc.max_visibility(params), abs=0.01)
+def test_polarization_visibility_equals_spacetime_at_quarter(crest_params):
+    # at the locked delays the pi/4 scan reads the aligned contrast there
+    for params in crest_params:
+        tau_a, tau_b = sc.fringe_locked_delays(params)
+        series = sc.polarization_scan(params, tau_a, tau_b, QUARTER, 0.0, 2 * math.pi, math.pi / 64)
+        visibility = sc.extract_visibility(series)
+        assert visibility == pytest.approx(sc.max_visibility(params), abs=0.01)
+        assert abs(visibility - sc.aligned_contrast(params, tau_a, tau_b)) <= 1e-12, params
 
 
 def test_polarization_visibility_unity_with_analyzer_at_zero(params):

@@ -393,6 +393,32 @@ def test_negative_rate_rounding_is_clamped_silently():
     assert math.isnan(sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, 0.3, tau_a, math.nan)))
 
 
+def test_infinite_delays_give_what_a_nan_delay_gives_silently(params):
+    # rect 0, the others nan, with no floating-point warning, whichever
+    # delay is non-finite and wherever it sits in an array
+    tau_a, tau_b = sc.optimal_delays(params.times)
+    delays = [(tau_a, x) for x in (math.inf, -math.inf, math.nan)]
+    delays += [(x, tau_b) for x in (math.inf, -math.inf, math.nan)] + [(math.inf, math.inf), (math.inf, -math.inf)]
+    functions = {
+        "rect_window": sc.rect_window,
+        "envelope": sc.envelope,
+        "aligned_contrast": aligned_contrast,
+        "coincidence_rate": lambda p, a, b: sc.coincidence_rate(p, sc.AnalyzerDelayConfig(QUARTER, QUARTER, a, b)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, f in functions.items():
+            for a, b in delays:
+                value = f(params, a, b)
+                array = f(params, np.array([tau_a, a]), np.array([tau_b, b]))
+                assert (value == 0.0) if name == "rect_window" else math.isnan(value), (name, a, b, value)
+                assert array[0] == f(params, tau_a, tau_b)
+                assert array[1:].tobytes() == np.array([value]).tobytes(), (name, a, b, array)
+        for method in ("aligned", "scan"):
+            curve = sc.visibility_curve(params, tau_a, [tau_b - 1.0, tau_b, math.inf], method=method)
+            assert np.isfinite(curve.rates[:2]).all() and math.isnan(curve.rates[2]), method
+
+
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(thickness=st.floats(0.01, 5.0), cut_deg=st.floats(43.6, 50.0), center=st.floats(390.0, 400.0),
        bandwidth=st.floats(1e-8, 5.0))
@@ -500,12 +526,27 @@ def test_max_visibility_does_not_increase_with_bandwidth_or_thickness(thickness,
     assert visibility(thickness, factor * bandwidth) <= base
 
 
-def test_fringe_locked_delays_sit_on_a_crest(params):
-    tau_a, tau_b = sc.fringe_locked_delays(params)
-    # locked phase: the oscillatory factor is at +1 to high accuracy
-    phase = params.omega * (tau_a - tau_b) + params.phi0
-    assert math.cos(phase) == pytest.approx(1.0, abs=1e-6)
-    # the crest is picked from one array call; it equals the per-sample calls
+def test_fringe_locked_delays_sit_on_a_crest(params, crest_params):
+    for k, design in enumerate(crest_params):
+        tau_a, tau_b = sc.fringe_locked_delays(design)
+        tau_a0, tau_b0 = sc.optimal_delays(design.times)
+        # locked phase: the oscillatory factor is at +1 to high accuracy
+        phase = design.omega * (tau_a - tau_b) + design.phi0
+        assert math.cos(phase) == pytest.approx(1.0, abs=1e-6)
+        # tau_A and tau_B move by +-delta/2, so W stays on the envelope's kink
+        assert abs((tau_a + tau_b) - (tau_a0 + tau_b0)) <= 2 * math.ulp(tau_a0 + tau_b0)
+        # the crest lies within half a period of the peak in tau_A - tau_B,
+        # over which the envelope, W kept, falls at most by the ratio `fall`;
+        # on the first three designs the contrast is the peak's within 1e-6
+        peak = sc.max_visibility(design)
+        contrast = aligned_contrast(design, tau_a, tau_b)
+        quarter = sc.fringe_period(design) / 4
+        fall = sc.envelope(design, tau_a0 + quarter, tau_b0 - quarter) / sc.envelope(design, tau_a0, tau_b0)
+        assert peak * fall - 4 * EPS <= contrast <= peak, (k, peak, contrast)
+        assert k >= 3 or peak - contrast <= 1e-6, (k, peak, contrast)
+    # a rate scan in tau_B at the locked tau_A is one array call; it equals
+    # the per-sample calls
+    tau_a, _ = sc.fringe_locked_delays(params)
     _, tau_b0 = sc.optimal_delays(params.times)
     grid = tau_b0 + sc.fringe_period(params) * np.linspace(-0.5, 0.5, 33)
     loop = [sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, tb))
@@ -516,7 +557,7 @@ def test_fringe_locked_delays_sit_on_a_crest(params):
 
 def test_fringe_locked_tau_b_is_the_maximum_of_the_rate(benchmark_params):
     # a bounded scalar search for the pi/4-pi/4 rate's maximum at the locked
-    # tau_A, within a quarter period, agrees with the sampled crest to 1e-4 fs
+    # tau_A, within a quarter period, agrees with the locked tau_B to 1e-4 fs
     from scipy.optimize import minimize_scalar
 
     for params in benchmark_params:
