@@ -132,11 +132,7 @@ def cmd_visibility_curve(cfg: RunConfig, args) -> tuple:
 def cmd_polarization(cfg: RunConfig, args) -> tuple:
     opts = cfg.polarization
     params = cfg.interference_params()
-    tau_a, tau_b = opts["tau_a_fs"], opts["tau_b_fs"]
-    if tau_a is None or tau_b is None:
-        locked_a, locked_b = interference.fringe_locked_delays(params)
-        tau_a = locked_a if tau_a is None else tau_a
-        tau_b = locked_b if tau_b is None else tau_b
+    tau_a, tau_b = interference.fringe_locked_pair(params, opts["tau_a_fs"], opts["tau_b_fs"])
     series = analysis.polarization_scan(
         params,
         tau_a,

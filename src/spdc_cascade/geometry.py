@@ -4,11 +4,12 @@ The pump propagates along +z; the optic axes of the two crystals lie in the
 y-z plane at angles +psi and -psi to the pump.  Degenerate phase matching
 (energy conservation plus vector momentum conservation, with the e-wave
 index taken at its actual angle to the optic axis) is solved exactly, for
-the e-cone once per design, by one batched root solver that works on whole
-arrays of problems at once: along every azimuth phi of a grid (the
-emission-time map), in the plane of the optic axes for the extremes that
-summarize a cone as axis tilt + half-opening angle (`phase_match_cones`),
-and for the collinear cut angle.  Each e photon's o partner leaves along
+the e-cone once per design, by one root solver: batched over whole arrays
+of problems along every azimuth phi of a grid (the emission-time map,
+`_secant_roots`), and in Python floats (`_secant_root`, step for step the
+same) for the extremes that summarize a cone as axis tilt + half-opening
+angle in the plane of the optic axes (`phase_match_cones`) and for the
+collinear cut angle.  Each e photon's o partner leaves along
 the recoil r = k_p z - n d (`_cone_residual`) at azimuth phi + pi, so the
 o-cone at sine v is read off the e root at -v: u_o = atan2(n sin u_e,
 k_p - n cos u_e), n the e photon's index.  No search bound applies to this
@@ -17,16 +18,16 @@ n <= n_o gives sin u_o = (n/n_o) sin u_e <= sin u_e, and k_p > n keeps u_o
 below pi/2.  So a positive-uniaxial material whose o-cone alone opens
 beyond the bound is mapped, not refused.
 
-Every solve runs seed -> secant -> verify -> bisect (`_secant_roots`).
-Each problem has a sign-change bracket and a start pair.  Along every
-azimuth a cone's root is bracketed by the pump axis and the search bound,
-so the cone must enclose the pump axis (cut angle above the collinear
-one), and it starts from the circle through the cone's in-plane extremes;
-the in-plane extremes and the collinear cut angle take the sign changes
-of their residual on a fixed grid and start from those brackets' ends.
-All problems take a few secant steps together, and a root is accepted
-only where the residual changes sign within half the tolerance of it,
-inside its bracket.  The rest are bisected in their brackets; on the
+Every solve runs seed -> secant -> verify -> bisect.  Each problem has a
+sign-change bracket and a start pair.  Along every azimuth a cone's root
+is bracketed by the pump axis and the search bound, so the cone must
+enclose the pump axis (cut angle above the collinear one), and it starts
+from the circle through the cone's in-plane extremes; the in-plane
+extremes and the collinear cut angle take the sign changes of their
+residual on a fixed grid and start from those brackets' ends.  Each
+problem takes a few secant steps, a batch's all together, and a root is
+accepted only where the residual changes sign within half the tolerance
+of it, inside its bracket.  The rest are bisected in their brackets; on the
 reference pump only cut angles less than 0.1 deg above the collinear one
 send any there.  The crystals are mirror images, so crystal 2's cone at
 azimuth phi is crystal 1's at -phi: the map solves along the azimuths on
@@ -43,6 +44,21 @@ uniform grid, phi and pi - phi share a sine and the mirror row -sin(phi)
 repeats the grid's sines, so 4 | n leaves n/2 + 1 of them, the distinct
 |sin(phi)| mirrored to +-: the o angle at v reads the lane at -v.  Sines
 within _SIN_TOL of each other count as one.
+
+A numpy call costs a fixed overhead about that of a few hundred lanes of
+arithmetic, so a design's solves are arranged to follow their work, not
+their number of calls.  The in-plane extremes and the collinear cut angle
+have one or two grid brackets by construction: they are solved in Python
+floats, each residual written once and evaluated with numpy on its grid
+and with `_FLOATS` in the steps.  What does not change with the design is
+computed at import, the trig of _INPLANE_GRID and _CUT_GRID; what does not
+change with the lanes once per solve, the Sellmeier reads.  The map
+evaluates its bracket ends, its start pair and its verification points
+each as one (2, lanes) array, and its roots' cos u and sin u serve both the
+recoil and `_cone_times`.  Each value is computed by the same operations
+in the same order as by one call per array, so it keeps its bits; the
+float solves do so too where numpy's float64 sin and cos round as math's
+do, and elsewhere stay within the solve's tolerance of the array path.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -69,6 +85,7 @@ from __future__ import annotations
 
 import functools
 import math
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,10 +95,12 @@ from .errors import NotPhaseMatchableError
 from .materials import (
     CrystalSpec,
     PumpSpec,
+    _ellipse_index,
     group_index,
     index_extraordinary,
     index_ordinary,
     index_principal_e,
+    squared_principal_indices,
 )
 from .numeric import _csv, _fixed
 
@@ -96,7 +115,20 @@ _SECANT_STEPS = 4  # from a start pair, before the verification of _secant_roots
 # than 1.4e-16 rad, a thousandth of _XTOL
 _SIN_TOL = 8 * np.finfo(float).eps  # 1.8e-15
 _INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
+_INPLANE_TRIG = np.cos(_INPLANE_GRID), np.sin(_INPLANE_GRID)
 _CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
+_CUT_SQUARES = tuple(v * v for v in (np.cos(_CUT_GRID), np.sin(_CUT_GRID)))  # cos^2, sin^2
+
+
+def _float_sqrt(x):
+    """math.sqrt, but nan below zero (and for nan) as numpy's square root gives."""
+    return math.sqrt(x) if x >= 0.0 else math.nan
+
+
+# the math of the scalar solves (`_secant_root`), one problem in Python
+# floats: math's cos and sin, the square root of `_float_sqrt`, and
+# numpy's arctan2, whose last bit can differ from math.atan2's
+_FLOATS = types.SimpleNamespace(cos=math.cos, sin=math.sin, sqrt=_float_sqrt, arctan2=np.arctan2)
 
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
 # the interfering (e class, o class) pairs: one crystal's e-cone overlaps the
@@ -128,7 +160,10 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     1/n^2 = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2(theta), so a step costs
     sin u, cos u and square roots.  Everything that does not depend on
     (u, phi) is computed here, once per solve.  u and sin_phi may be
-    arrays; they broadcast together.
+    arrays; they broadcast together.  Both functions evaluate with xp,
+    numpy or `_FLOATS` for one problem in Python floats, and take
+    trig=(cos u, sin u) where the caller has it: a fixed grid's, or the
+    map's roots', which `_cone_times` reads again.
     """
     lam = pump.degenerate_nm
     n_o = index_ordinary(crystal.model, lam)
@@ -137,37 +172,39 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     excess = 1.0 / (n_o * n_o) - inv_ne2  # 1/n_o^2 - 1/n_e^2
     a_y, a_z = optic_axis(crystal)
     # the e-polarized pump travels along z, at the cut angle to the optic axis
-    k_p = 2.0 * index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle)
+    k_p = 2.0 * float(index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle))
+    k_p2, two_k_p = k_p * k_p, 2.0 * k_p
 
-    def e_index(u, sin_phi):  # the e photon's index along (u, phi), and cos u
-        cu = np.cos(u)
-        cos_d = a_y * sin_phi * np.sin(u) + a_z * cu
-        return 1.0 / np.sqrt(inv_ne2 + excess * (cos_d * cos_d)), cu
+    def e_index(u, sin_phi, xp, trig):  # the e photon's index along (u, phi), cos u and sin u
+        cu, su = (xp.cos(u), xp.sin(u)) if trig is None else trig
+        cos_d = a_y * sin_phi * su + a_z * cu
+        return 1.0 / xp.sqrt(inv_ne2 + excess * (cos_d * cos_d)), cu, su
 
-    def residual(u, sin_phi):
-        n, cu = e_index(u, sin_phi)
-        return np.sqrt(k_p * k_p - 2.0 * k_p * n * cu + n * n) - n_o
+    def residual(u, sin_phi, xp=np, trig=None):
+        n, cu, _ = e_index(u, sin_phi, xp, trig)
+        return xp.sqrt(k_p2 - two_k_p * n * cu + n * n) - n_o
 
-    def recoil(u, sin_phi):
-        n, cu = e_index(u, sin_phi)
-        return np.arctan2(n * np.sin(u), k_p - n * cu)
+    def recoil(u, sin_phi, xp=np, trig=None):
+        n, cu, su = e_index(u, sin_phi, xp, trig)
+        return xp.arctan2(n * su, k_p - n * cu)
 
     return residual, recoil
 
 
 # ---------------------------------------------------------------------------
-# the batched root solver
+# the root solver: batched, and its twin in Python floats
 
 
-def _grid_brackets(f, grid, failure):
-    """Brackets at every sign change of f sampled on grid, in order of x.
+def _grid_brackets(vals, grid, failure):
+    """Brackets at every sign change of vals, a function sampled on grid, in
+    order of x.
 
     Returns (lo, hi, f_lo, f_hi) arrays with one entry per bracket.  Raises
     NotPhaseMatchableError, carrying the smallest sampled |f|, when f does
     not change sign on the grid; failure names the problem in the message.
     """
-    vals = f(grid)
-    (j,) = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))
+    sign = np.sign(vals)
+    (j,) = np.nonzero(sign[:-1] != sign[1:])
     if j.size == 0:
         residual = float(np.abs(vals).min())
         raise NotPhaseMatchableError(f"{failure} (smallest residual {residual:.3e})", residual=residual)
@@ -200,6 +237,9 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
         b = np.where(wide & ~same, x, b)
 
 
+_PLUS_MINUS = np.array([[-1.0], [1.0]])  # stacks x - delta over x + delta
+
+
 def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     """Roots of f(x, *args) in the sign-change brackets [lo, hi], each within
     (xtol + rtol*|x|)/2 of a root, the bound `_refine_brackets` meets.
@@ -212,13 +252,16 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     with an exact zero at a bracket end (the root), is bisected in its
     bracket by `_refine_brackets`.  The steps converge superlinearly from a
     close start: on the reference design the cones' in-plane circle (up to
-    1.1 mrad off) leaves no lane to the bisection.
+    1.1 mrad off) leaves no lane to the bisection.  f takes the start pair
+    and the two verification points each stacked as one (2, lanes) array,
+    with args broadcast against them.  `_secant_root` is the twin for one
+    problem in Python floats.
     """
     if start is None:
         x0, x1, f0, f1 = lo, hi, f_lo, f_hi
     else:
         x0, x1 = start
-        f0, f1 = f(x0, *args), f(x1, *args)
+        f0, f1 = f(np.array(start), *args)
     # f1 == f0 (a stalled lane) leaves no step; it stays where it is.  The
     # steps evaluate f only inside the brackets, whose ends the caller
     # evaluated, and the verification below runs outside this errstate
@@ -228,17 +271,56 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
                 x0, f0, x1, f1 = x1, f1, x, f(x, *args)
             x = x1 - f1 * (x1 - x0) / (f1 - f0)
             x = np.minimum(np.maximum(np.where(np.isfinite(x), x, x1), lo), hi)
-    delta = 0.5 * (xtol + rtol * np.abs(x))
-    below, above = x - delta, x + delta
+    sides = x + _PLUS_MINUS * (0.5 * (xtol + rtol * np.abs(x)))  # x - delta, x + delta
+    sign = np.sign(f(sides, *args))
     verified = (
-        (np.sign(f(below, *args)) * np.sign(f(above, *args)) <= 0.0)
-        & (below >= lo) & (above <= hi) & (f_lo != 0.0) & (f_hi != 0.0)
+        (sign[0] * sign[1] <= 0.0) & (sides[0] >= lo) & (sides[1] <= hi) & (f_lo != 0.0) & (f_hi != 0.0)
     )
     if not verified.all():
         (j,) = np.nonzero(~verified)
         x[j] = _refine_brackets(f, lo[j], hi[j], f_lo[j], f_hi[j], xtol, rtol,
                                 args=tuple(v[j] for v in args))
     return x
+
+
+def _refine_bracket(f, lo, hi, f_lo, f_hi, xtol, rtol):
+    """`_refine_brackets` for one bracket in Python floats, step for step."""
+    b = lo if f_lo == 0.0 else hi
+    a = b if f_hi == 0.0 else lo
+    while True:
+        x = 0.5 * (a + b)
+        if not abs(b - a) >= xtol + rtol * abs(x):
+            return x
+        fx = f(x)
+        same = fx > 0.0 if f_lo > 0.0 else fx < 0.0 and f_lo < 0.0  # sign(fx) == sign(f_lo), nan never
+        if same or fx == 0.0:
+            a = x
+        if not same:
+            b = x
+
+
+def _secant_root(f, lo, hi, f_lo, f_hi, xtol, rtol):
+    """`_secant_roots` for one bracket in Python floats, from its ends.
+
+    The same steps, clipping, verification and fallback, with the same
+    tolerances: for the collinear cut angle and the in-plane extremes,
+    whose grids leave one or two brackets, where numpy's per-call cost
+    would exceed the work.  f(x) takes and returns a float; a stalled or
+    non-finite step stays where it is, as numpy's inf or nan step does.
+    """
+    x0, x1, f0, f1 = lo, hi, f_lo, f_hi
+    for step in range(_SECANT_STEPS):
+        if step:
+            x0, f0, x1, f1 = x1, f1, x, f(x)
+        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else x1
+        x = min(max(x if math.isfinite(x) else x1, lo), hi)
+    delta = 0.5 * (xtol + rtol * abs(x))
+    below, above = x - delta, x + delta
+    if below >= lo and above <= hi and f_lo != 0.0 and f_hi != 0.0:
+        f_below, f_above = f(below), f(above)
+        if f_below <= 0.0 <= f_above or f_above <= 0.0 <= f_below:
+            return x
+    return _refine_bracket(f, lo, hi, f_lo, f_hi, xtol, rtol)
 
 
 def _sine_lanes(sin_phi):
@@ -252,22 +334,26 @@ def _sine_lanes(sin_phi):
     Should such a chain span more than _SIN_TOL, only equal magnitudes
     share a lane, so every sine lies within _SIN_TOL of its lane's value.
     """
-    order = np.argsort(np.abs(sin_phi), kind="stable")
-    s = np.abs(sin_phi)[order]
+    magnitude = np.abs(sin_phi)
+    order = np.argsort(magnitude, kind="stable")
+    s = magnitude[order]
     gaps = s[1:] - s[:-1]
-    new = np.ones(s.size, dtype=bool)  # where a lane starts
-    new[1:] = gaps > _SIN_TOL
-    lane = np.cumsum(new) - 1
-    if np.any(s - s[new][lane] > _SIN_TOL):
-        new[1:] = gaps > 0.0
-        lane = np.cumsum(new) - 1
-    w, k = s[new], np.empty(s.size, dtype=np.intp)
+    new = np.empty(s.size, dtype=bool)  # where a lane starts
+    new[:1] = True
+    np.greater(gaps, _SIN_TOL, out=new[1:])
+    lane = new.cumsum() - 1
+    w = s[new]
+    if (s - w[lane]).max(initial=0.0) > _SIN_TOL:
+        np.greater(gaps, 0.0, out=new[1:])
+        lane = new.cumsum() - 1
+        w = s[new]
+    k = np.empty(s.size, dtype=np.intp)
     k[order] = lane
     # -w[-1], ..., -w[0], then w; a zero magnitude is one lane, not two
     below = w.size - int(w.size > 0 and w[0] == 0.0)
     sines = np.concatenate([-w[::-1][:below], w])
     row = np.where(sin_phi < 0.0, w.size - 1 - k, below + k)
-    return sines, np.stack([row, sines.size - 1 - row])
+    return sines, np.array([row, sines.size - 1 - row])
 
 
 def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
@@ -284,13 +370,15 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
     lanes=(sines, index) comes from `_sine_lanes`: index, shape (rows,
     phi.size), gives each row's azimuths of phi their sines' positions,
     and a failure names the first failing azimuth of phi, row by row.
+    Returns (u_e, u_o, (cos u_e, sin u_e)): the recoil took the roots' trig,
+    and `_cone_times` takes it again.
     """
     f, recoil = _cone_residual(crystal, pump)
     sin_phi, index = lanes
-    lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
-    f_lo, f_hi = f(lo, sin_phi), f(hi, sin_phi)
-    failed = ~((f_lo < 0.0) & (f_hi >= 0.0))
-    if failed.any():
+    f_lo, f_hi = f(np.array([[_U_MIN], [_U_MAX]]), sin_phi)  # both ends of every bracket at once
+    bracketed = (f_lo < 0.0) & (f_hi >= 0.0)
+    if not bracketed.all():
+        failed = ~bracketed
         lanes_in_order = index.ravel()  # row by row
         k = int(np.argmax(failed[lanes_in_order]))  # the first failing (row, azimuth)
         i = lanes_in_order[k]
@@ -314,8 +402,10 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
     # minimum keeps its starts finite, and the verification judges them
     y, cos_t = sin_phi * math.sin(cone.tilt), math.cos(cone.tilt)
     u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(cone.half_angle) / np.hypot(cos_t, y), 1.0))
+    lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
     u_e = _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
-    return u_e, recoil(u_e[::-1], sin_phi[::-1])
+    trig = np.cos(u_e), np.sin(u_e)
+    return u_e, recoil(u_e, sin_phi, trig=trig)[::-1], trig
 
 
 def _inplane_extremes(crystal, pump):
@@ -341,16 +431,19 @@ def _inplane_solve(model, cut_angle, center_nm):
     Keyed by the inputs of `_cone_residual` but the axis sign, which
     `_inplane_extremes` applies; the thickness and the pump bandwidth do
     not enter the residual, so the specs built here hold placeholders.
-    A NotPhaseMatchableError is raised, never cached.
+    A NotPhaseMatchableError is raised, never cached.  The grid's one or
+    two brackets are solved in Python floats (`_secant_root`).
     """
     residual, recoil = _cone_residual(CrystalSpec(model, 1.0, cut_angle), PumpSpec(center_nm, 1.0))
     # polar angle |a| at sin phi = sign(a): sin u is odd, cos u even
-    f = functools.partial(residual, sin_phi=1.0)
+    vals = residual(_INPLANE_GRID, 1.0, trig=_INPLANE_TRIG)
     cut_deg = math.degrees(cut_angle)
-    brackets = _grid_brackets(f, _INPLANE_GRID, f"e-cone not phase matchable at cut angle {cut_deg:.3f} deg")
-    roots = _secant_roots(f, *brackets, _XTOL, _RTOL)
-    partners = -recoil(roots, 1.0)  # each e photon's o partner, across the pump axis
-    return (float(roots.min()), float(roots.max())), (float(partners.min()), float(partners.max()))
+    brackets = _grid_brackets(vals, _INPLANE_GRID, f"e-cone not phase matchable at cut angle {cut_deg:.3f} deg")
+    roots = [_secant_root(lambda u: residual(u, 1.0, _FLOATS), *bracket, _XTOL, _RTOL)
+             for bracket in zip(*(v.tolist() for v in brackets))]
+    # each e photon's o partner, across the pump axis
+    partners = [-float(recoil(u, 1.0, _FLOATS)) for u in roots]
+    return (min(roots), max(roots)), (min(partners), max(partners))
 
 
 @dataclass(frozen=True)
@@ -392,15 +485,32 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     lam = pump.degenerate_nm
     axis_tilt = crystal.axis_sign * crystal.cut_angle  # signed, toward +y
     e, o = _inplane_extremes(crystal, pump)
+    n_o, axes = index_ordinary(crystal.model, lam), squared_principal_indices(crystal.model, lam)
+
+    def e_index(a):  # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
+        c, s = math.cos(a - axis_tilt), math.sin(a - axis_tilt)
+        return _ellipse_index(c * c, s * s, axes, _FLOATS)
 
     def refracted(extremes, index):
-        # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
         angles = [math.copysign(math.asin(min(1.0, index(a) * math.sin(abs(a)))), a) for a in extremes]
         return _cone_from_extremes(min(angles), max(angles))
 
     return ConePair(o_cone=_cone_from_extremes(*o), e_cone=_cone_from_extremes(*e),
-                    external_o=refracted(o, lambda a: index_ordinary(crystal.model, lam)),
-                    external_e=refracted(e, lambda a: index_extraordinary(crystal.model, lam, a - axis_tilt)))
+                    external_o=refracted(o, lambda a: n_o), external_e=refracted(e, e_index))
+
+
+def _collinear_residual(model, pump: PumpSpec):
+    """The collinear residual 2 n_e(psi, lam_p) - n_o(lam_dc) - n_e(psi, lam_dc)
+    as f(cos2, sin2, xp) of psi's squared cosine and sine, each index as
+    `index_extraordinary` gives it; the index ellipses are read here, once."""
+    pump_axes = squared_principal_indices(model, pump.center_nm)
+    n_o = index_ordinary(model, pump.degenerate_nm)
+    axes = squared_principal_indices(model, pump.degenerate_nm)
+
+    def f(cos2, sin2, xp):
+        return 2.0 * _ellipse_index(cos2, sin2, pump_axes, xp) - n_o - _ellipse_index(cos2, sin2, axes, xp)
+
+    return f
 
 
 def collinear_cut_angle(model, pump: PumpSpec) -> float:
@@ -408,20 +518,18 @@ def collinear_cut_angle(model, pump: PumpSpec) -> float:
 
     Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc) (the first
     in 5-85 deg); at this psi the emission cones pass through the pump axis.
+    _CUT_GRID's trig is taken at import, and the first bracket is solved in
+    Python floats (`_secant_root`).
     """
-    lam_p, lam_dc = pump.center_nm, pump.degenerate_nm
+    f = _collinear_residual(model, pump)
 
-    def f(psi):
-        return (
-            2.0 * index_extraordinary(model, lam_p, psi)
-            - index_ordinary(model, lam_dc)
-            - index_extraordinary(model, lam_dc, psi)
-        )
+    def f_float(psi):
+        c, s = math.cos(psi), math.sin(psi)
+        return f(c * c, s * s, _FLOATS)
 
     failure = "no collinear degenerate phase matching for any cut angle in range"
-    lo, hi, f_lo, f_hi = _grid_brackets(f, _CUT_GRID, failure)
-    (psi,) = _secant_roots(f, lo[:1], hi[:1], f_lo[:1], f_hi[:1], 1e-12, 4 * np.finfo(float).eps)
-    return float(psi)
+    brackets = _grid_brackets(f(*_CUT_SQUARES, np), _CUT_GRID, failure)
+    return _secant_root(f_float, *(float(v[0]) for v in brackets), 1e-12, 4 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +541,7 @@ def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0):
 
     theta=None is the o-wave, otherwise the e-wave at angle theta to the
     optic axis; sec_u = 1/cos(u) lengthens the path of a ray at internal
-    polar angle u.  theta and sec_u may be arrays of one shape.
+    polar angle u.  theta and sec_u may be arrays; they broadcast together.
     """
     ng = group_index(crystal.model, lam_nm, theta)
     return crystal.thickness_mm * 1e6 / C_NM_PER_FS * sec_u * ng
@@ -462,22 +570,22 @@ class PropagationTimes:
         return (self.t_p, self.t_o, self.t_e, self.t_e2)
 
 
-def _cone_times(crystal: CrystalSpec, pump: PumpSpec, u_o, u_e, sin_phi) -> PropagationTimes:
+def _cone_times(crystal: CrystalSpec, pump: PumpSpec, u_o, u_e, sin_phi, trig_e=None) -> PropagationTimes:
     """crystal's times along its o- and e-cones, at polar angles u_o, u_e and
     sin(phi) (arrays; t_p on axis): paths take sec(u), and t_e, t_e2 the e
-    angle arccos(d.a) of `_cone_residual` to crystal's axis and its mirror's.
+    angle arccos(d.a) of `_cone_residual` to crystal's axis and its mirror's,
+    both in one group-index evaluation.  trig_e = (cos u_e, sin u_e) where
+    the caller has them.
     """
     lam_dc = pump.degenerate_nm
     a_y, a_z = optic_axis(crystal)
-    cos_e = np.cos(u_e)
-    y, z = a_y * sin_phi * np.sin(u_e), a_z * cos_e  # d.a = y + z, and z - y for the mirror
-    theta, theta2 = (np.arccos(np.minimum(np.maximum(c, -1.0), 1.0)) for c in (y + z, z - y))
-    return PropagationTimes(
-        t_p=_transit_time(crystal, pump.center_nm, crystal.cut_angle),
-        t_o=_transit_time(crystal, lam_dc, sec_u=1.0 / np.cos(u_o)),
-        t_e=_transit_time(crystal, lam_dc, theta, 1.0 / cos_e),
-        t_e2=_transit_time(crystal, lam_dc, theta2, 1.0 / cos_e),
-    )
+    cos_e, sin_e = (np.cos(u_e), np.sin(u_e)) if trig_e is None else trig_e
+    y, z = a_y * sin_phi * sin_e, a_z * cos_e  # d.a = y + z, and z - y for the mirror
+    theta = np.arccos(np.minimum(np.maximum(np.array([y + z, z - y]), -1.0), 1.0))
+    t_p = _transit_time(crystal, pump.center_nm, crystal.cut_angle)
+    t_o = _transit_time(crystal, lam_dc, sec_u=1.0 / np.cos(u_o))
+    t_e, t_e2 = _transit_time(crystal, lam_dc, theta, 1.0 / cos_e)
+    return PropagationTimes(t_p=t_p, t_o=t_o, t_e=t_e, t_e2=t_e2)
 
 
 def propagation_times(crystal: CrystalSpec, pump: PumpSpec) -> PropagationTimes:
@@ -495,11 +603,12 @@ def _class_times(times: PropagationTimes) -> dict:
     the generating crystal's times as the module docstring describes.
     """
     t_p, t_o, t_e, t_e2 = times.as_tuple()
+    half_p, half_o, half_e = 0.5 * t_p, 0.5 * t_o, 0.5 * t_e
     return {
-        "1e": 0.5 * t_p + 0.5 * t_e + t_e2,
-        "1o": 0.5 * t_p + 0.5 * t_o + t_o,
-        "2e": t_p + 0.5 * t_p + 0.5 * t_e,
-        "2o": t_p + 0.5 * t_p + 0.5 * t_o,
+        "1e": half_p + half_e + t_e2,
+        "1o": half_p + half_o + t_o,
+        "2e": t_p + half_p + half_e,
+        "2o": t_p + half_p + half_o,
     }
 
 
@@ -523,11 +632,19 @@ class EmissionTimeMap:
             if np.shape(self.times[name]) != np.shape(self.phi_grid):
                 raise ValueError(f"times of class {name!r} do not have the shape of the phi grid")
 
+    @classmethod
+    def _checked(cls, phi_grid, times) -> "EmissionTimeMap":
+        """A map of a grid and class times that the caller has checked as
+        __post_init__ would, without a second pass over the grid."""
+        emission_map = object.__new__(cls)
+        object.__setattr__(emission_map, "phi_grid", phi_grid)
+        object.__setattr__(emission_map, "times", times)
+        return emission_map
+
     def with_delays(self, delays: dict) -> "EmissionTimeMap":
         """Return a copy with additional fixed (finite) per-class delays added."""
         _check_delays(delays)
-        new_times = {c: self.times[c] + delays.get(c, 0.0) for c in CLASS_NAMES}
-        return EmissionTimeMap(self.phi_grid, new_times)
+        return EmissionTimeMap._checked(self.phi_grid, {c: self.times[c] + delays.get(c, 0.0) for c in CLASS_NAMES})
 
     def to_csv(self) -> str:
         """The map as CSV: azimuth in degrees and the four class times at 1e-4 fs, one row per azimuth."""
@@ -549,12 +666,15 @@ def _check_delays(delays: dict):
 def _check_phi_grid(phi):
     """Raise ValueError unless the azimuths of phi are finite and strictly increasing."""
     phi = np.asarray(phi)
+    # strictly increasing between finite ends is finite throughout (nan
+    # compares false), so only a failing grid takes the second pass
+    if (phi[1:] > phi[:-1]).all() and (phi.size == 0 or math.isfinite(phi[0]) and math.isfinite(phi[-1])):
+        return
     finite = np.isfinite(phi)
     if not finite.all():
         i = int(np.argmin(finite))
         raise ValueError(f"azimuth {i} of the phi grid is not finite ({phi[i]})")
-    if np.any(phi[1:] <= phi[:-1]):  # phi[1:] - phi[:-1] <= 0 for finite phi
-        raise ValueError("phi grid must be strictly increasing")
+    raise ValueError("phi grid must be strictly increasing")
 
 
 def default_phi_grid(n: int = 256) -> np.ndarray:
@@ -601,10 +721,10 @@ def emission_time_map(
 
     # row 0 is crystal 1 at phi, row 1 crystal 2 at phi, i.e. crystal 1 at -phi
     sines, index = _sine_lanes(np.sin(phi_grid))
-    u_e, u_o = _cone_polar_angles(crystal1, pump, phi_grid, (sines, index))
+    u_e, u_o, trig_e = _cone_polar_angles(crystal1, pump, phi_grid, (sines, index))
     # crystal 1's times at sine v are crystal 2's at -v: class 2 reads row 1
-    classes = _class_times(_cone_times(crystal1, pump, u_o, u_e, sines))
-    emission_map = EmissionTimeMap(phi_grid, {c: t[index[int(c[0]) - 1]] for c, t in classes.items()})
+    classes = _class_times(_cone_times(crystal1, pump, u_o, u_e, sines, trig_e))
+    emission_map = EmissionTimeMap._checked(phi_grid, {c: t[index[int(c[0]) - 1]] for c, t in classes.items()})
     return emission_map.with_delays(delays) if delays else emission_map
 
 

@@ -394,3 +394,28 @@ def fringe_locked_delays(params: InterferenceParams) -> tuple:
     _check_range("fringe-crest grid ends of tau_B", tau_b - 0.5 * period, tau_b + 0.5 * period, period / 512)
     delta = -math.remainder(params.omega * (tau_a - tau_b) + params.phi0, TWO_PI) / params.omega
     return tau_a + 0.5 * delta, tau_b - 0.5 * delta
+
+
+def fringe_locked_pair(params: InterferenceParams, tau_a=None, tau_b=None) -> tuple:
+    """(tau_A, tau_B): the delays given, the missing ones fringe-locked.
+
+    Neither given is `fringe_locked_delays`.  With one given, the free delay
+    first keeps the locked tau_A + tau_B (hence W), then moves by
+    remainder(w (tau_A - tau_B) + phi0, 2 pi)/w onto the nearest crest: by
+    at most half a period, so the sum stays within that of the locked one.
+    Both given are returned as they are.  No rate is evaluated; as in
+    `fringe_locked_delays`, `_check_range` refuses a free delay whose
+    doubles cannot resolve period/512.
+    """
+    if tau_a is not None and tau_b is not None:
+        return tau_a, tau_b
+    locked_a, locked_b = fringe_locked_delays(params)
+    if tau_a is None and tau_b is None:
+        return locked_a, locked_b
+    total, period = locked_a + locked_b, fringe_period(params)
+    a, b = (total - tau_b, tau_b) if tau_a is None else (tau_a, total - tau_a)
+    free, name = (a, "tau_A") if tau_a is None else (b, "tau_B")
+    _check_range(f"fringe-crest grid ends of {name}", free - 0.5 * period, free + 0.5 * period, period / 512)
+    # the phase's offset from its nearest crest, in fs of tau_A - tau_B
+    shift = math.remainder(params.omega * (a - b) + params.phi0, TWO_PI) / params.omega
+    return (a - shift, b) if tau_a is None else (a, b + shift)

@@ -120,6 +120,21 @@ def index_principal_e(model: DispersionModel, lam_nm: float) -> float:
     return math.sqrt(_n_squared(model, "e", lam_nm))
 
 
+def squared_principal_indices(model: DispersionModel, lam_nm: float) -> tuple:
+    """(n_o^2, n_e^2) at lam_nm, the axes of the index ellipse that
+    `index_extraordinary` evaluates: its two Sellmeier reads, for a caller
+    that evaluates the ellipse at many angles (`_ellipse_index`)."""
+    return _n_squared(model, "o", lam_nm), _n_squared(model, "e", lam_nm)
+
+
+def _ellipse_index(cos2, sin2, axes, xp=np):
+    """The index on the ellipse of axes = (n_o^2, n_e^2) at the angle whose
+    squared cosine and sine are cos2 and sin2, with xp's square root: numpy's,
+    or one of Python floats."""
+    no2, ne2 = axes
+    return 1.0 / xp.sqrt(cos2 / no2 + sin2 / ne2)
+
+
 def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
     """Extraordinary index at angle theta between wavevector and optic axis.
 
@@ -128,9 +143,9 @@ def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
 
     theta may be a number or an array of angles (elementwise result).
     """
-    no2, ne2 = _n_squared(model, "o", lam_nm), _n_squared(model, "e", lam_nm)
+    axes = _n_squared(model, "o", lam_nm), _n_squared(model, "e", lam_nm)
     c, s = np.cos(theta), np.sin(theta)
-    return 1.0 / np.sqrt(c * c / no2 + s * s / ne2)
+    return _ellipse_index(c * c, s * s, axes)
 
 
 def group_index(model: DispersionModel, lam_nm: float, theta=None):

@@ -25,11 +25,14 @@ import re
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 import spdc_cascade
+from spdc_cascade import interference
 from spdc_cascade.cli import main
+from spdc_cascade.config import load_config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(spdc_cascade.__file__)))
 
@@ -41,7 +44,8 @@ class Case:
     `--out`; an empty command runs the CLI with no arguments at all.  `err`
     is the one stderr line and `match` a pattern it contains; both have
     {config} and {material} filled in, escaped in `match`.  A `code` of None
-    asks for the contract alone."""
+    asks for the contract alone; `check`, if set, is called with the JSON
+    summary and the config's path after each run that exits 0."""
 
     commands: str | tuple
     ini: str = ""  # {material} names the file of `material`
@@ -56,6 +60,7 @@ class Case:
     out: bool = True
     child: bool = False  # a `python -m` child with a timeout: the case guards against a hang
     first: bool = False  # rerun with the options before the subcommand: the same exit, streams and file
+    check: Callable | None = None
 
 
 def run(argv, child=False):
@@ -133,9 +138,11 @@ def run_case(case, workdir):
             assert re.search(case.match.format(config=re.escape(config), material=re.escape(material)), stderr), where
         if case.rows is not None:
             assert (text.count("\n") - 1, text[:text.index("\n")]) == (case.rows, case.header)
-        record = json.loads(stdout) if case.summary else {}
+        record = json.loads(stdout) if case.summary or case.check and code == 0 else {}
         for key, value in case.summary.items():
             assert math.isclose(record[key], value, rel_tol=1e-9), (key, record[key])
+        if case.check and code == 0:
+            case.check(record, config)
 
 
 MATERIAL_ENTRIES = {
@@ -166,6 +173,20 @@ RANGE_ERROR = (r"^error: (scan range|visibility-curve range|fringe-scan range|fr
                r"from 0 for a step of \S+ fs: doubles there lie \S+ fs apart, so neighbouring samples could round "
                r"equal)$")
 MATERIAL_ERROR = r"^config error: {config}: \[crystal\] material: {material}: .*"
+# the reference design's closed-form delays
+CLOSED_FORM = {"tau_a_fs": 26.620125508414276, "tau_b_fs": 408.91313519243795}
+
+
+def _locked_partner(record, config):
+    """The polarization delays sit on a fringe crest (phase to 1e-6 rad),
+    their sum within a period of the fringe-locked pair's, and the
+    visibility within 1e-3 of the best crest's, `max_visibility`."""
+    params = load_config(config).interference_params()
+    tau_a, tau_b = record["tau_a_fs"], record["tau_b_fs"]
+    assert abs(math.remainder(params.omega * (tau_a - tau_b) + params.phi0, 2 * math.pi)) <= 1e-6
+    period = interference.fringe_period(params)
+    assert abs(tau_a + tau_b - sum(interference.fringe_locked_delays(params))) <= period
+    assert abs(record["visibility"] - interference.max_visibility(params)) <= 1e-3
 
 CASES = {
     "test_cli_contract": [
@@ -240,6 +261,13 @@ CASES = {
     # still resolve there
     "test_polarization_far_from_zero_returns": Case("polarization", FAR, summary=FAR_TAU_B, child=True),
     "test_optimize_far_from_zero_returns": Case("optimize", FAR, summary=FAR_TAU_B, child=True),
+    # a [polarization] delay set alone is kept, and the other one locks
+    # onto the fringe crest nearest the locked pair's sum
+    "test_polarization_with_one_delay_set_locks_the_other": [
+        Case("polarization", f"[polarization]\n{key} = {value!r}\n", summary={key: value}, check=_locked_partner,
+             name=key)
+        for key, value in CLOSED_FORM.items()
+    ],
     # non-finite or non-positive numbers, out-of-range or non-integer
     # azimuth counts, non-boolean flags and unknown choices
     "test_emission_map_rejects_out_of_domain_config": [

@@ -15,14 +15,21 @@ from scipy.optimize import brentq
 import spdc_cascade as sc
 from spdc_cascade.constants import C_NM_PER_FS
 from spdc_cascade.geometry import (
+    _CUT_GRID,
+    _FLOATS,
+    _INPLANE_GRID,
     CLASS_NAMES,
     _class_times,
+    _collinear_residual,
     _cone_polar_angles,
     _cone_residual,
     _cone_times,
+    _float_sqrt,
+    _grid_brackets,
     _inplane_extremes,
     _SIN_TOL,
     _refine_brackets,
+    _secant_root,
     _secant_roots,
     _sine_lanes,
 )
@@ -72,7 +79,8 @@ def _polar_angles(crystal, pump, phi):
     as the map finds them: the e-cone solved once per lane of `_sine_lanes`,
     each o angle the recoil of its e partner at the negated lane."""
     sines, index = _sine_lanes(np.sin(phi))
-    return tuple(u[index[0]] for u in _cone_polar_angles(crystal, pump, phi, (sines, index)))
+    u_e, u_o, _ = _cone_polar_angles(crystal, pump, phi, (sines, index))
+    return u_e[index[0]], u_o[index[0]]
 
 
 def _vector_class_time(name, crystal1, crystal2, pump, u, phi):
@@ -368,6 +376,111 @@ def test_secant_roots_fall_back_where_the_steps_stall_or_leave_the_bracket(monke
     assert _secant_roots(ends, lo, hi, ends(lo), ends(hi), XTOL, RTOL).tolist() == [0.0, 1.0, 0.0]
 
 
+def _scalar_problems(crystal, pump):
+    """The in-plane and collinear problems of a design, each as (f of an
+    array, f of a float, grid, xtol, rtol), from the residuals the solves
+    use."""
+    residual, _ = _cone_residual(crystal, pump)
+    collinear = _collinear_residual(crystal.model, pump)
+
+    def on_axis_angle(psi, xp):
+        c, s = xp.cos(psi), xp.sin(psi)
+        return collinear(c * c, s * s, xp)
+
+    return [(lambda u: residual(u, 1.0), lambda u: residual(u, 1.0, _FLOATS), _INPLANE_GRID, XTOL, RTOL),
+            (lambda psi: on_axis_angle(psi, np), lambda psi: on_axis_angle(psi, _FLOATS), _CUT_GRID,
+             1e-12, 4 * np.finfo(float).eps)]
+
+
+def test_scalar_twin_agrees_with_the_batched_solver(benchmark_designs):
+    # every grid bracket of the in-plane and collinear problems of the 22
+    # designs, solved in Python floats and as a one-lane array: both roots
+    # lie within (xtol + rtol*|x|)/2 of a root of the same bracket, and
+    # they agree to that bound
+    for design in benchmark_designs:
+        crystal, _, pump = _mirror_pair(design)
+        for f, f_float, grid, xtol, rtol in _scalar_problems(crystal, pump):
+            lo, hi, f_lo, f_hi = _grid_brackets(f(grid), grid, "no bracket")
+            assert 1 <= lo.size <= 2
+            for i in range(lo.size):
+                (batched,) = _secant_roots(f, lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], f_hi[i:i + 1], xtol, rtol)
+                root = _secant_root(f_float, lo[i], hi[i], f_lo[i], f_hi[i], xtol, rtol)
+                assert isinstance(root, float)
+                assert abs(root - batched) <= 0.5 * (xtol + rtol * abs(batched)), design
+
+
+def _count_scalar_fallbacks(monkeypatch):
+    """Record the bracket of every _refine_bracket call."""
+    brackets = []
+    refine = sc.geometry._refine_bracket
+
+    def counted(f, lo, hi, *rest):
+        brackets.append((lo, hi))
+        return refine(f, lo, hi, *rest)
+
+    monkeypatch.setattr(sc.geometry, "_refine_bracket", counted)
+    return brackets
+
+
+def test_scalar_twin_falls_back_and_takes_an_end_zero_as_the_batched_solver_does(monkeypatch):
+    # steps that stall on x**9 or leave the bracket on tanh go to the
+    # bisection; an exact zero at a bracket end is the root, the lower end
+    # first, without a secant step
+    fallbacks = _count_scalar_fallbacks(monkeypatch)
+    for f, f_float, expected in ((lambda x: x**9 - 1e-20, lambda x: x**9 - 1e-20, 1e-20 ** (1 / 9)),
+                                 (lambda x: np.tanh(20.0 * (x - 0.3)), lambda x: math.tanh(20.0 * (x - 0.3)), 0.3)):
+        root = _secant_root(f_float, 0.0, 1.0, f_float(0.0), f_float(1.0), XTOL, RTOL)
+        (batched,) = _secant_roots(f, np.array([0.0]), np.array([1.0]), f(np.array([0.0])), f(np.array([1.0])),
+                                   XTOL, RTOL)
+        assert abs(root - expected) <= XTOL + RTOL * root
+        assert abs(root - batched) <= XTOL + RTOL * root
+    assert fallbacks == [(0.0, 1.0)] * 2
+    ends = lambda x: x * (x - 1.0)
+    assert [_secant_root(ends, lo, hi, ends(lo), ends(hi), XTOL, RTOL)
+            for lo, hi in ((0.0, 0.5), (0.5, 1.0), (0.0, 1.0))] == [0.0, 1.0, 0.0]
+
+
+def test_scalar_twin_stays_put_on_a_stalled_or_non_finite_step(monkeypatch):
+    # the first step lands on the jump of a sign function, where the next
+    # two find f1 == f0 and stay: the root is verified there, with no
+    # ZeroDivisionError and no bisection.  An infinite f at the upper end
+    # makes the first step nan, which stays at that end; the verification
+    # then falls outside the bracket, and both solvers bisect to one root
+    fallbacks = _count_scalar_fallbacks(monkeypatch)
+    jump = lambda x: -1.0 if x < 0.5 else 1.0
+    assert _secant_root(jump, 0.0, 1.0, -1.0, 1.0, XTOL, RTOL) == 0.5
+    assert fallbacks == []
+    wall = lambda x: math.inf if x > 0.75 else x - 0.5
+    root = _secant_root(wall, 0.0, 1.0, wall(0.0), wall(1.0), XTOL, RTOL)
+    assert fallbacks == [(0.0, 1.0)]
+    walls = lambda x: np.where(x > 0.75, np.inf, x - 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (batched,) = _secant_roots(walls, np.array([0.0]), np.array([1.0]), walls(np.array([0.0])),
+                                   walls(np.array([1.0])), XTOL, RTOL)
+    assert root == batched and abs(root - 0.5) <= XTOL + RTOL * 0.5
+
+
+def test_float_residuals_raise_nothing_the_array_residuals_do_not(benchmark_designs):
+    # the in-plane and collinear residuals in floats, at every point of
+    # their grids, give what numpy gives there: on the benchmark designs and
+    # on designs the map refuses (below any in-plane crossing, below the
+    # collinear cut angle, and quartz, which has no collinear cut angle);
+    # math's square root raises where numpy's returns nan, so the float
+    # path takes it through _float_sqrt
+    refused = [sc.CrystalSpec(model, 1.07, math.radians(cut)) for model, cut in
+               ((sc.BBO, 40.0), (sc.BBO, 42.5), (sc.QUARTZ, 43.65))]
+    cases = [_mirror_pair(d)[::2] for d in benchmark_designs] + [(c, sc.PumpSpec(395.0, 1.0)) for c in refused]
+    for crystal, pump in cases:
+        for f, f_float, grid, _, _ in _scalar_problems(crystal, pump):
+            floats = [f_float(x) for x in grid.tolist()]
+            assert all(type(v) is float for v in floats)
+            np.testing.assert_allclose(floats, f(grid), rtol=1e-13, atol=1e-15)
+    with np.errstate(invalid="ignore"):
+        for x in (-1.0, -1e-300, -0.0, 0.0, 2.0, math.inf, -math.inf, math.nan):
+            assert np.array_equal(_float_sqrt(x), np.sqrt(x), equal_nan=True), x
+
+
 def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump, monkeypatch):
     # 0.001 deg above the collinear cut angle the cones pass 0.02 mrad from
     # the pump axis; a few azimuths near sin(phi) = 0, with roots of 1-5
@@ -652,14 +765,14 @@ def test_scalar_product_class_times_match_vector_form(thickness, cut_deg, pump_n
 
 
 def test_map_composes_its_classes_from_four_transit_times(crystal1, crystal2, pump, monkeypatch):
-    # one set of cone times for the whole map: the pump, the o photon and
-    # the e photon through each crystal's axis
+    # one set of cone times for the whole map: the pump, the o photon, and
+    # the e photon through each crystal's axis, both in one call
     calls = []
     transit = sc.geometry._transit_time
     monkeypatch.setattr(sc.geometry, "_transit_time",
                         lambda *args, **kw: calls.append(args) or transit(*args, **kw))
     sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def test_on_axis_pair_gaps_are_the_closed_form_delays(benchmark_designs):
@@ -853,14 +966,15 @@ def test_non_finite_delays_are_rejected_naming_the_class(crystal1, crystal2, pum
 
 
 def test_undelayed_map_is_built_once(crystal1, crystal2, pump, monkeypatch):
-    # the grid is checked on entry and when the map is constructed; an
-    # undelayed map adds no copy through with_delays
+    # the grid is checked once, on entry, before any solve: the map built
+    # from it is not checked again; an undelayed map adds no copy through
+    # with_delays
     calls = []
     check = sc.geometry._check_phi_grid
     monkeypatch.setattr(sc.geometry, "_check_phi_grid", lambda phi: calls.append(phi) or check(phi))
     phi = sc.geometry.default_phi_grid(64)
     sc.emission_time_map(crystal1, crystal2, pump, {}, phi)
-    assert len(calls) == 2
+    assert len(calls) == 1
     delayed = sc.emission_time_map(crystal1, crystal2, pump, {"1e": 410.0}, phi)
     base = sc.emission_time_map(crystal1, crystal2, pump, None, phi)
     assert np.array_equal(delayed.times["1e"], base.times["1e"] + 410.0)

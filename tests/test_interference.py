@@ -272,7 +272,7 @@ def test_per_direction_times_equal_per_direction_calls(crystal1, pump, params):
     # a call with that lane's scalar times
     phi = sc.geometry.default_phi_grid(4096)
     lanes = sc.geometry._sine_lanes(np.sin(phi))
-    u_e, u_o = sc.geometry._cone_polar_angles(crystal1, pump, phi, lanes)
+    u_e, u_o, _ = sc.geometry._cone_polar_angles(crystal1, pump, phi, lanes)
     cone = sc.geometry._cone_times(crystal1, pump, u_o, u_e, lanes[0])
     t_p, t_o, t_e, t_e2 = (np.broadcast_to(x, lanes[0].shape) for x in cone.as_tuple())
     assert t_o.shape == (2049,)
@@ -553,6 +553,30 @@ def test_fringe_locked_delays_sit_on_a_crest(params, crest_params):
             for tb in grid]
     array = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, QUARTER, tau_a, grid))
     np.testing.assert_array_equal(array, loop)
+
+
+def test_fringe_locked_pair_keeps_the_given_delay_and_locks_the_other(crest_params):
+    # a delay given alone is kept; the other keeps the locked sum tau_A +
+    # tau_B within half a period and sits on a crest, whose contrast is
+    # within 1e-3 of the best of 31 crests about it (the given delay fixed)
+    for k, design in enumerate(crest_params):
+        locked = sc.fringe_locked_delays(design)
+        closed = sc.optimal_delays(design.times)
+        period = sc.fringe_period(design)
+        assert sc.interference.fringe_locked_pair(design) == locked
+        assert sc.interference.fringe_locked_pair(design, *closed) == closed
+        crests = period * np.arange(-15, 16)
+        for side in (0, 1):
+            for offset in (0.0, 5.0, -20.0):
+                given = closed[side] + offset
+                pair = sc.interference.fringe_locked_pair(design, **{("tau_a", "tau_b")[side]: given})
+                assert pair[side] == given
+                phase = design.omega * (pair[0] - pair[1]) + design.phi0
+                assert abs(math.remainder(phase, 2 * math.pi)) <= 1e-6, (k, side, offset)
+                assert abs(sum(pair) - sum(locked)) <= 0.5 * period * (1 + 1e-9), (k, side, offset)
+                free = pair[1 - side] + crests
+                best = aligned_contrast(design, *((given, free) if side == 0 else (free, given))).max()
+                assert aligned_contrast(design, *pair) >= best - 1e-3, (k, side, offset)
 
 
 def test_fringe_locked_tau_b_is_the_maximum_of_the_rate(benchmark_params):
