@@ -21,6 +21,7 @@ from .interference import (
     _BLOCK_POINTS,
     AnalyzerDelayConfig,
     InterferenceParams,
+    _check_one_design,
     aligned_contrast,
     coincidence_rate,
     envelope,
@@ -114,6 +115,7 @@ def delay_scan(
     cfg.tau_b is ignored; the step must resolve the fringes (at most an
     eighth of the fringe period).
     """
+    _check_one_design(params.times, "delay_scan")
     period = fringe_period(params)
     if step > period / 8.0:
         raise ValueError(
@@ -121,11 +123,8 @@ def delay_scan(
             f"{period / 8.0:g} fs"
         )
     xs = _grid(tau_b_start, tau_b_stop, step, "scan range ends of tau_B")
-    rates = coincidence_rate(
-        params,
-        AnalyzerDelayConfig(cfg.theta_a, cfg.theta_b, cfg.tau_a, xs),
-    )
-    return ScanSeries("delay_fs", xs, np.asarray(rates, dtype=float), {"fringe_period_fs": period})
+    rates = coincidence_rate(params, AnalyzerDelayConfig(cfg.theta_a, cfg.theta_b, cfg.tau_a, xs))
+    return ScanSeries("delay_fs", xs, rates, {"fringe_period_fs": period})
 
 
 def polarization_scan(
@@ -138,6 +137,7 @@ def polarization_scan(
     step: float,
 ) -> ScanSeries:
     """Coincidence rate versus the angle of analyzer B, analyzer A fixed."""
+    _check_one_design(params.times, "polarization_scan")
     if step > math.pi / 64.0:
         raise ValueError(
             f"step {step:g} rad too coarse; polarization scans require step <= "
@@ -145,7 +145,7 @@ def polarization_scan(
         )
     xs = _grid(theta_b_start, theta_b_stop, step, "scan range ends of theta_B", unit="rad")
     rates = coincidence_rate(params, AnalyzerDelayConfig(theta_a, xs, tau_a, tau_b))
-    return ScanSeries("analyzer_rad", xs, np.asarray(rates, dtype=float))
+    return ScanSeries("analyzer_rad", xs, rates)
 
 
 def _refined_extrema(xs, rates):
@@ -275,6 +275,7 @@ def visibility_curve(
     sum.  Both peak at the compensating tau_B and vanish outside the
     amplitude-overlap window.
     """
+    _check_one_design(params.times, "visibility_curve")
     tau_b_grid = np.asarray(tau_b_grid, dtype=float)
     if method == "aligned":
         vis = aligned_contrast(params, tau_a, tau_b_grid)
@@ -308,6 +309,7 @@ def optimize_delays_numeric(params: InterferenceParams, search_box) -> DelayOpti
     do not increase or lie too far from 0 for doubles to resolve the 1 fs
     grid, and for a window that they cannot resolve at its step.
     """
+    _check_one_design(params.times, "optimize_delays_numeric")
     (a_lo, a_hi), (b_lo, b_hi) = search_box
     extent = "the box needs positive extent on both axes"
     ta = _grid(a_lo, a_hi, 1.0, "search box ends of tau_A", extent=extent)
@@ -377,6 +379,7 @@ def prescribe_delays(times, quartz_model: DispersionModel, lam_nm: float) -> Del
     Raises ValueError, naming the delay and its value, when a compensating
     delay is negative: a quartz plate only adds delay.
     """
+    _check_one_design(times, "prescribe_delays")
     tau_a, tau_b = optimal_delays(times)
     for name, tau in (("tau_A", tau_a), ("tau_B", tau_b)):
         if not tau >= 0:

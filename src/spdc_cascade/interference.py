@@ -15,8 +15,8 @@ error functions,
     V = erf{ s [ u + D - r|W| ] } - erf{ s [ u - D + r|W| ] },
 
     s = sigma / (4 sqrt 2),       D = 2 t_p - t_o - t_e,
-    r = D / (t_o - t_e),          W = 2 t_o - t_e - t_e' - tau_A - tau_B,
-    u = tau_A - tau_B - (t_o + t_e' - 2 t_p),
+    r = D / (t_o - t_e),          W = S* - tau_A - tau_B,   S* = 2 t_o - t_e - t_e',
+    u = tau_A - tau_B - Delta*,   Delta* = t_o + t_e' - 2 t_p,
 
 maximized (V = 2 erf(sD)) exactly at the compensating delays
 
@@ -40,14 +40,15 @@ which nearly cancel.
 The model holds only for D > 0 and t_o - t_e > 0 (the e photon outruns
 the o photon, as in BBO); `InterferenceParams` refuses a design outside
 it (quartz) with a DegenerateParametersError that names the failing
-value, so every kernel may divide by both.  The kernels see the delays
-only through tau_A - tau_B and |W|: `_elementwise` rounds each once per
-block, and window, envelope and fringe all read those two values.
+value, so every kernel may divide by both.  The kernels read a design as
+(S*, Delta*, D, t_o - t_e), formed once by `InterferenceParams`, and the
+delays only through tau_A - tau_B and |W|: `_elementwise` rounds each once
+per block, and window, envelope and fringe all read those two values.
 
 The times are floats on the pump axis (`params_from_crystal`) or arrays,
 one element per direction, that broadcast with the delays: `_elementwise`
-slices them into its blocks with the delays, so one call evaluates every
-direction, equal to the bit to a call per direction.
+slices their four numbers into its blocks with the delays, so one call
+evaluates every direction, equal to the bit to a call per direction.
 
 Rect is the window of delay sums within which the two pair amplitudes
 overlap at all: |W| < t_o - t_e, open, with edges at the zero crossings of
@@ -70,7 +71,7 @@ Cephes library (ndtr.c), so numpy is the only run-time dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -94,14 +95,15 @@ class InterferenceParams:
 
     The times must lie in the model's domain (else DegenerateParametersError,
     which names the first failing direction of array times, in C order).
-    The scans, `fringe_locked_delays`, `analysis.optimize_delays_numeric`
-    and `analysis.visibility_curve` take one design: float times.
+    The scans, the fringe locks, `analysis.optimize_delays_numeric` and
+    `analysis.visibility_curve` take one design: float times (else ValueError).
     """
 
     times: PropagationTimes
     sigma: float
     omega: float
     phi0: float = 0.0
+    _terms: tuple = field(init=False, repr=False, compare=False)  # (S*, Delta*, D, t_o - t_e), for the kernels
 
     def __post_init__(self):
         for name in ("sigma", "omega", "phi0"):
@@ -112,7 +114,8 @@ class InterferenceParams:
             raise ValueError("sigma must be positive")
         if self.omega <= 0:
             raise ValueError("omega must be positive")
-        d, span = _walkoff_scales(self.times)
+        t = self.times
+        d, span = 2.0 * t.t_p - t.t_o - t.t_e, t.t_o - t.t_e
         for value, name, reason in ((d, "2*t_p - t_o - t_e", "outside the rate model's domain"),
                                     (span, "t_o - t_e", "the rate model needs an e photon faster than the o "
                                                         "photon (as in BBO)")):
@@ -122,6 +125,7 @@ class InterferenceParams:
                 where = f" at direction {k}" if np.ndim(value) else ""
                 raise DegenerateParametersError(f"{name} = {np.ravel(value)[k]:.6g} fs is not positive; "
                                                 f"{reason}{where}")
+        object.__setattr__(self, "_terms", (2.0 * t.t_o - t.t_e - t.t_e2, t.t_o + t.t_e2 - 2.0 * t.t_p, d, span))
 
     def with_sigma(self, sigma: float) -> "InterferenceParams":
         return replace(self, sigma=sigma)
@@ -147,13 +151,7 @@ def params_from_crystal(
     The degenerate photon frequency is half the pump centre frequency; the
     propagation times are those on the pump axis.
     """
-    times = propagation_times(crystal, pump)
-    return InterferenceParams(
-        times=times,
-        sigma=pump.sigma,
-        omega=0.5 * pump.omega_bar,
-        phi0=phi0,
-    )
+    return InterferenceParams(propagation_times(crystal, pump), pump.sigma, 0.5 * pump.omega_bar, phi0)
 
 
 # Cephes ndtr.c coefficients, highest power first: erf(x) = x T(x^2)/U(x^2)
@@ -230,21 +228,21 @@ def _erf(x):
 
 
 def _elementwise(kernel, params: InterferenceParams, *args):
-    """kernel(params, t, *others, u, w): the one evaluator of the rate
-    model's kernels; args are the others, then the delays tau_A, tau_B.
+    """kernel(params, *others, u, w, delta, d, span): the one evaluator of
+    the rate model's kernels; args are the others, then tau_A, tau_B.
 
-    The arguments and the four fields of params.times become float arrays
-    of at least one dimension.  The broadcast shape runs in blocks of about
+    The arguments and the four numbers of params become float arrays of at
+    least one dimension.  The broadcast shape runs in blocks of about
     _BLOCK_POINTS samples along axis 0, slicing only the arrays that vary
     along it, and the result does not depend on the blocking, to the last
-    bit.  Each block meets its delays with its times once, here: its kernel
-    takes the block's times t, the others, then u = tau_A - tau_B (not the
-    shifted u of V) and w = |W| = |2 t_o - t_e - t_e' - tau_A - tau_B|.
+    bit.  Each block meets its delays with its design once, here: its
+    kernel takes the others, then u = tau_A - tau_B (not the shifted u of
+    V), w = |W| = |S* - tau_A - tau_B| and the block's Delta*, D and span.
     Scalar (float or 0-d) arguments and times give a Python float, the one
     element of that array.  An infinite delay gives what a nan delay gives,
     with no floating-point warning.
     """
-    args = (*args, *params.times.as_tuple())
+    args = (*args, *params._terms)
     scalar = all(np.ndim(a) == 0 for a in args)
     args = [np.atleast_1d(np.asarray(a, dtype=float)) for a in args]
     full = np.broadcast(*args)
@@ -253,21 +251,14 @@ def _elementwise(kernel, params: InterferenceParams, *args):
     out = np.empty(full.shape)
     with np.errstate(invalid="ignore"):  # inf - inf and cos(inf) give nan, as a nan delay does
         for lo in range(0, full.shape[0], rows):
-            *others, tau_a, tau_b, t_p, t_o, t_e, t_e2 = (a[lo:lo + rows] if cut else a
-                                                          for a, cut in zip(args, sliced))
-            w = abs(2.0 * t_o - t_e - t_e2 - tau_a - tau_b)
-            out[lo:lo + rows] = kernel(params, PropagationTimes(t_p, t_o, t_e, t_e2), *others, tau_a - tau_b, w)
+            *others, tau_a, tau_b, target_sum, delta, d, span = (a[lo:lo + rows] if cut else a
+                                                                 for a, cut in zip(args, sliced))
+            out[lo:lo + rows] = kernel(params, *others, tau_a - tau_b, abs(target_sum - tau_a - tau_b), delta, d, span)
     return float(out[0]) if scalar else out
 
 
-def _walkoff_scales(times: PropagationTimes):
-    """(D, t_o - t_e) in fs, both positive for the times of an `InterferenceParams`."""
-    return 2.0 * times.t_p - times.t_o - times.t_e, times.t_o - times.t_e
-
-
-def _rect(params: InterferenceParams, t: PropagationTimes, u, w):
-    """`rect_window` at (t, u, w) of `_elementwise`."""
-    _, span = _walkoff_scales(t)
+def _rect(params: InterferenceParams, u, w, delta, d, span):
+    """`rect_window` at (u, w, delta, d, span) of `_elementwise`."""
     return 1.0 * (w < span)
 
 
@@ -276,14 +267,11 @@ def rect_window(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_rect, params, tau_a, tau_b)
 
 
-def _envelope(params: InterferenceParams, t: PropagationTimes, u, w):
-    """`envelope` at (t, u, w) of `_elementwise`."""
-    d, span = _walkoff_scales(t)
+def _envelope(params: InterferenceParams, u, w, delta, d, span):
+    """`envelope` at (u, w, delta, d, span) of `_elementwise`."""
     s = params.sigma / (4.0 * math.sqrt(2.0))
-    rw = d / span * w
-    a1 = u + 4.0 * t.t_p - 2.0 * t.t_o - t.t_e - t.t_e2 - rw
-    a2 = u + t.t_e - t.t_e2 + rw
-    return _erf(s * a1) - _erf(s * a2)
+    x, rw = u - delta, d / span * w  # x is the shifted u of V
+    return _erf(s * (x + d - rw)) - _erf(s * (x - d + rw))
 
 
 def envelope(params: InterferenceParams, tau_a, tau_b):
@@ -291,18 +279,17 @@ def envelope(params: InterferenceParams, tau_a, tau_b):
     return _elementwise(_envelope, params, tau_a, tau_b)
 
 
-def _interference(params: InterferenceParams, t: PropagationTimes, factor, u, w):
+def _interference(params: InterferenceParams, factor, u, w, delta, d, span):
     """factor V Rect / (sigma D), the interference term of rate and contrast alike."""
-    d, _ = _walkoff_scales(t)
-    return factor * _envelope(params, t, u, w) * _rect(params, t, u, w) / (params.sigma * d)
+    return factor * _envelope(params, u, w, delta, d, span) * _rect(params, u, w, delta, d, span) / (params.sigma * d)
 
 
-def _rate(params: InterferenceParams, t: PropagationTimes, th_a, th_b, u, w):
-    """`coincidence_rate` at (t, u, w) of `_elementwise`."""
+def _rate(params: InterferenceParams, th_a, th_b, u, w, delta, d, span):
+    """`coincidence_rate` at (u, w, delta, d, span) of `_elementwise`."""
     projection = (np.cos(th_a) * np.sin(th_b)) ** 2 + (np.cos(th_b) * np.sin(th_a)) ** 2
     fringe = np.cos(params.omega * u + params.phi0)
     factor = math.sqrt(8.0 * math.pi) * np.cos(th_b) * np.sin(th_b) * np.cos(th_a) * np.sin(th_a) * fringe
-    rate = 0.5 * (projection + _interference(params, t, factor, u, w))
+    rate = 0.5 * (projection + _interference(params, factor, u, w, delta, d, span))
     rate[rate < 0.0] = 0.0
     return rate
 
@@ -317,10 +304,17 @@ def coincidence_rate(params: InterferenceParams, cfg: AnalyzerDelayConfig):
     negative rate is set to zero, silently: it is rounding, not physics.
     With theta_A + theta_B = pi and the fringe on its crest the two terms
     cancel, and on designs of small sigma D the sum can round below zero
-    (-1.9e-16 at 0.01 mm, 43 deg and a 1e-8 nm pump).  nan and -0.0 pass
-    through: a non-finite delay (nan or +-inf) gives nan, with no warning.
+    (-6.9e-18 at 0.1 mm, 43.65 deg, 1e-8 nm, 11 and 169 deg, on crest).  nan
+    and -0.0 pass through: a non-finite delay (nan or +-inf) gives nan, with
+    no warning.
     """
     return _elementwise(_rate, params, cfg.theta_a, cfg.theta_b, cfg.tau_a, cfg.tau_b)
+
+
+def _check_one_design(times: PropagationTimes, name: str):
+    """Refuse array times: `name` takes one design."""
+    if shape := np.broadcast(*times.as_tuple()).shape:
+        raise ValueError(f"{name} takes one design (float times), not times of shape {shape}")
 
 
 def fringe_period(params: InterferenceParams) -> float:
@@ -339,9 +333,9 @@ def optimal_delays(times: PropagationTimes) -> tuple:
     return tau_a, tau_b
 
 
-def _aligned_contrast(params: InterferenceParams, t: PropagationTimes, u, w):
-    """`aligned_contrast` at (t, u, w) of `_elementwise`."""
-    return np.minimum(abs(_interference(params, t, 0.5 * math.sqrt(8.0 * math.pi), u, w)), 1.0)
+def _aligned_contrast(params: InterferenceParams, u, w, delta, d, span):
+    """`aligned_contrast` at (u, w, delta, d, span) of `_elementwise`."""
+    return np.minimum(abs(_interference(params, 0.5 * math.sqrt(8.0 * math.pi), u, w, delta, d, span)), 1.0)
 
 
 def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
@@ -352,9 +346,9 @@ def aligned_contrast(params: InterferenceParams, tau_a, tau_b):
     sqrt(8 pi) |V| Rect / (2 sigma D): the rate's interference term
     (`_interference`) with the factor sqrt(8 pi)/2, in magnitude.  Halving
     the factor rather than doubling sigma D rescales by a power of two,
-    which rounds nothing.  It is capped at 1 against
-    rounding: as sigma D -> 0 the contrast tends to 1 from below, and at
-    0.1 mm, 43.65 deg and a 1e-8 nm pump the formula reads 1 + 3e-15.
+    which rounds nothing.  It is capped at 1 against rounding: as sigma D
+    -> 0 the contrast tends to 1 from below, and at 0.1 mm, 43.65 deg and a
+    1e-8 nm pump the formula reads 1 - 1.1e-16.
     """
     return _elementwise(_aligned_contrast, params, tau_a, tau_b)
 
@@ -389,6 +383,7 @@ def fringe_locked_delays(params: InterferenceParams) -> tuple:
     doubles cannot resolve period/512, where rounding would move the phase
     off the crest.
     """
+    _check_one_design(params.times, "fringe_locked_delays")
     tau_a, tau_b = optimal_delays(params.times)
     period = fringe_period(params)
     _check_range("fringe-crest grid ends of tau_B", tau_b - 0.5 * period, tau_b + 0.5 * period, period / 512)
@@ -407,6 +402,7 @@ def fringe_locked_pair(params: InterferenceParams, tau_a=None, tau_b=None) -> tu
     `fringe_locked_delays`, `_check_range` refuses a free delay whose
     doubles cannot resolve period/512.
     """
+    _check_one_design(params.times, "fringe_locked_pair")
     if tau_a is not None and tau_b is not None:
         return tau_a, tau_b
     locked_a, locked_b = fringe_locked_delays(params)

@@ -167,8 +167,7 @@ def group_index(model: DispersionModel, lam_nm: float, theta=None):
     dno2 = model.sellmeier_o.dn2_dlam(lam_um)
     dne2 = model.sellmeier_e.dn2_dlam(lam_um)
     c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    inv_n2 = c2 / no2 + s2 / ne2
-    n = 1.0 / np.sqrt(inv_n2)
+    n = _ellipse_index(c2, s2, (no2, ne2))
     # d(1/n^2)/dlam = -c2*dno2/no2^2 - s2*dne2/ne2^2  ->  dn/dlam = -n^3/2 * d(1/n^2)/dlam
     dinv = -c2 * dno2 / no2**2 - s2 * dne2 / ne2**2
     dn = -0.5 * n**3 * dinv

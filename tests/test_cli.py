@@ -477,24 +477,25 @@ def test_warning_prints_one_line_without_source(config_path, tmp_path, monkeypat
 
 POLARIZATION_AT_CRESTS_INI = """\
 [crystal]
-thickness_mm = 0.01
-cut_angle_deg = 43.0
+thickness_mm = 0.1
+cut_angle_deg = 43.65
 
 [pump]
 bandwidth_nm = 1e-8
 
 [polarization]
-tau_a_fs = 0.6717834460478722
-tau_b_fs = 3.306939798113273
+tau_a_fs = 1.9059270636192973
+tau_b_fs = 38.79811599253491
+theta_a_deg = 11
 theta_b_start_deg = 1
 theta_b_stop_deg = 361
 """
 
 
 def test_polarization_at_fringe_crests_of_a_narrowband_design_is_silent(tmp_path):
-    # the fringe contrast of this design rounds to 1; at theta_A + theta_B
-    # = pi (135 and 315 deg) the rate formula rounds a few 1e-16 below
-    # zero, and the rate reads 0 without a warning
+    # the fringe contrast of this design rounds to 1; at the locked delays
+    # and theta_A + theta_B = pi (11 and 169 deg) the rate formula rounds a
+    # few 1e-18 below zero, and the rate reads 0 without a warning
     path = tmp_path / "crests.ini"
     path.write_text(POLARIZATION_AT_CRESTS_INI)
     out_path = tmp_path / "pol.csv"
@@ -503,4 +504,4 @@ def test_polarization_at_fringe_crests_of_a_narrowband_design_is_silent(tmp_path
     rows = [line.split(",") for line in out_path.read_text().splitlines()[1:]]
     rates = {round(math.degrees(float(angle))): float(rate) for angle, rate in rows}
     assert len(rates) == 181 and min(rates.values()) >= 0.0
-    assert rates[135] == rates[315] == 0.0
+    assert rates[169] == 0.0

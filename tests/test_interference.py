@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -174,13 +175,13 @@ def test_degenerate_parameter_guard(pump):
     for name in ("sigma", "omega"):
         for bad in (0.0, -1.0):
             with pytest.raises(ValueError, match=f"^{name} must be positive$"):
-                sc.InterferenceParams(**{**vars(params), name: bad})
+                dataclasses.replace(params, **{name: bad})
     # sigma, omega and phi0 must be finite: NaN passed the sign checks, and
     # an infinite sigma read a visibility of 0 beside an envelope of 2
     for name in ("sigma", "omega", "phi0"):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad!r}$"):
-                sc.InterferenceParams(**{**vars(params), name: bad})
+                dataclasses.replace(params, **{name: bad})
     with pytest.raises(ValueError, match="sigma must be finite"):
         params.with_sigma(math.nan)
 
@@ -304,6 +305,30 @@ def test_per_direction_times_equal_per_direction_calls(crystal1, pump, params):
             sc.InterferenceParams(sc.PropagationTimes(**bad), params.sigma, params.omega)
 
 
+ONE_DESIGN_CALLS = {
+    "fringe_locked_delays": lambda p: sc.fringe_locked_delays(p),
+    "fringe_locked_pair": lambda p: sc.interference.fringe_locked_pair(p, 1.0, 2.0),
+    "delay_scan": lambda p: sc.delay_scan(p, sc.AnalyzerDelayConfig(QUARTER, QUARTER, 0.0, 0.0), 0.0, 10.0, 0.1),
+    "polarization_scan": lambda p: sc.polarization_scan(p, 0.0, 0.0, QUARTER, 0.0, math.pi, 0.01),
+    "visibility_curve": lambda p: sc.visibility_curve(p, 0.0, [0.0, 1.0]),
+    "optimize_delays_numeric": lambda p: sc.optimize_delays_numeric(p, ((0.0, 10.0), (0.0, 10.0))),
+    "prescribe_delays": lambda p: sc.prescribe_delays(p.times, sc.QUARTZ, 790.0),
+}
+
+
+@pytest.mark.parametrize("name", ONE_DESIGN_CALLS)
+def test_one_design_functions_refuse_array_times(params, name):
+    # one ValueError line, not numpy's TypeError, broadcast or truth-value
+    # error from deep inside; the elementwise functions take the same times
+    t = params.times
+    two = sc.InterferenceParams(sc.PropagationTimes(t.t_p, np.array([t.t_o, t.t_o + 1.0]), t.t_e, t.t_e2),
+                                params.sigma, params.omega)
+    ONE_DESIGN_CALLS[name](params)
+    with pytest.raises(ValueError, match=rf"^{name} takes one design \(float times\), not times of shape \(2,\)$"):
+        ONE_DESIGN_CALLS[name](two)
+    assert sc.max_visibility(two).shape == (2,)
+
+
 # --- coincidence rate ------------------------------------------------------------
 
 def test_orthogonal_analyzers_give_constant_half(params):
@@ -365,28 +390,34 @@ def test_rate_outside_window_is_classical_baseline(params):
         assert rate == pytest.approx(baseline, abs=1e-15)
 
 
+def _before_guards(params, theta_a, theta_b, tau_a, tau_b):
+    """(contrast, rate) before the contrast's cap and the rate's clamp, as
+    `_aligned_contrast` and `_rate` form them from one block of
+    `_elementwise` at float delays and each angle of the array theta_b."""
+    target_sum, *design = params._terms
+    u, w = np.array([tau_a - tau_b]), np.array([abs(target_sum - tau_a - tau_b)])
+    contrast = abs(sc.interference._interference(params, 0.5 * math.sqrt(8.0 * math.pi), u, w, *design))
+    projection = (np.cos(theta_a) * np.sin(theta_b)) ** 2 + (np.cos(theta_b) * np.sin(theta_a)) ** 2
+    factor = (math.sqrt(8.0 * math.pi) * np.cos(theta_b) * np.sin(theta_b) * np.cos(theta_a) * np.sin(theta_a)
+              * np.cos(params.omega * u + params.phi0))
+    return contrast[0], 0.5 * (projection + sc.interference._interference(params, factor, u, w, *design))
+
+
 def test_negative_rate_rounding_is_clamped_silently():
     # at theta_A + theta_B = pi on a fringe crest the two terms of the rate
-    # cancel; with sigma D this small the contrast rounds to 1 and the sum
-    # a few 1e-16 below zero.  The rate reads 0, a float, with no warning
-    crystal = sc.CrystalSpec(sc.BBO, 0.01, math.radians(43.0))
+    # cancel; with sigma D this small the contrast rounds to 1 and, at
+    # these angles, the sum a few 1e-18 below zero.  The rate reads 0, a
+    # float, with no warning
+    crystal = sc.CrystalSpec(sc.BBO, 0.1, math.radians(43.65))
     params = sc.params_from_crystal(crystal, sc.PumpSpec(395.0, 1e-8))
-    tau_a, tau_b = 0.6717834460478722, 3.306939798113273
-    theta_b = np.radians([135.0, 315.0])
-    # the sum before the clamp, as `_rate` forms it from the (u, w) of `_elementwise`
-    t = params.times
-    u = np.array([tau_a - tau_b])
-    w = np.array([abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)])
-    projection = (np.cos(QUARTER) * np.sin(theta_b)) ** 2 + (np.cos(theta_b) * np.sin(QUARTER)) ** 2
-    factor = (math.sqrt(8.0 * math.pi) * np.cos(theta_b) * np.sin(theta_b) * np.cos(QUARTER) * np.sin(QUARTER)
-              * np.cos(params.omega * u + params.phi0))
-    block = sc.PropagationTimes(*np.atleast_1d(*t.as_tuple()))  # the times of `_elementwise`'s block
-    unclamped = 0.5 * (projection + sc.interference._interference(params, block, factor, u, w))
+    tau_a, tau_b = 1.9059270636192973, 38.79811599253491  # its `fringe_locked_delays`
+    theta_a, theta_b = math.radians(11.0), np.radians([169.0, 349.0])
+    _, unclamped = _before_guards(params, theta_a, theta_b, tau_a, tau_b)
     assert np.all(unclamped < 0.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        rates = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, theta_b, tau_a, tau_b))
-        scalar = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(QUARTER, theta_b[0], tau_a, tau_b))
+        rates = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(theta_a, theta_b, tau_a, tau_b))
+        scalar = sc.coincidence_rate(params, sc.AnalyzerDelayConfig(theta_a, theta_b[0], tau_a, tau_b))
     assert rates.tolist() == [0.0, 0.0]
     assert type(scalar) is float and scalar == 0.0
     # nan passes through the clamp
@@ -422,38 +453,31 @@ def test_infinite_delays_give_what_a_nan_delay_gives_silently(params):
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(thickness=st.floats(0.01, 5.0), cut_deg=st.floats(43.6, 50.0), center=st.floats(390.0, 400.0),
        bandwidth=st.floats(1e-8, 5.0))
-@example(thickness=0.1, cut_deg=43.65, center=395.0, bandwidth=1e-8)  # contrast 1 + 14 eps
-@example(thickness=0.01, cut_deg=43.0, center=395.0, bandwidth=1e-8)  # rate -0.875 eps
-@example(thickness=1.6625, cut_deg=48.628, center=397.54, bandwidth=1.9e-8)  # rate -4.125 eps
+@example(thickness=0.1, cut_deg=43.65, center=395.0, bandwidth=1e-8)  # contrast 1 - eps/2
+@example(thickness=0.01, cut_deg=43.0, center=395.0, bandwidth=1e-8)  # rate 0.125 eps
+@example(thickness=1.6625, cut_deg=48.628, center=397.54, bandwidth=1.9e-8)  # rate 0.375 eps
+@example(thickness=1.2719375880091597, cut_deg=50.0, center=390.0, bandwidth=1e-8)  # contrast 1, rate -0.125 eps
 def test_rate_and_contrast_before_their_guards_are_off_by_rounding_only(thickness, cut_deg, center, bandwidth):
-    # the sums that the rate's clamp and the contrast's cap guard, formed as
-    # in `test_negative_rate_rounding_is_clamped_silently`, at the envelope
-    # peak and at the crest nearest it (tau_A and tau_B moved by +-delta/2,
-    # so W stays).  There, at theta_A + theta_B = pi, the rate is (1 -
-    # contrast)/4, so the contrast's 1 + 32 eps bounds it by -8 eps
+    # the sums that the rate's clamp and the contrast's cap guard
+    # (`_before_guards`), at the envelope peak and at the crest nearest it
+    # (tau_A and tau_B moved by +-delta/2, so W stays).  There, at theta_A +
+    # theta_B = pi, the rate is (1 - contrast)/4: with the contrast at most
+    # 1, only the rounding of its two terms near 1/2 takes it below zero.
+    # The designs here reach -eps/8; the bound leaves a factor of two
     crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg))
     params = sc.params_from_crystal(crystal, sc.PumpSpec(center, bandwidth))
-    t = params.times
-    block = sc.PropagationTimes(*np.atleast_1d(*t.as_tuple()))
-    tau_a0, tau_b0 = sc.optimal_delays(t)
+    tau_a0, tau_b0 = sc.optimal_delays(params.times)
     period = sc.fringe_period(params)
     half = 0.5 * (period * round((tau_a0 - tau_b0) / period) - (tau_a0 - tau_b0))
-    theta_b = np.radians([135.0, 315.0])
-    projection = (np.cos(QUARTER) * np.sin(theta_b)) ** 2 + (np.cos(theta_b) * np.sin(QUARTER)) ** 2
     for tau_a, tau_b in ((tau_a0, tau_b0), (tau_a0 + half, tau_b0 - half)):
-        u = np.array([tau_a - tau_b])
-        w = np.array([abs(2.0 * t.t_o - t.t_e - t.t_e2 - tau_a - tau_b)])
-        contrast = abs(sc.interference._interference(params, block, 0.5 * math.sqrt(8.0 * math.pi), u, w))
-        factor = (math.sqrt(8.0 * math.pi) * np.cos(theta_b) * np.sin(theta_b) * np.cos(QUARTER) * np.sin(QUARTER)
-                  * np.cos(params.omega * u + params.phi0))
-        unclamped = 0.5 * (projection + sc.interference._interference(params, block, factor, u, w))
-        assert contrast[0] <= 1.0 + 32 * EPS, (tau_a, tau_b, (contrast[0] - 1.0) / EPS)
-        assert unclamped.min() >= -8 * EPS, (tau_a, tau_b, unclamped.min() / EPS)
+        contrast, unclamped = _before_guards(params, QUARTER, np.radians([135.0, 315.0]), tau_a, tau_b)
+        assert contrast <= 1.0, (tau_a, tau_b, (contrast - 1.0) / EPS)
+        assert unclamped.min() >= -EPS / 4, (tau_a, tau_b, unclamped.min() / EPS)
 
 
 def test_max_visibility_is_capped_at_one():
     # as sigma D -> 0 the contrast tends to 1 from below; here the formula
-    # rounds to 1 + 3e-15, and the cap holds it at 1
+    # rounds to 1 - 1.1e-16, and the cap would hold it at 1 against rounding
     crystal = sc.CrystalSpec(sc.BBO, 0.1, math.radians(43.65))
     params = sc.params_from_crystal(crystal, sc.PumpSpec(395.0, 1e-8))
     assert sc.max_visibility(params) <= 1.0
@@ -491,10 +515,11 @@ def test_max_visibility_monochromatic_limit(params):
 
 
 def test_max_visibility_is_contrast_at_closed_form_delays(params):
-    # the golden visibility-curve peak of the reference design (its grid
-    # passes through the compensating tau_B)
+    # the visibility-curve peak of the reference design (its grid passes
+    # through the compensating tau_B); the formula in 50 digits at these
+    # float times and delays reads 0.860590323965631125
     visibility = sc.max_visibility(params)
-    assert visibility == 0.8605903239656302
+    assert visibility == 0.8605903239656311
     assert visibility == aligned_contrast(params, *sc.optimal_delays(params.times))
 
 
