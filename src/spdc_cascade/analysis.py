@@ -30,7 +30,7 @@ from .interference import (
     rect_window,
 )
 from .materials import DispersionModel, group_index
-from .numeric import _check_range, _csv, _fixed, parabola_vertex
+from .numeric import _check_range, _csv, _fixed
 
 ABSCISSA_KINDS = ("delay_fs", "analyzer_rad")
 
@@ -39,7 +39,7 @@ FRINGE_WINDOW_PERIODS = 2.0
 FRINGE_SAMPLES_PER_PERIOD = 32
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScanSeries:
     """Ordered (abscissa, rate) samples.
 
@@ -48,7 +48,8 @@ class ScanSeries:
     `extract_visibility` of a series with one is NaN.
     meta holds what reading them takes: the fringe period of a delay series
     (`fringe_period_fs`, for the span check of `extract_visibility`) and the
-    name of a CSV ordinate other than "rate" (`ordinate`).
+    name of a CSV ordinate other than "rate" (`ordinate`).  Series compare
+    and hash by identity: their arrays allow no other equality.
     """
 
     abscissa_kind: str
@@ -148,6 +149,23 @@ def polarization_scan(
     return ScanSeries("analyzer_rad", xs, rates)
 
 
+def _parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:
+    """Vertex (x, y) of the parabola through three points, elementwise.
+
+    Refines the sampled extrema of `_refined_extrema`, each bracketed by its
+    neighbours; falls back to the middle point where the three are collinear.
+    """
+    d1 = (y1 - y0) / (x1 - x0)
+    d2 = (y2 - y1) / (x2 - x1)
+    curv = (d2 - d1) / (x2 - x0)
+    collinear = curv == 0.0
+    curv = np.where(collinear, 1.0, curv)  # any nonzero value; its vertex is discarded
+    xv = 0.5 * (x0 + x1 - d1 / curv)
+    # evaluate the interpolating parabola at its vertex
+    yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
+    return np.where(collinear, x1, xv), np.where(collinear, y1, yv)
+
+
 def _refined_extrema(xs, rates):
     """Parabola-refined interior local maxima and minima of each row.
 
@@ -170,7 +188,7 @@ def _refined_extrema(xs, rates):
     is_max = (here > before) & (here > after)
     keep = (is_max | ((here < before) & (here < after))) & (row[:-2] == row[2:])
     i, is_max = start[1:-1][keep], is_max[keep]
-    x, value = parabola_vertex(xs[i - 1], rates[i - 1], xs[i], rates[i], xs[i + 1], rates[i + 1])
+    x, value = _parabola_vertex(xs[i - 1], rates[i - 1], xs[i], rates[i], xs[i + 1], rates[i + 1])
     row, is_min = i // n, ~is_max
     return (row[is_max], x[is_max], value[is_max]), (row[is_min], x[is_min], value[is_min])
 

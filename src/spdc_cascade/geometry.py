@@ -6,12 +6,12 @@ y-z plane at angles +psi and -psi to the pump.  Degenerate phase matching
 index taken at its actual angle to the optic axis) is solved exactly, for
 the e-cone once per design, by one root solver: batched over whole arrays
 of problems along every azimuth phi of a grid (the emission-time map,
-`_secant_roots`), and in Python floats (`_secant_root`, step for step the
-same) for the extremes that summarize a cone as axis tilt + half-opening
-angle in the plane of the optic axes (`phase_match_cones`) and for the
-collinear cut angle.  Each e photon's o partner leaves along
-the recoil r = k_p z - n d (`_cone_residual`) at azimuth phi + pi, so the
-o-cone at sine v is read off the e root at -v: u_o = atan2(n sin u_e,
+`_secant_roots`), and in Python floats (`_secant_root`, the same steps)
+for the extremes that summarize a cone as axis tilt + half-opening angle
+in the plane of the optic axes (`phase_match_cones`) and for the
+collinear cut angle.  Each e photon's o partner leaves along the recoil
+r = k_p z - n d (`_cone_residual`) at azimuth phi + pi, so the o-cone at
+sine v is read off the e root at -v: u_o = atan2(n sin u_e,
 k_p - n cos u_e), n the e photon's index.  No search bound applies to this
 unsearched angle, and in a negative-uniaxial crystal none is needed:
 n <= n_o gives sin u_o = (n/n_o) sin u_e <= sin u_e, and k_p > n keeps u_o
@@ -27,14 +27,15 @@ extremes and the collinear cut angle take the sign changes of their
 residual on a fixed grid and start from those brackets' ends.  Each
 problem takes a few secant steps, a batch's all together, and a root is
 accepted only where the residual changes sign within half the tolerance
-of it, inside its bracket.  The rest are bisected in their brackets; on the
-reference pump only cut angles less than 0.1 deg above the collinear one
-send any there.  The crystals are mirror images, so crystal 2's cone at
-azimuth phi is crystal 1's at -phi: the map solves along the azimuths on
-crystal 1, and the in-plane extremes are solved for the +psi crystal and
-mirrored for crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches
-the last design's solve only, so the cone summaries of both crystals and
-the map's seeds share it.
+of it, inside its bracket.  The rest, a float solve's too, are bisected
+in their brackets by `_refine_brackets`; on the reference pump only cut
+angles less than 0.1 deg above the collinear one send any there.  The
+crystals are mirror images, so crystal 2's cone at azimuth phi is
+crystal 1's at -phi: the map solves along the azimuths on crystal 1,
+and the in-plane extremes are solved for the +psi crystal and mirrored
+for crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches the last
+design's solve only, so the cone summaries of both crystals and the
+map's seeds share it.
 The residual of a solve is built once (`_cone_residual`) from scalar
 products of the emission direction with the pump and the optic axis; the
 optic axis lies in the y-z plane, so an azimuth enters only through
@@ -192,7 +193,7 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
 
 
 # ---------------------------------------------------------------------------
-# the root solver: batched, and its twin in Python floats
+# the root solver: batched, and its steps for one problem in Python floats
 
 
 def _grid_brackets(vals, grid, failure):
@@ -216,9 +217,10 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
     together until each bracket is narrower than xtol + rtol*|x|; a root is
     the midpoint of its last bracket, within (xtol + rtol*|x|)/2 of a root.
 
-    The fallback of `_secant_roots`, for the lanes whose secant steps it
-    cannot verify: a few thousand at most, so every step evaluates every
-    lane and a closed bracket stays where it is.  A zero at a bracket end
+    The fallback of `_secant_roots` (and, on one bracket of floats, of
+    `_secant_root`), for the lanes whose secant steps it cannot verify: a
+    few thousand at most, so every step evaluates every lane and a closed
+    bracket stays where it is.  A zero at a bracket end
     is the root, the lower end first, and a midpoint where f is exactly
     zero closes the bracket on it.  args are per-bracket arrays handed to
     f with x.
@@ -254,8 +256,8 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     close start: on the reference design the cones' in-plane circle (up to
     1.1 mrad off) leaves no lane to the bisection.  f takes the start pair
     and the two verification points each stacked as one (2, lanes) array,
-    with args broadcast against them.  `_secant_root` is the twin for one
-    problem in Python floats.
+    with args broadcast against them.  `_secant_root` takes the same steps
+    for one problem in Python floats and falls back to the same bisection.
     """
     if start is None:
         x0, x1, f0, f1 = lo, hi, f_lo, f_hi
@@ -283,30 +285,18 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     return x
 
 
-def _refine_bracket(f, lo, hi, f_lo, f_hi, xtol, rtol):
-    """`_refine_brackets` for one bracket in Python floats, step for step."""
-    b = lo if f_lo == 0.0 else hi
-    a = b if f_hi == 0.0 else lo
-    while True:
-        x = 0.5 * (a + b)
-        if not abs(b - a) >= xtol + rtol * abs(x):
-            return x
-        fx = f(x)
-        same = fx > 0.0 if f_lo > 0.0 else fx < 0.0 and f_lo < 0.0  # sign(fx) == sign(f_lo), nan never
-        if same or fx == 0.0:
-            a = x
-        if not same:
-            b = x
-
-
 def _secant_root(f, lo, hi, f_lo, f_hi, xtol, rtol):
     """`_secant_roots` for one bracket in Python floats, from its ends.
 
-    The same steps, clipping, verification and fallback, with the same
-    tolerances: for the collinear cut angle and the in-plane extremes,
-    whose grids leave one or two brackets, where numpy's per-call cost
-    would exceed the work.  f(x) takes and returns a float; a stalled or
-    non-finite step stays where it is, as numpy's inf or nan step does.
+    The same steps, clipping and verification, with the same tolerances:
+    for the collinear cut angle and the in-plane extremes, whose grids
+    leave one or two brackets, where numpy's per-call cost would exceed
+    the work.  f(x) takes and returns a float; a stalled or non-finite step
+    stays where it is, as numpy's inf or nan step does.  A root left
+    unverified is bisected by `_refine_brackets` on the float bracket, in
+    0-d arithmetic at numpy's per-call cost; over BBO pumps of 300-520 nm
+    only in-plane solves within about 1e-12 deg of the collinear cut reach
+    it, where a root meets the grid's node at u = 0.
     """
     x0, x1, f0, f1 = lo, hi, f_lo, f_hi
     for step in range(_SECANT_STEPS):
@@ -320,7 +310,7 @@ def _secant_root(f, lo, hi, f_lo, f_hi, xtol, rtol):
         f_below, f_above = f(below), f(above)
         if f_below <= 0.0 <= f_above or f_above <= 0.0 <= f_below:
             return x
-    return _refine_bracket(f, lo, hi, f_lo, f_hi, xtol, rtol)
+    return float(_refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol))
 
 
 def _sine_lanes(sin_phi):
@@ -612,13 +602,14 @@ def _class_times(times: PropagationTimes) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmissionTimeMap:
     """Per-azimuth average emission times for the four photon classes.
 
     Each class is evaluated on its own phase-matched cone; `times` holds one
     array per class, shaped like `phi_grid`, of the values in fs with the
-    fixed per-class delays already added.
+    fixed per-class delays already added.  Maps compare and hash by
+    identity: their arrays allow no other equality.
     """
 
     phi_grid: np.ndarray

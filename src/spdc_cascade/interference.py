@@ -82,7 +82,7 @@ from .materials import CrystalSpec, PumpSpec
 from .numeric import _check_range
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InterferenceParams:
     """Inputs of the coincidence-rate model.
 
@@ -97,13 +97,15 @@ class InterferenceParams:
     which names the first failing direction of array times, in C order).
     The scans, the fringe locks, `analysis.optimize_delays_numeric` and
     `analysis.visibility_curve` take one design: float times (else ValueError).
+    Instances compare and hash by identity, as array times allow no other
+    equality, float times too.
     """
 
     times: PropagationTimes
     sigma: float
     omega: float
     phi0: float = 0.0
-    _terms: tuple = field(init=False, repr=False, compare=False)  # (S*, Delta*, D, t_o - t_e), for the kernels
+    _terms: tuple = field(init=False, repr=False)  # (S*, Delta*, D, t_o - t_e), for the kernels
 
     def __post_init__(self):
         for name in ("sigma", "omega", "phi0"):
@@ -359,9 +361,10 @@ def max_visibility(params: InterferenceParams) -> float:
     The aligned contrast (pi/4-pi/4 analyzers, oscillation phase on crest)
     at the envelope peak V = 2 erf(sD), which sits at the closed-form
     compensating delays of `optimal_delays`.  With two delay lines a
-    fringe crest can always be placed next to the envelope peak: shifting
-    tau_A and tau_B by +-delta/2 moves the phase and keeps W
-    (`fringe_locked_delays`).  A plain tau_B scan samples crest and trough
+    fringe crest can always be placed next to the envelope peak: moving
+    tau_A and tau_B by -+shift/2 moves the phase and keeps W
+    (`fringe_locked_pair`, which `fringe_locked_delays` calls with neither
+    delay given).  A plain tau_B scan samples crest and trough
     half a period apart in the delay sum and reads a few 1e-3 lower, see
     `analysis.extract_visibility`.
     """
@@ -369,49 +372,45 @@ def max_visibility(params: InterferenceParams) -> float:
 
 
 def fringe_locked_delays(params: InterferenceParams) -> tuple:
-    """Compensating delays moved by +-delta/2 onto the nearest fringe crest.
-
-    The envelope peak fixes delays only up to the fast fringe phase; for
-    polarization-interference measurements the delays must also sit on a
-    fringe maximum, which is how delay lines are tuned in practice.  tau_A
-    gains delta/2 and tau_B loses it, delta = -remainder(w (tau_A - tau_B)
-    + phi0, 2 pi)/w, so the phase sits on the nearest crest, |delta| <=
-    period/2, and tau_A + tau_B (hence W) stays.  Only the envelope's fall
-    in tau_A - tau_B over |delta| then separates the contrast from
-    `max_visibility`: 7.8e-8 on the reference design, 1.3e-5 at 0.56 mm and
-    2.8 nm.  No rate is evaluated.  `_check_range` refuses a tau_B whose
-    doubles cannot resolve period/512, where rounding would move the phase
-    off the crest.
-    """
+    """Compensating delays moved by -+shift/2 onto the nearest fringe crest:
+    `fringe_locked_pair` with neither delay given."""
     _check_one_design(params.times, "fringe_locked_delays")
-    tau_a, tau_b = optimal_delays(params.times)
-    period = fringe_period(params)
-    _check_range("fringe-crest grid ends of tau_B", tau_b - 0.5 * period, tau_b + 0.5 * period, period / 512)
-    delta = -math.remainder(params.omega * (tau_a - tau_b) + params.phi0, TWO_PI) / params.omega
-    return tau_a + 0.5 * delta, tau_b - 0.5 * delta
+    return fringe_locked_pair(params)
 
 
 def fringe_locked_pair(params: InterferenceParams, tau_a=None, tau_b=None) -> tuple:
     """(tau_A, tau_B): the delays given, the missing ones fringe-locked.
 
-    Neither given is `fringe_locked_delays`.  With one given, the free delay
-    first keeps the locked tau_A + tau_B (hence W), then moves by
-    remainder(w (tau_A - tau_B) + phi0, 2 pi)/w onto the nearest crest: by
-    at most half a period, so the sum stays within that of the locked one.
-    Both given are returned as they are.  No rate is evaluated; as in
-    `fringe_locked_delays`, `_check_range` refuses a free delay whose
-    doubles cannot resolve period/512.
+    The envelope peak fixes delays only up to the fast fringe phase; for
+    polarization-interference measurements the delays must also sit on a
+    fringe maximum, which is how delay lines are tuned in practice.  A
+    delay not given starts from `optimal_delays`, keeping its tau_A + tau_B
+    (hence W); the phase's offset from its nearest crest, shift =
+    remainder(w (tau_A - tau_B) + phi0, 2 pi)/w, at most half a period, is
+    then taken out of tau_A - tau_B.  With neither given, tau_A loses
+    shift/2 and tau_B gains it, so the sum stays: only the envelope's fall
+    in tau_A - tau_B over |shift| then separates the contrast from
+    `max_visibility`, 7.8e-8 on the reference design, 1.3e-5 at 0.56 mm and
+    2.8 nm.  With one given, the free delay takes the whole shift, so the
+    sum stays within half a period of the locked one.  Both given are
+    returned as they are.  No rate is evaluated.  `_check_range` refuses a
+    free delay whose doubles cannot resolve period/512, where rounding
+    would move the phase off the crest; tau_B is checked first, the larger
+    of the closed-form pair, whose ends a far design's message names.
     """
     _check_one_design(params.times, "fringe_locked_pair")
     if tau_a is not None and tau_b is not None:
         return tau_a, tau_b
-    locked_a, locked_b = fringe_locked_delays(params)
-    if tau_a is None and tau_b is None:
-        return locked_a, locked_b
-    total, period = locked_a + locked_b, fringe_period(params)
-    a, b = (total - tau_b, tau_b) if tau_a is None else (tau_a, total - tau_a)
-    free, name = (a, "tau_A") if tau_a is None else (b, "tau_B")
-    _check_range(f"fringe-crest grid ends of {name}", free - 0.5 * period, free + 0.5 * period, period / 512)
-    # the phase's offset from its nearest crest, in fs of tau_A - tau_B
+    a, b = optimal_delays(params.times)
+    if tau_a is not None:
+        a, b = tau_a, a + b - tau_a
+    elif tau_b is not None:
+        a, b = a + b - tau_b, tau_b
+    period = fringe_period(params)
+    for name, free, given in (("tau_B", b, tau_b), ("tau_A", a, tau_a)):
+        if given is None:
+            _check_range(f"fringe-crest grid ends of {name}", free - 0.5 * period, free + 0.5 * period, period / 512)
     shift = math.remainder(params.omega * (a - b) + params.phi0, TWO_PI) / params.omega
+    if tau_a is None and tau_b is None:
+        return a - 0.5 * shift, b + 0.5 * shift
     return (a - shift, b) if tau_a is None else (a, b + shift)

@@ -143,7 +143,7 @@ def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
 
     theta may be a number or an array of angles (elementwise result).
     """
-    axes = _n_squared(model, "o", lam_nm), _n_squared(model, "e", lam_nm)
+    axes = squared_principal_indices(model, lam_nm)
     c, s = np.cos(theta), np.sin(theta)
     return _ellipse_index(c * c, s * s, axes)
 

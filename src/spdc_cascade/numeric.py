@@ -1,7 +1,6 @@
 """Small numerical helpers: `_check_range` of every sampled range, searches
-included, three-point parabolic interpolation of sampled extrema, and
-`_csv`, the writer of every CSV table, with `_fixed`, the conversion of its
-abscissas."""
+included, and `_csv`, the writer of every CSV table, with `_fixed`, the
+conversion of its abscissas."""
 
 from __future__ import annotations
 
@@ -29,23 +28,6 @@ def _check_range(name: str, lo, hi, step, unit: str = "fs",
         raise ValueError(f"{name}, {ends}, are too far from 0 for a step of {float(step)!r} {unit}: "
                          f"doubles there lie {gap!r} {unit} apart, so neighbouring samples could "
                          "round equal")
-
-
-def parabola_vertex(x0, y0, x1, y1, x2, y2) -> tuple:
-    """Vertex (x, y) of the parabola through three points, elementwise.
-
-    Used to refine sampled extrema bracketed by their neighbours; falls
-    back to the middle point where the three are collinear.
-    """
-    d1 = (y1 - y0) / (x1 - x0)
-    d2 = (y2 - y1) / (x2 - x1)
-    curv = (d2 - d1) / (x2 - x0)
-    collinear = curv == 0.0
-    curv = np.where(collinear, 1.0, curv)  # any nonzero value; its vertex is discarded
-    xv = 0.5 * (x0 + x1 - d1 / curv)
-    # evaluate the interpolating parabola at its vertex
-    yv = y0 + d1 * (xv - x0) + curv * (xv - x0) * (xv - x1)
-    return np.where(collinear, x1, xv), np.where(collinear, y1, yv)
 
 
 def _csv(header: str, rows, template: str) -> str:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import spdc_cascade as sc
-from spdc_cascade.analysis import ScanSeries, _grid, _refined_extrema
-from spdc_cascade.numeric import _check_range, parabola_vertex
+from spdc_cascade.analysis import ScanSeries, _grid, _parabola_vertex, _refined_extrema
+from spdc_cascade.numeric import _check_range
 
 QUARTER = math.pi / 4
 
@@ -327,7 +327,7 @@ def _reference_extrema(xs, rates):
     is_max = (here > before) & (here > after)
     keep = is_max | ((here < before) & (here < after))
     row, i, is_max = row[keep], i[keep], is_max[keep]
-    x, value = parabola_vertex(
+    x, value = _parabola_vertex(
         xs[row, i - 1], rates[row, i - 1], xs[row, i], rates[row, i], xs[row, i + 1], rates[row, i + 1]
     )
     is_min = ~is_max

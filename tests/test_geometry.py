@@ -410,15 +410,18 @@ def test_scalar_twin_agrees_with_the_batched_solver(benchmark_designs):
 
 
 def _count_scalar_fallbacks(monkeypatch):
-    """Record the bracket of every _refine_bracket call."""
+    """Record the bracket of every _refine_brackets call on a float bracket,
+    the fallback of `_secant_root`; the batched solver's array calls are
+    not recorded."""
     brackets = []
-    refine = sc.geometry._refine_bracket
+    refine = sc.geometry._refine_brackets
 
-    def counted(f, lo, hi, *rest):
-        brackets.append((lo, hi))
-        return refine(f, lo, hi, *rest)
+    def counted(f, lo, hi, *rest, **kwargs):
+        if isinstance(lo, float):
+            brackets.append((lo, hi))
+        return refine(f, lo, hi, *rest, **kwargs)
 
-    monkeypatch.setattr(sc.geometry, "_refine_bracket", counted)
+    monkeypatch.setattr(sc.geometry, "_refine_brackets", counted)
     return brackets
 
 

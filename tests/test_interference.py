@@ -329,6 +329,25 @@ def test_one_design_functions_refuse_array_times(params, name):
     assert sc.max_visibility(two).shape == (2,)
 
 
+ARRAY_HOLDERS = {
+    "InterferenceParams": lambda p, m: sc.InterferenceParams(
+        sc.PropagationTimes(p.times.t_p, np.array([p.times.t_o, p.times.t_o + 1.0]), p.times.t_e, p.times.t_e2),
+        p.sigma, p.omega),
+    "EmissionTimeMap": lambda p, m: sc.EmissionTimeMap(m.phi_grid.copy(), {k: v.copy() for k, v in m.times.items()}),
+    "ScanSeries": lambda p, m: sc.ScanSeries("delay_fs", np.array([0.0, 1.0]), np.array([0.5, 0.25])),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_HOLDERS)
+def test_array_holders_compare_and_hash_by_identity(params, base_map, name):
+    # two instances of equal but distinct arrays: value equality has no one
+    # truth value there, so they compare and hash by identity, and neither
+    # == nor hash raises numpy's ambiguity ValueError or a TypeError
+    a, b = (ARRAY_HOLDERS[name](params, base_map) for _ in range(2))
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 # --- coincidence rate ------------------------------------------------------------
 
 def test_orthogonal_analyzers_give_constant_half(params):
