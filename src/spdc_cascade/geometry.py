@@ -52,9 +52,9 @@ their number of calls.  The in-plane extremes and the collinear cut angle
 have one or two grid brackets by construction: they are solved in Python
 floats, each residual written once and evaluated with numpy on its grid
 and with `_FLOATS` in the steps.  What does not change with the design is
-computed at import, the trig of _INPLANE_GRID and _CUT_GRID; what does not
-change with the lanes once per solve, the Sellmeier reads.  The map
-evaluates its bracket ends, its start pair and its verification points
+computed at import, the trig of _INPLANE_GRID and cos^2 of _CUT_GRID;
+what does not change with the lanes once per solve, the Sellmeier reads.
+The map evaluates its bracket ends, its start pair and its verification points
 each as one (2, lanes) array, and its roots' cos u and sin u serve both the
 recoil and `_cone_times`.  Each value is computed by the same operations
 in the same order as by one call per array, so it keeps its bits; the
@@ -99,8 +99,6 @@ from .materials import (
     _ellipse_index,
     group_index,
     index_extraordinary,
-    index_ordinary,
-    index_principal_e,
     squared_principal_indices,
 )
 from .numeric import _csv, _fixed
@@ -118,7 +116,7 @@ _SIN_TOL = 8 * np.finfo(float).eps  # 1.8e-15
 _INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
 _INPLANE_TRIG = np.cos(_INPLANE_GRID), np.sin(_INPLANE_GRID)
 _CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
-_CUT_SQUARES = tuple(v * v for v in (np.cos(_CUT_GRID), np.sin(_CUT_GRID)))  # cos^2, sin^2
+_CUT_COS2 = np.cos(_CUT_GRID) ** 2
 
 
 def _float_sqrt(x):
@@ -157,20 +155,16 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     Only scalar products of d enter: the optic axis a = (0, a_y, a_z) lies
     in the y-z plane, so d.a = a_y sin(phi) sin(u) + a_z cos(u) and phi
     enters through sin(phi) alone; |r|^2 = k_p^2 - 2 k_p n cos(u) + n^2.
-    The e-index follows from d's squared cosine to the axis,
-    1/n^2 = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2(theta), so a step costs
-    sin u, cos u and square roots.  Everything that does not depend on
-    (u, phi) is computed here, once per solve.  u and sin_phi may be
+    The e-index is `_ellipse_index` of d's squared cosine to the axis, so a
+    step costs sin u, cos u and square roots.  Everything that does not
+    depend on (u, phi) is computed here, once per solve.  u and sin_phi may be
     arrays; they broadcast together.  Both functions evaluate with xp,
     numpy or `_FLOATS` for one problem in Python floats, and take
     trig=(cos u, sin u) where the caller has it: a fixed grid's, or the
     map's roots', which `_cone_times` reads again.
     """
-    lam = pump.degenerate_nm
-    n_o = index_ordinary(crystal.model, lam)
-    n_e = index_principal_e(crystal.model, lam)
-    inv_ne2 = 1.0 / (n_e * n_e)
-    excess = 1.0 / (n_o * n_o) - inv_ne2  # 1/n_o^2 - 1/n_e^2
+    axes = squared_principal_indices(crystal.model, pump.degenerate_nm)
+    n_o = math.sqrt(axes[0])
     a_y, a_z = optic_axis(crystal)
     # the e-polarized pump travels along z, at the cut angle to the optic axis
     k_p = 2.0 * float(index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle))
@@ -179,7 +173,7 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     def e_index(u, sin_phi, xp, trig):  # the e photon's index along (u, phi), cos u and sin u
         cu, su = (xp.cos(u), xp.sin(u)) if trig is None else trig
         cos_d = a_y * sin_phi * su + a_z * cu
-        return 1.0 / xp.sqrt(inv_ne2 + excess * (cos_d * cos_d)), cu, su
+        return _ellipse_index(cos_d * cos_d, axes, xp), cu, su
 
     def residual(u, sin_phi, xp=np, trig=None):
         n, cu, _ = e_index(u, sin_phi, xp, trig)
@@ -475,11 +469,12 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     lam = pump.degenerate_nm
     axis_tilt = crystal.axis_sign * crystal.cut_angle  # signed, toward +y
     e, o = _inplane_extremes(crystal, pump)
-    n_o, axes = index_ordinary(crystal.model, lam), squared_principal_indices(crystal.model, lam)
+    axes = squared_principal_indices(crystal.model, lam)
+    n_o = math.sqrt(axes[0])
 
     def e_index(a):  # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
-        c, s = math.cos(a - axis_tilt), math.sin(a - axis_tilt)
-        return _ellipse_index(c * c, s * s, axes, _FLOATS)
+        c = math.cos(a - axis_tilt)
+        return _ellipse_index(c * c, axes, _FLOATS)
 
     def refracted(extremes, index):
         angles = [math.copysign(math.asin(min(1.0, index(a) * math.sin(abs(a)))), a) for a in extremes]
@@ -491,14 +486,14 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
 
 def _collinear_residual(model, pump: PumpSpec):
     """The collinear residual 2 n_e(psi, lam_p) - n_o(lam_dc) - n_e(psi, lam_dc)
-    as f(cos2, sin2, xp) of psi's squared cosine and sine, each index as
+    as f(cos2, xp) of psi's squared cosine, each index as
     `index_extraordinary` gives it; the index ellipses are read here, once."""
     pump_axes = squared_principal_indices(model, pump.center_nm)
-    n_o = index_ordinary(model, pump.degenerate_nm)
     axes = squared_principal_indices(model, pump.degenerate_nm)
+    n_o = math.sqrt(axes[0])
 
-    def f(cos2, sin2, xp):
-        return 2.0 * _ellipse_index(cos2, sin2, pump_axes, xp) - n_o - _ellipse_index(cos2, sin2, axes, xp)
+    def f(cos2, xp):
+        return 2.0 * _ellipse_index(cos2, pump_axes, xp) - n_o - _ellipse_index(cos2, axes, xp)
 
     return f
 
@@ -508,17 +503,17 @@ def collinear_cut_angle(model, pump: PumpSpec) -> float:
 
     Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc) (the first
     in 5-85 deg); at this psi the emission cones pass through the pump axis.
-    _CUT_GRID's trig is taken at import, and the first bracket is solved in
-    Python floats (`_secant_root`).
+    _CUT_GRID's squared cosines are taken at import, and the first bracket
+    is solved in Python floats (`_secant_root`).
     """
     f = _collinear_residual(model, pump)
 
     def f_float(psi):
-        c, s = math.cos(psi), math.sin(psi)
-        return f(c * c, s * s, _FLOATS)
+        c = math.cos(psi)
+        return f(c * c, _FLOATS)
 
     failure = "no collinear degenerate phase matching for any cut angle in range"
-    brackets = _grid_brackets(f(*_CUT_SQUARES, np), _CUT_GRID, failure)
+    brackets = _grid_brackets(f(_CUT_COS2, np), _CUT_GRID, failure)
     return _secant_root(f_float, *(float(v[0]) for v in brackets), 1e-12, 4 * np.finfo(float).eps)
 
 
@@ -537,7 +532,7 @@ def _transit_time(crystal: CrystalSpec, lam_nm: float, theta=None, sec_u=1.0):
     return crystal.thickness_mm * 1e6 / C_NM_PER_FS * sec_u * ng
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PropagationTimes:
     """Propagation times through one crystal of the cascade, all in fs.
 
@@ -549,6 +544,8 @@ class PropagationTimes:
 
     Built by `_cone_times`: arrays along the cones (t_p still on axis), and
     Python floats on the pump axis (`propagation_times`, where t_e2 = t_e).
+    Instances compare and hash by identity, as array times allow no other
+    equality, float times too; `as_tuple` gives the values to compare.
     """
 
     t_p: float

@@ -121,31 +121,32 @@ def index_principal_e(model: DispersionModel, lam_nm: float) -> float:
 
 
 def squared_principal_indices(model: DispersionModel, lam_nm: float) -> tuple:
-    """(n_o^2, n_e^2) at lam_nm, the axes of the index ellipse that
-    `index_extraordinary` evaluates: its two Sellmeier reads, for a caller
-    that evaluates the ellipse at many angles (`_ellipse_index`)."""
+    """(n_o^2, n_e^2) at lam_nm, the axes of the index ellipse 1/n^2 =
+    cos^2/n_o^2 + sin^2/n_e^2 = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2, for a
+    caller that evaluates it at many angles (`_ellipse_index`)."""
     return _n_squared(model, "o", lam_nm), _n_squared(model, "e", lam_nm)
 
 
-def _ellipse_index(cos2, sin2, axes, xp=np):
-    """The index on the ellipse of axes = (n_o^2, n_e^2) at the angle whose
-    squared cosine and sine are cos2 and sin2, with xp's square root: numpy's,
-    or one of Python floats."""
+def _ellipse_index(cos2, axes, xp=np):
+    """The index on the ellipse of axes = (n_o^2, n_e^2) at the angle theta
+    with cos^2(theta) = cos2, with xp's square root: numpy's, or one of
+    Python floats.  1/n^2 = cos^2/n_o^2 + sin^2/n_e^2 is evaluated, sine
+    free, as 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2."""
     no2, ne2 = axes
-    return 1.0 / xp.sqrt(cos2 / no2 + sin2 / ne2)
+    return 1.0 / xp.sqrt(1.0 / ne2 + (1.0 / no2 - 1.0 / ne2) * cos2)
 
 
 def index_extraordinary(model: DispersionModel, lam_nm: float, theta):
     """Extraordinary index at angle theta between wavevector and optic axis.
 
-    Standard uniaxial index ellipse:
+    Standard uniaxial index ellipse, evaluated by `_ellipse_index` as
         1/n(theta)^2 = cos^2(theta)/n_o^2 + sin^2(theta)/n_e^2
+                     = 1/n_e^2 + (1/n_o^2 - 1/n_e^2) cos^2(theta)
 
     theta may be a number or an array of angles (elementwise result).
     """
-    axes = squared_principal_indices(model, lam_nm)
-    c, s = np.cos(theta), np.sin(theta)
-    return _ellipse_index(c * c, s * s, axes)
+    c = np.cos(theta)
+    return _ellipse_index(c * c, squared_principal_indices(model, lam_nm))
 
 
 def group_index(model: DispersionModel, lam_nm: float, theta=None):
@@ -166,10 +167,10 @@ def group_index(model: DispersionModel, lam_nm: float, theta=None):
     ne2 = _n_squared(model, "e", lam_nm, interior=True)
     dno2 = model.sellmeier_o.dn2_dlam(lam_um)
     dne2 = model.sellmeier_e.dn2_dlam(lam_um)
-    c2, s2 = np.cos(theta) ** 2, np.sin(theta) ** 2
-    n = _ellipse_index(c2, s2, (no2, ne2))
-    # d(1/n^2)/dlam = -c2*dno2/no2^2 - s2*dne2/ne2^2  ->  dn/dlam = -n^3/2 * d(1/n^2)/dlam
-    dinv = -c2 * dno2 / no2**2 - s2 * dne2 / ne2**2
+    c2 = np.cos(theta) ** 2
+    n = _ellipse_index(c2, (no2, ne2))
+    # d(1/n^2)/dlam = -c2*dno2/no2^2 - (1 - c2)*dne2/ne2^2  ->  dn/dlam = -n^3/2 * d(1/n^2)/dlam
+    dinv = -c2 * dno2 / no2**2 - (1.0 - c2) * dne2 / ne2**2
     dn = -0.5 * n**3 * dinv
     return n - lam_um * dn
 

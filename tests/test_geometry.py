@@ -384,8 +384,8 @@ def _scalar_problems(crystal, pump):
     collinear = _collinear_residual(crystal.model, pump)
 
     def on_axis_angle(psi, xp):
-        c, s = xp.cos(psi), xp.sin(psi)
-        return collinear(c * c, s * s, xp)
+        c = xp.cos(psi)
+        return collinear(c * c, xp)
 
     return [(lambda u: residual(u, 1.0), lambda u: residual(u, 1.0, _FLOATS), _INPLANE_GRID, XTOL, RTOL),
             (lambda psi: on_axis_angle(psi, np), lambda psi: on_axis_angle(psi, _FLOATS), _CUT_GRID,

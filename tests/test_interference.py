@@ -335,6 +335,7 @@ ARRAY_HOLDERS = {
         p.sigma, p.omega),
     "EmissionTimeMap": lambda p, m: sc.EmissionTimeMap(m.phi_grid.copy(), {k: v.copy() for k, v in m.times.items()}),
     "ScanSeries": lambda p, m: sc.ScanSeries("delay_fs", np.array([0.0, 1.0]), np.array([0.5, 0.25])),
+    "PropagationTimes": lambda p, m: sc.PropagationTimes(*(np.array([t, t + 1.0]) for t in p.times.as_tuple())),
 }
 
 

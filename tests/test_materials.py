@@ -169,6 +169,15 @@ def test_index_functions_accept_angle_arrays():
             assert n_t == sc.index_extraordinary(model, 790.0, float(t))
             # array powers may round differently from scalar pow in the last bit
             assert ng_t == pytest.approx(sc.group_index(model, 790.0, float(t)), rel=4e-16)
+    # the one ellipse, evaluated in its cos^2 form, against the textbook
+    # 1/n^2 = cos^2/n_o^2 + sin^2/n_e^2 on the same squared principal indices
+    angles = np.linspace(0.0, math.pi / 2, 181)
+    for model in (sc.BBO, sc.QUARTZ):
+        for lam in (300.0, 395.0, 532.0, 790.0, 1000.0):
+            no2, ne2 = sc.materials.squared_principal_indices(model, lam)
+            textbook = 1.0 / np.sqrt(np.cos(angles) ** 2 / no2 + np.sin(angles) ** 2 / ne2)
+            rel = np.abs(sc.index_extraordinary(model, lam, angles) / textbook - 1.0)
+            assert rel.max() <= 2 * np.finfo(float).eps
 
 
 def constant_index_model(n0):
