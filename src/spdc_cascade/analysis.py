@@ -86,7 +86,7 @@ def _grid_points(start: float, stop: float, step: float, name: str, **words) -> 
     so the count depends on the width and step alone.  Checks the point
     budget, so nothing is allocated for a grid over it.
     """
-    if step <= 0:
+    if not step > 0:
         raise ValueError("step must be positive")
     _check_range(name, start, stop, step, **words)
     rounding = 4 * np.finfo(float).eps * max(abs(start), abs(stop))
@@ -220,7 +220,7 @@ def _check_span(series: ScanSeries):
     period = series.meta.get("fringe_period_fs")
     if period is None:
         raise ValueError("delay series lacks fringe_period_fs metadata for the span check")
-    if span < 2.0 * period - 1e-9:
+    if not span >= 2.0 * period - 1e-9:
         raise ValueError("delay series must span at least two fringe periods")
 
 

@@ -35,7 +35,8 @@ crystal 1's at -phi: the map solves along the azimuths on crystal 1,
 and the in-plane extremes are solved for the +psi crystal and mirrored
 for crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches the last
 design's solve only, so the cone summaries of both crystals and the
-map's seeds share it.
+map's seeds share it.  Outside, a crystal's o-cone is its refracted
+e-cone mirrored, one refraction per pair (`phase_match_cones`).
 The residual of a solve is built once (`_cone_residual`) from scalar
 products of the emission direction with the pump and the optic axis; the
 optic axis lies in the y-z plane, so an azimuth enters only through
@@ -236,12 +237,12 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
 _PLUS_MINUS = np.array([[-1.0], [1.0]])  # stacks x - delta over x + delta
 
 
-def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
+def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, start, args=()):
     """Roots of f(x, *args) in the sign-change brackets [lo, hi], each within
     (xtol + rtol*|x|)/2 of a root, the bound `_refine_brackets` meets.
 
     Every lane takes _SECANT_STEPS secant steps from its start pair (x0, x1),
-    the bracket ends by default, each step clipped into the lane's bracket.
+    each step clipped into the lane's bracket.
     A lane is accepted when f changes sign (or is exactly zero) across
     x -+ delta, delta = (xtol + rtol*|x|)/2, with both points inside the
     bracket: a root then lies within delta of x.  Every other lane, and one
@@ -253,11 +254,8 @@ def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, args=(), start=None):
     with args broadcast against them.  `_secant_root` takes the same steps
     for one problem in Python floats and falls back to the same bisection.
     """
-    if start is None:
-        x0, x1, f0, f1 = lo, hi, f_lo, f_hi
-    else:
-        x0, x1 = start
-        f0, f1 = f(np.array(start), *args)
+    x0, x1 = start
+    f0, f1 = f(np.array(start), *args)
     # f1 == f0 (a stalled lane) leaves no step; it stays where it is.  The
     # steps evaluate f only inside the brackets, whose ends the caller
     # evaluated, and the verification below runs outside this errstate
@@ -459,29 +457,27 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     """Solve the degenerate type-II phase matching for both emission cones.
 
     The cones are summarized by their in-plane extremes (exact solutions of
-    the vector phase-matching condition); external cones apply Snell
-    refraction at the exit face with the ordinary index for the o-cone and
-    the direction-dependent index for the e-cone.  The extremes come from
-    one e-cone solve per design and its recoils, made for the +psi crystal
-    and mirrored for the -psi one, so the two crystals' cones are exact
-    mirror images; the solve is cached for the last design only.
+    the vector phase-matching condition): one e-cone solve per design and
+    its recoils, made for the +psi crystal and mirrored for the -psi one,
+    so the two crystals' cones are exact mirror images; the solve is cached
+    for the last design only.  The e extremes alone are refracted (Snell,
+    the e index at the ray's d.a as in `_cone_residual`); each o photon
+    leaves with its e partner's transverse momentum reversed, so the
+    external o-cone is the external e-cone mirrored: each crystal's is the
+    other's external e-cone, the overlap the cascade interferes on.
     """
-    lam = pump.degenerate_nm
-    axis_tilt = crystal.axis_sign * crystal.cut_angle  # signed, toward +y
     e, o = _inplane_extremes(crystal, pump)
-    axes = squared_principal_indices(crystal.model, lam)
-    n_o = math.sqrt(axes[0])
+    axes = squared_principal_indices(crystal.model, pump.degenerate_nm)
+    a_y, a_z = optic_axis(crystal)
 
-    def e_index(a):  # the in-plane ray at signed angle a meets the optic axis at a - axis_tilt
-        c = math.cos(a - axis_tilt)
-        return _ellipse_index(c * c, axes, _FLOATS)
+    def exit_angle(a):  # the in-plane e ray at signed angle a, refracted at the exit face
+        cos_d = a_y * math.sin(a) + a_z * math.cos(a)
+        n = _ellipse_index(cos_d * cos_d, axes, _FLOATS)
+        return math.copysign(math.asin(min(1.0, n * math.sin(abs(a)))), a)
 
-    def refracted(extremes, index):
-        angles = [math.copysign(math.asin(min(1.0, index(a) * math.sin(abs(a)))), a) for a in extremes]
-        return _cone_from_extremes(min(angles), max(angles))
-
+    external_e = _cone_from_extremes(*sorted(map(exit_angle, e)))
     return ConePair(o_cone=_cone_from_extremes(*o), e_cone=_cone_from_extremes(*e),
-                    external_o=refracted(o, lambda a: n_o), external_e=refracted(e, e_index))
+                    external_o=Cone(-external_e.tilt, external_e.half_angle), external_e=external_e)
 
 
 def _collinear_residual(model, pump: PumpSpec):

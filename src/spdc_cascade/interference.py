@@ -391,16 +391,19 @@ def fringe_locked_pair(params: InterferenceParams, tau_a=None, tau_b=None) -> tu
     shift/2 and tau_B gains it, so the sum stays: only the envelope's fall
     in tau_A - tau_B over |shift| then separates the contrast from
     `max_visibility`, 7.8e-8 on the reference design, 1.3e-5 at 0.56 mm and
-    2.8 nm.  With one given, the free delay takes the whole shift, so the
-    sum stays within half a period of the locked one.  Both given are
-    returned as they are.  No rate is evaluated.  `_check_range` refuses a
-    free delay whose doubles cannot resolve period/512, where rounding
-    would move the phase off the crest; tau_B is checked first, the larger
-    of the closed-form pair, whose ends a far design's message names.
+    2.8 nm.  With one given, the free delay takes the whole shift, so the sum
+    stays within half a period of the locked one.  One given must be finite;
+    both are returned as they are.  No rate is evaluated.  `_check_range`
+    refuses a free delay whose doubles cannot resolve period/512, where
+    rounding would move the phase off the crest; tau_B is checked first, the
+    larger of the closed-form pair, whose ends a far design's message names.
     """
     _check_one_design(params.times, "fringe_locked_pair")
     if tau_a is not None and tau_b is not None:
         return tau_a, tau_b
+    for name, given in (("tau_A", tau_a), ("tau_B", tau_b)):
+        if given is not None and not math.isfinite(given):
+            raise ValueError(f"{name} = {given} fs is not finite")
     a, b = optimal_delays(params.times)
     if tau_a is not None:
         a, b = tau_a, a + b - tau_a

@@ -180,7 +180,7 @@ def test_delay_scan_rejects_coarse_step(params):
     period = sc.fringe_period(params)
     with pytest.raises(ValueError, match=f"{period / 8.0:g}"):
         sc.delay_scan(params, cfg_quarter(0.0), 0.0, 50.0, period)
-    for step in (0.0, -0.25):
+    for step in (0.0, -0.25, math.nan):
         with pytest.raises(ValueError, match="^step must be positive$"):
             sc.delay_scan(params, cfg_quarter(0.0), 0.0, 50.0, step)
 
@@ -254,6 +254,8 @@ def test_extract_visibility_requires_two_periods():
     xs = np.linspace(0.0, 2.0, 64)
     with pytest.raises(ValueError, match="two fringe periods"):
         sc.extract_visibility(synthetic_series(xs, 1.0 + np.cos(xs), period=2 * math.pi))
+    with pytest.raises(ValueError, match="two fringe periods"):
+        sc.extract_visibility(synthetic_series(np.arange(10.0), np.ones(10), period=math.nan))
     with pytest.raises(ValueError, match="^delay series lacks fringe_period_fs metadata for the span check$"):
         sc.extract_visibility(ScanSeries("delay_fs", xs, 1.0 + np.cos(xs)))
 

@@ -367,13 +367,13 @@ def test_secant_roots_fall_back_where_the_steps_stall_or_leave_the_bracket(monke
     lanes = _count_fallback_lanes(monkeypatch)
     lo, hi = np.array([0.0]), np.array([1.0])
     for f, expected in ((lambda x: x**9 - 1e-20, 1e-20 ** (1 / 9)), (lambda x: np.tanh(20.0 * (x - 0.3)), 0.3)):
-        (root,) = _secant_roots(f, lo, hi, f(lo), f(hi), XTOL, RTOL)
+        (root,) = _secant_roots(f, lo, hi, f(lo), f(hi), XTOL, RTOL, start=(lo, hi))
         assert abs(root - expected) <= XTOL + RTOL * root
     assert lanes == [1, 1]
     # an exact zero at a bracket end is the root, the lower end first
     ends = lambda x: x * (x - 1.0)
     lo, hi = np.array([0.0, 0.5, 0.0]), np.array([0.5, 1.0, 1.0])
-    assert _secant_roots(ends, lo, hi, ends(lo), ends(hi), XTOL, RTOL).tolist() == [0.0, 1.0, 0.0]
+    assert _secant_roots(ends, lo, hi, ends(lo), ends(hi), XTOL, RTOL, start=(lo, hi)).tolist() == [0.0, 1.0, 0.0]
 
 
 def _scalar_problems(crystal, pump):
@@ -403,7 +403,8 @@ def test_scalar_twin_agrees_with_the_batched_solver(benchmark_designs):
             lo, hi, f_lo, f_hi = _grid_brackets(f(grid), grid, "no bracket")
             assert 1 <= lo.size <= 2
             for i in range(lo.size):
-                (batched,) = _secant_roots(f, lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], f_hi[i:i + 1], xtol, rtol)
+                (batched,) = _secant_roots(f, lo[i:i + 1], hi[i:i + 1], f_lo[i:i + 1], f_hi[i:i + 1], xtol, rtol,
+                                            start=(lo[i:i + 1], hi[i:i + 1]))
                 root = _secant_root(f_float, lo[i], hi[i], f_lo[i], f_hi[i], xtol, rtol)
                 assert isinstance(root, float)
                 assert abs(root - batched) <= 0.5 * (xtol + rtol * abs(batched)), design
@@ -433,8 +434,8 @@ def test_scalar_twin_falls_back_and_takes_an_end_zero_as_the_batched_solver_does
     for f, f_float, expected in ((lambda x: x**9 - 1e-20, lambda x: x**9 - 1e-20, 1e-20 ** (1 / 9)),
                                  (lambda x: np.tanh(20.0 * (x - 0.3)), lambda x: math.tanh(20.0 * (x - 0.3)), 0.3)):
         root = _secant_root(f_float, 0.0, 1.0, f_float(0.0), f_float(1.0), XTOL, RTOL)
-        (batched,) = _secant_roots(f, np.array([0.0]), np.array([1.0]), f(np.array([0.0])), f(np.array([1.0])),
-                                   XTOL, RTOL)
+        lo, hi = np.array([0.0]), np.array([1.0])
+        (batched,) = _secant_roots(f, lo, hi, f(lo), f(hi), XTOL, RTOL, start=(lo, hi))
         assert abs(root - expected) <= XTOL + RTOL * root
         assert abs(root - batched) <= XTOL + RTOL * root
     assert fallbacks == [(0.0, 1.0)] * 2
@@ -459,8 +460,8 @@ def test_scalar_twin_stays_put_on_a_stalled_or_non_finite_step(monkeypatch):
     walls = lambda x: np.where(x > 0.75, np.inf, x - 0.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        (batched,) = _secant_roots(walls, np.array([0.0]), np.array([1.0]), walls(np.array([0.0])),
-                                   walls(np.array([1.0])), XTOL, RTOL)
+        lo, hi = np.array([0.0]), np.array([1.0])
+        (batched,) = _secant_roots(walls, lo, hi, walls(lo), walls(hi), XTOL, RTOL, start=(lo, hi))
     assert root == batched and abs(root - 0.5) <= XTOL + RTOL * 0.5
 
 
@@ -562,6 +563,12 @@ def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(benchmark_desig
         for field in ("o_cone", "e_cone", "external_o", "external_e"):
             a, b = getattr(one, field), getattr(two, field)
             assert (b.tilt, b.half_angle) == (-a.tilt, a.half_angle), (design, field)
+        # the overlap the cascade interferes on: outside the crystals each
+        # one's o-cone is the other's e-cone to the bit (the internal cones
+        # differ by about a milliradian)
+        for o_side, e_side in ((two, one), (one, two)):
+            o, e = o_side.external_o, e_side.external_e
+            assert (o.tilt, o.half_angle) == (e.tilt, e.half_angle), design
 
 
 def test_an_emission_map_op_takes_one_inplane_solve(benchmark_designs, monkeypatch):

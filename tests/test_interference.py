@@ -622,6 +622,13 @@ def test_fringe_locked_pair_keeps_the_given_delay_and_locks_the_other(crest_para
                 free = pair[1 - side] + crests
                 best = aligned_contrast(design, *((given, free) if side == 0 else (free, given))).max()
                 assert aligned_contrast(design, *pair) >= best - 1e-3, (k, side, offset)
+    # a given delay that is not finite is named, not the free one's crest
+    # grid; both given are still returned as they are
+    for keyword, name in (("tau_a", "tau_A"), ("tau_b", "tau_B")):
+        for given in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^{name} = {given} fs is not finite$"):
+                sc.interference.fringe_locked_pair(crest_params[0], **{keyword: given})
+    assert sc.interference.fringe_locked_pair(crest_params[0], math.inf, 0.0) == (math.inf, 0.0)
 
 
 def test_fringe_locked_tau_b_is_the_maximum_of_the_rate(benchmark_params):
