@@ -3,64 +3,52 @@
 The pump propagates along +z; the optic axes of the two crystals lie in the
 y-z plane at angles +psi and -psi to the pump.  Degenerate phase matching
 (energy conservation plus vector momentum conservation, with the e-wave
-index taken at its actual angle to the optic axis) is solved exactly, for
-the e-cone once per design, by one root solver: batched over whole arrays
-of problems along every azimuth phi of a grid (the emission-time map,
-`_secant_roots`), and in Python floats (`_secant_root`, the same steps)
-for the extremes that summarize a cone as axis tilt + half-opening angle
-in the plane of the optic axes (`phase_match_cones`) and for the
-collinear cut angle.  Each e photon's o partner leaves along the recoil
-r = k_p z - n d (`_cone_residual`) at azimuth phi + pi, so the o-cone at
-sine v is read off the e root at -v: u_o = atan2(n sin u_e,
-k_p - n cos u_e), n the e photon's index.  No search bound applies to this
-unsearched angle, and in a negative-uniaxial crystal none is needed:
-n <= n_o gives sin u_o = (n/n_o) sin u_e <= sin u_e, and k_p > n keeps u_o
-below pi/2.  So a positive-uniaxial material whose o-cone alone opens
-beyond the bound is mapped, not refused.
+index taken at its actual angle to the optic axis) is solved exactly, once
+per design, for the pair's transverse momentum (`_cone_residual`): the o
+photon at polar angle v puts its e partner at transverse momentum q = n_o
+sin v and k_z = k_p - n_o cos v, and phase matching is g(v) = 0, g the
+e-wave surface at that k, quadratic in (sin v, cos v).  Each root starts
+from the larger root of g's second-order expansion, within 3.5e-3 relative
+on 0.5-3 mm BBO cut at 42.9245-50 deg and pumped at 390-400 nm, and takes 3
+Newton steps, after which it lies within 1e-15 rad of g's root.  The e
+photon leaves at u_e = atan2(q, k_z), the o photon at v across the pump
+axis, and outside the crystal both at asin(q).  Nothing bounds the o angle,
+and in a negative-uniaxial crystal nothing needs to: it opens no wider than
+its e partner's, so a positive-uniaxial material whose o-cone alone opens
+beyond the search bound is mapped, not refused.
 
-Every solve runs seed -> secant -> verify -> bisect.  Each problem has a
-sign-change bracket and a start pair.  Along every azimuth a cone's root
-is bracketed by the pump axis and the search bound, so the cone must
-enclose the pump axis (cut angle above the collinear one), and it starts
-from the circle through the cone's in-plane extremes; the in-plane
-extremes and the collinear cut angle take the sign changes of their
-residual on a fixed grid and start from those brackets' ends.  Each
-problem takes a few secant steps, a batch's all together, and a root is
-accepted only where the residual changes sign within half the tolerance
-of it, inside its bracket.  The rest, a float solve's too, are bisected
-in their brackets by `_refine_brackets`; on the reference pump only cut
-angles less than 0.1 deg above the collinear one send any there.  The
-crystals are mirror images, so crystal 2's cone at azimuth phi is
-crystal 1's at -phi: the map solves along the azimuths on crystal 1,
-and the in-plane extremes are solved for the +psi crystal and mirrored
-for crystal 2, (a-, a+) -> (-a+, -a-).  `_inplane_solve` caches the last
-design's solve only, so the cone summaries of both crystals and the
-map's seeds share it.  Outside, a crystal's o-cone is its refracted
+One solve serves every use: batched over the azimuths of the emission-time
+map (`_cone_polar_angles`), and in Python floats at sin(phi) = -+1 for the
+in-plane extremes that summarize a cone as axis tilt + half-opening angle
+(`phase_match_cones`).  The map first checks that the e residual |r| - n_o
+(r the recoil of the pump's momentum) changes sign between the pump axis and
+the search bound along every azimuth, so the cones must enclose the pump
+axis (cut angle above the collinear one).  Every e root u is then kept only
+where that residual changes sign across u -+ (_XTOL + _RTOL*u)/2, inside
+its bracket; the others are bisected in their brackets by
+`_refine_brackets`, the one fallback.  Over BBO pumps of 390-405.5 nm
+only cut angles less than 0.03 deg above the collinear one send lanes
+there, at most a few in a hundred: where a root lies within a few mrad of
+the pump axis the residual's sign change in floats sits up to ~1.5e-13 rad
+from g's root.  The float solves check their roots alike and bisect on a grid only
+when a check fails, where the refusal of a design without roots comes from.
+The collinear cut angle takes Newton steps in cos^2 psi, the same way.  The
+crystals are mirror images, so crystal 2's cone at azimuth phi is crystal
+1's at -phi: the map solves along the azimuths on crystal 1, and the
+in-plane extremes are solved for the +psi crystal and mirrored for crystal
+2, (a-, a+) -> (-a+, -a-).  Outside, a crystal's o-cone is its external
 e-cone mirrored, one refraction per pair (`phase_match_cones`).
-The residual of a solve is built once (`_cone_residual`) from scalar
-products of the emission direction with the pump and the optic axis; the
-optic axis lies in the y-z plane, so an azimuth enters only through
-sin(phi), and a solver step costs sin u, cos u and square roots.  The map
-therefore solves and times each distinct sin(phi) once: on an n-point
-uniform grid, phi and pi - phi share a sine and the mirror row -sin(phi)
-repeats the grid's sines, so 4 | n leaves n/2 + 1 of them, the distinct
-|sin(phi)| mirrored to +-: the o angle at v reads the lane at -v.  Sines
-within _SIN_TOL of each other count as one.
 
-A numpy call costs a fixed overhead about that of a few hundred lanes of
-arithmetic, so a design's solves are arranged to follow their work, not
-their number of calls.  The in-plane extremes and the collinear cut angle
-have one or two grid brackets by construction: they are solved in Python
-floats, each residual written once and evaluated with numpy on its grid
-and with `_FLOATS` in the steps.  What does not change with the design is
-computed at import, the trig of _INPLANE_GRID and cos^2 of _CUT_GRID;
-what does not change with the lanes once per solve, the Sellmeier reads.
-The map evaluates its bracket ends, its start pair and its verification points
-each as one (2, lanes) array, and its roots' cos u and sin u serve both the
-recoil and `_cone_times`.  Each value is computed by the same operations
-in the same order as by one call per array, so it keeps its bits; the
-float solves do so too where numpy's float64 sin and cos round as math's
-do, and elsewhere stay within the solve's tolerance of the array path.
+The optic axis lies in the y-z plane, so an azimuth enters only through
+sin(phi).  The map therefore solves and times each distinct sin(phi) once:
+on an n-point uniform grid, phi and pi - phi share a sine and the mirror
+row -sin(phi) repeats the grid's sines, so 4 | n leaves n/2 + 1 of them,
+the distinct |sin(phi)| mirrored to +-: the o angle at a lane is the v of
+the lane at its negated sine.  Sines within _SIN_TOL of each other count as
+one.  A numpy call costs a fixed overhead about that of a few hundred lanes
+of arithmetic, so the map evaluates its bracket ends and its roots' check
+points each as one (2, lanes) array, and the in-plane extremes and the
+collinear cut angle, a root or two each, are solved in Python floats.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -85,9 +73,7 @@ arccos of the residual's d.a, on the pump axis (u = 0) arccos(cos psi).
 
 from __future__ import annotations
 
-import functools
 import math
-import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,7 +92,8 @@ from .numeric import _csv, _fixed
 
 _U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
-_SECANT_STEPS = 4  # from a start pair, before the verification of _secant_roots
+_NEWTON_STEPS = 3  # from the closed-form start of each cone root (`_cone_residual`)
+_COLLINEAR_STEPS = 4  # from cos^2 psi = 0.5 (`collinear_cut_angle`)
 # the map solves and times azimuths whose sines lie this close as one
 # (`_sine_lanes`): the sines of phi and pi - phi on a uniform grid differ by
 # a few ulp, and its distinct sines by at least 4.6e-9 up to 65 536
@@ -114,21 +101,8 @@ _SECANT_STEPS = 4  # from a start pair, before the verification of _secant_roots
 # 0.5-3 mm BBO cut at 42.93-50 deg, so a merged sine moves a root by less
 # than 1.4e-16 rad, a thousandth of _XTOL
 _SIN_TOL = 8 * np.finfo(float).eps  # 1.8e-15
-_INPLANE_GRID = np.linspace(-_U_MAX, _U_MAX, 701)  # signed polar angle toward +y
-_INPLANE_TRIG = np.cos(_INPLANE_GRID), np.sin(_INPLANE_GRID)
-_CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search
-_CUT_COS2 = np.cos(_CUT_GRID) ** 2
+_CUT_GRID = np.linspace(math.radians(5.0), math.radians(85.0), 1601)  # collinear search, on failure
 
-
-def _float_sqrt(x):
-    """math.sqrt, but nan below zero (and for nan) as numpy's square root gives."""
-    return math.sqrt(x) if x >= 0.0 else math.nan
-
-
-# the math of the scalar solves (`_secant_root`), one problem in Python
-# floats: math's cos and sin, the square root of `_float_sqrt`, and
-# numpy's arctan2, whose last bit can differ from math.atan2's
-_FLOATS = types.SimpleNamespace(cos=math.cos, sin=math.sin, sqrt=_float_sqrt, arctan2=np.arctan2)
 
 CLASS_NAMES = ("1e", "1o", "2e", "2o")
 # the interfering (e class, o class) pairs: one crystal's e-cone overlaps the
@@ -143,26 +117,39 @@ def optic_axis(crystal: CrystalSpec) -> tuple[float, float]:
 
 
 def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
-    """The e-cone's residual(u, sin_phi) and its o partner's polar angle recoil(u, sin_phi).
+    """The e-cone's residual(u, sin_phi), its o partner's recoil(u, sin_phi),
+    and momentum(sin_phi), the cone solved for the pair's transverse momentum.
 
     Wavevectors are in units of the degenerate photon's vacuum wavenumber,
     so the pump is k_p = 2*n_pump along z.  The e photon leaves at polar
     angle u, azimuth phi, along the unit vector d = (sin u cos phi,
     sin u sin phi, cos u) with phase index n; its o partner takes the
-    recoil r = k_p z - n d, at polar angle atan2(n sin u, k_p - n cos u).
-    The residual is |r| - n_o; a root means the pair conserves both energy
-    and momentum.
+    recoil r = k_p z - n d.  The residual is |r| - n_o; a root means the
+    pair conserves both energy and momentum.  recoil gives r's polar angle
+    atan2(q, k_p - n cos u) and the pair's transverse momentum q = n sin u.
 
     Only scalar products of d enter: the optic axis a = (0, a_y, a_z) lies
     in the y-z plane, so d.a = a_y sin(phi) sin(u) + a_z cos(u) and phi
     enters through sin(phi) alone; |r|^2 = k_p^2 - 2 k_p n cos(u) + n^2.
-    The e-index is `_ellipse_index` of d's squared cosine to the axis, so a
-    step costs sin u, cos u and square roots.  Everything that does not
-    depend on (u, phi) is computed here, once per solve.  u and sin_phi may be
-    arrays; they broadcast together.  Both functions evaluate with xp,
-    numpy or `_FLOATS` for one problem in Python floats, and take
-    trig=(cos u, sin u) where the caller has it: a fixed grid's, or the
-    map's roots', which `_cone_times` reads again.
+    The e-index is `_ellipse_index` of d's squared cosine to the axis.
+    Everything that does not depend on (u, phi) is computed here, once per
+    solve.  u and sin_phi may be arrays; they broadcast together.  The
+    residual evaluates with xp, numpy or math for one problem in Python
+    floats.
+
+    momentum solves from the o photon's side instead: at polar angle v,
+    azimuth phi + pi, the e photon has transverse momentum q = n_o sin v
+    and k_z = k_p - n_o cos v, so phase matching is g(v) = 0, g the e-wave
+    surface A (k.a)^2 + |k|^2 / n_e^2 - 1 (A = 1/n_o^2 - 1/n_e^2) at that
+    k.  g is quadratic in (sin v, cos v): a step needs no square root and
+    no index.  It is written about g(0), the collinear mismatch, formed
+    once, with c = 1 - cos v = 2 sin^2(v/2) and p = a_y n_o sin(phi):
+    k.a = a_z D + e, e = p sin v + a_z n_o c, D = k_p - n_o, and
+    |k|^2 = D^2 + 2 k_p n_o c, so g = g(0) + A e (2 a_z D + e) + 2 k_p n_o c
+    / n_e^2, free of cancellation.  The start is the larger root of g's
+    second-order expansion in v; then come _NEWTON_STEPS Newton steps.  It
+    returns (v, q, k_z), with sin_phi an array, or a float and xp=math; the
+    e root is u = atan2(q, k_z).
     """
     axes = squared_principal_indices(crystal.model, pump.degenerate_nm)
     n_o = math.sqrt(axes[0])
@@ -170,25 +157,46 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     # the e-polarized pump travels along z, at the cut angle to the optic axis
     k_p = 2.0 * float(index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle))
     k_p2, two_k_p = k_p * k_p, 2.0 * k_p
+    inv_e = 1.0 / axes[1]
+    a, d = 1.0 / axes[0] - inv_e, k_p - n_o
+    a_n, az_d, az_n, b = a_y * n_o, a_z * d, a_z * n_o, two_k_p * n_o * inv_e
+    g0 = a * az_d * az_d + inv_e * d * d - 1.0
+    # g ~ g(0) + beta v + alpha v^2, beta = two_a_az_d p, alpha = a p^2 + alpha_0
+    two_a, two_a_az_d, alpha_0, four_g0 = 2.0 * a, 2.0 * a * az_d, a * az_d * az_n + 0.5 * b, 4.0 * g0
 
-    def e_index(u, sin_phi, xp, trig):  # the e photon's index along (u, phi), cos u and sin u
-        cu, su = (xp.cos(u), xp.sin(u)) if trig is None else trig
+    def e_index(u, sin_phi, xp):  # the e photon's index along (u, phi), cos u and sin u
+        cu, su = xp.cos(u), xp.sin(u)
         cos_d = a_y * sin_phi * su + a_z * cu
         return _ellipse_index(cos_d * cos_d, axes, xp), cu, su
 
-    def residual(u, sin_phi, xp=np, trig=None):
-        n, cu, _ = e_index(u, sin_phi, xp, trig)
+    def residual(u, sin_phi, xp=np):
+        n, cu, _ = e_index(u, sin_phi, xp)
         return xp.sqrt(k_p2 - two_k_p * n * cu + n * n) - n_o
 
-    def recoil(u, sin_phi, xp=np, trig=None):
-        n, cu, su = e_index(u, sin_phi, xp, trig)
-        return xp.arctan2(n * su, k_p - n * cu)
+    def recoil(u, sin_phi):
+        n, cu, su = e_index(u, sin_phi, np)
+        q = n * su
+        return np.arctan2(q, k_p - n * cu), q
 
-    return residual, recoil
+    def momentum(sin_phi, xp=np):
+        p = a_n * sin_phi
+        alpha, beta = a * p * p + alpha_0, two_a_az_d * p
+        v = (xp.sqrt(beta * beta - four_g0 * alpha) - beta) / (2.0 * alpha)
+        for _ in range(_NEWTON_STEPS):
+            s, h = xp.sin(v), xp.sin(0.5 * v)
+            c = 2.0 * h * h
+            e = p * s + az_n * c
+            w = az_d + e  # k.a
+            g = g0 + (a * e * (w + az_d) + b * c)
+            v = v - g / (two_a * w * (p - p * c + az_n * s) + b * s)
+        s, h = xp.sin(v), xp.sin(0.5 * v)
+        return v, n_o * s, d + 2.0 * n_o * h * h
+
+    return residual, recoil, momentum
 
 
 # ---------------------------------------------------------------------------
-# the root solver: batched, and its steps for one problem in Python floats
+# brackets, their bisection and the sign-change check
 
 
 def _grid_brackets(vals, grid, failure):
@@ -212,13 +220,12 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
     together until each bracket is narrower than xtol + rtol*|x|; a root is
     the midpoint of its last bracket, within (xtol + rtol*|x|)/2 of a root.
 
-    The fallback of `_secant_roots` (and, on one bracket of floats, of
-    `_secant_root`), for the lanes whose secant steps it cannot verify: a
-    few thousand at most, so every step evaluates every lane and a closed
-    bracket stays where it is.  A zero at a bracket end
-    is the root, the lower end first, and a midpoint where f is exactly
-    zero closes the bracket on it.  args are per-bracket arrays handed to
-    f with x.
+    The one fallback of the Newton solves, for the roots that fail their
+    sign-change check: a few at most, so every step evaluates every lane
+    and a closed bracket stays where it is.  A zero at a bracket end is the
+    root, the lower end first, and a midpoint where f is exactly zero
+    closes the bracket on it.  args are per-bracket arrays handed to f with
+    x.
     """
     b = np.where(f_lo == 0.0, lo, hi)  # a zero end closes the bracket on it
     a = np.where(f_hi == 0.0, b, lo)
@@ -234,75 +241,9 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
         b = np.where(wide & ~same, x, b)
 
 
-_PLUS_MINUS = np.array([[-1.0], [1.0]])  # stacks x - delta over x + delta
-
-
-def _secant_roots(f, lo, hi, f_lo, f_hi, xtol, rtol, start, args=()):
-    """Roots of f(x, *args) in the sign-change brackets [lo, hi], each within
-    (xtol + rtol*|x|)/2 of a root, the bound `_refine_brackets` meets.
-
-    Every lane takes _SECANT_STEPS secant steps from its start pair (x0, x1),
-    each step clipped into the lane's bracket.
-    A lane is accepted when f changes sign (or is exactly zero) across
-    x -+ delta, delta = (xtol + rtol*|x|)/2, with both points inside the
-    bracket: a root then lies within delta of x.  Every other lane, and one
-    with an exact zero at a bracket end (the root), is bisected in its
-    bracket by `_refine_brackets`.  The steps converge superlinearly from a
-    close start: on the reference design the cones' in-plane circle (up to
-    1.1 mrad off) leaves no lane to the bisection.  f takes the start pair
-    and the two verification points each stacked as one (2, lanes) array,
-    with args broadcast against them.  `_secant_root` takes the same steps
-    for one problem in Python floats and falls back to the same bisection.
-    """
-    x0, x1 = start
-    f0, f1 = f(np.array(start), *args)
-    # f1 == f0 (a stalled lane) leaves no step; it stays where it is.  The
-    # steps evaluate f only inside the brackets, whose ends the caller
-    # evaluated, and the verification below runs outside this errstate
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for step in range(_SECANT_STEPS):
-            if step:
-                x0, f0, x1, f1 = x1, f1, x, f(x, *args)
-            x = x1 - f1 * (x1 - x0) / (f1 - f0)
-            x = np.minimum(np.maximum(np.where(np.isfinite(x), x, x1), lo), hi)
-    sides = x + _PLUS_MINUS * (0.5 * (xtol + rtol * np.abs(x)))  # x - delta, x + delta
-    sign = np.sign(f(sides, *args))
-    verified = (
-        (sign[0] * sign[1] <= 0.0) & (sides[0] >= lo) & (sides[1] <= hi) & (f_lo != 0.0) & (f_hi != 0.0)
-    )
-    if not verified.all():
-        (j,) = np.nonzero(~verified)
-        x[j] = _refine_brackets(f, lo[j], hi[j], f_lo[j], f_hi[j], xtol, rtol,
-                                args=tuple(v[j] for v in args))
-    return x
-
-
-def _secant_root(f, lo, hi, f_lo, f_hi, xtol, rtol):
-    """`_secant_roots` for one bracket in Python floats, from its ends.
-
-    The same steps, clipping and verification, with the same tolerances:
-    for the collinear cut angle and the in-plane extremes, whose grids
-    leave one or two brackets, where numpy's per-call cost would exceed
-    the work.  f(x) takes and returns a float; a stalled or non-finite step
-    stays where it is, as numpy's inf or nan step does.  A root left
-    unverified is bisected by `_refine_brackets` on the float bracket, in
-    0-d arithmetic at numpy's per-call cost; over BBO pumps of 300-520 nm
-    only in-plane solves within about 1e-12 deg of the collinear cut reach
-    it, where a root meets the grid's node at u = 0.
-    """
-    x0, x1, f0, f1 = lo, hi, f_lo, f_hi
-    for step in range(_SECANT_STEPS):
-        if step:
-            x0, f0, x1, f1 = x1, f1, x, f(x)
-        x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else x1
-        x = min(max(x if math.isfinite(x) else x1, lo), hi)
-    delta = 0.5 * (xtol + rtol * abs(x))
-    below, above = x - delta, x + delta
-    if below >= lo and above <= hi and f_lo != 0.0 and f_hi != 0.0:
-        f_below, f_above = f(below), f(above)
-        if f_below <= 0.0 <= f_above or f_above <= 0.0 <= f_below:
-            return x
-    return float(_refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol))
+def _changes_sign(f_below, f_above):
+    """Whether two float values of f bracket a root: opposite signs, or a zero."""
+    return f_below <= 0.0 <= f_above or f_above <= 0.0 <= f_below
 
 
 def _sine_lanes(sin_phi):
@@ -345,17 +286,19 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
     cone) and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for
     the first azimuth where an end fails, naming that end; at the pump axis
     it also names the collinear cut angle, or says that no cut angle phase
-    matches.  `_secant_roots` then starts every azimuth from the circle
-    through the cone's in-plane extremes, with tilt t and half-angle h: the
-    direction at polar angle u on it has sin u sin(phi) sin t + cos u cos t
-    = cos h.  u_o at a lane is the recoil of u_e at its partner.
-    lanes=(sines, index) comes from `_sine_lanes`: index, shape (rows,
-    phi.size), gives each row's azimuths of phi their sines' positions,
-    and a failure names the first failing azimuth of phi, row by row.
-    Returns (u_e, u_o, (cos u_e, sin u_e)): the recoil took the roots' trig,
-    and `_cone_times` takes it again.
+    matches.  Then every lane is solved for the pair's transverse momentum
+    (`_cone_residual`'s momentum), and its e root u is kept where the
+    residual changes sign (or is exactly zero) across u -+ delta, delta =
+    (_XTOL + _RTOL*u)/2, both points inside the bracket: a root then lies
+    within delta of u.  The other lanes are bisected in their brackets by
+    `_refine_brackets`, and their o partners are the recoils of those
+    roots (see the module docstring for how rare that is).  u_o at a lane
+    is its partner lane's v.  lanes=(sines, index) comes from `_sine_lanes`: index, shape (rows,
+    phi.size), gives each row's azimuths of phi their sines' positions, and
+    a failure names the first failing azimuth of phi, row by row.  Returns
+    (u_e, u_o, (cos u_e, sin u_e)), the trig for `_cone_times`.
     """
-    f, recoil = _cone_residual(crystal, pump)
+    f, recoil, momentum = _cone_residual(crystal, pump)
     sin_phi, index = lanes
     f_lo, f_hi = f(np.array([[_U_MIN], [_U_MAX]]), sin_phi)  # both ends of every bracket at once
     bracketed = (f_lo < 0.0) & (f_hi >= 0.0)
@@ -378,54 +321,66 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
         raise NotPhaseMatchableError(f"no phase-matched e-emission at azimuth "
                                      f"{phi[k % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
                                      residual=float(abs(end)))
-    cone = _cone_from_extremes(*_inplane_extremes(crystal, pump)[0])
-    # the circle's polar angle, u = atan2(y, cos t) + arccos(cos h / hypot(cos t, y));
-    # a cone with one in-plane crossing has h = 0 and no such circle: the
-    # minimum keeps its starts finite, and the verification judges them
-    y, cos_t = sin_phi * math.sin(cone.tilt), math.cos(cone.tilt)
-    u0 = np.arctan2(y, cos_t) + np.arccos(np.minimum(math.cos(cone.half_angle) / np.hypot(cos_t, y), 1.0))
-    lo, hi = np.full(sin_phi.size, _U_MIN), np.full(sin_phi.size, _U_MAX)
-    u_e = _secant_roots(f, lo, hi, f_lo, f_hi, _XTOL, _RTOL, args=(sin_phi,), start=(u0, u0 * (1.0 + 1e-6)))
-    trig = np.cos(u_e), np.sin(u_e)
-    return u_e, recoil(u_e, sin_phi, trig=trig)[::-1], trig
+    # a lane without a real start or with a diverging step is left nan or
+    # inf here, fails its check below and is bisected
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        v, q, k_z = momentum(sin_phi)
+        u_e = np.arctan2(q, k_z)
+    delta = 0.5 * (_XTOL + _RTOL * np.abs(u_e))
+    sides = np.array([u_e - delta, u_e + delta])
+    sign = np.sign(f(sides, sin_phi))
+    verified = (sign[0] * sign[1] <= 0.0) & (sides[0] >= _U_MIN) & (sides[1] <= _U_MAX) & (f_hi != 0.0)
+    if not verified.all():
+        (j,) = np.nonzero(~verified)
+        u_e[j] = _refine_brackets(f, np.full(j.size, _U_MIN), np.full(j.size, _U_MAX), f_lo[j], f_hi[j],
+                                  _XTOL, _RTOL, args=(sin_phi[j],))
+        v[j] = recoil(u_e[j], sin_phi[j])[0]
+    return u_e, v[::-1], (np.cos(u_e), np.sin(u_e))
 
 
 def _inplane_extremes(crystal, pump):
     """Signed polar angles a- <= a+ (toward +y) where the e-cone and the
-    o-cone cross the y-z plane, e first, from the +psi crystal's solve
-    (`_inplane_solve`): a -psi crystal's residual at signed angle a is the
-    +psi one's at -a to the bit, so its extremes are (-a+, -a-).  A single
-    crossing (tangency) degenerates the cone to one ray there.
+    o-cone cross the y-z plane, e first, then the e photons' external
+    angles there, asin(q) of the pair's transverse momentum q.
+
+    They are the lanes sin(phi) = -+1 of the +psi crystal's momentum solve,
+    in Python floats: g(v) at sin(phi) = -1 is g(-v) at +1, so the larger
+    roots at -1 and +1 are both roots at +1, the cone's two crossings
+    whether or not it encloses the pump axis.  Each e crossing is checked
+    as the map checks its roots, and the two must lie apart, inside
+    +-_U_MAX.  Otherwise the residual's sign changes on a 701-point grid
+    over +-_U_MAX are bisected (`_refine_brackets`), their o partners and q
+    read off the recoils; a grid without a sign change raises
+    NotPhaseMatchableError.  A -psi crystal's residual at signed angle a is
+    the +psi one's at -a to the bit, so its extremes are (-a+, -a-).  A
+    single crossing on the grid (tangency) degenerates the cone to one ray.
     """
-    e, o = _inplane_solve(crystal.model, crystal.cut_angle, pump.center_nm)
+    plus = crystal if crystal.axis_sign > 0 else CrystalSpec(crystal.model, crystal.thickness_mm, crystal.cut_angle)
+    residual, recoil, momentum = _cone_residual(plus, pump)
+    try:
+        (v_lo, q_lo, k_lo), (v_hi, q_hi, k_hi) = momentum(-1.0, math), momentum(1.0, math)
+        e = (-math.atan2(q_lo, k_lo), math.atan2(q_hi, k_hi))
+        (below_lo, above_lo), (below_hi, above_hi) = windows = [(a - delta, a + delta) for a in e
+                                                                for delta in [0.5 * (_XTOL + _RTOL * abs(a))]]
+        solved = (-_U_MAX <= below_lo and above_lo < below_hi and above_hi <= _U_MAX
+                  and all(_changes_sign(residual(below, 1.0, math), residual(above, 1.0, math))
+                          for below, above in windows))
+    except (ArithmeticError, ValueError):  # no real start, or a step diverged
+        solved = False
+    if solved:
+        o, q = (-v_hi, v_lo), (-q_lo, q_hi)
+    else:
+        grid = np.linspace(-_U_MAX, _U_MAX, 701)
+        brackets = _grid_brackets(residual(grid, 1.0), grid,
+                                  f"e-cone not phase matchable at cut angle {math.degrees(crystal.cut_angle):.3f} deg")
+        u = _refine_brackets(lambda x: residual(x, 1.0), *brackets, _XTOL, _RTOL)
+        v, q = recoil(u, 1.0)  # each e photon's o partner, across the pump axis
+        e, o, q = (float(u[0]), float(u[-1])), (-float(v.max()), -float(v.min())), (float(q[0]), float(q[-1]))
+    # Snell at the exit face keeps the transverse momentum q
+    external = tuple(math.copysign(math.asin(min(1.0, abs(x))), x) for x in q)
     if crystal.axis_sign < 0:
-        return tuple((-a_plus, -a_minus) for a_minus, a_plus in (e, o))
-    return e, o
-
-
-# one entry, the last design's: `phase_match_cones` of crystal 1 solves it,
-# and crystal 2's summary and the map's seeds reuse it
-@functools.lru_cache(maxsize=1)
-def _inplane_solve(model, cut_angle, center_nm):
-    """The +psi crystal's in-plane extremes: the e-cone's solved on
-    _INPLANE_GRID's sign changes, the o-cone's the recoils of those roots.
-
-    Keyed by the inputs of `_cone_residual` but the axis sign, which
-    `_inplane_extremes` applies; the thickness and the pump bandwidth do
-    not enter the residual, so the specs built here hold placeholders.
-    A NotPhaseMatchableError is raised, never cached.  The grid's one or
-    two brackets are solved in Python floats (`_secant_root`).
-    """
-    residual, recoil = _cone_residual(CrystalSpec(model, 1.0, cut_angle), PumpSpec(center_nm, 1.0))
-    # polar angle |a| at sin phi = sign(a): sin u is odd, cos u even
-    vals = residual(_INPLANE_GRID, 1.0, trig=_INPLANE_TRIG)
-    cut_deg = math.degrees(cut_angle)
-    brackets = _grid_brackets(vals, _INPLANE_GRID, f"e-cone not phase matchable at cut angle {cut_deg:.3f} deg")
-    roots = [_secant_root(lambda u: residual(u, 1.0, _FLOATS), *bracket, _XTOL, _RTOL)
-             for bracket in zip(*(v.tolist() for v in brackets))]
-    # each e photon's o partner, across the pump axis
-    partners = [-float(recoil(u, 1.0, _FLOATS)) for u in roots]
-    return (min(roots), max(roots)), (min(partners), max(partners))
+        return tuple((-a_plus, -a_minus) for a_minus, a_plus in (e, o, external))
+    return e, o, external
 
 
 @dataclass(frozen=True)
@@ -457,60 +412,75 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     """Solve the degenerate type-II phase matching for both emission cones.
 
     The cones are summarized by their in-plane extremes (exact solutions of
-    the vector phase-matching condition): one e-cone solve per design and
-    its recoils, made for the +psi crystal and mirrored for the -psi one,
-    so the two crystals' cones are exact mirror images; the solve is cached
-    for the last design only.  The e extremes alone are refracted (Snell,
-    the e index at the ray's d.a as in `_cone_residual`); each o photon
-    leaves with its e partner's transverse momentum reversed, so the
-    external o-cone is the external e-cone mirrored: each crystal's is the
-    other's external e-cone, the overlap the cascade interferes on.
+    the vector phase-matching condition, `_inplane_extremes`), solved for
+    the +psi crystal and mirrored for the -psi one, so the two crystals'
+    cones are exact mirror images.  Outside, both photons of a pair leave
+    at asin(q) of their transverse momentum q, on opposite sides of the
+    pump: the external o-cone is the external e-cone mirrored, so each
+    crystal's is the other's external e-cone, the overlap the cascade
+    interferes on.
     """
-    e, o = _inplane_extremes(crystal, pump)
-    axes = squared_principal_indices(crystal.model, pump.degenerate_nm)
-    a_y, a_z = optic_axis(crystal)
-
-    def exit_angle(a):  # the in-plane e ray at signed angle a, refracted at the exit face
-        cos_d = a_y * math.sin(a) + a_z * math.cos(a)
-        n = _ellipse_index(cos_d * cos_d, axes, _FLOATS)
-        return math.copysign(math.asin(min(1.0, n * math.sin(abs(a)))), a)
-
-    external_e = _cone_from_extremes(*sorted(map(exit_angle, e)))
+    e, o, external = _inplane_extremes(crystal, pump)
+    external_e = _cone_from_extremes(*external)
     return ConePair(o_cone=_cone_from_extremes(*o), e_cone=_cone_from_extremes(*e),
                     external_o=Cone(-external_e.tilt, external_e.half_angle), external_e=external_e)
 
 
 def _collinear_residual(model, pump: PumpSpec):
     """The collinear residual 2 n_e(psi, lam_p) - n_o(lam_dc) - n_e(psi, lam_dc)
-    as f(cos2, xp) of psi's squared cosine, each index as
-    `index_extraordinary` gives it; the index ellipses are read here, once."""
+    as f(x, xp) of psi's squared cosine x, each index as
+    `index_extraordinary` gives it, and newton(x), one Newton step on f in
+    Python floats, from the ellipse's dn/dx = -(1/n_o^2 - 1/n_e^2) n^3 / 2.
+    The index ellipses are read here, once."""
     pump_axes = squared_principal_indices(model, pump.center_nm)
     axes = squared_principal_indices(model, pump.degenerate_nm)
     n_o = math.sqrt(axes[0])
+    # f's slope is half_b n^3 - b_p n_p^3
+    b_p, half_b = 1.0 / pump_axes[0] - 1.0 / pump_axes[1], 0.5 * (1.0 / axes[0] - 1.0 / axes[1])
 
-    def f(cos2, xp):
-        return 2.0 * _ellipse_index(cos2, pump_axes, xp) - n_o - _ellipse_index(cos2, axes, xp)
+    def f(x, xp=math):
+        return 2.0 * _ellipse_index(x, pump_axes, xp) - n_o - _ellipse_index(x, axes, xp)
 
-    return f
+    def newton(x):
+        n_p, n = _ellipse_index(x, pump_axes, math), _ellipse_index(x, axes, math)
+        return x - (2.0 * n_p - n_o - n) / (half_b * n * n * n - b_p * n_p * n_p * n_p)
+
+    return f, newton
 
 
 def collinear_cut_angle(model, pump: PumpSpec) -> float:
     """Cut angle at which degenerate collinear phase matching is exact.
 
-    Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc) (the first
-    in 5-85 deg); at this psi the emission cones pass through the pump axis.
-    _CUT_GRID's squared cosines are taken at import, and the first bracket
-    is solved in Python floats (`_secant_root`).
+    Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc), the first
+    in 5-85 deg; at this psi the emission cones pass through the pump axis.
+    Solved by _COLLINEAR_STEPS Newton steps in x = cos^2 psi from 0.5 (45
+    deg), in Python floats.  The root psi is kept where f changes sign
+    across psi -+ delta, delta = (1e-12 + 4 eps psi)/2, inside 5-85 deg,
+    and not between 5 deg and psi - delta.  Otherwise the first sign change
+    of f on _CUT_GRID is bisected (`_refine_brackets`); a grid without one
+    raises NotPhaseMatchableError.
     """
-    f = _collinear_residual(model, pump)
+    f, newton = _collinear_residual(model, pump)
+    xtol, rtol = 1e-12, 4 * np.finfo(float).eps
+    lo, hi = float(_CUT_GRID[0]), float(_CUT_GRID[-1])
+    try:
+        x = 0.5
+        for _ in range(_COLLINEAR_STEPS):
+            x = newton(x)
+        psi = math.acos(math.sqrt(x))
+        delta = 0.5 * (xtol + rtol * psi)
+        f_lo, f_below, f_above = (f(math.cos(a) ** 2) for a in (lo, psi - delta, psi + delta))
+        if lo <= psi - delta and psi + delta <= hi and f_lo * f_below > 0.0 and _changes_sign(f_below, f_above):
+            return psi
+    except (ArithmeticError, ValueError):  # a step left [0, 1] or diverged
+        pass
 
-    def f_float(psi):
-        c = math.cos(psi)
-        return f(c * c, _FLOATS)
+    def on_grid(psi):
+        return f(np.cos(psi) ** 2, np)
 
     failure = "no collinear degenerate phase matching for any cut angle in range"
-    brackets = _grid_brackets(f(_CUT_COS2, np), _CUT_GRID, failure)
-    return _secant_root(f_float, *(float(v[0]) for v in brackets), 1e-12, 4 * np.finfo(float).eps)
+    brackets = _grid_brackets(on_grid(_CUT_GRID), _CUT_GRID, failure)
+    return float(_refine_brackets(on_grid, *(v[:1] for v in brackets), xtol, rtol)[0])
 
 
 # ---------------------------------------------------------------------------

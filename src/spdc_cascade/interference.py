@@ -29,13 +29,22 @@ closed-form delays (`max_visibility`); nothing searches for it.
 These delays are the on-axis pair gaps of the emission-time map's classes
 (`geometry._class_times` of `propagation_times`): 2o - 1e = tau_B and
 1o - 2e = tau_A, to rounding, so averaging over the birth position adds
-nothing on axis.  What separates the map's flattening delays from them
-comes from off-axis directions.  Near the collinear cut angle that
-residual stays at about 0.4 fs, not because t_e and t_e' are mislabelled:
-at 42.9245 deg the cones still reach u ~ 0.07 rad, and the map delays sit
-+0.23 fs (1e - tau_B) and -0.41 fs (2e - tau_A) from the closed form, what
-remains of a path term (sec u) and an e-angle term of about +-8 fs each,
-which nearly cancel.
+nothing on axis.  But above the collinear cut angle the cones enclose the
+pump axis, so u = 0 is no emission direction: the closed form times a pair
+that no pair takes, while the map's flattening delays are the midrange of
+the gaps of the directions pairs do take.  On 1.07 mm BBO pumped at 395 nm
+(256 azimuths) they sit from the closed form by
+
+    cut angle (deg)   1e - tau_B   2e - tau_A   sum   smallest e angle
+    42.9245           +0.23 fs     -0.41 fs     -0.18    0 (collinear)
+    43.65             -2.82        +2.61        -0.22    0.0126 rad
+    44.5              -6.47        +6.13        -0.33    0.0241
+    50.0              -31.22       +28.43       -2.79    0.0736
+
+against the map's own worst pair mismatch of 0.41, 0.61, 0.99 and 3.95 fs.
+The offsets grow with the cones' distance from the axis and nearly cancel:
+they move mainly tau_A - tau_B, along which the envelope is broad, and
+their sum, the delay sum W, by a fraction of a fs up to 44.5 deg.
 
 The model holds only for D > 0 and t_o - t_e > 0 (the e photon outruns
 the o photon, as in BBO); `InterferenceParams` refuses a design outside

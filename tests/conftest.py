@@ -22,13 +22,6 @@ def pytest_configure(config):
     os.environ["HYPOTHESIS_STORAGE_DIRECTORY"] = storage
 
 
-@pytest.fixture(autouse=True)
-def _cold_inplane_solve_cache():
-    """Each test starts with no cached in-plane cone solve, so none depends on
-    the designs that earlier tests solved."""
-    sc.geometry._inplane_solve.cache_clear()
-
-
 @pytest.fixture(scope="session")
 def pump():
     return sc.PumpSpec(PUMP_NM, BANDWIDTH_NM)
