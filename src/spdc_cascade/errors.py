@@ -11,8 +11,9 @@ class NotPhaseMatchableError(ValueError):
     `.residual` (dimensionless, in units of the down-converted photon's
     vacuum wavenumber for the cones) says how far from matchable the setup
     is: for a cone along one azimuth, |residual| at the bracket end that
-    failed (pump axis or search bound); for a grid scan (in-plane cone
-    extremes, collinear cut angle), the smallest sampled |residual|.
+    failed (pump axis or search bound); for a grid scan, the smallest
+    sampled |g|, the e-wave surface at the partner's wavevector (in-plane
+    cone extremes), or the smallest |residual| (collinear cut angle).
     """
 
     def __init__(self, message, residual=None):

@@ -17,27 +17,27 @@ and in a negative-uniaxial crystal nothing needs to: it opens no wider than
 its e partner's, so a positive-uniaxial material whose o-cone alone opens
 beyond the search bound is mapped, not refused.
 
-One solve serves every use: batched over the azimuths of the emission-time
-map (`_cone_polar_angles`), and in Python floats at sin(phi) = -+1 for the
-in-plane extremes that summarize a cone as axis tilt + half-opening angle
-(`phase_match_cones`).  The map first checks that the e residual |r| - n_o
-(r the recoil of the pump's momentum) changes sign between the pump axis and
-the search bound along every azimuth, so the cones must enclose the pump
-axis (cut angle above the collinear one).  Every e root u is then kept only
-where that residual changes sign across u -+ (_XTOL + _RTOL*u)/2, inside
-its bracket; the others are bisected in their brackets by
-`_refine_brackets`, the one fallback.  Over BBO pumps of 390-405.5 nm
-only cut angles less than 0.03 deg above the collinear one send lanes
-there, at most a few in a hundred: where a root lies within a few mrad of
-the pump axis the residual's sign change in floats sits up to ~1.5e-13 rad
-from g's root.  The float solves check their roots alike and bisect on a grid only
-when a check fails, where the refusal of a design without roots comes from.
-The collinear cut angle takes Newton steps in cos^2 psi, the same way.  The
-crystals are mirror images, so crystal 2's cone at azimuth phi is crystal
-1's at -phi: the map solves along the azimuths on crystal 1, and the
-in-plane extremes are solved for the +psi crystal and mirrored for crystal
-2, (a-, a+) -> (-a+, -a-).  Outside, a crystal's o-cone is its external
-e-cone mirrored, one refraction per pair (`phase_match_cones`).
+One function, g, decides, solves, checks and bisects every cone root:
+batched over the azimuths of the emission-time map (`_cone_polar_angles`),
+and in Python floats at sin(phi) = -+1 for the in-plane extremes that
+summarize a cone as axis tilt + half-opening angle (`phase_match_cones`).
+The map reads enclosure off g(0), the collinear mismatch, one number for
+every azimuth (the cones enclose the pump axis where the cut angle is above
+the collinear one), and the search bound off one row of g at v_max, the o
+angle whose partner leaves at _U_MAX.  Every root v is then kept only where
+g changes sign across v -+ (_XTOL + _RTOL*v)/2 inside its bracket
+(`_root_check`); the others are bisected in g by `_refine_brackets`, the one
+fallback.  g does not cancel near the pump axis, so over BBO pumped at
+390-405.5 nm no lane falls back, even 1e-9 deg above the collinear cut.
+The float solves check their roots alike and bisect on a grid only when a
+check fails, where the refusal of a design without roots comes from.  The
+collinear cut angle takes Newton steps in cos^2 psi, checked the same way.
+The residual |r| - n_o of the e photon's recoil r only words a map's
+refusal.  The crystals are mirror images: crystal 2's g at sin(phi) is
+crystal 1's at -sin(phi) to the bit, so the map solves along the azimuths
+on crystal 1, and each crystal's in-plane extremes are the other's
+mirrored, (a-, a+) -> (-a+, -a-).  Outside, a crystal's o-cone is its
+external e-cone mirrored, one refraction per pair (`phase_match_cones`).
 
 The optic axis lies in the y-z plane, so an azimuth enters only through
 sin(phi).  The map therefore solves and times each distinct sin(phi) once:
@@ -46,9 +46,9 @@ row -sin(phi) repeats the grid's sines, so 4 | n leaves n/2 + 1 of them,
 the distinct |sin(phi)| mirrored to +-: the o angle at a lane is the v of
 the lane at its negated sine.  Sines within _SIN_TOL of each other count as
 one.  A numpy call costs a fixed overhead about that of a few hundred lanes
-of arithmetic, so the map evaluates its bracket ends and its roots' check
-points each as one (2, lanes) array, and the in-plane extremes and the
-collinear cut angle, a root or two each, are solved in Python floats.
+of arithmetic, so the map evaluates its search bound as one row and its
+roots' check points as one (2, lanes) array, and the in-plane extremes and
+the collinear cut angle, a root or two each, are solved in Python floats.
 
 Azimuth phi is measured from the x-axis to the projection of the photon
 k-vector onto the x-y plane, so the cone tilts sit at phi = 90/270 deg.
@@ -68,7 +68,8 @@ crystals, the only cascade the map accepts.  Times are referenced to the
 pump pulse entering the first crystal and reported at the exit face of the
 second.  As in the solve, a direction enters through u and sin(phi) alone:
 its path takes sec(u), and an e photon's angle to an optic axis is the
-arccos of the residual's d.a, on the pump axis (u = 0) arccos(cos psi).
+arccos of d.a = a_y sin(phi) sin(u) + a_z cos(u), on the pump axis (u = 0)
+arccos(cos psi).
 """
 
 from __future__ import annotations
@@ -117,39 +118,35 @@ def optic_axis(crystal: CrystalSpec) -> tuple[float, float]:
 
 
 def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
-    """The e-cone's residual(u, sin_phi), its o partner's recoil(u, sin_phi),
-    and momentum(sin_phi), the cone solved for the pair's transverse momentum.
+    """The cone solved for the pair's transverse momentum: residual(u,
+    sin_phi), g(v, p, xp), momentum(p, xp) and partner(v, xp), and the
+    design's a_n = a_y n_o and search bound v_max.
 
     Wavevectors are in units of the degenerate photon's vacuum wavenumber,
-    so the pump is k_p = 2*n_pump along z.  The e photon leaves at polar
-    angle u, azimuth phi, along the unit vector d = (sin u cos phi,
-    sin u sin phi, cos u) with phase index n; its o partner takes the
-    recoil r = k_p z - n d.  The residual is |r| - n_o; a root means the
-    pair conserves both energy and momentum.  recoil gives r's polar angle
-    atan2(q, k_p - n cos u) and the pair's transverse momentum q = n sin u.
+    so the pump is k_p = 2*n_pump along z, and the optic axis a = (0, a_y,
+    a_z) lies in the y-z plane.  The o photon at polar angle v, azimuth phi
+    + pi, puts its e partner at transverse momentum q = n_o sin v and k_z =
+    k_p - n_o cos v (partner gives (q, k_z); the e photon leaves at u =
+    atan2(q, k_z)), so phase matching is g(v) = 0, g the e-wave surface
+    A (k.a)^2 + |k|^2 / n_e^2 - 1 (A = 1/n_o^2 - 1/n_e^2) at that k.  g is
+    quadratic in (sin v, cos v): it needs no square root and no index.  It
+    is written about g(0), the collinear mismatch (g(0, 0)), with c = 1 -
+    cos v = 2 sin^2(v/2) and p = a_y n_o sin(phi), formed once per lane
+    array by the caller: k.a = a_z D + e, e = p sin v + a_z n_o c, D = k_p
+    - n_o, and |k|^2 = D^2 + 2 k_p n_o c, so g = g(0) + A e (2 a_z D + e)
+    + 2 k_p n_o c / n_e^2, free of cancellation.  momentum starts from the
+    larger root of g's second-order expansion in v and takes _NEWTON_STEPS
+    Newton steps, their slopes read off the terms of the same evaluation.
+    v and p may be arrays, broadcasting together, or floats with xp=math.
+    v_max is the o angle whose partner leaves at _U_MAX, asin(k_p sin
+    _U_MAX / n_o) - _U_MAX: g's sign along (0, v_max) is the sign of the
+    residual along the e angles (0, _U_MAX).
 
-    Only scalar products of d enter: the optic axis a = (0, a_y, a_z) lies
-    in the y-z plane, so d.a = a_y sin(phi) sin(u) + a_z cos(u) and phi
-    enters through sin(phi) alone; |r|^2 = k_p^2 - 2 k_p n cos(u) + n^2.
-    The e-index is `_ellipse_index` of d's squared cosine to the axis.
-    Everything that does not depend on (u, phi) is computed here, once per
-    solve.  u and sin_phi may be arrays; they broadcast together.  The
-    residual evaluates with xp, numpy or math for one problem in Python
-    floats.
-
-    momentum solves from the o photon's side instead: at polar angle v,
-    azimuth phi + pi, the e photon has transverse momentum q = n_o sin v
-    and k_z = k_p - n_o cos v, so phase matching is g(v) = 0, g the e-wave
-    surface A (k.a)^2 + |k|^2 / n_e^2 - 1 (A = 1/n_o^2 - 1/n_e^2) at that
-    k.  g is quadratic in (sin v, cos v): a step needs no square root and
-    no index.  It is written about g(0), the collinear mismatch, formed
-    once, with c = 1 - cos v = 2 sin^2(v/2) and p = a_y n_o sin(phi):
-    k.a = a_z D + e, e = p sin v + a_z n_o c, D = k_p - n_o, and
-    |k|^2 = D^2 + 2 k_p n_o c, so g = g(0) + A e (2 a_z D + e) + 2 k_p n_o c
-    / n_e^2, free of cancellation.  The start is the larger root of g's
-    second-order expansion in v; then come _NEWTON_STEPS Newton steps.  It
-    returns (v, q, k_z), with sin_phi an array, or a float and xp=math; the
-    e root is u = atan2(q, k_z).
+    residual (numpy) only words a refusal, in terms of the e photon along
+    (u, phi), d = (sin u cos phi, sin u sin phi, cos u) with its phase
+    index n, `_ellipse_index` of (d.a)^2, d.a = a_y sin(phi) sin(u) + a_z
+    cos(u): the recoil r = k_p z - n d leaves |r| - n_o, with |r|^2 = k_p^2
+    - 2 k_p n cos(u) + n^2.  It has g's sign at the partner's o angle.
     """
     axes = squared_principal_indices(crystal.model, pump.degenerate_nm)
     n_o = math.sqrt(axes[0])
@@ -159,44 +156,46 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     k_p2, two_k_p = k_p * k_p, 2.0 * k_p
     inv_e = 1.0 / axes[1]
     a, d = 1.0 / axes[0] - inv_e, k_p - n_o
-    a_n, az_d, az_n, b = a_y * n_o, a_z * d, a_z * n_o, two_k_p * n_o * inv_e
+    az_d, az_n, b = a_z * d, a_z * n_o, two_k_p * n_o * inv_e
     g0 = a * az_d * az_d + inv_e * d * d - 1.0
     # g ~ g(0) + beta v + alpha v^2, beta = two_a_az_d p, alpha = a p^2 + alpha_0
     two_a, two_a_az_d, alpha_0, four_g0 = 2.0 * a, 2.0 * a * az_d, a * az_d * az_n + 0.5 * b, 4.0 * g0
+    # clamped: a material with k_p > n_o / sin(_U_MAX) reaches _U_MAX at no v
+    v_max = math.asin(min(1.0, k_p * math.sin(_U_MAX) / n_o)) - _U_MAX
 
-    def e_index(u, sin_phi, xp):  # the e photon's index along (u, phi), cos u and sin u
-        cu, su = xp.cos(u), xp.sin(u)
-        cos_d = a_y * sin_phi * su + a_z * cu
-        return _ellipse_index(cos_d * cos_d, axes, xp), cu, su
+    def surface(v, p, xp):  # g, and sin v, c and k.a for its slope
+        s, h = xp.sin(v), xp.sin(0.5 * v)
+        c = 2.0 * h * h
+        e = p * s + az_n * c
+        w = az_d + e  # k.a
+        return g0 + (a * e * (w + az_d) + b * c), s, c, w
 
-    def residual(u, sin_phi, xp=np):
-        n, cu, _ = e_index(u, sin_phi, xp)
-        return xp.sqrt(k_p2 - two_k_p * n * cu + n * n) - n_o
+    def g(v, p, xp=np):
+        return surface(v, p, xp)[0]
 
-    def recoil(u, sin_phi):
-        n, cu, su = e_index(u, sin_phi, np)
-        q = n * su
-        return np.arctan2(q, k_p - n * cu), q
-
-    def momentum(sin_phi, xp=np):
-        p = a_n * sin_phi
+    def momentum(p, xp=np):
         alpha, beta = a * p * p + alpha_0, two_a_az_d * p
         v = (xp.sqrt(beta * beta - four_g0 * alpha) - beta) / (2.0 * alpha)
         for _ in range(_NEWTON_STEPS):
-            s, h = xp.sin(v), xp.sin(0.5 * v)
-            c = 2.0 * h * h
-            e = p * s + az_n * c
-            w = az_d + e  # k.a
-            g = g0 + (a * e * (w + az_d) + b * c)
-            v = v - g / (two_a * w * (p - p * c + az_n * s) + b * s)
-        s, h = xp.sin(v), xp.sin(0.5 * v)
-        return v, n_o * s, d + 2.0 * n_o * h * h
+            g_v, s, c, w = surface(v, p, xp)
+            v = v - g_v / (two_a * w * (p - p * c + az_n * s) + b * s)
+        return v
 
-    return residual, recoil, momentum
+    def partner(v, xp=np):
+        h = xp.sin(0.5 * v)
+        return n_o * xp.sin(v), d + 2.0 * n_o * h * h
+
+    def residual(u, sin_phi):
+        cu = np.cos(u)
+        cos_d = a_y * sin_phi * np.sin(u) + a_z * cu
+        n = _ellipse_index(cos_d * cos_d, axes)
+        return np.sqrt(k_p2 - two_k_p * n * cu + n * n) - n_o
+
+    return residual, g, momentum, partner, a_y * n_o, v_max
 
 
 # ---------------------------------------------------------------------------
-# brackets, their bisection and the sign-change check
+# brackets, their bisection and the root check
 
 
 def _grid_brackets(vals, grid, failure):
@@ -241,9 +240,19 @@ def _refine_brackets(f, lo, hi, f_lo, f_hi, xtol, rtol, args=()):
         b = np.where(wide & ~same, x, b)
 
 
-def _changes_sign(f_below, f_above):
-    """Whether two float values of f bracket a root: opposite signs, or a zero."""
-    return f_below <= 0.0 <= f_above or f_above <= 0.0 <= f_below
+def _root_check(f, x, lo, hi, xtol=_XTOL, rtol=_RTOL):
+    """(ok, f(x - delta)): ok where f changes sign, or vanishes, across
+    x -+ delta, delta = (xtol + rtol*|x|)/2, both inside [lo, hi], so that
+    a root of f in [lo, hi] lies within delta of x.
+
+    x is a float, with f of a float called on each side, or an array, with
+    f called once on both sides stacked, shape (2, x.size); nan fails.
+    """
+    delta = 0.5 * (xtol + rtol * abs(x))
+    below, above = x - delta, x + delta
+    f_below, f_above = (f(below), f(above)) if isinstance(x, float) else f(np.array([below, above]))
+    changes = (f_below <= 0.0) & (0.0 <= f_above) | (f_above <= 0.0) & (0.0 <= f_below)
+    return (lo <= below) & (above <= hi) & changes, f_below
 
 
 def _sine_lanes(sin_phi):
@@ -282,105 +291,54 @@ def _sine_lanes(sin_phi):
 def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
     """Internal polar angles (u_e, u_o) of the e- and o-cones, one per lane.
 
-    Each e root is bracketed by the pump axis (residual < 0 inside the
-    cone) and _U_MAX (residual >= 0).  Raises NotPhaseMatchableError for
-    the first azimuth where an end fails, naming that end; at the pump axis
-    it also names the collinear cut angle, or says that no cut angle phase
-    matches.  Then every lane is solved for the pair's transverse momentum
-    (`_cone_residual`'s momentum), and its e root u is kept where the
-    residual changes sign (or is exactly zero) across u -+ delta, delta =
-    (_XTOL + _RTOL*u)/2, both points inside the bracket: a root then lies
-    within delta of u.  The other lanes are bisected in their brackets by
-    `_refine_brackets`, and their o partners are the recoils of those
-    roots (see the module docstring for how rare that is).  u_o at a lane
-    is its partner lane's v.  lanes=(sines, index) comes from `_sine_lanes`: index, shape (rows,
-    phi.size), gives each row's azimuths of phi their sines' positions, and
-    a failure names the first failing azimuth of phi, row by row.  Returns
-    (u_e, u_o, (cos u_e, sin u_e)), the trig for `_cone_times`.
+    Each lane's o root v is bracketed by the pump axis, where g is g(0),
+    the collinear mismatch, one number for every lane (< 0: the cones
+    enclose the axis), and v_max, the o angle of the e search bound _U_MAX
+    (g >= 0).  Raises NotPhaseMatchableError for the first azimuth where an
+    end fails, naming that end and the residual there (`_cone_residual`);
+    at the pump axis it also names the collinear cut angle, or says that no
+    cut angle phase matches.  Then every lane is solved for the pair's
+    transverse momentum (`_cone_residual`'s momentum), and its root v is
+    kept where g passes `_root_check` inside (0, v_max).  The other lanes
+    are bisected in g over (0, v_max) by `_refine_brackets`.  The e photon
+    leaves at u_e = atan2(q, k_z) of v's partner, and u_o at a lane is its
+    partner lane's v.  lanes=(sines, index) comes from `_sine_lanes`:
+    index, shape (rows, phi.size), gives each row's azimuths of phi their
+    sines' positions, and a failure names the first failing azimuth of phi,
+    row by row.  Returns (u_e, u_o, (cos u_e, sin u_e)), the trig for
+    `_cone_times`.
     """
-    f, recoil, momentum = _cone_residual(crystal, pump)
+    residual, g, momentum, partner, a_n, v_max = _cone_residual(crystal, pump)
     sin_phi, index = lanes
-    f_lo, f_hi = f(np.array([[_U_MIN], [_U_MAX]]), sin_phi)  # both ends of every bracket at once
-    bracketed = (f_lo < 0.0) & (f_hi >= 0.0)
-    if not bracketed.all():
-        failed = ~bracketed
+    p = a_n * sin_phi
+    g0, g_hi = g(0.0, 0.0, math), g(v_max, p)
+    failed = np.full(p.shape, g0 >= 0.0) | ~(g_hi >= 0.0)
+    if failed.any():
         lanes_in_order = index.ravel()  # row by row
         k = int(np.argmax(failed[lanes_in_order]))  # the first failing (row, azimuth)
-        i = lanes_in_order[k]
-        if f_lo[i] < 0.0:
-            end, reason = f_hi[i], f"the cone opens beyond the {_U_MAX:g} rad search bound"
+        if g0 < 0.0:
+            u, reason = _U_MAX, f"the cone opens beyond the {_U_MAX:g} rad search bound"
         else:
-            end = f_lo[i]
             try:
                 collinear = math.degrees(collinear_cut_angle(crystal.model, pump))
             except NotPhaseMatchableError:
                 hint = "no cut angle in 5-85 deg phase matches"
             else:
                 hint = f"cut angle at or below the collinear cut angle, {collinear:.3f} deg"
-            reason = f"the cone does not enclose the pump axis ({hint})"
+            u, reason = _U_MIN, f"the cone does not enclose the pump axis ({hint})"
+        end = abs(float(residual(u, sin_phi[lanes_in_order[k]])))
         raise NotPhaseMatchableError(f"no phase-matched e-emission at azimuth "
-                                     f"{phi[k % phi.size]:.4f} rad: {reason} (residual {abs(end):.3e})",
-                                     residual=float(abs(end)))
+                                     f"{phi[k % phi.size]:.4f} rad: {reason} (residual {end:.3e})", residual=end)
     # a lane without a real start or with a diverging step is left nan or
-    # inf here, fails its check below and is bisected
+    # inf here, fails its check and is bisected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        v, q, k_z = momentum(sin_phi)
-        u_e = np.arctan2(q, k_z)
-    delta = 0.5 * (_XTOL + _RTOL * np.abs(u_e))
-    sides = np.array([u_e - delta, u_e + delta])
-    sign = np.sign(f(sides, sin_phi))
-    verified = (sign[0] * sign[1] <= 0.0) & (sides[0] >= _U_MIN) & (sides[1] <= _U_MAX) & (f_hi != 0.0)
-    if not verified.all():
-        (j,) = np.nonzero(~verified)
-        u_e[j] = _refine_brackets(f, np.full(j.size, _U_MIN), np.full(j.size, _U_MAX), f_lo[j], f_hi[j],
-                                  _XTOL, _RTOL, args=(sin_phi[j],))
-        v[j] = recoil(u_e[j], sin_phi[j])[0]
+        v = momentum(p)
+        checked = _root_check(lambda x: g(x, p), v, 0.0, v_max)[0]
+    if not checked.all():
+        (j,) = np.nonzero(~checked)
+        v[j] = _refine_brackets(g, np.zeros(j.size), np.full(j.size, v_max), g0, g_hi[j], _XTOL, _RTOL, args=(p[j],))
+    u_e = np.arctan2(*partner(v))
     return u_e, v[::-1], (np.cos(u_e), np.sin(u_e))
-
-
-def _inplane_extremes(crystal, pump):
-    """Signed polar angles a- <= a+ (toward +y) where the e-cone and the
-    o-cone cross the y-z plane, e first, then the e photons' external
-    angles there, asin(q) of the pair's transverse momentum q.
-
-    They are the lanes sin(phi) = -+1 of the +psi crystal's momentum solve,
-    in Python floats: g(v) at sin(phi) = -1 is g(-v) at +1, so the larger
-    roots at -1 and +1 are both roots at +1, the cone's two crossings
-    whether or not it encloses the pump axis.  Each e crossing is checked
-    as the map checks its roots, and the two must lie apart, inside
-    +-_U_MAX.  Otherwise the residual's sign changes on a 701-point grid
-    over +-_U_MAX are bisected (`_refine_brackets`), their o partners and q
-    read off the recoils; a grid without a sign change raises
-    NotPhaseMatchableError.  A -psi crystal's residual at signed angle a is
-    the +psi one's at -a to the bit, so its extremes are (-a+, -a-).  A
-    single crossing on the grid (tangency) degenerates the cone to one ray.
-    """
-    plus = crystal if crystal.axis_sign > 0 else CrystalSpec(crystal.model, crystal.thickness_mm, crystal.cut_angle)
-    residual, recoil, momentum = _cone_residual(plus, pump)
-    try:
-        (v_lo, q_lo, k_lo), (v_hi, q_hi, k_hi) = momentum(-1.0, math), momentum(1.0, math)
-        e = (-math.atan2(q_lo, k_lo), math.atan2(q_hi, k_hi))
-        (below_lo, above_lo), (below_hi, above_hi) = windows = [(a - delta, a + delta) for a in e
-                                                                for delta in [0.5 * (_XTOL + _RTOL * abs(a))]]
-        solved = (-_U_MAX <= below_lo and above_lo < below_hi and above_hi <= _U_MAX
-                  and all(_changes_sign(residual(below, 1.0, math), residual(above, 1.0, math))
-                          for below, above in windows))
-    except (ArithmeticError, ValueError):  # no real start, or a step diverged
-        solved = False
-    if solved:
-        o, q = (-v_hi, v_lo), (-q_lo, q_hi)
-    else:
-        grid = np.linspace(-_U_MAX, _U_MAX, 701)
-        brackets = _grid_brackets(residual(grid, 1.0), grid,
-                                  f"e-cone not phase matchable at cut angle {math.degrees(crystal.cut_angle):.3f} deg")
-        u = _refine_brackets(lambda x: residual(x, 1.0), *brackets, _XTOL, _RTOL)
-        v, q = recoil(u, 1.0)  # each e photon's o partner, across the pump axis
-        e, o, q = (float(u[0]), float(u[-1])), (-float(v.max()), -float(v.min())), (float(q[0]), float(q[-1]))
-    # Snell at the exit face keeps the transverse momentum q
-    external = tuple(math.copysign(math.asin(min(1.0, abs(x))), x) for x in q)
-    if crystal.axis_sign < 0:
-        return tuple((-a_plus, -a_minus) for a_minus, a_plus in (e, o, external))
-    return e, o, external
 
 
 @dataclass(frozen=True)
@@ -411,18 +369,45 @@ def _cone_from_extremes(a_minus, a_plus) -> Cone:
 def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     """Solve the degenerate type-II phase matching for both emission cones.
 
-    The cones are summarized by their in-plane extremes (exact solutions of
-    the vector phase-matching condition, `_inplane_extremes`), solved for
-    the +psi crystal and mirrored for the -psi one, so the two crystals'
-    cones are exact mirror images.  Outside, both photons of a pair leave
-    at asin(q) of their transverse momentum q, on opposite sides of the
-    pump: the external o-cone is the external e-cone mirrored, so each
-    crystal's is the other's external e-cone, the overlap the cascade
-    interferes on.
+    The cones are summarized by their in-plane extremes, the signed polar
+    angles (toward +y) where they cross the y-z plane: exact solutions of
+    the vector phase-matching condition, the roots r- < r+ of g at sin(phi)
+    = +1 (`_cone_residual`), in Python floats.  g(v) at sin(phi) = -1 is
+    g(-v) at +1, so r+ is the momentum solve's lane +1 and r- minus its
+    lane -1, the cone's two crossings whether or not it encloses the pump
+    axis.  Each passes `_root_check` inside +-v_max, and they must lie more
+    than a check window apart.  Otherwise g's sign changes on a 701-point
+    grid over +-v_max, symmetric to the bit, are bisected
+    (`_refine_brackets`), the outermost two taken; a grid without a sign
+    change raises NotPhaseMatchableError with the smallest |g| on it, and a
+    single crossing (tangency) degenerates the cones to one ray.  The o
+    photon at signed angle r leaves its e partner at atan2(q, k_z), q = n_o
+    sin r, and itself lies at -r.  A -psi crystal's g at sin(phi) is the
+    +psi crystal's at -sin(phi) to the bit, so the two crystals' cones are
+    exact mirror images.  Outside, both photons of a pair leave at asin(q)
+    of their transverse momentum q, on opposite sides of the pump: the
+    external o-cone is the external e-cone mirrored, so each crystal's is
+    the other's external e-cone, the overlap the cascade interferes on.
     """
-    e, o, external = _inplane_extremes(crystal, pump)
-    external_e = _cone_from_extremes(*external)
-    return ConePair(o_cone=_cone_from_extremes(*o), e_cone=_cone_from_extremes(*e),
+    _, g, momentum, partner, a_n, v_max = _cone_residual(crystal, pump)
+    try:
+        r = (-momentum(-a_n, math), momentum(a_n, math))
+        solved = (r[1] - r[0] > _XTOL + _RTOL * max(-r[0], r[1])
+                  and all(_root_check(lambda x: g(x, a_n, math), x, -v_max, v_max)[0] for x in r))
+    except (ArithmeticError, ValueError):  # no real start, or a step diverged
+        solved = False
+    if not solved:
+        half = np.linspace(0.0, v_max, 351)
+        grid = np.concatenate([-half[:0:-1], half])
+        brackets = _grid_brackets(g(grid, a_n), grid,
+                                  f"e-cone not phase matchable at cut angle {math.degrees(crystal.cut_angle):.3f} deg")
+        roots = _refine_brackets(g, *brackets, _XTOL, _RTOL, args=(a_n,))
+        r = (float(roots[0]), float(roots[-1]))
+    (q_lo, k_lo), (q_hi, k_hi) = (partner(x, math) for x in r)
+    # Snell at the exit face keeps the transverse momentum q
+    external_e = _cone_from_extremes(*(math.copysign(math.asin(min(1.0, abs(q))), q) for q in (q_lo, q_hi)))
+    return ConePair(o_cone=_cone_from_extremes(-r[1], -r[0]),
+                    e_cone=_cone_from_extremes(math.atan2(q_lo, k_lo), math.atan2(q_hi, k_hi)),
                     external_o=Cone(-external_e.tilt, external_e.half_angle), external_e=external_e)
 
 
@@ -454,9 +439,9 @@ def collinear_cut_angle(model, pump: PumpSpec) -> float:
     Root of 2*n_e(psi, lam_p) = n_o(lam_dc) + n_e(psi, lam_dc), the first
     in 5-85 deg; at this psi the emission cones pass through the pump axis.
     Solved by _COLLINEAR_STEPS Newton steps in x = cos^2 psi from 0.5 (45
-    deg), in Python floats.  The root psi is kept where f changes sign
-    across psi -+ delta, delta = (1e-12 + 4 eps psi)/2, inside 5-85 deg,
-    and not between 5 deg and psi - delta.  Otherwise the first sign change
+    deg), in Python floats.  The root psi is kept where it passes
+    `_root_check` inside 5-85 deg, delta = (1e-12 + 4 eps psi)/2, and f
+    does not change sign between 5 deg and psi - delta.  Otherwise the first sign change
     of f on _CUT_GRID is bisected (`_refine_brackets`); a grid without one
     raises NotPhaseMatchableError.
     """
@@ -468,9 +453,8 @@ def collinear_cut_angle(model, pump: PumpSpec) -> float:
         for _ in range(_COLLINEAR_STEPS):
             x = newton(x)
         psi = math.acos(math.sqrt(x))
-        delta = 0.5 * (xtol + rtol * psi)
-        f_lo, f_below, f_above = (f(math.cos(a) ** 2) for a in (lo, psi - delta, psi + delta))
-        if lo <= psi - delta and psi + delta <= hi and f_lo * f_below > 0.0 and _changes_sign(f_below, f_above):
+        checked, f_below = _root_check(lambda a: f(math.cos(a) ** 2), psi, lo, hi, xtol, rtol)
+        if checked and f(math.cos(lo) ** 2) * f_below > 0.0:
             return psi
     except (ArithmeticError, ValueError):  # a step left [0, 1] or diverged
         pass
@@ -526,7 +510,7 @@ class PropagationTimes:
 def _cone_times(crystal: CrystalSpec, pump: PumpSpec, u_o, u_e, sin_phi, trig_e=None) -> PropagationTimes:
     """crystal's times along its o- and e-cones, at polar angles u_o, u_e and
     sin(phi) (arrays; t_p on axis): paths take sec(u), and t_e, t_e2 the e
-    angle arccos(d.a) of `_cone_residual` to crystal's axis and its mirror's,
+    angle arccos(d.a) to crystal's axis and its mirror's,
     both in one group-index evaluation.  trig_e = (cos u_e, sin u_e) where
     the caller has them.
     """
@@ -650,7 +634,7 @@ def emission_time_map(
     crystals are mirror images, so crystal 2's cone at azimuth phi is
     crystal 1's at -phi: the e-cone is solved once, on crystal 1 at the
     distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and its
-    recoils and crystal 1's times there compose all four classes.  Raises
+    o roots and crystal 1's times there compose all four classes.  Raises
     ValueError, before any solve, for crystals that are no mirror pair, for
     a phi grid that is not finite and strictly increasing, and for unknown,
     non-finite or negative delays.

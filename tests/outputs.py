@@ -13,6 +13,9 @@ the 21 designs of perfbench's seeds 1-3 (this checkout's perfbench/inputs.py):
   worst pair mismatch;
 * the message of every exit-3 row of tests/cli_contract.py, and the
   message and `.residual` of the library's phase-matching refusals;
+* the collinear edge at 395 nm: maps 1e-9 and 1e-3 deg above the collinear
+  cut angle (CSV sha256 and class times), and whether a design 1e-13 rad
+  above and below it is mapped (its CSV sha256) or refused (as above);
 * the exported functions: cone summaries, the collinear cut angle,
   propagation times, closed-form and fringe-locked delays,
   `max_visibility`, `aligned_contrast` on a delay grid, and the index
@@ -159,6 +162,20 @@ def manifest(count=None, azimuths=AZIMUTHS, contract=True):
                                                                   _cone_values)
         out[(f"refusal emission_time_map {label}", 0)] = _refusal(lambda: sc.emission_time_map(*crystals, pump))
     out[("refusal collinear_cut_angle quartz", 0)] = _refusal(lambda: sc.collinear_cut_angle(sc.QUARTZ, pump))
+    psi_c, grid = sc.collinear_cut_angle(sc.BBO, pump), sc.geometry.default_phi_grid(256)
+
+    def edge_map(cut):
+        crystals = [sc.CrystalSpec(sc.BBO, 1.07, cut, axis_sign=s) for s in (1, -1)]
+        return sc.emission_time_map(*crystals, pump, {}, grid)
+
+    for above_deg in (1e-9, 1e-3):
+        edge = edge_map(psi_c + math.radians(above_deg))
+        out[(f"edge map {above_deg:g} deg above the collinear cut csv sha256", 0)] = _sha256(edge.to_csv())
+        out[(f"edge map {above_deg:g} deg above the collinear cut class times", 0)] = np.array(
+            [edge.times[c] for c in sc.geometry.CLASS_NAMES])
+    for offset in (1e-13, -1e-13):
+        out[(f"edge map or refusal at the collinear cut {offset:+g} rad", 0)] = _refusal(
+            lambda: edge_map(psi_c + offset), lambda edge: _sha256(edge.to_csv()))
     if contract:
         out.update(_contract_refusals(main))
     return out

@@ -1,6 +1,5 @@
 import math
 import os
-from fractions import Fraction
 import subprocess
 import sys
 import warnings
@@ -23,7 +22,6 @@ from spdc_cascade.geometry import (
     _cone_residual,
     _cone_times,
     _grid_brackets,
-    _inplane_extremes,
     _SIN_TOL,
     _refine_brackets,
     _sine_lanes,
@@ -71,8 +69,8 @@ def _vector_recoil(crystal, pump, u, phi):
 
 def _polar_angles(crystal, pump, phi):
     """The e- and o-cones' polar angles (u_e, u_o) at each azimuth of phi,
-    as the map finds them: the e-cone solved once per lane of `_sine_lanes`,
-    each o angle the recoil of its e partner at the negated lane."""
+    as the map finds them: the cone solved once per lane of `_sine_lanes`,
+    each o angle the o root of the negated lane."""
     sines, index = _sine_lanes(np.sin(phi))
     u_e, u_o, _ = _cone_polar_angles(crystal, pump, phi, (sines, index))
     return u_e[index[0]], u_o[index[0]]
@@ -242,6 +240,12 @@ def _oracle_polar_angle(crystal, pump, pol, phi):
     return brentq(f, 1e-12, 0.35, xtol=XTOL, rtol=RTOL)
 
 
+def _inplane_extremes(cones):
+    """The signed polar angles (a-, a+) where the e-cone and the o-cone of
+    a `ConePair` cross the y-z plane, tilt -+ half-opening angle."""
+    return [(c.tilt - c.half_angle, c.tilt + c.half_angle) for c in (cones.e_cone, cones.o_cone)]
+
+
 # benchmark-box designs: (thickness mm, cut deg, pump nm)
 BOX_DESIGNS = [(0.5, 43.6, 390.0), (1.07, 43.65, 395.0), (2.2, 44.1, 397.5), (3.0, 44.5, 400.0)]
 
@@ -252,7 +256,7 @@ def test_batched_cone_roots_match_scalar_oracle(thickness, cut_deg, pump_nm):
     phi = sc.geometry.default_phi_grid(64)
     for sign in (+1, -1):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
-        extremes = dict(zip("eo", _inplane_extremes(crystal, pump)))
+        extremes = dict(zip("eo", _inplane_extremes(sc.phase_match_cones(crystal, pump))))
         for pol, batched in zip("eo", _polar_angles(crystal, pump, phi)):
             oracle = [_oracle_polar_angle(crystal, pump, pol, p) for p in phi]
             assert np.abs(batched - np.array(oracle)).max() <= 1e-12, (sign, pol)
@@ -295,37 +299,43 @@ def test_map_roots_match_a_brentq_oracle_of_the_residual(pump, cut_deg):
     # tolerance on the residual the map checks its roots with, evaluated in
     # numpy's long double (80-bit on x86; where it is float64 the oracle
     # itself carries ~3e-14 rad of the residual's rounding).  The o angle
-    # at a lane is the recoil of the oracle's e root at the partner lane.
-    # The bound is XTOL, the root check's own tolerance; the momentum solve
-    # errs by at most 1.4e-15 rad here
+    # at a lane is the 3-vector recoil of the oracle's e root at the partner
+    # lane.  The bound is XTOL, the root check's own tolerance; the momentum
+    # solve errs by at most 1.4e-15 rad here
     crystal = sc.CrystalSpec(sc.BBO, 1.07, math.radians(cut_deg))
     phi = sc.geometry.default_phi_grid(80)
     sines, index = _sine_lanes(np.sin(phi))
     assert sines.size == 41
     u_e, u_o, _ = _cone_polar_angles(crystal, pump, phi, (sines, index))
-    residual, recoil, _ = _cone_residual(crystal, pump)
+    residual = _cone_residual(crystal, pump)[0]
     wide = np.longdouble
     oracle = np.array([brentq(lambda u: float(residual(wide(u), wide(s))), 1e-12, 0.35, xtol=1e-300,
                               rtol=4 * np.finfo(float).eps, maxiter=500) for s in sines])
-    partners = recoil(oracle.astype(wide), sines.astype(wide))[0][::-1]
+    partners = _vector_recoil(crystal, pump, oracle, np.arcsin(sines))[::-1]
     assert np.abs(u_e - oracle).max() <= XTOL
-    assert np.abs(u_o - partners.astype(float)).max() <= XTOL
+    assert np.abs(u_o - partners).max() <= XTOL
 
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
 def test_scalar_product_residual_matches_vector_form(thickness, cut_deg, pump_nm):
-    # random directions plus the tilt azimuths and both bracket ends
+    # the residual: random directions plus the tilt azimuths and both
+    # bracket ends.  g: at the map's roots v of a 64-azimuth grid (g's slope
+    # is ~0.3), and the e partner atan2(q, k_z) of the o photon at v has
+    # that photon as the recoil r = k_pump - n d of its 3-vector
     rng = np.random.default_rng(11)
     u = np.concatenate([rng.uniform(1e-12, 0.35, 5000), [1e-12, 0.35, 1e-12, 0.35]])
     phi = np.concatenate([rng.uniform(0.0, 2 * math.pi, 5000), [math.pi / 2] * 2, [3 * math.pi / 2] * 2])
     pump = sc.PumpSpec(pump_nm, 1.0)
+    sines, index = _sine_lanes(np.sin(sc.geometry.default_phi_grid(64)))
     for sign in (+1, -1):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
-        residual, recoil, _ = _cone_residual(crystal, pump)
+        residual, g, _, partner, a_n, _ = _cone_residual(crystal, pump)
         vector = _vector_residual(crystal, pump, "e", u, phi)
         assert np.abs(residual(u, np.sin(phi)) - vector).max() <= 1e-14, sign
-        # the recoil's polar angle, from r = k_pump - n d as 3-vectors
-        assert np.abs(recoil(u, np.sin(phi))[0] - _vector_recoil(crystal, pump, u, phi)).max() <= 1e-14, sign
+        v = _cone_polar_angles(crystal, pump, np.arcsin(sines), (sines, np.arange(sines.size)[None]))[1][::-1]
+        assert np.abs(g(v, a_n * sines)).max() <= 1e-15, sign
+        u_e = np.arctan2(*partner(v))
+        assert np.abs(_vector_recoil(crystal, pump, u_e, np.arcsin(sines)) - v).max() <= 1e-14, sign
 
 
 def test_refine_brackets_takes_an_exact_zero_as_the_root():
@@ -380,13 +390,13 @@ def _count_fallback_lanes(monkeypatch):
 
 
 def _scalar_problems(crystal, pump):
-    """The in-plane and collinear residuals of a design, each as (f of an
-    array, f of a float, grid), as the solves' checks and grid fallbacks
-    evaluate them."""
-    residual, _, _ = _cone_residual(crystal, pump)
+    """The in-plane g and the collinear residual of a design, each as (f of
+    an array, f of a float, grid), as the float solves' checks and grid
+    fallbacks evaluate them: g at sin(phi) = +1 over +-v_max in v."""
+    _, g, _, _, a_n, v_max = _cone_residual(crystal, pump)
     collinear, _ = _collinear_residual(crystal.model, pump)
-    grid = np.linspace(-_U_MAX, _U_MAX, 701)
-    return [(lambda u: residual(u, 1.0), lambda u: residual(u, 1.0, math), grid),
+    grid = np.linspace(-v_max, v_max, 701)
+    return [(lambda v: g(v, a_n), lambda v: g(v, a_n, math), grid),
             (lambda psi: collinear(np.cos(psi) ** 2, np), lambda psi: collinear(math.cos(psi) ** 2), _CUT_GRID)]
 
 
@@ -398,7 +408,7 @@ def test_float_solves_agree_with_the_batched_solve(benchmark_designs):
     # bisection of its grid bracket
     for design in benchmark_designs:
         crystal, _, pump = _mirror_pair(design)
-        e, o, _ = _inplane_extremes(crystal, pump)
+        e, o = _inplane_extremes(sc.phase_match_cones(crystal, pump))
         u_e, u_o, _ = _cone_polar_angles(crystal, pump, np.array([-math.pi / 2, math.pi / 2]),
                                          (np.array([-1.0, 1.0]), np.array([[0, 1], [1, 0]])))
         for got, batched in ((e, (-u_e[0], u_e[1])), (o, (-u_o[0], u_o[1]))):
@@ -434,11 +444,12 @@ def test_float_solves_fall_back_to_the_grid_bisection(benchmark_designs, monkeyp
 
 
 def test_float_residuals_raise_nothing_the_array_residuals_do_not(benchmark_designs):
-    # the in-plane and collinear residuals in floats (math), at every point
-    # of their grids, give what numpy gives there: on the benchmark designs
-    # and on designs the map refuses (below any in-plane crossing, below the
-    # collinear cut angle, and quartz, which has no collinear cut angle);
-    # math's square root would raise where numpy's returns nan, and none does
+    # the in-plane g and the collinear residual in floats (math), at every
+    # point of their grids, give what numpy gives there: on the benchmark
+    # designs and on designs the map refuses (below any in-plane crossing,
+    # below the collinear cut angle, and quartz, which has no collinear cut
+    # angle); math's square root would raise where numpy's returns nan, and
+    # none does
     refused = [sc.CrystalSpec(model, 1.07, math.radians(cut)) for model, cut in
                ((sc.BBO, 40.0), (sc.BBO, 42.5), (sc.QUARTZ, 43.65))]
     cases = [_mirror_pair(d)[::2] for d in benchmark_designs] + [(c, sc.PumpSpec(395.0, 1.0)) for c in refused]
@@ -453,8 +464,8 @@ def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump
     # 0.001 deg above the collinear cut angle the cones pass 0.02 mrad from
     # the pump axis, with roots of 1-5 mrad near sin(phi) = 0.  The Newton
     # roots match the oracle there; with no Newton step, the lanes whose
-    # start fails its check (80 of 129) are bisected in their brackets, their
-    # o partners read off the recoils, to the same roots
+    # start fails its check (80 of 129) are bisected in g over (0, v_max),
+    # to the same roots
     psi = sc.collinear_cut_angle(sc.BBO, pump) + math.radians(0.001)
     crystal = sc.CrystalSpec(sc.BBO, 1.07, psi)
     phi = sc.geometry.default_phi_grid(256)
@@ -468,33 +479,68 @@ def test_cone_roots_near_the_collinear_angle_fall_back_and_match_the_oracle(pump
     assert len(lanes) == 1 and 0 < lanes[0] <= 129  # of 256 / 2 + 1 lanes
 
 
+def test_map_bisects_no_lane_near_the_collinear_cut_angle(monkeypatch):
+    # roots of a few mrad near sin(phi) = 0, where a residual in u cancels
+    # to ~7e-16 against a slope of ~3e-3: its sign change sat up to 1.5e-13
+    # rad from the root, outside the check window, and sent 1-11 of 513
+    # lanes to the bisection.  g in v does not cancel there
+    lanes = _count_fallback_lanes(monkeypatch)
+    phi = sc.geometry.default_phi_grid(1024)
+    for pump_nm in (390.0, 395.0, 405.5):
+        pump = sc.PumpSpec(pump_nm, 1.0)
+        for above_deg in (1e-9, 1e-6, 1e-3, 0.01):
+            cut = sc.collinear_cut_angle(sc.BBO, pump) + math.radians(above_deg)
+            crystals = [sc.CrystalSpec(sc.BBO, 1.0, cut, axis_sign=s) for s in (1, -1)]
+            times = sc.emission_time_map(*crystals, pump, {}, phi).times
+            assert all(np.isfinite(times[c]).all() for c in CLASS_NAMES), (pump_nm, above_deg)
+            assert lanes == [], (pump_nm, above_deg)
+
+
+def test_map_encloses_the_pump_axis_from_just_above_the_collinear_cut(pump):
+    # g(0), the collinear mismatch, decides enclosure for every azimuth at
+    # once: 1e-13 rad above the collinear cut angle the cones enclose the
+    # axis, 1e-13 rad below they do not, and the refusal names azimuth 0
+    psi_c = sc.collinear_cut_angle(sc.BBO, pump)
+    above = [sc.CrystalSpec(sc.BBO, 1.07, psi_c + 1e-13, axis_sign=s) for s in (1, -1)]
+    times = sc.emission_time_map(*above, pump).times
+    assert all(np.isfinite(times[c]).all() for c in CLASS_NAMES)
+    below = [sc.CrystalSpec(sc.BBO, 1.07, psi_c - 1e-13, axis_sign=s) for s in (1, -1)]
+    with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis") as err:
+        sc.emission_time_map(*below, pump)
+    assert "at azimuth 0.0000 rad" in str(err.value)
+
+
 def test_map_takes_one_cone_solve_of_few_evaluations(crystal1, crystal2, pump, monkeypatch):
-    # one e-cone solve (crystal 2's cones are crystal 1's at -phi, and the
-    # o-cone is read off the same roots): the residual that _cone_residual
-    # builds is evaluated twice, at the bracket ends and at the roots'
-    # check points, and the momentum solve once, with _NEWTON_STEPS steps.
-    # No in-plane solve and no collinear cut angle.  The azimuths' 2 x 1024
+    # one cone solve (crystal 2's cones are crystal 1's at -phi, and the
+    # o-cone is read off the same roots): g is evaluated three times, at the
+    # pump axis (one float, the collinear mismatch), at the search bound and
+    # at the roots' check points, and the momentum solve once, with
+    # _NEWTON_STEPS steps.  A map that is not refused evaluates no residual,
+    # no in-plane solve and no collinear cut angle.  The azimuths' 2 x 1024
     # sines (sin phi and -sin phi) take 513 distinct values, one lane each
     lanes = _count_fallback_lanes(monkeypatch)
-    solves, calls, momenta = [], [], []
+    solves, shapes, momenta, residuals = [], [], [], []
     build = sc.geometry._cone_residual
 
     def counted_build(*args):
         solves.append(args)
-        residual, recoil, momentum = build(*args)
+        residual, g, momentum, *rest = build(*args)
 
         def counted(*step):
-            calls.append(step)
-            return residual(*step)
+            value = g(*step)
+            shapes.append(np.shape(value))
+            return value
 
-        return counted, recoil, lambda sin_phi: momenta.append(sin_phi) or momentum(sin_phi)
+        return (lambda *step: residuals.append(step), counted,
+                lambda p: momenta.append(p) or momentum(p), *rest)
 
     monkeypatch.setattr(sc.geometry, "_cone_residual", counted_build)
     monkeypatch.setattr(sc.geometry, "collinear_cut_angle", None)
     sc.emission_time_map(crystal1, crystal2, pump, {}, sc.geometry.default_phi_grid(1024))
     assert len(solves) == 1
-    assert len(calls) == 2 and [np.shape(u) for u, _ in calls] == [(2, 1), (2, 513)]
-    assert [np.size(sin_phi) for sin_phi in momenta] == [513]
+    assert shapes == [(), (513,), (2, 513)]
+    assert [np.size(p) for p in momenta] == [513]
+    assert residuals == []
     assert lanes == []  # every lane's root passes its check
 
 
@@ -505,33 +551,40 @@ def _mirror_pair(design):
     return (*crystals, sc.PumpSpec(design["center_nm"], design["bandwidth_nm"]))
 
 
-def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(benchmark_designs):
-    # crystal 2's residual at signed in-plane angle a is crystal 1's at -a
-    # to the bit, and its extremes are crystal 1's solve mirrored: two
-    # separate solves on a grid not symmetric to the bit differed by up to
-    # 5.8e-15 rad on these designs
-    for design in benchmark_designs:
-        crystal1, crystal2, pump = _mirror_pair(design)
-        one, two = sc.phase_match_cones(crystal1, pump), sc.phase_match_cones(crystal2, pump)
-        for field in ("o_cone", "e_cone", "external_o", "external_e"):
-            a, b = getattr(one, field), getattr(two, field)
-            assert (b.tilt, b.half_angle) == (-a.tilt, a.half_angle), (design, field)
-        # the overlap the cascade interferes on: outside the crystals each
-        # one's o-cone is the other's e-cone to the bit (the internal cones
-        # differ by about a milliradian)
-        for o_side, e_side in ((two, one), (one, two)):
-            o, e = o_side.external_o, e_side.external_e
-            assert (o.tilt, o.half_angle) == (e.tilt, e.half_angle), design
+def test_crystal_2_cones_are_crystal_1_cones_mirrored_to_the_bit(benchmark_designs, monkeypatch):
+    # crystal 2's g at sin(phi) is crystal 1's at -sin(phi) to the bit, so
+    # each crystal's own solve gives the other's cones mirrored: on the
+    # Newton lanes, and with no Newton step, where the checks fail and both
+    # bisect g on a grid symmetric to the bit (two separate solves on a
+    # grid not symmetric to the bit differed by up to 5.8e-15 rad on these
+    # designs)
+    lanes = _count_fallback_lanes(monkeypatch)
+    for steps in (sc.geometry._NEWTON_STEPS, 0):
+        monkeypatch.setattr(sc.geometry, "_NEWTON_STEPS", steps)
+        for design in benchmark_designs:
+            crystal1, crystal2, pump = _mirror_pair(design)
+            one, two = sc.phase_match_cones(crystal1, pump), sc.phase_match_cones(crystal2, pump)
+            for field in ("o_cone", "e_cone", "external_o", "external_e"):
+                a, b = getattr(one, field), getattr(two, field)
+                assert (b.tilt, b.half_angle) == (-a.tilt, a.half_angle), (steps, design, field)
+            # the overlap the cascade interferes on: outside the crystals each
+            # one's o-cone is the other's e-cone to the bit (the internal cones
+            # differ by about a milliradian)
+            for o_side, e_side in ((two, one), (one, two)):
+                o, e = o_side.external_o, e_side.external_e
+                assert (o.tilt, o.half_angle) == (e.tilt, e.half_angle), (steps, design)
+        assert len(lanes) == (0 if steps else 2 * len(benchmark_designs)), steps
 
 
-def _folded_turn(turn):
-    """The angle of sine sin(2 pi turn) in [-1/4, 1/4] turns, where sin is one-to-one."""
-    turn %= 1
-    if turn <= Fraction(1, 4):
-        return turn
-    if turn <= Fraction(3, 4):
-        return Fraction(1, 2) - turn  # sin(pi - x) = sin(x)
-    return turn - 1
+def _folded_turn(m, n):
+    """The angle of sine sin(2 pi m / n) in [-1/4, 1/4] turns, where sin is
+    one-to-one, exactly: as its numerator over the denominator 2n."""
+    m %= n
+    if 4 * m <= n:
+        return 2 * m
+    if 4 * m <= 3 * n:
+        return n - 2 * m  # sin(pi - x) = sin(x)
+    return 2 * m - 2 * n
 
 
 def _paired_lanes(sin_phi):
@@ -552,7 +605,7 @@ def _paired_lanes(sin_phi):
 def test_sine_lanes_hold_each_distinct_sine_of_a_uniform_grid_once(n):
     # oracle: the grid's distinct sines in exact arithmetic, over the map's
     # two rows sin(phi_k) and -sin(phi_k) = sin(-phi_k); n/2 + 1 when 4 | n
-    distinct = {_folded_turn(Fraction(sign * k, n)) for k in range(n) for sign in (1, -1)}
+    distinct = {_folded_turn(sign * k, n) for k in range(n) for sign in (1, -1)}
     sines, _ = _paired_lanes(np.sin(sc.geometry.default_phi_grid(n)))
     assert sines.size == len(distinct)
     if n % 4 == 0:

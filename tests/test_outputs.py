@@ -9,7 +9,8 @@ def test_manifest_of_two_designs_compares_identical_and_reports_each_kind_of_dif
     rows = outputs.compare(old, old, rtol=0.0)
     assert {result for _, _, result, _ in rows} == {"identical"} and not any(exceeded for *_, exceeded in rows)
     assert {name for name, *_ in rows} >= {"cli emission-map csv sha256", "map 256 class times", "collinear_cut_angle",
-                                            "refusal emission_time_map BBO 42.5 deg"}
+                                            "refusal emission_time_map BBO 42.5 deg",
+                                            "edge map or refusal at the collinear cut -1e-13 rad"}
     assert any(name.startswith("contract ") for name, *_ in rows)
     new = dict(old)
     new[("collinear_cut_angle", 1)] = old[("collinear_cut_angle", 1)] * (1.0 + 2e-12)
