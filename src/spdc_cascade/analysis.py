@@ -60,6 +60,8 @@ class ScanSeries:
     def __post_init__(self):
         if self.abscissa_kind not in ABSCISSA_KINDS:
             raise ValueError(f"abscissa_kind must be one of {ABSCISSA_KINDS}")
+        if self.xs.ndim != 1 or self.rates.ndim != 1:
+            raise ValueError(f"scan abscissa and rates must be one-dimensional ({self.xs.shape}, {self.rates.shape})")
         if self.xs.size < 2:
             raise ValueError("a scan needs at least two points")
         if not np.all(np.diff(self.xs) > 0):  # a NaN abscissa fails this too
@@ -295,6 +297,8 @@ def visibility_curve(
     """
     _check_one_design(params.times, "visibility_curve")
     tau_b_grid = np.asarray(tau_b_grid, dtype=float)
+    if tau_b_grid.ndim != 1:  # before a scan broadcasts it
+        raise ValueError(f"tau_B grid must be one-dimensional (shape {tau_b_grid.shape})")
     if method == "aligned":
         vis = aligned_contrast(params, tau_a, tau_b_grid)
     elif method == "scan":
@@ -369,15 +373,15 @@ def _plate_delay_per_mm(model: DispersionModel, lam_nm: float) -> float:
 
 def quartz_calibration(model: DispersionModel, lam_nm: float, thickness_mm: float) -> float:
     """Birefringent group delay (fs) of a plate of the given thickness."""
-    if not thickness_mm >= 0:
-        raise ValueError("plate thickness must be nonnegative")
+    if not 0 <= thickness_mm < math.inf:
+        raise ValueError(f"plate thickness must be finite and nonnegative ({thickness_mm})")
     return thickness_mm * _plate_delay_per_mm(model, lam_nm)
 
 
 def delay_to_quartz_thickness(model: DispersionModel, lam_nm: float, delay_fs: float) -> float:
     """Plate thickness (mm) realizing a requested birefringent group delay."""
-    if not delay_fs >= 0:
-        raise ValueError("delay must be nonnegative")
+    if not 0 <= delay_fs < math.inf:
+        raise ValueError(f"delay must be finite and nonnegative ({delay_fs})")
     return delay_fs / _plate_delay_per_mm(model, lam_nm)
 
 

@@ -8,12 +8,12 @@ class WavelengthRangeError(ValueError):
 class NotPhaseMatchableError(ValueError):
     """No phase-matching solution exists for the requested geometry.
 
-    `.residual` (dimensionless, in units of the down-converted photon's
-    vacuum wavenumber for the cones) says how far from matchable the setup
-    is: for a cone along one azimuth, |residual| at the bracket end that
-    failed (pump axis or search bound); for a grid scan, the smallest
-    sampled |g|, the e-wave surface at the partner's wavevector (in-plane
-    cone extremes), or the smallest |residual| (collinear cut angle).
+    `.residual` (dimensionless) says how far from matchable the setup is.
+    For a cone it is |g|, g the e-wave surface at the partner's wavevector:
+    at the bracket end that failed along one azimuth (pump axis or search
+    bound), or the smallest sampled on a grid scan (in-plane cone
+    extremes).  For the collinear cut angle it is the smallest sampled |f|,
+    f = 2 n_e(psi, lam_p) - n_o - n_e(psi, lam_dc).
     """
 
     def __init__(self, message, residual=None):

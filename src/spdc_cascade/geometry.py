@@ -32,12 +32,12 @@ fallback.  g does not cancel near the pump axis, so over BBO pumped at
 The float solves check their roots alike and bisect on a grid only when a
 check fails, where the refusal of a design without roots comes from.  The
 collinear cut angle takes Newton steps in cos^2 psi, checked the same way.
-The residual |r| - n_o of the e photon's recoil r only words a map's
-refusal.  The crystals are mirror images: crystal 2's g at sin(phi) is
-crystal 1's at -sin(phi) to the bit, so the map solves along the azimuths
-on crystal 1, and each crystal's in-plane extremes are the other's
-mirrored, (a-, a+) -> (-a+, -a-).  Outside, a crystal's o-cone is its
-external e-cone mirrored, one refraction per pair (`phase_match_cones`).
+Every cone refusal reports |g| where it failed.  The crystals are mirror
+images: crystal 2's g at sin(phi) is crystal 1's at -sin(phi) to the bit,
+so the map solves along the azimuths on crystal 1, and each crystal's
+in-plane extremes are the other's mirrored, (a-, a+) -> (-a+, -a-).
+Outside, a crystal's o-cone is its external e-cone mirrored, one
+refraction per pair (`phase_match_cones`).
 
 The optic axis lies in the y-z plane, so an azimuth enters only through
 sin(phi).  The map therefore solves and times each distinct sin(phi) once:
@@ -91,7 +91,7 @@ from .materials import (
 )
 from .numeric import _csv, _fixed
 
-_U_MIN, _U_MAX = 1e-12, 0.35  # rad; internal polar-angle range of the cone search
+_U_MAX = 0.35  # rad; the e-cone search bound, an internal polar angle
 _XTOL, _RTOL = 1e-13, 8.9e-16  # bracket width at which the cone solves stop
 _NEWTON_STEPS = 3  # from the closed-form start of each cone root (`_cone_residual`)
 _COLLINEAR_STEPS = 4  # from cos^2 psi = 0.5 (`collinear_cut_angle`)
@@ -118,9 +118,9 @@ def optic_axis(crystal: CrystalSpec) -> tuple[float, float]:
 
 
 def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
-    """The cone solved for the pair's transverse momentum: residual(u,
-    sin_phi), g(v, p, xp), momentum(p, xp) and partner(v, xp), and the
-    design's a_n = a_y n_o and search bound v_max.
+    """The cone solved for the pair's transverse momentum: g(v, p, xp),
+    momentum(p, xp) and partner(v, xp), and the design's a_n = a_y n_o and
+    search bound v_max.
 
     Wavevectors are in units of the degenerate photon's vacuum wavenumber,
     so the pump is k_p = 2*n_pump along z, and the optic axis a = (0, a_y,
@@ -139,24 +139,17 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
     Newton steps, their slopes read off the terms of the same evaluation.
     v and p may be arrays, broadcasting together, or floats with xp=math.
     v_max is the o angle whose partner leaves at _U_MAX, asin(k_p sin
-    _U_MAX / n_o) - _U_MAX: g's sign along (0, v_max) is the sign of the
-    residual along the e angles (0, _U_MAX).
-
-    residual (numpy) only words a refusal, in terms of the e photon along
-    (u, phi), d = (sin u cos phi, sin u sin phi, cos u) with its phase
-    index n, `_ellipse_index` of (d.a)^2, d.a = a_y sin(phi) sin(u) + a_z
-    cos(u): the recoil r = k_p z - n d leaves |r| - n_o, with |r|^2 = k_p^2
-    - 2 k_p n cos(u) + n^2.  It has g's sign at the partner's o angle.
+    _U_MAX / n_o) - _U_MAX, so the o angles (0, v_max) are the e angles
+    (0, _U_MAX).
     """
     axes = squared_principal_indices(crystal.model, pump.degenerate_nm)
     n_o = math.sqrt(axes[0])
     a_y, a_z = optic_axis(crystal)
     # the e-polarized pump travels along z, at the cut angle to the optic axis
     k_p = 2.0 * float(index_extraordinary(crystal.model, pump.center_nm, crystal.cut_angle))
-    k_p2, two_k_p = k_p * k_p, 2.0 * k_p
     inv_e = 1.0 / axes[1]
     a, d = 1.0 / axes[0] - inv_e, k_p - n_o
-    az_d, az_n, b = a_z * d, a_z * n_o, two_k_p * n_o * inv_e
+    az_d, az_n, b = a_z * d, a_z * n_o, 2.0 * k_p * n_o * inv_e
     g0 = a * az_d * az_d + inv_e * d * d - 1.0
     # g ~ g(0) + beta v + alpha v^2, beta = two_a_az_d p, alpha = a p^2 + alpha_0
     two_a, two_a_az_d, alpha_0, four_g0 = 2.0 * a, 2.0 * a * az_d, a * az_d * az_n + 0.5 * b, 4.0 * g0
@@ -185,13 +178,7 @@ def _cone_residual(crystal: CrystalSpec, pump: PumpSpec):
         h = xp.sin(0.5 * v)
         return n_o * xp.sin(v), d + 2.0 * n_o * h * h
 
-    def residual(u, sin_phi):
-        cu = np.cos(u)
-        cos_d = a_y * sin_phi * np.sin(u) + a_z * cu
-        n = _ellipse_index(cos_d * cos_d, axes)
-        return np.sqrt(k_p2 - two_k_p * n * cu + n * n) - n_o
-
-    return residual, g, momentum, partner, a_y * n_o, v_max
+    return g, momentum, partner, a_y * n_o, v_max
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +282,10 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
     the collinear mismatch, one number for every lane (< 0: the cones
     enclose the axis), and v_max, the o angle of the e search bound _U_MAX
     (g >= 0).  Raises NotPhaseMatchableError for the first azimuth where an
-    end fails, naming that end and the residual there (`_cone_residual`);
-    at the pump axis it also names the collinear cut angle, or says that no
-    cut angle phase matches.  Then every lane is solved for the pair's
+    end fails, naming that end, with |g| there as its residual: at the pump
+    axis |g(0)|, the same for every azimuth, along with the collinear cut
+    angle or that no cut angle phase matches; at the search bound |g(v_max)|
+    of the first failing lane.  Then every lane is solved for the pair's
     transverse momentum (`_cone_residual`'s momentum), and its root v is
     kept where g passes `_root_check` inside (0, v_max).  The other lanes
     are bisected in g over (0, v_max) by `_refine_brackets`.  The e photon
@@ -308,7 +296,7 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
     row by row.  Returns (u_e, u_o, (cos u_e, sin u_e)), the trig for
     `_cone_times`.
     """
-    residual, g, momentum, partner, a_n, v_max = _cone_residual(crystal, pump)
+    g, momentum, partner, a_n, v_max = _cone_residual(crystal, pump)
     sin_phi, index = lanes
     p = a_n * sin_phi
     g0, g_hi = g(0.0, 0.0, math), g(v_max, p)
@@ -317,7 +305,8 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
         lanes_in_order = index.ravel()  # row by row
         k = int(np.argmax(failed[lanes_in_order]))  # the first failing (row, azimuth)
         if g0 < 0.0:
-            u, reason = _U_MAX, f"the cone opens beyond the {_U_MAX:g} rad search bound"
+            residual = abs(float(g_hi[lanes_in_order[k]]))
+            reason = f"the cone opens beyond the {_U_MAX:g} rad search bound"
         else:
             try:
                 collinear = math.degrees(collinear_cut_angle(crystal.model, pump))
@@ -325,10 +314,10 @@ def _cone_polar_angles(crystal: CrystalSpec, pump: PumpSpec, phi, lanes):
                 hint = "no cut angle in 5-85 deg phase matches"
             else:
                 hint = f"cut angle at or below the collinear cut angle, {collinear:.3f} deg"
-            u, reason = _U_MIN, f"the cone does not enclose the pump axis ({hint})"
-        end = abs(float(residual(u, sin_phi[lanes_in_order[k]])))
+            residual, reason = abs(g0), f"the cone does not enclose the pump axis ({hint})"
         raise NotPhaseMatchableError(f"no phase-matched e-emission at azimuth "
-                                     f"{phi[k % phi.size]:.4f} rad: {reason} (residual {end:.3e})", residual=end)
+                                     f"{phi[k % phi.size]:.4f} rad: {reason} (residual {residual:.3e})",
+                                     residual=residual)
     # a lane without a real start or with a diverging step is left nan or
     # inf here, fails its check and is bisected
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -389,7 +378,7 @@ def phase_match_cones(crystal: CrystalSpec, pump: PumpSpec) -> ConePair:
     external o-cone is the external e-cone mirrored, so each crystal's is
     the other's external e-cone, the overlap the cascade interferes on.
     """
-    _, g, momentum, partner, a_n, v_max = _cone_residual(crystal, pump)
+    g, momentum, partner, a_n, v_max = _cone_residual(crystal, pump)
     try:
         r = (-momentum(-a_n, math), momentum(a_n, math))
         solved = (r[1] - r[0] > _XTOL + _RTOL * max(-r[0], r[1])
@@ -602,8 +591,11 @@ def _check_delays(delays: dict):
 
 
 def _check_phi_grid(phi):
-    """Raise ValueError unless the azimuths of phi are finite and strictly increasing."""
+    """Raise ValueError unless phi is one-dimensional and its azimuths are
+    finite and strictly increasing."""
     phi = np.asarray(phi)
+    if phi.ndim != 1:
+        raise ValueError(f"phi grid must be one-dimensional (shape {phi.shape})")
     # strictly increasing between finite ends is finite throughout (nan
     # compares false), so only a failing grid takes the second pass
     if (phi[1:] > phi[:-1]).all() and (phi.size == 0 or math.isfinite(phi[0]) and math.isfinite(phi[-1])):
@@ -636,8 +628,8 @@ def emission_time_map(
     distinct values of sin(phi) and -sin(phi) (`_sine_lanes`), and its
     o roots and crystal 1's times there compose all four classes.  Raises
     ValueError, before any solve, for crystals that are no mirror pair, for
-    a phi grid that is not finite and strictly increasing, and for unknown,
-    non-finite or negative delays.
+    a phi grid that is not one-dimensional, finite and strictly increasing,
+    and for unknown, non-finite or negative delays.
     """
     if crystal1.axis_sign == crystal2.axis_sign:
         raise ValueError("cascade crystals must have opposite axis signs")

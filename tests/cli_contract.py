@@ -357,7 +357,7 @@ CASES = {
     "test_emission_map_below_collinear_angle_exits_3": Case(
         "emission-map", "[crystal]\ncut_angle_deg = 42.5\n", 3,
         err="error: no phase-matched e-emission at azimuth 0.0000 rad: the cone does not enclose the pump axis "
-            "(cut angle at or below the collinear cut angle, 42.924 deg) (residual 9.981e-04)"),
+            "(cut angle at or below the collinear cut angle, 42.924 deg) (residual 1.244e-03)"),
     # quartz has no collinear cut angle in 5-85 deg for a 395 nm pump, so no
     # cut angle makes its cones enclose the pump axis, and the error says so
     "test_emission_map_of_a_material_without_phase_matching_exits_3": Case(

@@ -230,36 +230,35 @@ def _differences(old, new):
 
 def compare(old, new, rtol=None):
     """[(output, points, result, exceeded)]: one row per output of either
-    manifest, in the new manifest's order."""
+    manifest, in the new manifest's order.  exceeded is False without rtol;
+    with it, a relative difference above rtol, a hash or a text that
+    differs, or an output of one manifest only exceeds it."""
     rows, order = [], list(dict.fromkeys([k[0] for k in new] + [k[0] for k in old]))
     for name in order:
         wheres = list(dict.fromkeys([w for n, w in new if n == name] + [w for n, w in old if n == name]))
-        worst_abs, worst_rel, where_abs, differ, exceeded = 0.0, 0.0, None, [], False
+        worst_abs, worst_rel, where_abs, differ = 0.0, 0.0, None, []
         for where in wheres:
             key = (name, where)
             if key not in old or key not in new:
                 differ.append(f"{where}: only {'here' if key in new else 'in the parent'}")
-                exceeded = True
                 continue
             a, b = old[key], new[key]
             numbers = _differences(a, b)
             if numbers is None:
                 if a != b:
                     differ.append(str(where))
-                    exceeded = True
                 continue
             d_abs, d_rel = numbers
             if d_abs > worst_abs:
                 worst_abs, where_abs = d_abs, where
             worst_rel = max(worst_rel, d_rel)
-            exceeded |= rtol is not None and d_rel > rtol
         if differ:
             result = f"{len(differ)} of {len(wheres)} differ, first at {differ[0]}"
         elif worst_abs == 0.0:
             result = "identical"
         else:
             result = f"max abs {worst_abs:.3g} (at {where_abs}), max rel {worst_rel:.3g}"
-        rows.append((name, len(wheres), result, exceeded))
+        rows.append((name, len(wheres), result, rtol is not None and (bool(differ) or worst_rel > rtol)))
     return rows
 
 

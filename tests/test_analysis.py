@@ -497,6 +497,11 @@ def test_nan_abscissa_is_refused(params):
     for xs in ([0.0, math.nan, 1.0], [math.nan, 0.0], [0.0, math.nan]):
         with pytest.raises(ValueError, match="scan abscissa must be strictly increasing"):
             ScanSeries("delay_fs", np.array(xs), np.ones(len(xs)))
+    # so is a grid of any other dimension than one, before either method runs
+    for method in ("aligned", "scan"):
+        for grid, shape in (([[tau_b, tau_b + 1.0]] * 2, r"\(2, 2\)"), (tau_b, r"\(\)")):
+            with pytest.raises(ValueError, match=rf"^tau_B grid must be one-dimensional \(shape {shape}\)$"):
+                sc.visibility_curve(params, tau_a, grid, method=method)
 
 
 # --- quartz delay lines ----------------------------------------------------------
@@ -512,16 +517,12 @@ def test_quartz_anchor_440fs():
 def test_quartz_zero_thickness():
     assert sc.quartz_calibration(sc.QUARTZ, 790.0, 0.0) == 0.0
     assert sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, 0.0) == 0.0
-    # a plate only adds delay
-    with pytest.raises(ValueError, match="^plate thickness must be nonnegative$"):
-        sc.quartz_calibration(sc.QUARTZ, 790.0, -0.1)
-    with pytest.raises(ValueError, match="^delay must be nonnegative$"):
-        sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, -1.0)
-    # so is NaN
-    with pytest.raises(ValueError, match="^plate thickness must be nonnegative$"):
-        sc.quartz_calibration(sc.QUARTZ, 790.0, math.nan)
-    with pytest.raises(ValueError, match="^delay must be nonnegative$"):
-        sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, math.nan)
+    # a plate only adds delay, and a finite one: each refusal names the value
+    for bad in (-0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^plate thickness must be finite and nonnegative \({bad}\)$"):
+            sc.quartz_calibration(sc.QUARTZ, 790.0, bad)
+        with pytest.raises(ValueError, match=rf"^delay must be finite and nonnegative \({bad}\)$"):
+            sc.delay_to_quartz_thickness(sc.QUARTZ, 790.0, bad)
 
 
 def test_quartz_round_trip():
@@ -558,6 +559,11 @@ def test_scan_series_validation():
         ScanSeries("delay_fs", xs[:1], np.ones(1))
     with pytest.raises(ValueError, match="^abscissa and rate arrays must have equal length$"):
         ScanSeries("delay_fs", xs, np.ones(2))
+    # abscissa and rates of any other dimension than one, named by their shapes
+    for x, rates, shapes in ((np.ones((2, 2)), np.ones((2, 2)), r"\(2, 2\), \(2, 2\)"),
+                             (np.array(1.0), np.array(1.0), r"\(\), \(\)"), (xs, np.ones((3, 1)), r"\(3,\), \(3, 1\)")):
+        with pytest.raises(ValueError, match=rf"^scan abscissa and rates must be one-dimensional \({shapes}\)$"):
+            ScanSeries("delay_fs", x, rates)
 
 
 def test_scan_series_csv(params):

@@ -55,6 +55,22 @@ def _vector_residual(crystal, pump, pol, u, phi):
     return np.sqrt(rx * rx + ry * ry + rz * rz) - index("e" if pol == "o" else "o", rx, ry, rz)
 
 
+def _vector_surface_at_bound(crystal, pump, bound, phi):
+    """Oracle: g, the e-wave surface A (k.a)^2 + |k|^2 / n_e^2 - 1 (A =
+    1/n_o^2 - 1/n_e^2), from 3-vectors at the wavevector k = k_pump z - n_o
+    d_o of the e partner of the o photon along d_o(v, phi + pi), v the o
+    angle whose partner leaves at polar angle bound: n_o sin(v + bound) =
+    k_pump sin(bound)."""
+    lam, model = pump.degenerate_nm, crystal.model
+    a_y, a_z = crystal.axis_sign * math.sin(crystal.cut_angle), math.cos(crystal.cut_angle)
+    n_o, n_e = sc.index_ordinary(model, lam), sc.index_principal_e(model, lam)
+    k_pump = 2.0 * sc.index_extraordinary(model, pump.center_nm, crystal.cut_angle)
+    v = math.asin(k_pump * math.sin(bound) / n_o) - bound
+    k = np.array([0.0, 0.0, k_pump]) - n_o * np.array(
+        [math.sin(v) * math.cos(phi + math.pi), math.sin(v) * math.sin(phi + math.pi), math.cos(v)])
+    return (1.0 / n_o**2 - 1.0 / n_e**2) * (k[1] * a_y + k[2] * a_z) ** 2 + k @ k / n_e**2 - 1.0
+
+
 def _vector_recoil(crystal, pump, u, phi):
     """Oracle: the polar angle of the recoil r = k_pump - n d of the e
     photon along d(u, phi), from 3-vectors."""
@@ -180,14 +196,18 @@ def test_below_threshold_not_phase_matchable(pump):
 def test_cone_below_collinear_angle_does_not_enclose_pump_axis(pump):
     # between the solvability limit and the collinear angle the cones do not
     # enclose the pump axis: no azimuth of the map is bracketed, the tilt
-    # side included
+    # side included.  The residual is |g(0)|, the collinear mismatch, the
+    # same at every azimuth: |(D / n_e(psi))^2 - 1|, D = 2 n_e(psi, lam_p)
+    # - n_o the pump's momentum less the o photon's
     crystal = sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5))
+    lam = pump.degenerate_nm
+    mismatch = 2.0 * sc.index_extraordinary(sc.BBO, pump.center_nm, crystal.cut_angle) - sc.index_ordinary(sc.BBO, lam)
+    at_axis = (mismatch / sc.index_extraordinary(sc.BBO, lam, crystal.cut_angle)) ** 2 - 1.0
     phi = np.array([math.pi / 2, 3 * math.pi / 2])
     for first in (0, 1):
         with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis") as err:
             _polar_angles(crystal, pump, phi[first:])
         assert f"azimuth {phi[first]:.4f} rad" in str(err.value)
-        at_axis = _vector_residual(crystal, pump, "e", 1e-12, phi[first])
         assert err.value.residual == pytest.approx(abs(at_axis), rel=1e-9)
     with pytest.raises(sc.NotPhaseMatchableError, match="does not enclose the pump axis"):
         sc.emission_time_map(crystal, sc.CrystalSpec(sc.BBO, 1.07, math.radians(42.5), -1), pump)
@@ -201,7 +221,7 @@ def test_cone_beyond_search_bound_names_the_bound(crystal1, pump, monkeypatch):
     with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.01 rad search bound") as err:
         _polar_angles(crystal1, pump, phi)
     assert f"azimuth {phi[0]:.4f} rad" in str(err.value)
-    at_bound = _vector_residual(crystal1, pump, "e", 0.01, phi[0])
+    at_bound = _vector_surface_at_bound(crystal1, pump, 0.01, phi[0])
     assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
@@ -218,7 +238,7 @@ def test_mirrored_cone_failure_names_the_callers_azimuth(crystal1, crystal2, pum
         with pytest.raises(sc.NotPhaseMatchableError, match="beyond the 0.05 rad search bound") as err:
             sc.emission_time_map(crystal1, crystal2, pump, {}, phi)
         assert f"e-emission at azimuth {phi[k]:.4f} rad" in str(err.value)
-        at_bound = _vector_residual(crystal, pump, "e", 0.05, phi[k])
+        at_bound = _vector_surface_at_bound(crystal, pump, 0.05, phi[k])
         assert err.value.residual == pytest.approx(abs(at_bound), rel=1e-9)
 
 
@@ -296,21 +316,21 @@ def test_map_roots_satisfy_the_residual_to_the_solvers_tolerance(cut_deg, pump_n
 @pytest.mark.parametrize("cut_deg", [42.9245, 43.65, 50.0])
 def test_map_roots_match_a_brentq_oracle_of_the_residual(pump, cut_deg):
     # the 41 lanes of an 80-azimuth grid against brentq at its tightest
-    # tolerance on the residual the map checks its roots with, evaluated in
-    # numpy's long double (80-bit on x86; where it is float64 the oracle
-    # itself carries ~3e-14 rad of the residual's rounding).  The o angle
-    # at a lane is the 3-vector recoil of the oracle's e root at the partner
-    # lane.  The bound is XTOL, the root check's own tolerance; the momentum
-    # solve errs by at most 1.4e-15 rad here
+    # tolerance on the 3-vector residual, which shares no code with the
+    # solve, evaluated in numpy's long double (80-bit on x86; where it is
+    # float64 the oracle itself carries ~3e-14 rad of the residual's
+    # rounding).  The o angle at a lane is the 3-vector recoil of the
+    # oracle's e root at the partner lane.  The bound is XTOL, the root
+    # check's own tolerance; the momentum solve errs by at most 1.4e-15 rad
+    # here
     crystal = sc.CrystalSpec(sc.BBO, 1.07, math.radians(cut_deg))
     phi = sc.geometry.default_phi_grid(80)
     sines, index = _sine_lanes(np.sin(phi))
     assert sines.size == 41
     u_e, u_o, _ = _cone_polar_angles(crystal, pump, phi, (sines, index))
-    residual = _cone_residual(crystal, pump)[0]
     wide = np.longdouble
-    oracle = np.array([brentq(lambda u: float(residual(wide(u), wide(s))), 1e-12, 0.35, xtol=1e-300,
-                              rtol=4 * np.finfo(float).eps, maxiter=500) for s in sines])
+    oracle = np.array([brentq(lambda u: float(_vector_residual(crystal, pump, "e", wide(u), np.arcsin(wide(s)))),
+                              1e-12, 0.35, xtol=1e-300, rtol=4 * np.finfo(float).eps, maxiter=500) for s in sines])
     partners = _vector_recoil(crystal, pump, oracle, np.arcsin(sines))[::-1]
     assert np.abs(u_e - oracle).max() <= XTOL
     assert np.abs(u_o - partners).max() <= XTOL
@@ -318,20 +338,14 @@ def test_map_roots_match_a_brentq_oracle_of_the_residual(pump, cut_deg):
 
 @pytest.mark.parametrize("thickness, cut_deg, pump_nm", BOX_DESIGNS)
 def test_scalar_product_residual_matches_vector_form(thickness, cut_deg, pump_nm):
-    # the residual: random directions plus the tilt azimuths and both
-    # bracket ends.  g: at the map's roots v of a 64-azimuth grid (g's slope
-    # is ~0.3), and the e partner atan2(q, k_z) of the o photon at v has
-    # that photon as the recoil r = k_pump - n d of its 3-vector
-    rng = np.random.default_rng(11)
-    u = np.concatenate([rng.uniform(1e-12, 0.35, 5000), [1e-12, 0.35, 1e-12, 0.35]])
-    phi = np.concatenate([rng.uniform(0.0, 2 * math.pi, 5000), [math.pi / 2] * 2, [3 * math.pi / 2] * 2])
+    # g at the map's roots v of a 64-azimuth grid (g's slope is ~0.3), and
+    # the e partner atan2(q, k_z) of the o photon at v has that photon as
+    # the recoil r = k_pump - n d of its 3-vector
     pump = sc.PumpSpec(pump_nm, 1.0)
     sines, index = _sine_lanes(np.sin(sc.geometry.default_phi_grid(64)))
     for sign in (+1, -1):
         crystal = sc.CrystalSpec(sc.BBO, thickness, math.radians(cut_deg), axis_sign=sign)
-        residual, g, _, partner, a_n, _ = _cone_residual(crystal, pump)
-        vector = _vector_residual(crystal, pump, "e", u, phi)
-        assert np.abs(residual(u, np.sin(phi)) - vector).max() <= 1e-14, sign
+        g, _, partner, a_n, _ = _cone_residual(crystal, pump)
         v = _cone_polar_angles(crystal, pump, np.arcsin(sines), (sines, np.arange(sines.size)[None]))[1][::-1]
         assert np.abs(g(v, a_n * sines)).max() <= 1e-15, sign
         u_e = np.arctan2(*partner(v))
@@ -393,7 +407,7 @@ def _scalar_problems(crystal, pump):
     """The in-plane g and the collinear residual of a design, each as (f of
     an array, f of a float, grid), as the float solves' checks and grid
     fallbacks evaluate them: g at sin(phi) = +1 over +-v_max in v."""
-    _, g, _, _, a_n, v_max = _cone_residual(crystal, pump)
+    g, _, _, a_n, v_max = _cone_residual(crystal, pump)
     collinear, _ = _collinear_residual(crystal.model, pump)
     grid = np.linspace(-v_max, v_max, 701)
     return [(lambda v: g(v, a_n), lambda v: g(v, a_n, math), grid),
@@ -515,24 +529,23 @@ def test_map_takes_one_cone_solve_of_few_evaluations(crystal1, crystal2, pump, m
     # o-cone is read off the same roots): g is evaluated three times, at the
     # pump axis (one float, the collinear mismatch), at the search bound and
     # at the roots' check points, and the momentum solve once, with
-    # _NEWTON_STEPS steps.  A map that is not refused evaluates no residual,
-    # no in-plane solve and no collinear cut angle.  The azimuths' 2 x 1024
+    # _NEWTON_STEPS steps.  A map that is not refused evaluates no in-plane
+    # solve and no collinear cut angle.  The azimuths' 2 x 1024
     # sines (sin phi and -sin phi) take 513 distinct values, one lane each
     lanes = _count_fallback_lanes(monkeypatch)
-    solves, shapes, momenta, residuals = [], [], [], []
+    solves, shapes, momenta = [], [], []
     build = sc.geometry._cone_residual
 
     def counted_build(*args):
         solves.append(args)
-        residual, g, momentum, *rest = build(*args)
+        g, momentum, *rest = build(*args)
 
         def counted(*step):
             value = g(*step)
             shapes.append(np.shape(value))
             return value
 
-        return (lambda *step: residuals.append(step), counted,
-                lambda p: momenta.append(p) or momentum(p), *rest)
+        return counted, lambda p: momenta.append(p) or momentum(p), *rest
 
     monkeypatch.setattr(sc.geometry, "_cone_residual", counted_build)
     monkeypatch.setattr(sc.geometry, "collinear_cut_angle", None)
@@ -540,7 +553,6 @@ def test_map_takes_one_cone_solve_of_few_evaluations(crystal1, crystal2, pump, m
     assert len(solves) == 1
     assert shapes == [(), (513,), (2, 513)]
     assert [np.size(p) for p in momenta] == [513]
-    assert residuals == []
     assert lanes == []  # every lane's root passes its check
 
 
@@ -853,6 +865,12 @@ def test_emission_map_validation(crystal1, crystal2, pump):
     # a repeated azimuth, and a map without one of its classes
     with pytest.raises(ValueError, match="^phi grid must be strictly increasing$"):
         sc.emission_time_map(crystal1, crystal2, pump, phi_grid=[0.0, 1.0, 1.0])
+    # a grid of any other dimension than one, named by its shape
+    for grid, shape in (([[0.0, 1.0], [2.0, 3.0]], r"\(2, 2\)"), (0.5, r"\(\)")):
+        with pytest.raises(ValueError, match=rf"^phi grid must be one-dimensional \(shape {shape}\)$"):
+            sc.emission_time_map(crystal1, crystal2, pump, phi_grid=grid)
+    with pytest.raises(ValueError, match=r"^phi grid must be one-dimensional \(shape \(1, 64\)\)$"):
+        sc.EmissionTimeMap(np.zeros((1, 64)), {name: np.zeros((1, 64)) for name in CLASS_NAMES})
     phi = sc.geometry.default_phi_grid(64)
     with pytest.raises(ValueError, match="^missing class '2o' in times$"):
         sc.EmissionTimeMap(phi, {name: np.zeros(phi.size) for name in ("1e", "1o", "2e")})

@@ -22,3 +22,8 @@ def test_manifest_of_two_designs_compares_identical_and_reports_each_kind_of_dif
     assert rows["map 256 csv sha256"] == (2, "1 of 2 differ, first at 0", True)
     assert rows["max_visibility"] == (2, "1 of 2 differ, first at 1: only in the parent", True)
     assert rows["map 256 class times"] == (2, "identical", False)
+    # without rtol the same rows report their differences, and none exceeds
+    rows = {name: (points, result, exceeded) for name, points, result, exceeded in outputs.compare(old, new)}
+    assert rows["map 256 csv sha256"] == (2, "1 of 2 differ, first at 0", False)
+    assert rows["max_visibility"] == (2, "1 of 2 differ, first at 1: only in the parent", False)
+    assert rows["collinear_cut_angle"][1].startswith("max abs ") and not rows["collinear_cut_angle"][2]
